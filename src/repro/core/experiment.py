@@ -30,7 +30,7 @@ Engine selection
 :func:`repro.sim.factory.make_engine`: ``"reference"`` (the
 event-driven engines, the default), ``"batched"`` (the epoch-folded
 fast kernel, see ``docs/engines.md``), or ``"auto"`` (batched whenever
-the run shape allows it).
+it provides every capability the run needs, see :mod:`repro.control`).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set
 
+from ..control import ASYM_L2, CORE_SPEEDS, MIGRATE, REQUEUE, RETIRE
 from ..errors import ConfigurationError
 from ..machine.chip import Chip
 from ..machine.config import (
@@ -285,16 +286,30 @@ def resolve_defaults(spec: ExperimentSpec) -> ExperimentSpec:
         warmup_refs=warmup,
         seed=seed,
         sharing=spec._canonical_sharing(),
-        engine_mode=resolve_mode(
-            spec.engine_mode,
-            slots_per_core=spec.slots_per_core,
-            rebind=spec.rebind,
-            sched=spec.sched_policy,
-            heterogeneous=bool(spec.core_speeds or spec.l2_asym),
-            vm_schedule=bool(spec.vm_schedule),
-            scenario=bool(spec.scenario),
-        ),
+        engine_mode=resolve_mode(spec.engine_mode, _spec_needs(spec)),
     )
+
+
+def _spec_needs(spec: ExperimentSpec) -> Set[str]:
+    """The spec mirror of :func:`repro.sim.factory.request_needs`; a
+    hook module is imported only when the spec names that hook."""
+    needs = {need for present, need in (
+        (spec.slots_per_core > 1, REQUEUE), (spec.rebind, MIGRATE),
+        (spec.vm_schedule, RETIRE), (spec.core_speeds, CORE_SPEEDS),
+        (spec.l2_asym, ASYM_L2)) if present}
+    if spec.qos_policy:
+        from ..qos.hook import QosHook
+
+        needs |= QosHook.needs
+    if spec.sched_policy:
+        from ..sched.hook import SchedHook
+
+        needs |= SchedHook.needs
+    if spec.scenario:
+        from ..scenarios.hook import ScenarioHook
+
+        needs |= ScenarioHook.needs
+    return needs
 
 
 def resolve_mix(name: str) -> Mix:
@@ -507,6 +522,8 @@ def run_experiment(
     and the spec (hence the store key) does not include it.  A cache
     hit cannot replay sampling, so epoch-probed runs resolve the store
     *series* tier first and re-simulate if no stored series exists.
+    Engines without a probe slot (over-commit, ``rebind``) refuse
+    epoch sampling with :class:`~repro.errors.ConfigurationError`.
     """
     from .store import get_default_store
 
@@ -670,10 +687,6 @@ def run_experiment(
     hypervisor.check_isolation()
     if spec.l2_vm_quota:
         _apply_vm_quotas(chip, assignments)
-    if spec.rebind and spec.slots_per_core > 1:
-        raise ConfigurationError(
-            "dynamic rebinding and over-commit cannot be combined"
-        )
     qos_hook = None
     if spec.qos_policy:
         from ..qos.controllers import TargetSlowdown, make_controller
@@ -725,7 +738,7 @@ def run_experiment(
     elif len(hooks) == 1:
         control = hooks[0]
     else:
-        from ..sched import CompositeControl
+        from ..control import CompositeControl
 
         # scenario first (load/phase actuation shapes the epoch the
         # controllers sense), then QoS, then the scheduler — quota
@@ -734,25 +747,26 @@ def run_experiment(
     rebinder = (
         _make_rebinder(spec.rebind, chip, rng_factory) if spec.rebind else None
     )
+    probe = None
+    if want_series:
+        from ..obs.probes import EpochProbe
+
+        probe = EpochProbe(chip, contexts, epoch, telemetry)
     engine = make_engine(
         EngineRequest(
             machine=chip,
             threads=contexts,
             control=control,
+            probe=probe,
             slots_per_core=spec.slots_per_core,
             rebinder=rebinder,
             rebind_interval=spec.rebind_interval,
         ),
         mode=spec.engine_mode,
     )
-    probe = None
-    if want_series and hasattr(engine, "probe"):
-        from ..obs.probes import EpochProbe
-
+    if probe is not None and hasattr(engine, "l2_occupancy_share"):
         # batched engines expose the inspection surface themselves
-        probe_machine = engine if hasattr(engine, "l2_occupancy_share") else chip
-        probe = EpochProbe(probe_machine, contexts, epoch, telemetry)
-        engine.probe = probe
+        probe.observe(engine)
     with telemetry.span(f"simulate {spec.mix}/{spec.sharing}/{spec.policy}",
                         cat="experiment"):
         engine_result = engine.run()

@@ -131,7 +131,6 @@ class EpochProbe:
     def __init__(self, machine, threads, epoch: int, telemetry: Telemetry):
         if epoch <= 0:
             raise ValueError("epoch must be positive")
-        self.machine = machine
         self.threads = list(threads)
         self.epoch = epoch
         self.telemetry = telemetry
@@ -139,6 +138,13 @@ class EpochProbe:
         self.samples = 0
         self._tracker = VmDeltaTracker(self.threads)
         self._vm_ids = self._tracker.vm_ids
+        self.observe(machine)
+
+    def observe(self, machine) -> None:
+        """Pull occupancy and queue depths from ``machine`` from now on
+        (a batched engine models them itself: its chip never sees the
+        references)."""
+        self.machine = machine
         self._queue_depths = getattr(machine, "queue_depths", None)
         self._l2_share = getattr(machine, "l2_occupancy_share", None)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..caches.partitioning import WayQuota
+from ..control import QUOTA, REQUEUE, requeue
 from .controllers import QosController, TargetSlowdown
 from .sensors import EpochSensor
 
@@ -55,6 +56,10 @@ class QosHook:
         :class:`~repro.qos.controllers.TargetSlowdown`).
     """
 
+    #: quota rewrites are the hook's actuation; its thread re-binds
+    #: ride the run-queue actuator only where an engine provides one
+    needs = frozenset({QUOTA})
+
     def __init__(self, chip, threads, controller: QosController,
                  assignments, epoch: int, telemetry=None,
                  hypervisor=None, baseline_cpr: Optional[Dict[int, float]] = None,
@@ -68,6 +73,7 @@ class QosHook:
             telemetry = NULL_TELEMETRY
         self.chip = chip
         self.threads = list(threads)
+        self._by_id = {t.thread_id: t for t in self.threads}
         self.controller = controller
         self.epoch = epoch
         self.telemetry = telemetry
@@ -112,9 +118,10 @@ class QosHook:
     # -- wiring ---------------------------------------------------------
 
     def bind_actuator(self, engine) -> None:
-        """Give the hook an over-commit engine's run-queue actuator
-        (``run_queues()`` / ``rebind_thread(tid, core, now)``)."""
-        self._actuator = engine
+        """Take the engine's run-queue actuator (``run_queues()`` /
+        ``rebind_thread(tid, core, now)``) when it provides one."""
+        if REQUEUE in engine.provides:
+            self._actuator = engine
 
     # -- engine hooks ---------------------------------------------------
 
@@ -161,22 +168,11 @@ class QosHook:
             telemetry.counter("qos.adjustments").inc(changed)
 
         if decision.rebinds and self._actuator is not None:
-            for tid in sorted(decision.rebinds):
-                core = decision.rebinds[tid]
-                thread = self._thread_by_id(tid)
-                if thread is None:
-                    continue  # controller named a thread we don't run
-                previous = thread.core_id
-                became_head = self._actuator.rebind_thread(tid, core, now)
-                if became_head is None:
-                    continue  # refused (active thread / same core)
-                if self.hypervisor is not None:
-                    self.hypervisor.rebind_thread(
-                        thread, core, previous=previous,
-                        bind_core=became_head,
-                    )
-                self.rebinds += 1
-                telemetry.counter("qos.rebinds").inc()
+            applied, _refused = requeue(self._actuator, decision.rebinds,
+                                        self._by_id, now, self.hypervisor)
+            if applied:
+                self.rebinds += applied
+                telemetry.counter("qos.rebinds").inc(applied)
 
         violations = getattr(self.controller, "violations", None)
         if violations is not None and violations > self._seen_violations:
@@ -187,12 +183,6 @@ class QosHook:
 
         if telemetry.enabled:
             self._record_series(now)
-
-    def _thread_by_id(self, tid: int):
-        for thread in self.threads:
-            if thread.thread_id == tid:
-                return thread
-        return None
 
     def _record_series(self, now: int) -> None:
         ways_by_vm: Dict[int, int] = {}

@@ -4,7 +4,7 @@ A :class:`ScenarioHook` drives one :class:`~repro.scenarios.model.Scenario`
 with the engines' epoch-gated control cadence (the same ``next_due`` /
 ``on_step`` protocol as :class:`~repro.qos.hook.QosHook` and
 :class:`~repro.sched.hook.SchedHook`, and composable with both through
-:class:`~repro.sched.hook.CompositeControl`).  Every ``epoch``
+:class:`~repro.control.CompositeControl`).  Every ``epoch``
 simulated cycles it:
 
 * samples the scenario's load curve (plus seeded jitter from the run's
@@ -27,16 +27,18 @@ compiles into the launch (see :mod:`repro.core.experiment`), which
 keeps thread retirement exactly as deterministic as PR 9's
 ``vm_schedule`` runs.
 
-Because scenarios retarget per-thread traces mid-run (and may retire
-threads), any spec naming one pins the reference engine
-(``pins_reference``) — the batched kernel pre-folds reference batches
-and cannot re-shape them mid-run.
+The hook ``needs`` trace retargeting and load scaling (see
+:mod:`repro.control`); the batched kernel pre-folds reference batches
+and provides neither, so scenario runs resolve to the reference
+engines.  Departures add the ``retire`` need through the run's stop
+times.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
+from ..control import LOAD_SCALE, RETARGET
 from ..errors import ConfigurationError
 from .model import Scenario
 
@@ -66,11 +68,7 @@ class ScenarioHook:
         curve declares jitter.
     """
 
-    #: scenarios retarget traces and script churn: the engine factory
-    #: must never resolve such a run to the batched kernel
-    pins_reference = True
-    #: lets the factory distinguish scenario pinning in its diagnostics
-    is_scenario_control = True
+    needs = frozenset({RETARGET, LOAD_SCALE})
 
     def __init__(self, scenario: Scenario, vms, threads, rng=None,
                  telemetry=None):
@@ -113,8 +111,7 @@ class ScenarioHook:
     # -- engine hooks ---------------------------------------------------
 
     def bind_actuator(self, engine) -> None:
-        """Scenario actuation goes through the traces, not the engine;
-        accepted so the factory's reference wiring stays uniform."""
+        """Scenario actuation goes through the traces, not the engine."""
 
     def on_step(self, now: int) -> None:
         if now >= self.next_due:
@@ -214,19 +211,3 @@ class ScenarioHook:
             "per_vm": per_vm,
         }
 
-
-def window_table(summary: dict, max_rows: Optional[int] = 12) -> list:
-    """Flatten a hook summary's windows into printable rows (evenly
-    subsampled to ``max_rows`` for long runs)."""
-    windows = summary.get("windows", [])
-    if max_rows is not None and len(windows) > max_rows:
-        step = len(windows) / max_rows
-        windows = [windows[int(i * step)] for i in range(max_rows)]
-    rows = []
-    for window in windows:
-        issued = window.get("issued", {})
-        rows.append([
-            window["start"], window["end"], window["load"],
-            sum(issued.values()),
-        ])
-    return rows

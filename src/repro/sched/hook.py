@@ -25,17 +25,19 @@ attribution consistent.  Counters (``sched.control_epochs``,
 telemetry hub, so migrations show up in distributed traces; with the
 default null hub they cost nothing.
 
-Because a scheduler can rebind threads, any spec naming one pins the
-reference engine (``pins_reference``) — the batched kernel folds per
-thread and cannot re-home threads mid-run.  :class:`CompositeControl`
+The hook ``needs`` the migrate capability (see :mod:`repro.control`);
+the batched kernel folds per thread, cannot re-home threads mid-run and
+does not provide it, so scheduler runs resolve to the reference
+engines.  :class:`~repro.control.CompositeControl` (re-exported here)
 lets a :class:`SchedHook` and a :class:`~repro.qos.hook.QosHook` share
 an engine's single control slot, each keeping its own epoch.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
+from ..control import MIGRATE, REQUEUE, CompositeControl, requeue
 from ..errors import ConfigurationError
 from ..obs.trace import TraceEvent
 from .policies import Scheduler, SchedView
@@ -70,9 +72,7 @@ class SchedHook:
         Forwarded into the policy's view.
     """
 
-    #: a scheduler may rebind threads: the engine factory must never
-    #: resolve such a run to the batched kernel
-    pins_reference = True
+    needs = frozenset({MIGRATE})
 
     def __init__(self, chip, threads, policy: Scheduler, epoch: int,
                  telemetry=None, hypervisor=None,
@@ -89,6 +89,7 @@ class SchedHook:
             telemetry = NULL_TELEMETRY
         self.chip = chip
         self.threads = list(threads)
+        self._by_id = {t.thread_id: t for t in self.threads}
         self.policy = policy
         self.epoch = epoch
         self.telemetry = telemetry
@@ -176,61 +177,34 @@ class SchedHook:
                 ))
 
     def _actuate(self, moves: Dict[int, int], now: int) -> int:
-        actuator = self._actuator
-        if hasattr(actuator, "apply_migrations"):
-            return self._actuate_single_slot(actuator, moves, now)
-        return self._actuate_overcommit(actuator, moves, now)
+        engine = self._actuator
+        if REQUEUE in engine.provides:
+            applied, refused = requeue(engine, moves, self._by_id, now,
+                                       self.hypervisor)
+        else:
+            applied, refused = self._actuate_single_slot(engine, moves, now)
+        if refused:
+            self.refused += refused
+            self.telemetry.counter("sched.refused").inc(refused)
+        return applied
 
     def _actuate_single_slot(self, engine, moves: Dict[int, int],
-                             now: int) -> int:
-        previous = {
-            tid: thread.core_id
-            for tid, thread in ((t.thread_id, t) for t in self.threads)
-            if tid in moves
-        }
+                             now: int) -> Tuple[int, int]:
+        previous = {tid: self._by_id[tid].core_id
+                    for tid in moves if tid in self._by_id}
         applied = engine.apply_migrations(
             moves, now, penalty=self.migration_penalty)
         if not applied:
-            self.refused += len(moves)
-            self.telemetry.counter("sched.refused").inc(len(moves))
-            return 0
+            return 0, len(moves)
         if self.hypervisor is not None:
-            for tid in sorted(moves):
-                thread = self._thread_by_id(tid)
-                if thread is None or thread.core_id == previous.get(tid):
+            for tid in sorted(previous):
+                thread = self._by_id[tid]
+                if thread.core_id == previous[tid]:
                     continue  # skipped by the engine (no-op move)
                 self.hypervisor.rebind_thread(
                     thread, thread.core_id,
-                    previous=previous.get(tid, -1), bind_core=True)
-        return applied
-
-    def _actuate_overcommit(self, engine, moves: Dict[int, int],
-                            now: int) -> int:
-        applied = 0
-        for tid in sorted(moves):
-            core = moves[tid]
-            thread = self._thread_by_id(tid)
-            if thread is None:
-                continue
-            previous = thread.core_id
-            became_head = engine.rebind_thread(tid, core, now)
-            if became_head is None:
-                # refused: unknown, a no-op, or currently running
-                self.refused += 1
-                self.telemetry.counter("sched.refused").inc()
-                continue
-            if self.hypervisor is not None:
-                self.hypervisor.rebind_thread(
-                    thread, core, previous=previous,
-                    bind_core=became_head)
-            applied += 1
-        return applied
-
-    def _thread_by_id(self, tid: int):
-        for thread in self.threads:
-            if thread.thread_id == tid:
-                return thread
-        return None
+                    previous=previous[tid], bind_core=True)
+        return applied, 0
 
     # -- reporting ------------------------------------------------------
 
@@ -248,48 +222,3 @@ class SchedHook:
                 for t in sorted(self.threads, key=lambda t: t.thread_id)
             },
         }
-
-
-class CompositeControl:
-    """Multiplexes several epoch hooks onto an engine's control slot.
-
-    The engines drive exactly one control object through the
-    ``next_due`` / ``on_step(now)`` / ``finish`` protocol; this
-    adapter fans that out to children with independent epochs.
-    ``next_due`` is always the earliest child deadline, and
-    :meth:`on_step` dispatches only to children that are actually due
-    — each keeps its own sensing cadence.  Children are dispatched in
-    construction order, so placing a :class:`~repro.qos.hook.QosHook`
-    before a :class:`SchedHook` lets quota decisions land before the
-    same epoch's migrations.
-    """
-
-    def __init__(self, children):
-        self.children = list(children)
-        if not self.children:
-            raise ConfigurationError(
-                "CompositeControl needs at least one child hook")
-        #: the composite pins the reference engine iff any child does
-        self.pins_reference = any(
-            getattr(child, "pins_reference", False)
-            for child in self.children
-        )
-
-    @property
-    def next_due(self) -> int:
-        return min(child.next_due for child in self.children)
-
-    def on_step(self, now: int) -> None:
-        for child in self.children:
-            if now >= child.next_due:
-                child.on_step(now)
-
-    def bind_actuator(self, engine) -> None:
-        for child in self.children:
-            bind = getattr(child, "bind_actuator", None)
-            if bind is not None:
-                bind(engine)
-
-    def finish(self, final_time: int) -> None:
-        for child in self.children:
-            child.finish(final_time)

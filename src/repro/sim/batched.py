@@ -54,6 +54,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, List, Optional
 
+from ..control import EPOCH_PROBE, QUOTA
 from ..errors import SimulationError
 from ._batchfold import HAVE_NUMPY, PrivateState, fold_private
 from .engine import EngineResult, ThreadStats
@@ -144,6 +145,10 @@ class BatchedEngine:
         Force (``True``) or forbid (``False``) the vectorized private
         filter; ``None`` auto-detects.
     """
+
+    #: capabilities (:mod:`repro.control`): pre-folded batches admit
+    #: quota rewrites only
+    provides = frozenset({QUOTA, EPOCH_PROBE})
 
     def __init__(
         self,

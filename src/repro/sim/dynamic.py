@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
+from ..control import ASYM_L2, LOAD_SCALE, MIGRATE, QUOTA, RETARGET
 from ..errors import SimulationError
 from .engine import EngineResult, ThreadContext
 
@@ -127,6 +128,10 @@ class MigratingEngine:
         Optional :class:`~repro.qos.hook.QosHook` called once per step
         with the current issue time (see the base engine).
     """
+
+    #: capabilities (:mod:`repro.control`): core speeds, stop times
+    #: and epoch probes are never read
+    provides = frozenset({QUOTA, MIGRATE, RETARGET, LOAD_SCALE, ASYM_L2})
 
     def __init__(
         self,

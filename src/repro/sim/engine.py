@@ -26,6 +26,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Protocol, Tuple
 
+from ..control import (ASYM_L2, CORE_SPEEDS, EPOCH_PROBE, LOAD_SCALE, MIGRATE,
+                       QUOTA, RETARGET, RETIRE)
 from ..errors import SimulationError
 from .records import AccessResult, HitLevel, LatencyBreakdown, MemoryReference
 
@@ -240,6 +242,10 @@ class Engine:
         *may* change machine state (it rewrites live way quotas at
         control-epoch boundaries) — that is its purpose.
     """
+
+    #: capabilities (:mod:`repro.control`): all but over-commit queues
+    provides = frozenset({QUOTA, MIGRATE, RETIRE, RETARGET, LOAD_SCALE,
+                          CORE_SPEEDS, ASYM_L2, EPOCH_PROBE})
 
     def __init__(
         self,

@@ -1,9 +1,5 @@
-"""Unified engine construction: one registry, one entry point.
-
-Historically :func:`repro.core.experiment.run_experiment` picked an
-engine with ad-hoc ``if`` chains (over-commit → ``OvercommitEngine``,
-rebind → ``MigratingEngine``, else ``Engine``).  The factory replaces
-that with a small registry keyed by *engine mode*:
+"""Unified engine construction: one registry keyed by *engine mode*,
+one entry point:
 
 ``"reference"``
     The event-driven engines — byte-identical to the historical
@@ -12,9 +8,13 @@ that with a small registry keyed by *engine mode*:
     The epoch-folded :class:`~repro.sim.batched.BatchedEngine`
     (single-slot, statically-bound runs only).
 ``"auto"``
-    Resolves to ``"batched"`` when the run shape allows it (one slot
-    per core, no dynamic rebinding) *and* numpy is available, else
+    Resolves to ``"batched"`` when the batched engine provides every
+    capability the request needs *and* numpy is available, else
     ``"reference"``.
+
+Every built-in build ends in one check (see :mod:`repro.control`): an
+engine that does not provide a capability the request needs raises
+:class:`~repro.errors.ConfigurationError` instead of ignoring an input.
 
 Stability note: :func:`make_engine`, :class:`EngineRequest`, and the
 mode names above are public API — downstream code may rely on them;
@@ -27,8 +27,10 @@ settable ``probe`` attribute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import AbstractSet, Callable, Dict, FrozenSet, Optional, Sequence
 
+from ..control import (ASYM_L2, CORE_SPEEDS, EPOCH_PROBE, MIGRATE, REQUEUE,
+                       RETIRE)
 from ..errors import ConfigurationError
 from ._batchfold import HAVE_NUMPY
 from .batched import DEFAULT_EPOCH_REFS, BatchedEngine
@@ -41,6 +43,7 @@ __all__ = [
     "make_engine",
     "register_engine",
     "resolve_mode",
+    "request_needs",
     "engine_modes",
 ]
 
@@ -56,10 +59,12 @@ class EngineRequest:
     threads:
         Thread contexts to run.
     control:
-        Optional QoS hook; builders wire it into the engine and, for
-        over-commit, bind the run-queue actuator back onto the hook.
+        Optional :class:`~repro.control.Control` hook; builders wire it
+        into the engine and then hand it the engine via
+        ``bind_actuator``.
     probe:
-        Optional epoch probe (reference single-slot and batched only).
+        Optional epoch probe (needs the ``epoch probe`` capability:
+        reference single-slot and batched only).
     slots_per_core:
         >1 selects the over-commit engine on the reference path.
     rebinder, rebind_interval:
@@ -79,106 +84,53 @@ class EngineRequest:
     epoch_refs: int = DEFAULT_EPOCH_REFS
 
 
-def _control_rebinds(request: EngineRequest) -> bool:
-    """True when the control hook may rebind threads mid-run.
-
-    Scheduler hooks (and composites containing one) declare this with
-    ``pins_reference``; such runs must stay on the reference engines
-    regardless of shape.
-    """
-    return bool(getattr(request.control, "pins_reference", False))
-
-
-def _control_is_scenario(request: EngineRequest) -> bool:
-    """True when the control hook (or a composite child) is a scenario
-    hook — such runs retarget traces mid-run and must stay on the
-    reference engines."""
-    control = request.control
-    return bool(getattr(control, "is_scenario_control", False) or any(
-        getattr(child, "is_scenario_control", False)
-        for child in getattr(control, "children", ())))
-
-
-def _machine_heterogeneous(request: EngineRequest) -> bool:
+def request_needs(request: EngineRequest) -> FrozenSet[str]:
+    """Capabilities (see :mod:`repro.control`) a request needs: its
+    control hook's declared ``needs`` plus those of its shape."""
     config = getattr(request.machine, "config", None)
-    return bool(config is not None
-                and getattr(config, "heterogeneous", False))
+    needs = {need for present, need in (
+        (request.slots_per_core > 1, REQUEUE),
+        (request.rebinder is not None, MIGRATE),
+        (request.probe is not None, EPOCH_PROBE),
+        (any(getattr(t, "stop_time", None) is not None
+             for t in request.threads), RETIRE),
+        (config is not None and config.inverse_core_speeds(), CORE_SPEEDS),
+        (config is not None and config.l2_domain_assoc, ASYM_L2)) if present}
+    if request.control is not None:
+        needs |= request.control.needs
+    return frozenset(needs)
 
 
-def _has_stop_times(request: EngineRequest) -> bool:
-    return any(getattr(t, "stop_time", None) is not None
-               for t in request.threads)
-
-
-def _build_reference(request: EngineRequest):
-    if request.slots_per_core > 1:
-        engine = OvercommitEngine(
-            request.machine, request.threads, control=request.control
+def _construct(cls, request: EngineRequest, **kwargs):
+    """Build ``cls`` for ``request`` after the one capability check:
+    the engine must provide every capability the request needs."""
+    missing = request_needs(request) - cls.provides
+    if missing:
+        raise ConfigurationError(
+            f"engine {cls.__name__} does not provide "
+            f"{', '.join(sorted(missing))}, which this run needs; pick an "
+            "engine_mode that does (docs/engines.md) or drop those inputs"
         )
-        if request.control is not None:
-            request.control.bind_actuator(engine)
-        return engine
-    if request.rebinder is not None:
-        return MigratingEngine(
-            request.machine,
-            request.threads,
-            rebinder=request.rebinder,
-            interval=request.rebind_interval,
-            control=request.control,
-        )
-    engine = Engine(
-        request.machine,
-        request.threads,
-        probe=request.probe,
-        control=request.control,
-    )
-    if _control_rebinds(request):
-        # a rebinding hook needs the engine's migration actuator (and
-        # run-queue snapshots for sensing)
+    engine = cls(request.machine, request.threads, control=request.control,
+                 **kwargs)
+    if request.control is not None:
         request.control.bind_actuator(engine)
     return engine
 
 
-def _build_batched(request: EngineRequest):
-    if request.slots_per_core > 1:
-        raise ConfigurationError(
-            "the batched engine cannot over-commit cores; "
-            "use engine_mode='reference' with slots_per_core>1"
-        )
+def _build_reference(request: EngineRequest):
     if request.rebinder is not None:
-        raise ConfigurationError(
-            "the batched engine does not support dynamic rebinding; "
-            "use engine_mode='reference' with rebind set"
-        )
-    if _control_is_scenario(request):
-        raise ConfigurationError(
-            "the batched engine does not support scenario control "
-            "(mid-run retargeting and load scaling); use "
-            "engine_mode='reference'"
-        )
-    if _control_rebinds(request):
-        raise ConfigurationError(
-            "the batched engine does not support rebinding control "
-            "hooks (schedulers); use engine_mode='reference'"
-        )
-    if _machine_heterogeneous(request):
-        raise ConfigurationError(
-            "the batched engine does not model heterogeneous chips "
-            "(core speed classes / asymmetric L2); use "
-            "engine_mode='reference'"
-        )
-    if _has_stop_times(request):
-        raise ConfigurationError(
-            "the batched engine does not support VM churn "
-            "(stop times); use engine_mode='reference'"
-        )
-    return BatchedEngine(
-        request.machine,
-        request.threads,
-        probe=request.probe,
-        control=request.control,
-        epoch_refs=request.epoch_refs,
-    )
+        return _construct(MigratingEngine, request,
+                          rebinder=request.rebinder,
+                          interval=request.rebind_interval)
+    if request.slots_per_core > 1:
+        return _construct(OvercommitEngine, request)
+    return _construct(Engine, request, probe=request.probe)
+
+
+def _build_batched(request: EngineRequest):
+    return _construct(BatchedEngine, request, probe=request.probe,
+                      epoch_refs=request.epoch_refs)
 
 
 _REGISTRY: Dict[str, Callable[[EngineRequest], object]] = {
@@ -200,29 +152,21 @@ def engine_modes() -> list:
     return ["auto"] + sorted(_REGISTRY)
 
 
-def resolve_mode(mode: str, *, slots_per_core: int = 1,
-                 rebind: str = "", sched: str = "",
-                 heterogeneous: bool = False,
-                 vm_schedule: bool = False,
-                 scenario: bool = False) -> str:
-    """Resolve ``"auto"`` to a concrete registry mode for a run shape.
+def resolve_mode(mode: str, needs: AbstractSet[str] = frozenset()) -> str:
+    """Resolve ``"auto"`` to a concrete registry mode for a run's needs.
 
-    ``"auto"`` picks ``"batched"`` only when the shape supports it —
-    one slot per core, no dynamic rebinding of *any* kind (the
-    ``rebind`` phase rebinder or a ``sched`` scheduling policy, both
-    of which may call ``rebind_thread`` mid-run), a homogeneous chip,
-    no VM churn schedule, and no time-varying ``scenario`` (which
-    retargets traces mid-run) — and numpy is importable; the pure-
-    Python folding fallback exists for constrained environments, but
-    ``auto`` should never silently choose the slow path.  Explicitly
-    requesting ``"batched"`` without numpy is honoured (the fallback
-    runs); requesting it for an unsupported shape raises at build time.
+    ``"auto"`` picks ``"batched"`` only when the batched engine
+    provides every capability in ``needs`` (see :mod:`repro.control`:
+    no over-commit, rebinding, scheduler, scenario, VM churn or
+    heterogeneous chip) *and* numpy is importable; the pure-Python
+    folding fallback exists for constrained environments, but ``auto``
+    should never silently choose the slow path.  Explicitly requesting
+    ``"batched"`` without numpy is honoured (the fallback runs);
+    requesting it for needs it lacks raises at build time.
     """
     mode = (mode or "auto").strip().lower()
     if mode == "auto":
-        if (slots_per_core == 1 and not rebind and not sched
-                and not heterogeneous and not vm_schedule
-                and not scenario and HAVE_NUMPY):
+        if HAVE_NUMPY and needs <= BatchedEngine.provides:
             return "batched"
         return "reference"
     if mode not in _REGISTRY:
@@ -237,15 +181,8 @@ def make_engine(request: EngineRequest, mode: str = "auto"):
     """Build an engine for ``request`` in the given mode.
 
     The single construction path for every simulation engine: the
-    experiment runner, tests, and benches all come through here.
+    experiment runner, tests, and benches all come through here.  A
+    built-in engine that lacks a capability the request needs raises
+    :class:`~repro.errors.ConfigurationError` naming it.
     """
-    concrete = resolve_mode(
-        mode,
-        slots_per_core=request.slots_per_core,
-        rebind="rebind" if request.rebinder is not None else "",
-        sched="sched" if _control_rebinds(request) else "",
-        heterogeneous=_machine_heterogeneous(request),
-        vm_schedule=_has_stop_times(request),
-        scenario=_control_is_scenario(request),
-    )
-    return _REGISTRY[concrete](request)
+    return _REGISTRY[resolve_mode(mode, request_needs(request))](request)

@@ -24,6 +24,8 @@ import heapq
 from collections import deque
 from typing import Deque, Dict, List, Tuple
 
+from ..control import (ASYM_L2, CORE_SPEEDS, LOAD_SCALE, MIGRATE, QUOTA,
+                       REQUEUE, RETARGET, RETIRE)
 from ..errors import SimulationError
 from .engine import EngineResult, MachineModel, ThreadContext
 
@@ -52,6 +54,10 @@ class OvercommitEngine:
         may also migrate *waiting* threads between run queues through
         :meth:`rebind_thread` (QoS-driven load shedding).
     """
+
+    #: capabilities (:mod:`repro.control`): no epoch-probe slot
+    provides = frozenset({QUOTA, MIGRATE, REQUEUE, RETIRE, RETARGET,
+                          LOAD_SCALE, CORE_SPEEDS, ASYM_L2})
 
     def __init__(
         self,

@@ -137,3 +137,37 @@ class TestEpochSampling:
             b = probed.thread_stats[tid]
             assert a.level_counts == b.level_counts
             assert a.latency_cycles == b.latency_cycles
+
+
+class TestProbeSlot:
+    """Epoch sampling needs an engine with a probe slot; the engines
+    without one refuse it instead of returning no series."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(slots_per_core=2),
+        dict(rebind="random"),
+    ])
+    def test_engines_without_a_probe_refuse_sampling(self, overrides):
+        from repro.core.experiment import ExperimentSpec, run_experiment
+        from repro.errors import ConfigurationError
+
+        spec = ExperimentSpec(mix="mix1", measured_refs=300, seed=1,
+                              **overrides)
+        with pytest.raises(ConfigurationError, match="epoch probe"):
+            run_experiment(spec, use_cache=False, telemetry=Telemetry(),
+                           epoch=1000)
+        # without sampling the same spec runs
+        assert run_experiment(spec, use_cache=False).final_time > 0
+
+    def test_batched_probe_observes_the_engine(self):
+        from repro.core.experiment import ExperimentSpec, run_experiment
+
+        spec = ExperimentSpec(mix="mix1", measured_refs=300, seed=1,
+                              engine_mode="batched")
+        result = run_experiment(spec, use_cache=False, telemetry=Telemetry(),
+                                epoch=1000)
+        # the chip never sees a batched run's references: the shares
+        # come from the engine's own occupancy model
+        shares = [value for name, points in result.series.items()
+                  if name.endswith(".l2_share") for _t, value in points]
+        assert any(share > 0 for share in shares)

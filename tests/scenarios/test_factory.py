@@ -4,15 +4,19 @@ A scenario retargets traces mid-run, so the factory must keep scenario
 runs on the reference engines: ``auto`` resolves to ``reference``, and
 explicitly requesting the batched kernel is a configuration error —
 whether the scenario hook is the control directly or a child of a
-:class:`~repro.sched.hook.CompositeControl`.
+:class:`~repro.control.CompositeControl`.  The gate is the hook's
+declared ``needs`` (trace retargeting and load scaling), which the
+batched engine does not provide.
 """
 
 from itertools import count as _count
 
 import pytest
 
+from repro.control import LOAD_SCALE, RETARGET
 from repro.core.experiment import ExperimentSpec, resolve_defaults
 from repro.errors import ConfigurationError
+from repro.scenarios.hook import ScenarioHook
 from repro.sim import Engine, EngineRequest, make_engine, resolve_mode
 
 
@@ -22,10 +26,9 @@ class _FakeMachine:
 
 
 class _ScenarioControl:
-    """Duck-typed stand-in carrying the scenario marker."""
+    """Stand-in declaring the scenario hook's needs."""
 
-    pins_reference = True
-    is_scenario_control = True
+    needs = ScenarioHook.needs
     next_due = 5_000
 
     def bind_actuator(self, engine):
@@ -52,10 +55,11 @@ def _threads(n=1):
 
 class TestResolveMode:
     def test_auto_pins_reference_for_scenarios(self):
-        assert resolve_mode("auto", scenario=True) == "reference"
+        assert ScenarioHook.needs == {RETARGET, LOAD_SCALE}
+        assert resolve_mode("auto", ScenarioHook.needs) == "reference"
 
     def test_auto_still_batches_without_scenario(self):
-        assert resolve_mode("auto", scenario=False) == "batched"
+        assert resolve_mode("auto", frozenset()) == "batched"
 
 
 class TestMakeEngine:
@@ -67,17 +71,17 @@ class TestMakeEngine:
     def test_explicit_batched_with_scenario_raises(self):
         request = EngineRequest(machine=_FakeMachine(), threads=_threads(),
                                 control=_ScenarioControl())
-        with pytest.raises(ConfigurationError, match="scenario"):
+        with pytest.raises(ConfigurationError, match="load-scale, retarget"):
             make_engine(request, mode="batched")
 
     def test_composite_child_pins_too(self):
-        from repro.sched import CompositeControl
+        from repro.control import CompositeControl
 
         composite = CompositeControl([_ScenarioControl()])
         request = EngineRequest(machine=_FakeMachine(), threads=_threads(),
                                 control=composite)
         assert isinstance(make_engine(request, mode="auto"), Engine)
-        with pytest.raises(ConfigurationError, match="scenario"):
+        with pytest.raises(ConfigurationError, match="load-scale, retarget"):
             make_engine(request, mode="batched")
 
 
@@ -97,5 +101,5 @@ class TestSpecResolution:
         spec = ExperimentSpec(mix="scn-phase-flip", scenario="phase-flip",
                               engine_mode="batched", measured_refs=200,
                               warmup_refs=100, seed=1)
-        with pytest.raises(ConfigurationError, match="scenario"):
+        with pytest.raises(ConfigurationError, match="retarget"):
             run_experiment(spec, use_cache=False)

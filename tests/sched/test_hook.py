@@ -3,6 +3,7 @@ composition with the QoS hook, and fixed-seed reproducibility."""
 
 import pytest
 
+from repro.control import ASYM_L2, CORE_SPEEDS, MIGRATE, QUOTA, RETIRE
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.errors import ConfigurationError
 from repro.sched import CompositeControl, SchedHook, StaticPlacement
@@ -29,9 +30,9 @@ def test_auto_mode_never_resolves_sched_spec_to_batched():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(sched="contention"),
-    dict(heterogeneous=True),
-    dict(vm_schedule=True),
+    dict(needs=SchedHook.needs),
+    dict(needs={CORE_SPEEDS, ASYM_L2}),
+    dict(needs={RETIRE}),
 ])
 def test_resolve_mode_auto_falls_back_to_reference(kwargs):
     assert resolve_mode("auto", **kwargs) == "reference"
@@ -39,12 +40,12 @@ def test_resolve_mode_auto_falls_back_to_reference(kwargs):
 
 def test_batched_engine_rejects_rebinding_control():
     class _Rebinding:
-        pins_reference = True
+        needs = SchedHook.needs
         next_due = 10_000
 
     request = EngineRequest(machine=object(), threads=[],
                             control=_Rebinding())
-    with pytest.raises(ConfigurationError, match="rebinding control"):
+    with pytest.raises(ConfigurationError, match="migrate"):
         make_engine(request, mode="batched")
 
 
@@ -130,24 +131,25 @@ def test_composite_control_requires_children():
         CompositeControl([])
 
 
-def test_composite_pins_reference_iff_any_child_does():
-    class _Plain:
+def test_composite_needs_union_of_children():
+    class _Child:
         next_due = 500
 
-        def on_step(self, now):
-            pass
+        def __init__(self, *needs):
+            self.needs = frozenset(needs)
 
-    class _Pinning(_Plain):
-        pins_reference = True
-
-    assert not CompositeControl([_Plain()]).pins_reference
-    assert CompositeControl([_Plain(), _Pinning()]).pins_reference
+    assert CompositeControl([_Child(QUOTA)]).needs == {QUOTA}
+    assert (CompositeControl([_Child(QUOTA), _Child(MIGRATE)]).needs
+            == {QUOTA, MIGRATE})
+    assert CompositeControl([_Child()]).needs == frozenset()
 
 
 def test_composite_dispatches_only_due_children():
     calls = []
 
     class _Child:
+        needs = frozenset()
+
         def __init__(self, name, due):
             self.name = name
             self.next_due = due

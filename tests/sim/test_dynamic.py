@@ -163,7 +163,8 @@ class TestSpecIntegration:
     def test_rebind_and_overcommit_conflict(self):
         from repro.core.experiment import ExperimentSpec, run_experiment
         from repro.errors import ConfigurationError
-        with pytest.raises(ConfigurationError, match="combined"):
+        # the migrating engine has no run queues: the factory refuses
+        with pytest.raises(ConfigurationError, match="run-queue requeue"):
             run_experiment(ExperimentSpec(
                 mix="iso-tpch", rebind="random", slots_per_core=2,
                 seed=1, measured_refs=200, warmup_refs=0), use_cache=False)

@@ -447,6 +447,18 @@ class TestVersionAndExitCodes:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--rebind", "random", "--core-speeds", "1.0x8,0.5x8"),
+        ("--slots-per-core", "2", "--epoch", "1000"),
+    ])
+    def test_unactuatable_inputs_exit_2(self, capsys, flags):
+        # the engine the run resolves to cannot honour one input:
+        # refused instead of silently dropped
+        code, _out, err = run_cli(capsys, "run", "--mix", "mix1",
+                                  "--refs", "300", *flags)
+        assert code == 2
+        assert "does not provide" in err
+
     def test_missing_result_file_exits_2(self, capsys):
         # load_result wraps the missing file in a ReproError
         code, _out, err = run_cli(capsys, "compare", "/no/such/a.json",
