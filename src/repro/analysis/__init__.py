@@ -17,15 +17,13 @@ from .replication import ReplicationSnapshot, measure_replication
 from .report import bar, format_kv, format_series, format_table
 from .scenario_report import (
     compare_scenario_policies,
-    scenario_report,
-    scenario_scorecard,
     scenario_table,
     scenario_verdict,
     scenario_window_rows,
 )
 from .sched_report import (
     compare_sched_policies,
-    sched_report,
+    policy_cells,
     sched_table,
     sched_verdict,
 )
@@ -52,12 +50,10 @@ __all__ = [
     "compare_policies",
     "policy_table",
     "compare_sched_policies",
-    "sched_report",
+    "policy_cells",
     "sched_table",
     "sched_verdict",
     "compare_scenario_policies",
-    "scenario_report",
-    "scenario_scorecard",
     "scenario_table",
     "scenario_verdict",
     "scenario_window_rows",

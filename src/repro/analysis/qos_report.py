@@ -34,13 +34,9 @@ __all__ = [
 DEFAULT_POLICIES = ("", "static-equal", "missrate-prop", "ucp")
 """Policies compared by default; ``""`` is the uncontrolled run."""
 
-#: scorecard attribute per selectable metric
-_METRICS = {
-    "weighted_speedup": "weighted_speedup",
-    "harmonic_speedup": "harmonic_speedup",
-    "fairness": "fairness",
-    "max_slowdown": "max_slowdown",
-}
+#: the scorecard attributes a table can show
+_METRICS = ("weighted_speedup", "harmonic_speedup", "fairness",
+            "max_slowdown")
 
 
 def compare_policies(
@@ -81,12 +77,9 @@ def policy_table(
     (any of ``weighted_speedup``, ``harmonic_speedup``, ``fairness``,
     ``max_slowdown``) rounded for display.
     """
-    try:
-        attribute = _METRICS[metric]
-    except KeyError:
+    if metric not in _METRICS:
         raise ValueError(
-            f"unknown metric {metric!r}; choose one of {sorted(_METRICS)}"
-        ) from None
+            f"unknown metric {metric!r}; choose one of {sorted(_METRICS)}")
     mixes: List[str] = []
     policies: List[str] = []
     for mix, policy in reports:
@@ -101,7 +94,7 @@ def policy_table(
         for policy in policies:
             report = reports.get((mix, policy))
             row.append(
-                round(getattr(report, attribute), 3)
+                round(getattr(report, metric), 3)
                 if report is not None else "-"
             )
         rows.append(row)

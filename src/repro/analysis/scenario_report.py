@@ -1,13 +1,14 @@
-"""Policy × scenario scorecards for time-varying consolidations.
+"""Policy scorecards for time-varying consolidations.
 
 The scenario subsystem (:mod:`repro.scenarios`) makes the evaluation
 question of :mod:`repro.analysis.sched_report` time-varying: *under a
 given load curve, churn script, and phase script, does an adaptive
 policy beat the best static placement?*  This module reuses the sched
-machinery wholesale — the same QoS scorecard per cell, the same table
-folding, the same verdict — and adds scenario-specific attribution:
-per-window issued references against the load curve, and the scenario
-hook's actuation account alongside the scheduler's migration count.
+machinery wholesale — the same cells (``policy_cells``), the one
+scorer (:func:`repro.qos.metrics.qos_report`, which merges the
+scenario hook's actuation account into each cell), the same table and
+verdict — and adds the per-window attribution of issued references
+against the load curve.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..core.experiment import ExperimentResult, ExperimentSpec, run_experiment
+from ..core.experiment import ExperimentSpec, run_experiment
 from .sched_report import (
     DEFAULT_PLACEMENTS,
-    DEFAULT_SCHED_POLICIES,
+    policy_cells,
     sched_table,
     sched_verdict,
 )
@@ -28,9 +29,7 @@ if TYPE_CHECKING:  # lazy at runtime, matching sched_report
 
 __all__ = [
     "DEFAULT_SCENARIO_POLICIES",
-    "scenario_report",
     "compare_scenario_policies",
-    "scenario_scorecard",
     "scenario_table",
     "scenario_verdict",
     "scenario_window_rows",
@@ -40,34 +39,10 @@ DEFAULT_SCENARIO_POLICIES = ("static", "contention", "adaptive")
 """Policies compared on scenarios by default (``hetero`` is omitted:
 scenarios run on the homogeneous machine unless the caller shapes one)."""
 
-
-def scenario_report(result: ExperimentResult) -> "QosReport":
-    """Score one scenario run with the shared QoS scorecard.
-
-    The report's ``control`` dict carries the scheduler's account (as
-    in :func:`~repro.analysis.sched_report.sched_report`) merged with
-    the scenario hook's actuation counters, so scenario tables can show
-    both migrations and load/phase actuation per cell.
-    """
-    from ..qos.metrics import QosReport, per_vm_slowdowns
-
-    control = dict(getattr(result, "sched", None) or {})
-    scenario = getattr(result, "scenario", None) or {}
-    if scenario:
-        control["scenario"] = scenario.get("scenario")
-        control["scenario_epochs"] = scenario.get("control_epochs")
-        control["load_adjustments"] = scenario.get("load_adjustments")
-        control["switches_applied"] = scenario.get("switches_applied")
-        # the per-window issued/load attribution rides along so JSON
-        # scorecards keep it and scenario_window_rows can render it
-        control["windows"] = scenario.get("windows", [])
-    policy = str(control.get("policy", "")) or "none"
-    return QosReport(
-        policy=policy,
-        slowdowns=per_vm_slowdowns(result),
-        workloads={vm.vm_id: vm.workload for vm in result.vm_metrics},
-        control=control,
-    )
+#: the sched table adds the LoadAdj/Switches columns for scenario cells
+scenario_table = sched_table
+#: the question is the same under time variation
+scenario_verdict = sched_verdict
 
 
 def compare_scenario_policies(
@@ -80,77 +55,23 @@ def compare_scenario_policies(
 ) -> Dict[str, "QosReport"]:
     """Score every policy on one scenario.
 
-    Mirrors :func:`~repro.analysis.sched_report.compare_sched_policies`:
-    ``"static"`` expands into one cell per placement (no scheduling
-    hook), every other policy runs adaptively from ``base``'s own
-    placement.  ``base`` carries machine shape, run length, seed and
-    sharing; its ``mix``/``scenario`` fields are overwritten with the
-    scenario's own.
+    Mirrors :func:`~repro.analysis.sched_report.compare_sched_policies`
+    over the same :func:`~repro.analysis.sched_report.policy_cells`.
+    ``base`` carries machine shape, run length, seed and sharing; its
+    ``mix``/``scenario`` fields are overwritten with the scenario's own.
     """
+    from ..qos.metrics import qos_report
     from ..scenarios.registry import get_scenario
 
     scn = get_scenario(scenario)
-    template = base or ExperimentSpec(mix=scn.mix_name)
-    out: Dict[str, "QosReport"] = {}
-    for policy in policies:
-        if policy == "static":
-            for placement in placements:
-                spec = replace(template, mix=scn.mix_name,
-                               scenario=scn.name, policy=placement,
-                               sched_policy="")
-                result = run_experiment(spec, use_cache=use_cache,
-                                        telemetry=telemetry)
-                out[f"static/{placement}"] = scenario_report(result)
-        else:
-            spec = replace(template, mix=scn.mix_name, scenario=scn.name,
-                           sched_policy=policy)
-            result = run_experiment(spec, use_cache=use_cache,
-                                    telemetry=telemetry)
-            out[policy] = scenario_report(result)
-    return out
-
-
-def scenario_scorecard(
-    scenarios: Sequence[str],
-    policies: Sequence[str] = DEFAULT_SCENARIO_POLICIES,
-    base: Optional[ExperimentSpec] = None,
-    placements: Sequence[str] = DEFAULT_PLACEMENTS,
-    use_cache: bool = True,
-    telemetry=None,
-) -> Dict[str, Dict[str, "QosReport"]]:
-    """The full policy × scenario matrix: one
-    :func:`compare_scenario_policies` block per scenario name."""
+    template = replace(base or ExperimentSpec(mix=scn.mix_name),
+                       mix=scn.mix_name, scenario=scn.name)
     return {
-        name: compare_scenario_policies(
-            name, policies=policies, base=base, placements=placements,
-            use_cache=use_cache, telemetry=telemetry)
-        for name in scenarios
+        label: qos_report(run_experiment(spec, use_cache=use_cache,
+                                         telemetry=telemetry))
+        for label, spec in policy_cells(template, policies,
+                                        placements).items()
     }
-
-
-def scenario_table(
-    reports: Dict[str, "QosReport"],
-) -> Tuple[List[str], List[list]]:
-    """Fold one scenario's cells into (headers, rows).
-
-    The sched table's four scorecard metrics and migration count, plus
-    the scenario hook's actuation columns (identical down a column by
-    construction — the scenario script does not depend on the policy —
-    but printed per row so divergence would be visible).
-    """
-    headers, rows = sched_table(reports)
-    headers = headers + ["LoadAdj", "Switches"]
-    for row, report in zip(rows, reports.values()):
-        row.append(report.control.get("load_adjustments", "-"))
-        row.append(report.control.get("switches_applied", "-"))
-    return headers, rows
-
-
-def scenario_verdict(reports: Dict[str, "QosReport"]) -> Dict[str, object]:
-    """Best-static vs. best-adaptive for one scenario's cells (the
-    sched verdict verbatim — the question is the same, under time
-    variation)."""
-    return sched_verdict(reports)
 
 
 def scenario_window_rows(

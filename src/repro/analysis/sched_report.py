@@ -8,14 +8,16 @@ mix and machine shape, does any adaptive policy beat the best static
 placement* on weighted speedup, and what does that buy or cost in
 fairness?
 
-:func:`compare_sched_policies` runs one cell per scheduling policy —
-expanding the ``"static"`` baseline into one cell per placement policy
-so "best static" means the best of the paper's four — and scores each
-with the shared QoS scorecard (:class:`repro.qos.metrics.QosReport`:
-weighted/harmonic speedup, Jain fairness, worst slowdown).
+:func:`policy_cells` expands a policy list into one spec per cell —
+the ``"static"`` baseline becomes one cell per placement policy, so
+"best static" means the best of the paper's four.
+:func:`compare_sched_policies` runs those cells and scores each with
+the one QoS scorer (:func:`repro.qos.metrics.qos_report`: weighted/
+harmonic speedup, Jain fairness, worst slowdown, control account).
 :func:`sched_table` folds the cells into rows for
 :func:`repro.analysis.report.format_table`, and :func:`sched_verdict`
-states the best-static vs. best-adaptive outcome.
+states the best-static vs. best-adaptive outcome.  The scenario
+scorecard (:mod:`repro.analysis.scenario_report`) uses all four.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..core.experiment import ExperimentResult, ExperimentSpec, run_experiment
+from ..core.experiment import ExperimentSpec, run_experiment
 
 if TYPE_CHECKING:  # lazy at runtime: repro.qos.metrics imports
     # repro.analysis back for jains_index
@@ -32,7 +34,7 @@ if TYPE_CHECKING:  # lazy at runtime: repro.qos.metrics imports
 __all__ = [
     "DEFAULT_SCHED_POLICIES",
     "DEFAULT_PLACEMENTS",
-    "sched_report",
+    "policy_cells",
     "compare_sched_policies",
     "sched_table",
     "sched_verdict",
@@ -45,24 +47,28 @@ DEFAULT_PLACEMENTS = ("rr", "affinity", "rr-aff", "random")
 """The paper's four static placement policies (Section III-D)."""
 
 
-def sched_report(result: ExperimentResult) -> "QosReport":
-    """Score one run, carrying the scheduler's account as control data.
+def policy_cells(
+    template: ExperimentSpec,
+    policies: Sequence[str],
+    placements: Sequence[str] = DEFAULT_PLACEMENTS,
+) -> Dict[str, ExperimentSpec]:
+    """Expand ``policies`` into ``{label: spec}`` cells, in order.
 
-    Reuses the QoS scorecard — per-VM slowdowns vs. memoized isolation
-    baselines, weighted/harmonic speedup, Jain fairness — but attaches
-    ``result.sched`` (migrations, control epochs) instead of the QoS
-    controller summary, so sched tables can show migration counts.
+    ``"static"`` expands into one cell per placement in ``placements``
+    (labelled ``static/<placement>``, with no scheduling hook at all —
+    byte-identical to the paper's runs); every other policy is one
+    cell labelled by its name, run adaptively from ``template``'s own
+    initial placement.
     """
-    from ..qos.metrics import QosReport, per_vm_slowdowns
-
-    control = dict(getattr(result, "sched", None) or {})
-    policy = str(control.get("policy", "")) or "none"
-    return QosReport(
-        policy=policy,
-        slowdowns=per_vm_slowdowns(result),
-        workloads={vm.vm_id: vm.workload for vm in result.vm_metrics},
-        control=control,
-    )
+    cells: Dict[str, ExperimentSpec] = {}
+    for policy in policies:
+        if policy == "static":
+            for placement in placements:
+                cells[f"static/{placement}"] = replace(
+                    template, policy=placement, sched_policy="")
+        else:
+            cells[policy] = replace(template, sched_policy=policy)
+    return cells
 
 
 def compare_sched_policies(
@@ -75,56 +81,56 @@ def compare_sched_policies(
 ) -> Dict[str, "QosReport"]:
     """Score every scheduling policy on one mix.
 
-    Returns ``{label: QosReport}`` in evaluation order.  ``base``
-    carries the machine shape (cores, over-commit, heterogeneity,
-    churn) plus run length / seed / scale.  The ``"static"`` entry
-    expands into one legacy cell per placement in ``placements``
-    (labelled ``static/<placement>``, with no scheduling hook at all —
-    byte-identical to the paper's runs); each adaptive policy runs once
-    from ``base``'s own initial placement, labelled by its name.  A
-    live ``telemetry`` hub (passed through to every cell) accumulates
+    Returns ``{label: QosReport}`` over the :func:`policy_cells` of
+    ``policies``.  ``base`` carries the machine shape (cores,
+    over-commit, heterogeneity, churn) plus run length / seed / scale.
+    A live ``telemetry`` hub (passed through to every cell) accumulates
     the ``sched.*`` counters across the adaptive cells.
     """
-    template = base or ExperimentSpec(mix=mix)
-    out: Dict[str, "QosReport"] = {}
-    for policy in policies:
-        if policy == "static":
-            for placement in placements:
-                spec = replace(template, mix=mix, policy=placement,
-                               sched_policy="")
-                result = run_experiment(spec, use_cache=use_cache,
-                                        telemetry=telemetry)
-                out[f"static/{placement}"] = sched_report(result)
-        else:
-            spec = replace(template, mix=mix, sched_policy=policy)
-            result = run_experiment(spec, use_cache=use_cache,
-                                    telemetry=telemetry)
-            out[policy] = sched_report(result)
-    return out
+    from ..qos.metrics import qos_report
+
+    template = replace(base or ExperimentSpec(mix=mix), mix=mix)
+    return {
+        label: qos_report(run_experiment(spec, use_cache=use_cache,
+                                         telemetry=telemetry))
+        for label, spec in policy_cells(template, policies,
+                                        placements).items()
+    }
 
 
 def sched_table(
     reports: Dict[str, "QosReport"],
 ) -> Tuple[List[str], List[list]]:
-    """Fold :func:`compare_sched_policies` output into (headers, rows).
+    """Fold a policy scorecard into (headers, rows).
 
     One row per policy cell: the four scorecard metrics plus the number
     of migrations the scheduler actually applied (``-`` for static
-    cells, which have no scheduling hook).
+    cells, which have no scheduling hook).  When any cell carries a
+    scenario account, the scenario hook's actuation columns follow
+    (identical down a column by construction — the scenario script
+    does not depend on the policy — but printed per row so divergence
+    would be visible).
     """
+    scenario = any("scenario" in r.control for r in reports.values())
     headers = ["Policy", "WeightedSpeedup", "HarmonicSpeedup",
                "Fairness", "MaxSlowdown", "Migrations"]
+    if scenario:
+        headers += ["LoadAdj", "Switches"]
     rows: List[list] = []
     for label, report in reports.items():
         migrations = report.control.get("migrations")
-        rows.append([
+        row = [
             label,
             round(report.weighted_speedup, 3),
             round(report.harmonic_speedup, 3),
             round(report.fairness, 3),
             round(report.max_slowdown, 3),
             "-" if migrations is None else int(migrations),
-        ])
+        ]
+        if scenario:
+            row.append(report.control.get("load_adjustments", "-"))
+            row.append(report.control.get("switches_applied", "-"))
+        rows.append(row)
     return headers, rows
 
 

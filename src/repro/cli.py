@@ -23,6 +23,9 @@
     per-policy weighted/harmonic speedup, fairness, and migration
     counts plus a best-static vs. best-adaptive verdict; takes the
     heterogeneity / over-commit / churn shape flags.
+``scenario``
+    The ``sched`` scorecard under a time-varying consolidation scenario
+    (``--list`` shows the registry, ``--file`` loads a JSON one).
 ``suite``
     Run a canned experiment suite by name (``repro suite list`` shows
     the registry); takes the same ``--jobs`` / ``--store`` flags.
@@ -46,6 +49,8 @@
     wait for the results).
 ``jobs``
     List a running service's jobs, or show one job's record.
+``top``
+    Live dashboard over a running service or fleet's ``/metrics``.
 ``loadgen``
     Open-loop Poisson load generation against a running service or
     fleet: offered-rate sweep, exact p50/p95/p99 latency, records
@@ -61,6 +66,9 @@
     The workload registry (Table I prose + model parameters).
 ``mixes``
     The Table IV mix matrix.
+``compare``
+    Compare two saved result JSON files (per-VM cycles, miss-rate and
+    miss-latency ratios).
 
 Run sizes and seeds are explicit flags (``--refs``, ``--seed``); the
 old ``REPRO_REFS`` / ``REPRO_SEED`` environment knobs were removed
@@ -208,20 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="initial placement for the adaptive cells")
     sched_p.add_argument("--sharing", default="shared", choices=_SHARINGS,
                          help="L2 sharing degree (default: fully shared)")
-    sched_p.add_argument("--sched-epoch", type=int, default=10_000,
-                         help="scheduling control period in cycles")
+    _add_machine_shape_flags(sched_p)
     sched_p.add_argument("--cores", type=int, default=16)
     sched_p.add_argument("--slots-per-core", type=int, default=1,
                          help=">1 over-commits cores")
-    sched_p.add_argument("--core-speeds", default="",
-                         help="per-core speed classes, e.g. "
-                              "'1.0x8,0.5x8' (empty = homogeneous)")
-    sched_p.add_argument("--l2-asym", default="",
-                         help="per-domain L2 associativities, e.g. "
-                              "'16x2,8x2' (empty = uniform)")
-    sched_p.add_argument("--vm-schedule", default="",
-                         help="per-VM start[:stop] cycles, "
-                              "comma-separated (VM churn)")
     sched_p.add_argument("--refs", type=int, default=None)
     sched_p.add_argument("--warmup", type=int, default=None)
     sched_p.add_argument("--seed", type=int, default=0)
@@ -570,6 +568,10 @@ def _add_sched_flags(parser) -> None:
                         help="adaptive scheduling policy (static, "
                              "contention, adaptive, hetero); "
                              "empty = off")
+    _add_machine_shape_flags(parser)
+
+
+def _add_machine_shape_flags(parser) -> None:
     parser.add_argument("--sched-epoch", type=int, default=10_000,
                         help="scheduling control period in cycles")
     parser.add_argument("--core-speeds", default="",
@@ -817,10 +819,7 @@ def _cmd_qos(args) -> int:
         title=f"QoS {args.policy}: {spec.mix} / {spec.sharing}"))
     control = report.control
     scorecard = {
-        "weighted speedup": f"{report.weighted_speedup:.3f}",
-        "harmonic speedup": f"{report.harmonic_speedup:.3f}",
-        "fairness (Jain)": f"{report.fairness:.3f}",
-        "max slowdown": f"{report.max_slowdown:.3f}",
+        **_speedup_lines(report),
         "control epochs": control.get("control_epochs", 0),
         "quota adjustments": control.get("quota_adjustments", 0),
         "rebinds": control.get("rebinds", 0),
@@ -845,12 +844,7 @@ def _cmd_qos(args) -> int:
         base_spec = replace(spec, qos_policy="", qos_target=0.0)
         base_report = qos_report(run_experiment(base_spec))
         print()
-        print(format_kv("Uncontrolled baseline", {
-            "weighted speedup": f"{base_report.weighted_speedup:.3f}",
-            "harmonic speedup": f"{base_report.harmonic_speedup:.3f}",
-            "fairness (Jain)": f"{base_report.fairness:.3f}",
-            "max slowdown": f"{base_report.max_slowdown:.3f}",
-        }))
+        print(format_kv("Uncontrolled baseline", _speedup_lines(base_report)))
     if args.json:
         import json
 
@@ -860,47 +854,38 @@ def _cmd_qos(args) -> int:
     return 0
 
 
-def _cmd_sched(args) -> int:
-    from .analysis.sched_report import (
-        compare_sched_policies,
-        sched_table,
-        sched_verdict,
-    )
-    from .obs import Telemetry
+def _speedup_lines(report) -> dict:
+    """The four scorecard metrics of one :class:`QosReport`, formatted
+    for :func:`format_kv`."""
+    return {
+        "weighted speedup": f"{report.weighted_speedup:.3f}",
+        "harmonic speedup": f"{report.harmonic_speedup:.3f}",
+        "fairness (Jain)": f"{report.fairness:.3f}",
+        "max slowdown": f"{report.max_slowdown:.3f}",
+    }
 
-    policies = tuple(
-        p.strip() for p in args.policies.split(",") if p.strip()
-    )
+
+def _policy_list(args) -> tuple:
+    """The ``--policies`` comma list of ``sched`` and ``scenario``."""
+    policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
     if not policies:
         raise ReproError("--policies names no scheduling policy")
-    base = ExperimentSpec(
-        mix=args.mix, sharing=args.sharing, policy=args.placement,
-        seed=args.seed, measured_refs=args.refs, warmup_refs=args.warmup,
-        num_cores=args.cores, slots_per_core=args.slots_per_core,
-        core_speeds=args.core_speeds, l2_asym=args.l2_asym,
-        vm_schedule=args.vm_schedule, sched_epoch=args.sched_epoch,
-    )
+    return policies
+
+
+def _print_policy_scorecard(args, compare, title: str, payload: dict,
+                            saved: str) -> None:
+    """Run ``compare(use_cache=, telemetry=)`` and print its table and
+    verdict, plus ``--windows``, ``--metrics-out`` and ``--json``."""
+    from .analysis.sched_report import sched_table, sched_verdict
+    from .obs import Telemetry
+
     telemetry = Telemetry() if args.metrics_out else None
-    # bypass the cache: the scheduler's live account (result.sched) is
-    # not part of the serialized result, so a cache hit would lose it
-    reports = compare_sched_policies(
-        args.mix, policies=policies, base=base,
-        use_cache=False, telemetry=telemetry,
-    )
+    # bypass the cache: the live sched/scenario accounts are not part
+    # of the serialized result, so a cache hit would lose them
+    reports = compare(use_cache=False, telemetry=telemetry)
     headers, rows = sched_table(reports)
-    shape = [f"{args.cores} cores"]
-    if args.slots_per_core > 1:
-        shape.append(f"x{args.slots_per_core} slots")
-    if args.core_speeds:
-        shape.append(f"speeds {args.core_speeds}")
-    if args.l2_asym:
-        shape.append(f"L2 {args.l2_asym}")
-    if args.vm_schedule:
-        shape.append("churn")
-    print(format_table(
-        headers, rows,
-        title=f"Scheduling: {args.mix} / {args.sharing} "
-              f"({', '.join(shape)})"))
+    print(format_table(headers, rows, title=title))
     verdict = sched_verdict(reports)
     if "best_static" in verdict and "best_adaptive" in verdict:
         print()
@@ -914,6 +899,20 @@ def _cmd_sched(args) -> int:
             "fairness change": f"{verdict['fairness_change']:+.3f}",
             "adaptive wins": "yes" if verdict["adaptive_wins"] else "no",
         }))
+    if getattr(args, "windows", False):
+        from .analysis.scenario_report import scenario_window_rows
+
+        shown = next(
+            (r for label, r in reports.items()
+             if not label.startswith("static")),
+            next(iter(reports.values())),
+        )
+        w_headers, w_rows = scenario_window_rows(shown.control)
+        if w_rows:
+            print()
+            print(format_table(
+                w_headers, w_rows,
+                title=f"Windows ({shown.policy} cell)"))
     if args.metrics_out:
         from .obs import render_prometheus
 
@@ -924,25 +923,52 @@ def _cmd_sched(args) -> int:
         import json
 
         payload = {
-            "mix": args.mix,
+            **payload,
             "policies": {label: report.to_dict()
                          for label, report in reports.items()},
             "verdict": verdict,
         }
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2)
-        print(f"\ncomparison saved to {args.json}")
+        print(f"\n{saved} saved to {args.json}")
+
+
+def _cmd_sched(args) -> int:
+    from functools import partial
+
+    from .analysis.sched_report import compare_sched_policies
+
+    policies = _policy_list(args)
+    base = ExperimentSpec(
+        mix=args.mix, sharing=args.sharing, policy=args.placement,
+        seed=args.seed, measured_refs=args.refs, warmup_refs=args.warmup,
+        num_cores=args.cores, slots_per_core=args.slots_per_core,
+        core_speeds=args.core_speeds, l2_asym=args.l2_asym,
+        vm_schedule=args.vm_schedule, sched_epoch=args.sched_epoch,
+    )
+    shape = [f"{args.cores} cores"]
+    if args.slots_per_core > 1:
+        shape.append(f"x{args.slots_per_core} slots")
+    if args.core_speeds:
+        shape.append(f"speeds {args.core_speeds}")
+    if args.l2_asym:
+        shape.append(f"L2 {args.l2_asym}")
+    if args.vm_schedule:
+        shape.append("churn")
+    _print_policy_scorecard(
+        args,
+        partial(compare_sched_policies, args.mix, policies=policies,
+                base=base),
+        title=f"Scheduling: {args.mix} / {args.sharing} "
+              f"({', '.join(shape)})",
+        payload={"mix": args.mix}, saved="comparison")
     return 0
 
 
 def _cmd_scenario(args) -> int:
-    from .analysis.scenario_report import (
-        compare_scenario_policies,
-        scenario_table,
-        scenario_verdict,
-        scenario_window_rows,
-    )
-    from .obs import Telemetry
+    from functools import partial
+
+    from .analysis.scenario_report import compare_scenario_policies
     from .scenarios import (
         get_scenario,
         load_scenario_file,
@@ -986,11 +1012,7 @@ def _cmd_scenario(args) -> int:
         print(f"scenario {scenario.name!r} written to {args.export}")
         return 0
 
-    policies = tuple(
-        p.strip() for p in args.policies.split(",") if p.strip()
-    )
-    if not policies:
-        raise ReproError("--policies names no scheduling policy")
+    policies = _policy_list(args)
     slots = args.slots_per_core
     if scenario.has_arrivals and slots > 1:
         # over-commit honours start times only for run-queue heads, so
@@ -1004,63 +1026,15 @@ def _cmd_scenario(args) -> int:
         num_cores=args.cores, sched_epoch=args.sched_epoch,
         slots_per_core=slots,
     )
-    telemetry = Telemetry() if args.metrics_out else None
-    # bypass the cache: the live scenario/sched accounts are not part
-    # of the serialized result, so a cache hit would lose them
-    reports = compare_scenario_policies(
-        scenario.name, policies=policies, base=base,
-        use_cache=False, telemetry=telemetry,
-    )
-    headers, rows = scenario_table(reports)
-    print(format_table(
-        headers, rows,
+    _print_policy_scorecard(
+        args,
+        partial(compare_scenario_policies, scenario.name,
+                policies=policies, base=base),
         title=f"Scenario: {scenario.name} / {args.sharing} "
               f"({args.cores} cores x {slots} slots, "
-              f"curve {scenario.curve.kind}, epoch {scenario.epoch})"))
-    verdict = scenario_verdict(reports)
-    if "best_static" in verdict and "best_adaptive" in verdict:
-        print()
-        print(format_kv("Verdict", {
-            "best static": f"{verdict['best_static']} "
-                           f"({verdict['best_static_weighted_speedup']:.3f})",
-            "best adaptive":
-                f"{verdict['best_adaptive']} "
-                f"({verdict['best_adaptive_weighted_speedup']:.3f})",
-            "speedup gain": f"{verdict['speedup_gain']:+.3f}",
-            "fairness change": f"{verdict['fairness_change']:+.3f}",
-            "adaptive wins": "yes" if verdict["adaptive_wins"] else "no",
-        }))
-    if args.windows:
-        shown = next(
-            (r for label, r in reports.items()
-             if not label.startswith("static")),
-            next(iter(reports.values())),
-        )
-        w_headers, w_rows = scenario_window_rows(shown.control)
-        if w_rows:
-            print()
-            print(format_table(
-                w_headers, w_rows,
-                title=f"Windows ({shown.policy} cell)"))
-    if args.metrics_out:
-        from .obs import render_prometheus
-
-        with open(args.metrics_out, "w") as handle:
-            handle.write(render_prometheus(telemetry.snapshot()))
-        print(f"\nmetrics written to {args.metrics_out}")
-    if args.json:
-        import json
-
-        payload = {
-            "scenario": scenario.name,
-            "curve": scenario.curve.kind,
-            "policies": {label: report.to_dict()
-                         for label, report in reports.items()},
-            "verdict": verdict,
-        }
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"\nscorecard saved to {args.json}")
+              f"curve {scenario.curve.kind}, epoch {scenario.epoch})",
+        payload={"scenario": scenario.name, "curve": scenario.curve.kind},
+        saved="scorecard")
     return 0
 
 

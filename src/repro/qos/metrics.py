@@ -11,9 +11,9 @@ throughput *and* fairness numbers derived from per-VM slowdowns
 * **Jain's fairness index** over slowdowns — 1.0 when the pain is
   evenly spread (re-exported from :mod:`repro.analysis.fairness`).
 
-:func:`qos_report` folds these plus the controller's own account (from
-``result.qos``, filled by :func:`repro.core.experiment.run_experiment`
-for QoS-enabled runs) into one :class:`QosReport`.
+:func:`qos_report` folds these plus the run's control account (from
+``result.sched``/``result.qos``/``result.scenario``, filled by
+:func:`repro.core.experiment.run_experiment`) into one :class:`QosReport`.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class QosReport:
     slowdowns: Dict[int, float]  # vm_id -> slowdown vs. isolation
     workloads: Dict[int, str]
     target: float = 0.0
-    #: controller summary from ``result.qos`` (empty for plain runs)
+    #: control account picked by :func:`qos_report` (empty for plain runs)
     control: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -137,11 +137,20 @@ def qos_report(result: ExperimentResult,
                target: Optional[float] = None) -> QosReport:
     """Score one run: slowdowns, speedups, fairness, violations.
 
-    Works on *any* result — QoS-enabled runs carry their controller
-    summary in ``result.qos``; plain runs score with empty control
-    data, which is exactly what policy comparisons baseline against.
+    The one scorer of every scorecard; it works on *any* result.  The
+    ``control`` account is ``result.sched`` when the run had a
+    scheduler, else ``result.qos`` (empty for plain runs), with a
+    scenario's actuation fields and per-window attribution merged in.
     """
-    control = dict(getattr(result, "qos", None) or {})
+    control = dict(result.sched or result.qos or {})
+    if result.scenario:
+        scenario = result.scenario
+        control["scenario"] = scenario.get("scenario")
+        control["scenario_epochs"] = scenario.get("control_epochs")
+        control["load_adjustments"] = scenario.get("load_adjustments")
+        control["switches_applied"] = scenario.get("switches_applied")
+        # rides along for JSON scorecards and scenario_window_rows
+        control["windows"] = scenario.get("windows", [])
     policy = str(control.get("policy", "")) or (
         "static-equal" if result.spec.l2_vm_quota else "none"
     )

@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.scenario_report import (
     compare_scenario_policies,
-    scenario_report,
     scenario_table,
     scenario_verdict,
     scenario_window_rows,
@@ -16,6 +15,7 @@ from repro.core.experiment import (
     run_experiment,
 )
 from repro.errors import ConfigurationError
+from repro.qos.metrics import qos_report
 from repro.scenarios import scenario_spec
 
 FAST = dict(measured_refs=800, warmup_refs=400, seed=1)
@@ -82,7 +82,7 @@ class TestChurnOnOvercommit:
         spec = scenario_spec("diurnal-web", sharing="shared-4",
                              slots_per_core=2, **FAST)
         result = run_experiment(spec, use_cache=False)
-        report = scenario_report(result)
+        report = qos_report(result)
         headers, rows = scenario_window_rows(report.control)
         assert headers[:3] == ["Start", "End", "Load"]
         assert "VM3" in headers
@@ -118,7 +118,7 @@ class TestComposition:
         spec = scenario_spec("phase-flip", sharing="shared-4",
                              sched_policy="contention", sched_epoch=5_000,
                              **FAST)
-        report = scenario_report(run_experiment(spec, use_cache=False))
+        report = qos_report(run_experiment(spec, use_cache=False))
         assert report.policy == "contention"
         assert report.control["scenario"] == "phase-flip"
         assert report.control["switches_applied"] == 3
