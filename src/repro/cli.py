@@ -343,81 +343,24 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p = sub.add_parser(
         "serve", help="run the long-lived simulation service "
                       "(HTTP job API; see docs/service.md)")
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument("--port", type=int, default=8765,
-                         help="bind port (0 picks a free one)")
-    serve_p.add_argument("--store", default=None, metavar="PATH",
-                         help="persistent result-store directory "
-                              "(default: memory-only)")
+    _add_service_flags(serve_p)
     serve_p.add_argument("--journal", default=None, metavar="PATH",
                          help="durable job journal; jobs survive "
                               "restarts and crashes")
-    serve_p.add_argument("--jobs", type=int, default=1,
-                         help="executor worker processes per job")
-    serve_p.add_argument("--concurrency", type=int, default=1,
-                         help="jobs executed at once by the scheduler")
-    serve_p.add_argument("--queue-limit", type=int, default=64,
-                         help="pending jobs admitted before 429 "
-                              "backpressure")
-    serve_p.add_argument("--rate", type=float, default=0.0,
-                         help="per-client requests/second "
-                              "(0 = unlimited)")
-    serve_p.add_argument("--burst", type=int, default=20,
-                         help="per-client burst size for --rate")
-    serve_p.add_argument("--behind-proxy", action="store_true",
-                         help="trust X-Client-Id/X-Forwarded-For for "
-                              "rate-limit identity (only safe when "
-                              "every peer is a trusted proxy)")
-    serve_p.add_argument("--max-attempts", type=int, default=3,
-                         help="job attempts before quarantine")
-    serve_p.add_argument("--backoff", type=float, default=0.5,
-                         help="base retry backoff in seconds")
-    serve_p.add_argument("--trace-dir", default=None, metavar="DIR",
-                         help="write distributed-tracing span logs here "
-                              "(default: tracing off)")
 
     fleet_p = sub.add_parser(
         "fleet", help="run N workers behind a consistent-hash routing "
                       "front end (see docs/service.md)")
+    _add_service_flags(fleet_p)
     fleet_p.add_argument("--workers", type=int, default=2,
                          help="worker process count")
-    fleet_p.add_argument("--host", default="127.0.0.1")
-    fleet_p.add_argument("--port", type=int, default=8765,
-                         help="front-end bind port (0 picks a free one)")
-    fleet_p.add_argument("--store", default=None, metavar="PATH",
-                         help="shared result-store directory (the "
-                              "fleet-wide dedup backbone); default: a "
-                              "temporary directory")
     fleet_p.add_argument("--journal-dir", default=None, metavar="DIR",
                          help="per-worker journal directory; reuse it "
                               "across restarts to replay pending jobs")
     fleet_p.add_argument("--replicas", type=int, default=64,
                          help="virtual ring points per worker")
-    fleet_p.add_argument("--jobs", type=int, default=1,
-                         help="executor worker processes per job, "
-                              "per worker")
-    fleet_p.add_argument("--concurrency", type=int, default=1,
-                         help="concurrent jobs per worker")
-    fleet_p.add_argument("--queue-limit", type=int, default=64,
-                         help="pending jobs per worker before 429")
-    fleet_p.add_argument("--rate", type=float, default=0.0,
-                         help="per-client requests/second at each "
-                              "worker (0 = unlimited)")
-    fleet_p.add_argument("--burst", type=int, default=20,
-                         help="per-client burst size for --rate")
-    fleet_p.add_argument("--behind-proxy", action="store_true",
-                         help="the front end itself sits behind a "
-                              "trusted proxy: honour its clients' "
-                              "X-Client-Id/X-Forwarded-For headers")
-    fleet_p.add_argument("--max-attempts", type=int, default=3,
-                         help="job attempts before quarantine")
-    fleet_p.add_argument("--backoff", type=float, default=0.5,
-                         help="base retry backoff in seconds")
     fleet_p.add_argument("--health-interval", type=float, default=0.25,
                          help="seconds between worker health probes")
-    fleet_p.add_argument("--trace-dir", default=None, metavar="DIR",
-                         help="write span logs (front end and every "
-                              "worker) here; default: tracing off")
 
     top_p = sub.add_parser(
         "top", help="live dashboard over a running service or fleet's "
@@ -540,6 +483,41 @@ def _add_executor_flags(parser) -> None:
                              "cells are never re-simulated")
     parser.add_argument("--progress", action="store_true",
                         help="print per-cell progress to stderr")
+
+
+def _add_service_flags(parser) -> None:
+    """Flags of ``serve`` and ``fleet``; a fleet applies the scheduler
+    and admission knobs to each worker."""
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=8765,
+                        help="bind port (0 picks a free one)")
+    parser.add_argument("--store", default=None, metavar="PATH",
+                        help="persistent result-store directory, shared "
+                             "by a fleet's workers (default: memory-only "
+                             "for serve, a temporary directory for fleet)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="executor worker processes per job")
+    parser.add_argument("--concurrency", type=int, default=1,
+                        help="jobs executed at once by the scheduler")
+    parser.add_argument("--queue-limit", type=int, default=64,
+                        help="pending jobs admitted before 429 "
+                             "backpressure")
+    parser.add_argument("--rate", type=float, default=0.0,
+                        help="per-client requests/second "
+                             "(0 = unlimited)")
+    parser.add_argument("--burst", type=int, default=20,
+                        help="per-client burst size for --rate")
+    parser.add_argument("--behind-proxy", action="store_true",
+                        help="trust X-Client-Id/X-Forwarded-For for "
+                             "rate-limit identity (only safe when "
+                             "every peer is a trusted proxy)")
+    parser.add_argument("--max-attempts", type=int, default=3,
+                        help="job attempts before quarantine")
+    parser.add_argument("--backoff", type=float, default=0.5,
+                        help="base retry backoff in seconds")
+    parser.add_argument("--trace-dir", default=None, metavar="DIR",
+                        help="write distributed-tracing span logs here "
+                             "(default: tracing off)")
 
 
 def _add_engine_flag(parser) -> None:
@@ -1207,21 +1185,23 @@ def _cmd_suite(args) -> int:
     return 0
 
 
+def _service_kwargs(args) -> dict:
+    """Server keywords from the flags of :func:`_add_service_flags`."""
+    return dict(
+        store=args.store, host=args.host, port=args.port,
+        queue_limit=args.queue_limit, rate=args.rate, burst=args.burst,
+        trust_proxy_headers=args.behind_proxy,
+        executor_jobs=args.jobs, concurrency=args.concurrency,
+        max_attempts=args.max_attempts, backoff_base=args.backoff,
+        trace_dir=args.trace_dir)
+
+
 def _cmd_serve(args) -> int:
     import asyncio
 
     from .service import ServiceServer
 
-    server = ServiceServer(
-        store=args.store, journal=args.journal,
-        host=args.host, port=args.port,
-        queue_limit=args.queue_limit, rate=args.rate, burst=args.burst,
-        trust_proxy_headers=args.behind_proxy,
-        executor_jobs=args.jobs, concurrency=args.concurrency,
-        max_attempts=args.max_attempts,
-        backoff_base=args.backoff,
-        trace_dir=args.trace_dir,
-    )
+    server = ServiceServer(journal=args.journal, **_service_kwargs(args))
 
     async def _serve() -> None:
         await server.start()
@@ -1246,16 +1226,9 @@ def _cmd_fleet(args) -> int:
     from .service.fleet import FleetServer
 
     fleet = FleetServer(
-        workers=args.workers, store=args.store,
-        journal_dir=args.journal_dir,
-        host=args.host, port=args.port, replicas=args.replicas,
-        health_interval=args.health_interval,
-        trust_proxy_headers=args.behind_proxy,
-        queue_limit=args.queue_limit, rate=args.rate, burst=args.burst,
-        executor_jobs=args.jobs, concurrency=args.concurrency,
-        max_attempts=args.max_attempts, backoff_base=args.backoff,
-        trace_dir=args.trace_dir,
-    )
+        workers=args.workers, journal_dir=args.journal_dir,
+        replicas=args.replicas, health_interval=args.health_interval,
+        **_service_kwargs(args))
 
     async def _serve() -> None:
         await fleet.start()

@@ -39,25 +39,18 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import multiprocessing
-import signal
 import tempfile
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..core.store import ResultStore, result_to_dict
+from ..core.store import ResultStore
 from ..errors import ConfigurationError, ServiceError
-from ..obs.slo import SloTracker
-from ..obs.telemetry import (
-    Telemetry,
-    merge_snapshots,
-    render_prometheus,
-)
-from ..obs.tracing import TRACEPARENT_HEADER, SpanContext, Tracer
-from .httpcommon import BadRequest, fetch, read_request, respond
+from ..obs.telemetry import Telemetry, merge_snapshots, render_prometheus
+from ..obs.tracing import TRACEPARENT_HEADER, SpanContext
+from .httpcommon import HttpService, fetch
 from .jobs import JobQueue, JobState
 from .ring import HashRing
 from .scheduler import LATENCY_BOUNDS
@@ -146,22 +139,14 @@ class _PendingReplay:
     trace: Optional[str] = None
 
 
-@dataclass
-class _WorkerDefaults:
-    """Scheduler/executor knobs forwarded to every worker."""
-
-    queue_limit: int = 64
-    rate: float = 0.0
-    burst: int = 20
-    executor_jobs: int = 1
-    concurrency: int = 1
-    max_attempts: int = 3
-    backoff_base: float = 0.5
-    backoff_cap: float = 30.0
-    executor_retries: int = 1
+WORKER_KNOBS = ("queue_limit", "rate", "burst", "executor_jobs",
+                "concurrency", "max_attempts", "backoff_base",
+                "backoff_cap", "executor_retries")
+"""The :class:`ServiceServer` parameters a fleet forwards to each
+worker; the worker's signature holds their defaults."""
 
 
-class FleetServer:
+class FleetServer(HttpService):
     """N service workers behind a consistent-hash routing front end.
 
     Parameters
@@ -208,6 +193,9 @@ class FleetServer:
         Forwarded to each worker's :class:`ServiceServer`.
     """
 
+    metric_prefix = "fleet"
+    START_TIMEOUT = 120.0
+    DRAIN_TIMEOUT = 120.0
     FINALS_CAP = 4096
     """Terminal records pinned at the front end after worker deaths."""
     SEEN_CAP = 65536
@@ -233,7 +221,12 @@ class FleetServer:
         if workers < 1:
             raise ConfigurationError(
                 f"fleet needs at least one worker, got {workers}")
-        self.defaults = _WorkerDefaults(**worker_knobs)
+        unknown = sorted(set(worker_knobs) - set(WORKER_KNOBS))
+        if unknown:
+            raise TypeError(f"FleetServer() got unexpected worker "
+                            f"knob(s): {', '.join(unknown)}")
+        super().__init__(host, port, telemetry, trace_dir, "fleet-front")
+        self.worker_knobs = worker_knobs
         self.worker_count = int(workers)
         if store is None:
             store = tempfile.mkdtemp(prefix="repro-fleet-store-")
@@ -242,19 +235,13 @@ class FleetServer:
         self.store_path = Path(store)
         self.journal_dir = Path(journal_dir)
         self.journal_dir.mkdir(parents=True, exist_ok=True)
-        self.host = host
-        self.port = port
         self.replicas = replicas
         self.health_interval = health_interval
         self.health_fails = health_fails
         self.proxy_timeout = proxy_timeout
         self.replay_retries = replay_retries
         self.trust_proxy_headers = trust_proxy_headers
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        self.tracer = (Tracer("fleet-front", log_dir=self.trace_dir)
-                       if self.trace_dir is not None else None)
-        self.slo = SloTracker()
         self.store = ResultStore(self.store_path, telemetry=self.telemetry)
         self.ring = HashRing(replicas=replicas)
         self.workers: Dict[str, WorkerHandle] = {}
@@ -263,34 +250,18 @@ class FleetServer:
         self._finals: "OrderedDict[str, dict]" = OrderedDict()
         self._seen_ids: "OrderedDict[str, None]" = OrderedDict()
         self._mp = multiprocessing.get_context("spawn")
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._health_task: Optional[asyncio.Task] = None
-        self._stopping: Optional[asyncio.Event] = None
         self._failover_lock: Optional[asyncio.Lock] = None
-        self._started = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
         self._draining = False
-        self._start_time = time.monotonic()
 
     # -- worker lifecycle ----------------------------------------------
 
     def _worker_config(self, name: str) -> dict:
-        d = self.defaults
         return {
+            **self.worker_knobs,
             "store": str(self.store_path),
             "journal": str(self.journal_dir / f"worker-{name}.jsonl"),
             "host": "127.0.0.1",
             "port": 0,
-            "queue_limit": d.queue_limit,
-            "rate": d.rate,
-            "burst": d.burst,
-            "executor_jobs": d.executor_jobs,
-            "concurrency": d.concurrency,
-            "max_attempts": d.max_attempts,
-            "backoff_base": d.backoff_base,
-            "backoff_cap": d.backoff_cap,
-            "executor_retries": d.executor_retries,
             # the only peer a worker hears from is the front end, whose
             # forwarded identity headers are authoritative
             "trust_proxy_headers": True,
@@ -322,89 +293,31 @@ class FleetServer:
             name=name, process=process, port=port,
             journal=Path(config["journal"]))
 
-    async def start(self) -> None:
-        """Spawn the workers, bind the front-end socket (loop ctx)."""
-        self._loop = asyncio.get_running_loop()
-        self._stopping = asyncio.Event()
+    # -- role steps ----------------------------------------------------
+
+    async def _before_bind(self) -> None:
+        """Spawn the workers; every one that started joins the ring."""
         self._failover_lock = asyncio.Lock()
-        names = [f"w{i}" for i in range(self.worker_count)]
-        handles = await asyncio.gather(
-            *(asyncio.to_thread(self._spawn_worker, name)
-              for name in names))
-        for handle in handles:
-            self.workers[handle.name] = handle
-            self.ring.add(handle.name)
+        spawned = await asyncio.gather(
+            *(asyncio.to_thread(self._spawn_worker, f"w{i}")
+              for i in range(self.worker_count)),
+            return_exceptions=True)
+        for handle in spawned:
+            if isinstance(handle, WorkerHandle):
+                self.workers[handle.name] = handle
+                self.ring.add(handle.name)
         self.telemetry.gauge("fleet.workers").set(len(self.ring))
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._health_task = asyncio.create_task(self._health_loop())
-        self._install_signal_handlers()
-        self._start_time = time.monotonic()
-        self._started.set()
+        for failure in spawned:
+            if isinstance(failure, BaseException):
+                raise failure
 
-    async def serve(self) -> None:
-        """Run until drain/shutdown completes."""
-        if self._server is None:
-            await self.start()
-        await self._stopping.wait()
-        await self._shutdown_async()
-
-    def serve_forever(self) -> None:
-        """Blocking entry point (``repro fleet``)."""
-        asyncio.run(self.serve())
-
-    def start_in_thread(self) -> "FleetServer":
-        """Run the fleet on a daemon thread; returns once bound."""
-        self._thread = threading.Thread(target=self.serve_forever,
-                                        daemon=True)
-        self._thread.start()
-        if not self._started.wait(timeout=120):
-            raise ServiceError("fleet front end failed to start")
-        return self
-
-    def begin_drain(self) -> None:
-        """Stop admitting, SIGTERM the workers, then exit."""
+    def _stop_admitting(self) -> None:
         self._draining = True
-        if self._stopping is not None:
-            self._stopping.set()
 
-    def shutdown(self) -> None:
-        """Graceful stop from any thread; idempotent."""
-        if self._loop is None:
-            return
-        try:
-            self._loop.call_soon_threadsafe(self.begin_drain)
-        except RuntimeError:
-            return
-        if self._thread is not None:
-            self._thread.join(timeout=120)
-
-    def abort(self) -> None:
-        """Ungraceful stop: kill workers and the loop outright."""
-        for worker in self.workers.values():
-            if worker.process.is_alive():
-                worker.process.kill()
-        if self._loop is None:
-            return
-
-        def _die() -> None:
-            if self._health_task is not None:
-                self._health_task.cancel()
-            if self._server is not None:
-                self._server.close()
-            self._stopping.set()
-
-        try:
-            self._loop.call_soon_threadsafe(_die)
-        except RuntimeError:
-            pass
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-
-    async def _shutdown_async(self) -> None:
-        if self._health_task is not None:
-            self._health_task.cancel()
+    async def _wind_down(self) -> None:
+        """Stop health checks, then SIGTERM and join every worker."""
+        if self._task is not None:
+            self._task.cancel()
         for worker in self.workers.values():
             if worker.process.is_alive():
                 worker.process.terminate()  # SIGTERM -> worker drains
@@ -414,18 +327,12 @@ class FleetServer:
                 worker.process.join(timeout=60)
 
         await asyncio.to_thread(_join_all)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self.tracer is not None:
-            self.tracer.flush()
 
-    def _install_signal_handlers(self) -> None:
-        try:
-            self._loop.add_signal_handler(signal.SIGTERM, self.begin_drain)
-            self._loop.add_signal_handler(signal.SIGINT, self.begin_drain)
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass  # non-main thread; the embedding code owns shutdown
+    def abort(self) -> None:
+        """Ungraceful stop: kill the workers and the loop outright."""
+        for name in self.workers:
+            self.kill_worker(name)
+        super().abort()
 
     # -- chaos / test hooks --------------------------------------------
 
@@ -450,7 +357,8 @@ class FleetServer:
 
     # -- health + failover ---------------------------------------------
 
-    async def _health_loop(self) -> None:
+    async def _background(self) -> None:
+        """The health loop: probe the workers, retry parked replays."""
         while True:
             await asyncio.sleep(self.health_interval)
             await asyncio.gather(
@@ -537,29 +445,15 @@ class FleetServer:
                 record["worker"] = worker.name
                 self._pin_final(job.job_id, record)
                 continue
-            replay_headers = {"X-Client-Id": job.client}
-            span = None
-            if self.tracer is not None:
-                # re-join the job's original trace: the accept span if
-                # the front end routed it, else the dead worker's
-                # journaled submit context
-                parent = SpanContext.parse(
-                    (route.trace if route is not None else None)
-                    or job.trace)
-                span = self.tracer.start_span(
-                    "job.replay", parent=parent, cat="replay",
-                    attrs={"job_id": job.job_id,
-                           "dead_worker": worker.name})
-                replay_headers[TRACEPARENT_HEADER] = \
-                    span.context.to_traceparent()
-            status, payload = await self._forward(
-                job.job_key, _job_body(job), replay_headers, locked=True)
-            if span is not None:
-                span.set_attr("http_status", status)
-                if not (status == 202 or _is_duplicate(status, payload)):
-                    span.status = "error"
-                span.finish()
-            if status == 202 or _is_duplicate(status, payload):
+            # re-join the job's original trace: the accept span if the
+            # front end routed it, else the dead worker's journaled
+            # submit context
+            _status, admitted = await self._replay(
+                job.job_key, _job_body(job), job.client,
+                (route.trace if route is not None else None) or job.trace,
+                {"job_id": job.job_id, "dead_worker": worker.name},
+                locked=True)
+            if admitted:
                 self.telemetry.counter("fleet.replayed").inc()
                 if route is not None:
                     route.replays += 1
@@ -586,24 +480,10 @@ class FleetServer:
             entry = self._pending_replays.get(job_id)
             if entry is None:
                 continue
-            retry_headers = {"X-Client-Id": entry.client}
-            span = None
-            if self.tracer is not None:
-                span = self.tracer.start_span(
-                    "job.replay", parent=SpanContext.parse(entry.trace),
-                    cat="replay",
-                    attrs={"job_id": job_id,
-                           "attempt": entry.attempts + 1})
-                retry_headers[TRACEPARENT_HEADER] = \
-                    span.context.to_traceparent()
-            status, payload = await self._forward(
-                entry.job_key, entry.body, retry_headers)
-            if span is not None:
-                span.set_attr("http_status", status)
-                if not (status == 202 or _is_duplicate(status, payload)):
-                    span.status = "error"
-                span.finish()
-            if status == 202 or _is_duplicate(status, payload):
+            status, admitted = await self._replay(
+                entry.job_key, entry.body, entry.client, entry.trace,
+                {"job_id": job_id, "attempt": entry.attempts + 1})
+            if admitted:
                 self._pending_replays.pop(job_id, None)
                 route = self._routes.get(job_id)
                 if route is not None:
@@ -623,6 +503,33 @@ class FleetServer:
                     f"{entry.attempts} attempts (last status {status})")
                 self._pin_final(job_id, record)
                 self.telemetry.counter("fleet.replay_failures").inc()
+
+    async def _replay(self, job_key: str, body: dict, client: str,
+                      trace: Optional[str], attrs: dict,
+                      locked: bool = False):
+        """Forward one replay under a ``job.replay`` span.
+
+        Returns ``(status, admitted)``; a duplicate-id answer counts as
+        admitted (an earlier attempt already made it).
+        """
+        headers = {"X-Client-Id": client}
+        span = None
+        if self.tracer is not None:
+            span = self.tracer.start_span(
+                "job.replay", parent=SpanContext.parse(trace),
+                cat="replay", attrs=attrs)
+            headers[TRACEPARENT_HEADER] = span.context.to_traceparent()
+        status, payload = await self._forward(job_key, body, headers,
+                                              locked=locked)
+        admitted = status == 202 or (
+            status == 400 and isinstance(payload, dict)
+            and "duplicate job id" in str(payload.get("error", "")))
+        if span is not None:
+            span.set_attr("http_status", status)
+            if not admitted:
+                span.status = "error"
+            span.finish()
+        return status, admitted
 
     async def _forward(self, job_key: str, body: dict,
                        headers: dict, locked: bool = False):
@@ -719,44 +626,7 @@ class FleetServer:
 
     # -- request handling ----------------------------------------------
 
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                method, path, query, headers, body = \
-                    await read_request(reader)
-            except BadRequest as exc:
-                await respond(writer, 400, {"error": str(exc)})
-                return
-            except (asyncio.IncompleteReadError, ConnectionError,
-                    asyncio.LimitOverrunError):
-                return
-            except asyncio.CancelledError:
-                # loop teardown during drain cancels in-flight
-                # handlers; the connection is going away regardless
-                return
-            self.telemetry.counter("fleet.http_requests").inc()
-            route_start = time.monotonic()
-            try:
-                status, payload, extra = await self._route_request(
-                    method, path, query, headers, body, writer)
-            except BadRequest as exc:
-                status, payload, extra = 400, {"error": str(exc)}, {}
-            except Exception as exc:  # never kill the accept loop
-                self.telemetry.counter("fleet.http_errors").inc()
-                status, payload, extra = (
-                    500, {"error": f"internal error: {exc!r}"}, {})
-            self.slo.observe(time.monotonic() - route_start,
-                             error=status >= 500)
-            await respond(writer, status, payload, extra)
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    async def _route_request(self, method, path, query, headers, body,
-                             writer):
+    async def _route(self, method, path, query, headers, body, writer):
         if path == "/healthz" and method == "GET":
             return 200, self._healthz(), {}
         if path == "/metrics" and method == "GET":
@@ -767,17 +637,7 @@ class FleetServer:
             return await self._list_jobs()
         if path.startswith("/jobs/") and method == "GET":
             return await self._get_job(path[len("/jobs/"):])
-        if path.startswith("/results/") and method == "GET":
-            key = path[len("/results/"):]
-            result = self.store.get_by_key(key)
-            if result is None:
-                return 404, {"error": "unknown result key"}, {}
-            return 200, {"spec_key": key,
-                         "result": result_to_dict(result)}, {}
-        if path in ("/healthz", "/metrics", "/jobs") or \
-                path.startswith(("/jobs/", "/results/")):
-            return 405, {"error": f"{method} not allowed on {path}"}, {}
-        return 404, {"error": f"no route for {path}"}, {}
+        return self._shared_route(method, path)
 
     # -- endpoints -----------------------------------------------------
 
@@ -846,16 +706,9 @@ class FleetServer:
         if route is None:
             # not fleet-admitted (or retired/pre-restart): ask every
             # worker — whichever ran it keeps the record
-            for name in self.live_workers:
-                worker = self.workers[name]
-                try:
-                    status, _h, payload = await fetch(
-                        "127.0.0.1", worker.port, "GET",
-                        f"/jobs/{job_id}", timeout=self.proxy_timeout)
-                except ServiceError:
-                    continue
-                if status == 200:
-                    return 200, payload, {}
+            found = await self._ask_workers(f"/jobs/{job_id}")
+            if found:
+                return 200, next(iter(found.values())), {}
             return 404, {"error": "unknown job"}, {}
         response = await self._poll_route(job_id, route)
         if response is not None:
@@ -896,36 +749,44 @@ class FleetServer:
                 self._retire_route(job_id)
         return status, payload, {}
 
-    async def _list_jobs(self):
-        jobs: List[dict] = []
-        for name in self.live_workers:
-            worker = self.workers[name]
+    async def _ask_workers(self, path: str) -> Dict[str, dict]:
+        """``GET path`` on every live worker at once: the JSON object
+        each one answered with ``200``, by worker name."""
+        names = self.live_workers
+
+        async def ask(name: str) -> Optional[dict]:
             try:
                 status, _h, payload = await fetch(
-                    "127.0.0.1", worker.port, "GET", "/jobs",
+                    "127.0.0.1", self.workers[name].port, "GET", path,
                     timeout=self.proxy_timeout)
             except ServiceError:
-                continue
-            if status == 200:
-                for job in payload.get("jobs", []):
-                    job["worker"] = name
-                    jobs.append(job)
+                return None
+            return payload if status == 200 and \
+                isinstance(payload, dict) else None
+
+        replies = await asyncio.gather(*(ask(name) for name in names))
+        return {name: payload for name, payload in zip(names, replies)
+                if payload is not None}
+
+    async def _list_jobs(self):
+        jobs: List[dict] = []
+        for name, payload in (await self._ask_workers("/jobs")).items():
+            for job in payload.get("jobs", []):
+                job["worker"] = name
+                jobs.append(job)
         # jobs no live worker can report: terminal records pinned
         # after a worker death, and parked failover replays
+        local = [*self._finals.items(),
+                 *((job_id, route.snapshot)
+                   for job_id, route in self._routes.items()
+                   if route.worker is None and route.snapshot is not None),
+                 *((job_id, entry.snapshot)
+                   for job_id, entry in self._pending_replays.items())]
         listed = {job.get("job_id") for job in jobs}
-        for job_id, record in list(self._finals.items()):
+        for job_id, record in local:
             if job_id not in listed:
                 listed.add(job_id)
                 jobs.append(_summary_of(record))
-        for job_id, route in list(self._routes.items()):
-            if route.worker is None and route.snapshot is not None \
-                    and job_id not in listed:
-                listed.add(job_id)
-                jobs.append(_summary_of(route.snapshot))
-        for job_id, entry in list(self._pending_replays.items()):
-            if job_id not in listed:
-                listed.add(job_id)
-                jobs.append(_summary_of(entry.snapshot))
         return 200, {"jobs": jobs}, {}
 
     def _healthz(self) -> dict:
@@ -944,21 +805,7 @@ class FleetServer:
         }
 
     async def _metrics(self, query: str):
-        worker_snaps: Dict[str, dict] = {}
-
-        async def grab(name: str) -> None:
-            worker = self.workers[name]
-            try:
-                status, _h, payload = await fetch(
-                    "127.0.0.1", worker.port, "GET", "/metrics",
-                    timeout=self.proxy_timeout)
-            except ServiceError:
-                return
-            if status == 200 and isinstance(payload, dict):
-                worker_snaps[name] = payload
-
-        await asyncio.gather(*(grab(name) for name in self.live_workers),
-                             return_exceptions=True)
+        worker_snaps = await self._ask_workers("/metrics")
         self.slo.export(self.telemetry, "fleet.slo")
         own = self.telemetry.snapshot()
         own.pop("series", None)
@@ -992,9 +839,3 @@ def _summary_of(record: dict) -> dict:
     if isinstance(cells, list):
         summary["cells"] = len(cells)
     return summary
-
-
-def _is_duplicate(status: int, payload) -> bool:
-    """A 400 'duplicate job id' during replay means it already made it."""
-    return (status == 400 and isinstance(payload, dict)
-            and "duplicate job id" in str(payload.get("error", "")))

@@ -32,19 +32,15 @@ from __future__ import annotations
 
 import asyncio
 import json
-import signal
-import threading
 import time
 from pathlib import Path
 from typing import Optional, Union
 
 from ..core.experiment import ExperimentSpec
-from ..core.store import ResultStore, result_to_dict
-from ..errors import ServiceError
-from ..obs.slo import SloTracker
+from ..core.store import ResultStore
 from ..obs.telemetry import Telemetry, render_prometheus
-from ..obs.tracing import TRACEPARENT_HEADER, SpanContext, Tracer
-from .httpcommon import BadRequest, read_request, respond
+from ..obs.tracing import TRACEPARENT_HEADER, SpanContext
+from .httpcommon import BadRequest, HttpService
 from .jobs import Job, JobQueue
 from .ratelimit import TokenBucket
 from .scheduler import JobScheduler
@@ -123,7 +119,7 @@ def parse_job_body(body: Optional[bytes], client: str) -> Job:
     return job
 
 
-class ServiceServer:
+class ServiceServer(HttpService):
     """A long-running simulation service bound to one store + journal.
 
     Parameters
@@ -159,6 +155,8 @@ class ServiceServer:
         tracing entirely.
     """
 
+    metric_prefix = "service"
+
     def __init__(
         self,
         store: Optional[Union[str, Path, ResultStore]] = None,
@@ -179,10 +177,7 @@ class ServiceServer:
         trace_dir: Optional[Union[str, Path]] = None,
         trace_service: str = "service",
     ):
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.tracer = (Tracer(trace_service, log_dir=trace_dir)
-                       if trace_dir is not None else None)
-        self.slo = SloTracker()
+        super().__init__(host, port, telemetry, trace_dir, trace_service)
         if isinstance(store, ResultStore):
             self.store = store
         else:
@@ -199,160 +194,28 @@ class ServiceServer:
             telemetry=self.telemetry,
             tracer=self.tracer,
         )
-        self.host = host
-        self.port = port
         self.queue_limit = queue_limit
         self.trust_proxy_headers = trust_proxy_headers
         self.limiter = TokenBucket(rate, burst)
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._scheduler_task: Optional[asyncio.Task] = None
-        self._stopping: Optional[asyncio.Event] = None
-        self._started = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._start_time = time.monotonic()
 
-    # -- lifecycle -----------------------------------------------------
+    # -- role steps ----------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the socket and start the scheduler (loop context)."""
-        self._loop = asyncio.get_running_loop()
-        self._stopping = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._scheduler_task = asyncio.create_task(self.scheduler.run())
-        self._install_signal_handlers()
-        self._start_time = time.monotonic()
-        self._started.set()
+    def _background(self):
+        return self.scheduler.run()
 
-    async def serve(self) -> None:
-        """Run until a drain (SIGTERM) or :meth:`shutdown` completes."""
-        if self._server is None:
-            await self.start()
-        await self._stopping.wait()
-        await self._shutdown_async()
-
-    def serve_forever(self) -> None:
-        """Blocking entry point (``repro serve``)."""
-        asyncio.run(self.serve())
-
-    def start_in_thread(self) -> "ServiceServer":
-        """Run the server on a daemon thread; returns once bound.
-
-        The test-and-embedding path: the caller keeps its thread, talks
-        to :attr:`port` over HTTP, and ends with :meth:`shutdown` (or
-        :meth:`abort` to simulate a crash).
-        """
-        self._thread = threading.Thread(target=self.serve_forever,
-                                        daemon=True)
-        self._thread.start()
-        if not self._started.wait(timeout=10):
-            raise ServiceError("service server failed to start")
-        return self
-
-    def begin_drain(self) -> None:
-        """Stop admitting jobs, finish the running one, then exit."""
+    def _stop_admitting(self) -> None:
         self.scheduler.drain()
-        if self._stopping is not None:
-            self._stopping.set()
 
-    def shutdown(self) -> None:
-        """Graceful stop from any thread (drains first); idempotent."""
-        if self._loop is None:
-            return
-        try:
-            self._loop.call_soon_threadsafe(self.begin_drain)
-        except RuntimeError:
-            return  # loop already closed: nothing left to stop
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-
-    def abort(self) -> None:
-        """Ungraceful stop: kill the loop without draining.
-
-        Simulates a crash (``kill -9``) for recovery tests — the
-        journal keeps whatever was admitted.
-        """
-        if self._loop is None:
-            return
-
-        def _die() -> None:
-            self.scheduler.stop()
-            if self._scheduler_task is not None:
-                self._scheduler_task.cancel()
-            if self._server is not None:
-                self._server.close()
-            self._stopping.set()
-
-        try:
-            self._loop.call_soon_threadsafe(_die)
-        except RuntimeError:
-            pass  # loop already closed: just release the journal below
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-        self.queue.close()
-
-    async def _shutdown_async(self) -> None:
+    async def _wind_down(self) -> None:
         self.scheduler.drain()
-        if self._scheduler_task is not None:
+        if self._task is not None:
             try:
-                await asyncio.wait_for(self._scheduler_task, timeout=None)
+                await self._task
             except asyncio.CancelledError:
                 pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
         self.queue.close()
-        if self.tracer is not None:
-            self.tracer.flush()
-
-    def _install_signal_handlers(self) -> None:
-        try:
-            self._loop.add_signal_handler(signal.SIGTERM, self.begin_drain)
-            self._loop.add_signal_handler(signal.SIGINT, self.begin_drain)
-        except (NotImplementedError, RuntimeError, ValueError):
-            # non-main thread or platform without signal support; the
-            # embedding code owns shutdown instead
-            pass
 
     # -- request handling ----------------------------------------------
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                method, path, query, headers, body = \
-                    await read_request(reader)
-            except BadRequest as exc:
-                await respond(writer, 400, {"error": str(exc)})
-                return
-            except (asyncio.IncompleteReadError, ConnectionError,
-                    asyncio.LimitOverrunError):
-                return
-            except asyncio.CancelledError:
-                # loop teardown during drain cancels in-flight
-                # handlers; the connection is going away regardless
-                return
-            self.telemetry.counter("service.http_requests").inc()
-            route_start = time.monotonic()
-            try:
-                status, payload, extra = self._route(
-                    method, path, query, headers, body, writer)
-            except BadRequest as exc:
-                status, payload, extra = 400, {"error": str(exc)}, {}
-            except Exception as exc:  # never kill the accept loop
-                self.telemetry.counter("service.http_errors").inc()
-                status, payload, extra = (
-                    500, {"error": f"internal error: {exc!r}"}, {})
-            self.slo.observe(time.monotonic() - route_start,
-                             error=status >= 500)
-            await respond(writer, status, payload, extra)
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
 
     def _route(self, method, path, query, headers, body, writer):
         if path == "/healthz" and method == "GET":
@@ -369,17 +232,7 @@ class ServiceServer:
             if job is None:
                 return 404, {"error": "unknown job"}, {}
             return 200, {"job": job.to_dict()}, {}
-        if path.startswith("/results/") and method == "GET":
-            key = path[len("/results/"):]
-            result = self.store.get_by_key(key)
-            if result is None:
-                return 404, {"error": "unknown result key"}, {}
-            return 200, {"spec_key": key,
-                         "result": result_to_dict(result)}, {}
-        if path in ("/healthz", "/metrics", "/jobs") or \
-                path.startswith(("/jobs/", "/results/")):
-            return 405, {"error": f"{method} not allowed on {path}"}, {}
-        return 404, {"error": f"no route for {path}"}, {}
+        return self._shared_route(method, path)
 
     # -- endpoints -----------------------------------------------------
 

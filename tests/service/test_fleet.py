@@ -9,6 +9,7 @@ a serial in-process baseline.
 """
 
 import asyncio
+import inspect
 import json
 import time
 import urllib.error
@@ -19,7 +20,9 @@ import pytest
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.store import result_to_dict
 from repro.errors import ServiceError
+from repro.service import ServiceServer
 from repro.service.fleet import (
+    WORKER_KNOBS,
     FleetServer,
     WorkerHandle,
     _job_body,
@@ -425,6 +428,30 @@ class TestFleetTracing:
     def test_trace_dir_off_is_the_default(self, make_fleet):
         fleet = make_fleet(workers=2)
         assert fleet.tracer is None
+
+
+class TestWorkerKnobs:
+    @pytest.mark.parametrize("knob", [{"journal": "x"}, {"bogus": 1}])
+    def test_unknown_or_fleet_owned_knob_is_refused(self, knob, tmp_path):
+        with pytest.raises(TypeError, match=next(iter(knob))):
+            FleetServer(workers=1, store=tmp_path / "store",
+                        journal_dir=tmp_path / "journals", **knob)
+
+    def test_knobs_reach_the_worker_server(self, tmp_path):
+        knobs = dict(queue_limit=5, rate=2.0, burst=3, executor_jobs=2,
+                     concurrency=2, max_attempts=4, backoff_base=0.1,
+                     backoff_cap=1.0, executor_retries=0)
+        assert sorted(knobs) == sorted(WORKER_KNOBS)
+        fleet = FleetServer(workers=1, store=tmp_path / "store",
+                            journal_dir=tmp_path / "journals", **knobs)
+        config = fleet._worker_config("w0")
+        assert knobs.items() <= config.items()
+        inspect.signature(ServiceServer).bind(**config)
+        # an unset knob takes the worker server's own default
+        config = FleetServer(workers=1, store=tmp_path / "store",
+                             journal_dir=tmp_path / "journals"
+                             )._worker_config("w0")
+        assert not set(WORKER_KNOBS) & set(config)
 
 
 class TestJobBody:

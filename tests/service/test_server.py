@@ -2,11 +2,13 @@
 
 import http.client
 import json
+import socket
+import time
 
 import pytest
 
 from repro.errors import ServiceError
-from repro.service import ServiceClient
+from repro.service import FleetServer, ServiceClient, ServiceServer
 
 from .conftest import TINY, tiny_spec
 
@@ -78,6 +80,54 @@ class TestValidation:
         assert status == 405
         status, _h, _text = raw_request(server.port, "POST", "/healthz")
         assert status == 405
+
+    def test_protocol_errors_are_counted(self, server):
+        name = f"{server.metric_prefix}.http_requests"
+
+        def requests():
+            return server.telemetry.snapshot()["counters"].get(name, 0)
+
+        before = requests()
+        raw_request(server.port, "POST", "/jobs", body=b"{not json",
+                    headers={"Content-Length": "9"})
+        raw_request(server.port, "GET", "/nope")
+        raw_request(server.port, "DELETE", "/jobs")
+        assert requests() - before == 3
+
+
+class TestFleetValidation(TestValidation):
+    """The same protocol cases against a one-worker fleet front end."""
+
+    @pytest.fixture(scope="class")
+    def server(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fleet")
+        fleet = FleetServer(workers=1, store=root / "store",
+                            journal_dir=root / "journals").start_in_thread()
+        yield fleet
+        fleet.shutdown()
+
+
+@pytest.mark.parametrize("kind", ["service", "fleet"])
+def test_start_on_a_taken_port_fails_fast(kind, tmp_path):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        if kind == "service":
+            server = ServiceServer(port=port)
+        else:
+            server = FleetServer(workers=1, port=port,
+                                 store=tmp_path / "store",
+                                 journal_dir=tmp_path / "journals")
+        start = time.monotonic()
+        with pytest.raises(ServiceError) as excinfo:
+            server.start_in_thread()
+        assert time.monotonic() - start < 5
+    assert isinstance(excinfo.value.__cause__, OSError)
+    # a fleet that failed to bind leaves no worker process behind
+    workers = getattr(server, "workers", {})
+    assert len(workers) == (1 if kind == "fleet" else 0)
+    assert not any(w.process.is_alive() for w in workers.values())
 
 
 class TestBackpressure:

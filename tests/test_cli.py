@@ -492,6 +492,20 @@ class TestServiceParsers:
         assert args.queue_limit == 64
         assert args.rate == 0.0
         assert args.journal is None
+        # serve and fleet declare the shared service flags once
+        shared = ("host", "port", "store", "jobs", "concurrency",
+                  "queue_limit", "rate", "burst", "behind_proxy",
+                  "max_attempts", "backoff", "trace_dir")
+        explicit = ["--host", "0.0.0.0", "--port", "9", "--store", "s",
+                    "--jobs", "2", "--concurrency", "3",
+                    "--queue-limit", "4", "--rate", "1.5", "--burst", "5",
+                    "--behind-proxy", "--max-attempts", "6",
+                    "--backoff", "0.25", "--trace-dir", "t"]
+        for argv in ([], explicit):
+            serve = build_parser().parse_args(["serve", *argv])
+            fleet = build_parser().parse_args(["fleet", *argv])
+            assert {name: getattr(serve, name) for name in shared} == \
+                {name: getattr(fleet, name) for name in shared}
 
     def test_submit_defaults(self):
         args = build_parser().parse_args(["submit"])
