@@ -85,8 +85,7 @@ from .obs import (
     NullTelemetry,
     Telemetry,
     TimeSeries,
-    TraceBuffer,
-    TraceEvent,
+    Tracer,
     export_chrome_trace,
 )
 from .qos import (
@@ -170,8 +169,7 @@ __all__ = [
     "NullTelemetry",
     "Telemetry",
     "TimeSeries",
-    "TraceBuffer",
-    "TraceEvent",
+    "Tracer",
     "export_chrome_trace",
     "Job",
     "JobQueue",

@@ -3,8 +3,8 @@
 A small registry of wall-clock benchmarks over the public simulation
 surface: cold/warm single-cell latency, reference-vs-batched kernel
 speedup, sweep throughput at N worker processes, the service's warm
-round-trip and open-loop load response, and the overhead of running
-under a QoS controller.
+round-trip and open-loop load response, and the overhead of the
+control hooks and of tracing.
 
 ``run_basket`` executes a selection and returns
 :class:`~repro.bench.records.BenchRecord` rows; the CLI appends them
@@ -102,17 +102,57 @@ def _bench_cell_warm(ctx: BenchContext) -> List[BenchRecord]:
     )]
 
 
+def _same_simulation(plain, controlled, what: str) -> None:
+    """Raise unless two results serialize identically (spec and mix
+    label aside): an overhead ratio is only a cost when both sides ran
+    the same simulation."""
+    import json
+
+    from ..core.store import result_to_dict
+
+    def canonical(result) -> str:
+        payload = result_to_dict(result)
+        payload.pop("spec")
+        payload["mix"] = {k: v for k, v in (payload.get("mix") or {}).items()
+                          if k != "name"}
+        return json.dumps(payload, sort_keys=True)
+
+    if canonical(plain) != canonical(controlled):
+        raise ReproError(f"{what} changed the simulation: the paired "
+                         f"results are not byte-identical")
+
+
+def _timed_pair(plain: ExperimentSpec, controlled: ExperimentSpec,
+                what: str) -> List[float]:
+    """Cold seconds of both specs, once they prove to simulate the
+    same thing."""
+    runs, seconds = [], []
+    for spec in (plain, controlled):
+        start = time.perf_counter()
+        runs.append(run_experiment(spec, use_cache=False))
+        seconds.append(time.perf_counter() - start)
+    _same_simulation(*runs, what)
+    return seconds
+
+
 def _bench_qos_overhead(ctx: BenchContext) -> List[BenchRecord]:
-    """Wall-clock overhead of running under the UCP QoS controller."""
+    """Wall-clock cost of the QoS control loop.
+
+    ``static-equal`` through the controller simulates byte-for-byte
+    what the legacy static ``l2_vm_quota`` path does
+    (``tests/qos/test_determinism.py``), so the time difference is the
+    sense/decide/actuate loop alone.
+    """
     refs = ctx.cell_refs(full=1500, quick=300)
-    base = _spec(ctx, refs, sharing="shared", engine_mode="reference")
-    qos = replace(base, qos_policy="ucp", qos_epoch=10_000)
-    t_base = _timed(lambda: run_experiment(base, use_cache=False))
-    t_qos = _timed(lambda: run_experiment(qos, use_cache=False))
+    base = _spec(ctx, refs, mix="mix7", sharing="shared",
+                 engine_mode="reference", l2_vm_quota=True)
+    qos = replace(base, l2_vm_quota=False, qos_policy="static-equal",
+                  qos_epoch=10_000)
+    t_base, t_qos = _timed_pair(base, qos, "the QoS loop")
     return [BenchRecord(
         bench="qos-overhead", target="kernel", quick=ctx.quick,
         params={"mix": base.mix, "measured_refs": refs,
-                "policy": "ucp", "seed": ctx.seed},
+                "policy": "static-equal", "seed": ctx.seed},
         metrics={
             "plain_seconds": t_base,
             "qos_seconds": t_qos,
@@ -141,24 +181,35 @@ def _bench_sched_overhead(ctx: BenchContext) -> List[BenchRecord]:
 
 
 def _bench_scenario_overhead(ctx: BenchContext) -> List[BenchRecord]:
-    """Wall-clock overhead of scripted scenario actuation.
+    """Wall-clock cost of the scenario control hook.
 
-    Runs the diurnal-web roster once as a plain static spec (its
-    ``scn-`` mix resolves without the control hook) and once under the
-    full scenario — diurnal load actuation plus a scripted departure —
-    on the same over-committed shared-4 machine.
+    A constant-curve scenario over mix1's roster simulates
+    byte-for-byte what the static mix1 spec does
+    (``tests/scenarios/test_determinism.py``): the hook attaches and
+    closes a window every epoch but never actuates, so the time
+    difference is the hook alone.
     """
+    from ..core.mixes import MIXES
+    from ..scenarios import (LoadCurve, Scenario, VMSlot,
+                             register_scenario, scenario_spec)
+
     refs = ctx.cell_refs(full=1500, quick=300)
-    base = ExperimentSpec(
-        mix="scn-diurnal-web", sharing="shared-4", slots_per_core=2,
-        measured_refs=refs, seed=ctx.seed, engine_mode="reference")
-    scripted = replace(base, scenario="diurnal-web")
-    t_base = _timed(lambda: run_experiment(base, use_cache=False))
-    t_scenario = _timed(lambda: run_experiment(scripted, use_cache=False))
+    flat = Scenario(
+        name="bench-flat-mix1",
+        roster=tuple(VMSlot(workload=workload)
+                     for workload, count in MIXES["mix1"].components
+                     for _ in range(count)),
+        curve=LoadCurve(), epoch=5_000)
+    register_scenario(flat, overwrite=True)
+    fields = dict(measured_refs=refs, warmup_refs=refs // 2,
+                  seed=ctx.seed, engine_mode="reference")
+    t_base, t_scenario = _timed_pair(
+        ExperimentSpec(mix="mix1", **fields),
+        scenario_spec(flat.name, **fields), "the scenario hook")
     return [BenchRecord(
         bench="scenario-overhead", target="kernel", quick=ctx.quick,
-        params={"scenario": "diurnal-web", "measured_refs": refs,
-                "slots_per_core": 2, "seed": ctx.seed},
+        params={"scenario": flat.name, "mix": "mix1",
+                "measured_refs": refs, "seed": ctx.seed},
         metrics={
             "plain_seconds": t_base,
             "scenario_seconds": t_scenario,

@@ -603,7 +603,9 @@ def _make_executor(args, telemetry=None) -> "SweepExecutor":
     return SweepExecutor(jobs=args.jobs, store=store,
                          progress=report if args.progress else None,
                          telemetry=telemetry,
-                         epoch=getattr(args, "epoch", 0))
+                         epoch=getattr(args, "epoch", 0),
+                         tracer=(telemetry.trace if telemetry is not None
+                                 else None))
 
 
 def _metric_row(vms, metric: str) -> float:
@@ -647,7 +649,7 @@ def _spec_from_args(args) -> ExperimentSpec:
 def _write_trace(telemetry, path) -> None:
     from .obs import export_chrome_trace
 
-    out = export_chrome_trace(telemetry.trace.events(), path)
+    out = export_chrome_trace(telemetry.trace.spans(), path)
     dropped = telemetry.trace.dropped
     note = f" ({dropped} oldest events dropped)" if dropped else ""
     print(f"chrome trace written to {out}{note} — load it at "
@@ -1018,10 +1020,8 @@ def _cmd_scenario(args) -> int:
 
 def _cmd_trace_job(args) -> int:
     """``repro trace --job ID``: merge span logs into one job trace."""
-    import json
-
     from .obs import (CATEGORY_LABELS, align_clocks, collect_spans,
-                      critical_path, spans_to_chrome, trace_for_job,
+                      critical_path, export_chrome_trace, trace_for_job,
                       validate_trace)
 
     if args.trace_dir is None:
@@ -1056,8 +1056,7 @@ def _cmd_trace_job(args) -> int:
           + ", ".join(f"{name} (pid {pid})" for name, pid in processes))
     for root in report["roots"]:
         print(f"root span: {root.name} @ {root.process}")
-    with open(args.out, "w") as handle:
-        json.dump(spans_to_chrome(job_spans), handle, indent=1)
+    export_chrome_trace(job_spans, args.out)
     print(f"Chrome trace saved to {args.out} "
           f"(open in Perfetto / chrome://tracing)")
     if report["orphans"]:

@@ -130,11 +130,9 @@ class SweepExecutor:
         ``multiprocessing`` start method for ``jobs > 1`` (default
         ``"spawn"``).
     telemetry:
-        Optional :class:`~repro.obs.telemetry.Telemetry` hub.  When
-        set, every cold cell records a wall-clock span (named by its
-        grid key) into the trace buffer, cache hits record instant
-        events, and ``executor.*`` counters account the grid —
-        ``repro profile`` exports these as a Chrome trace.
+        Optional :class:`~repro.obs.telemetry.Telemetry` hub whose
+        ``executor.*`` counters and cell-time histogram account the
+        grid.
     epoch:
         Positive to epoch-sample every cold cell (worker-local probes;
         see :func:`_run_cell`).  Sampled series come back on each
@@ -152,6 +150,13 @@ class SweepExecutor:
     on_retry:
         Optional ``on_retry(key, spec, attempt, error)`` callback
         invoked before each retry (the service journals these).
+    tracer:
+        Optional :class:`~repro.obs.tracing.Tracer`, the one sink of
+        the grid's spans: ``executor.grid`` around the run, then one
+        ``cell.cached`` per store hit, one ``cell.simulate`` per cold
+        cell and one ``store.put`` per stored result.  ``repro
+        profile`` passes its hub's ring and exports it as a Chrome
+        trace.
     """
 
     def __init__(
@@ -205,9 +210,8 @@ class SweepExecutor:
         parents the grid's distributed-trace spans when a ``tracer``
         was supplied; simulation results are identical either way.
         """
-        import contextlib
+        from contextlib import nullcontext
 
-        from ..obs.trace import WALL_PID, TraceEvent, wall_now_us
         from .store import get_default_store
 
         telemetry = self.telemetry
@@ -228,15 +232,11 @@ class SweepExecutor:
             if self.progress is not None:
                 self.progress(done, total, outcome)
 
-        with contextlib.ExitStack() as stack:
-            stack.enter_context(
-                telemetry.span(f"grid[{total}]", cat="executor"))
-            grid_ctx = None
-            if tracer is not None:
-                grid_span = stack.enter_context(tracer.start_span(
-                    "executor.grid", parent=trace_parent, cat="run",
-                    attrs={"cells": total}))
-                grid_ctx = grid_span.context
+        grid_span = nullcontext() if tracer is None else tracer.start_span(
+            "executor.grid", parent=trace_parent, cat="run",
+            attrs={"cells": total})
+        with grid_span:
+            grid_ctx = None if tracer is None else grid_span.context
 
             # tier 1: the store
             pending: Dict[ExperimentSpec, List[int]] = {}
@@ -245,10 +245,6 @@ class SweepExecutor:
                 cached = store.get(spec)
                 if cached is not None:
                     telemetry.counter("executor.cache_hits").inc()
-                    telemetry.emit(TraceEvent(
-                        name=f"cached {key}", cat="executor", ph="i",
-                        ts=wall_now_us(), pid=WALL_PID,
-                    ))
                     if grid_ctx is not None:
                         tracer.record_span(
                             "cell.cached", cat="store",
@@ -286,10 +282,6 @@ class SweepExecutor:
                     "executor.cell_seconds",
                     bounds=(0.1, 0.5, 1, 2, 5, 10, 30, 60, 300),
                 ).observe(wall)
-                telemetry.add_span(
-                    name=f"cell {key}", cat="executor", duration_s=wall,
-                    args={"ok": error is None},
-                )
                 if grid_ctx is not None and trace_payload is None:
                     tracer.record_span(
                         "cell.simulate", cat="sim", duration_s=wall,

@@ -4,9 +4,9 @@ The observability layer of the simulator.  It is strictly additive:
 with the default :data:`~repro.obs.telemetry.NULL_TELEMETRY` hub no
 series, events, or counters are recorded and the simulation executes
 exactly as before; with a live :class:`~repro.obs.telemetry.Telemetry`
-hub the engine samples epoch time-series, the executor records
-wall-clock spans, and everything exports to Chrome-trace JSON
-(loadable in Perfetto).  See ``docs/observability.md``.
+hub the engine samples epoch time-series into the hub's one trace ring
+(a :class:`~repro.obs.tracing.Tracer`), and everything exports to
+Chrome-trace JSON (loadable in Perfetto).  See ``docs/observability.md``.
 """
 
 from .probes import EpochProbe, VmDelta, VmDeltaTracker
@@ -33,18 +33,11 @@ from .tracing import (
     align_clocks,
     collect_spans,
     critical_path,
+    export_chrome_trace,
     process_tracer,
     spans_to_chrome,
     trace_for_job,
     validate_trace,
-)
-from .trace import (
-    SIM_PID,
-    WALL_PID,
-    TraceBuffer,
-    TraceEvent,
-    chrome_trace_dict,
-    export_chrome_trace,
 )
 
 __all__ = [
@@ -58,6 +51,7 @@ __all__ = [
     "align_clocks",
     "collect_spans",
     "critical_path",
+    "export_chrome_trace",
     "histogram_percentile",
     "merge_snapshots",
     "process_tracer",
@@ -77,10 +71,4 @@ __all__ = [
     "NullTelemetry",
     "Telemetry",
     "render_prometheus",
-    "SIM_PID",
-    "WALL_PID",
-    "TraceBuffer",
-    "TraceEvent",
-    "chrome_trace_dict",
-    "export_chrome_trace",
 ]

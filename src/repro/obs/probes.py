@@ -4,7 +4,7 @@ An :class:`EpochProbe` rides along the engine's event loop: every
 ``epoch`` simulated cycles it snapshots per-VM behaviour (miss rate,
 mean miss latency, L2 occupancy share) and the chip's shared-resource
 queue depths into :class:`~repro.obs.series.TimeSeries` records and
-Chrome-trace counter events.
+simulated-time counter events on the hub's trace ring.
 
 The probe is strictly *read-only* with respect to the machine: it
 derives epoch deltas from the cumulative
@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from .telemetry import Telemetry
-from .trace import SIM_PID, TraceEvent
 
 __all__ = ["VmDeltaTracker", "VmDelta", "EpochProbe"]
 
@@ -164,10 +163,8 @@ class EpochProbe:
 
     def on_vm_complete(self, vm_id: int, finish: int) -> None:
         """Mark a VM's completion instant in the trace."""
-        self.telemetry.emit(TraceEvent(
-            name=f"vm{vm_id} complete", cat="sim", ph="i",
-            ts=float(finish), pid=SIM_PID, tid=vm_id,
-        ))
+        self.telemetry.event(f"vm{vm_id} complete", "sim", "i", finish,
+                             tid=vm_id)
 
     def finish(self, final_time: int) -> None:
         """Take a closing sample at the end of the run."""
@@ -207,21 +204,11 @@ class EpochProbe:
                 telemetry.series_for(f"queue.{resource}").append(now, depth)
                 queue_args[resource] = round(float(depth), 4)
 
-        ts = float(now)
-        telemetry.emit(TraceEvent(
-            name="miss_rate", cat="epoch", ph="C", ts=ts,
-            pid=SIM_PID, args=miss_rate_args,
-        ))
-        telemetry.emit(TraceEvent(
-            name="miss_latency", cat="epoch", ph="C", ts=ts,
-            pid=SIM_PID, args=latency_args,
-        ))
-        telemetry.emit(TraceEvent(
-            name="l2_share", cat="epoch", ph="C", ts=ts,
-            pid=SIM_PID, args=share_args,
-        ))
+        telemetry.event("miss_rate", "epoch", "C", now,
+                        attrs=miss_rate_args)
+        telemetry.event("miss_latency", "epoch", "C", now,
+                        attrs=latency_args)
+        telemetry.event("l2_share", "epoch", "C", now, attrs=share_args)
         if queue_args is not None:
-            telemetry.emit(TraceEvent(
-                name="queue_depth", cat="epoch", ph="C", ts=ts,
-                pid=SIM_PID, args=queue_args,
-            ))
+            telemetry.event("queue_depth", "epoch", "C", now,
+                            attrs=queue_args)

@@ -2,9 +2,9 @@
 
 A :class:`Telemetry` instance owns every observable artifact of one run
 or sweep: named counters / gauges / histograms, the bounded trace ring
-(:class:`~repro.obs.trace.TraceBuffer`), and the epoch time-series
-(:class:`~repro.obs.series.TimeSeries`).  Instrumented code receives a
-hub (never creates one) and records through it:
+(an in-memory :class:`~repro.obs.tracing.Tracer`), and the epoch
+time-series (:class:`~repro.obs.series.TimeSeries`).  Instrumented
+code receives a hub (never creates one) and records through it:
 
 >>> hub = Telemetry()
 >>> hub.counter("store.memory_hits").inc()
@@ -24,16 +24,12 @@ either way (``tests/obs/test_determinism.py`` enforces this).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .series import TimeSeries, series_to_dict
-from .trace import (
-    WALL_PID,
-    TraceBuffer,
-    TraceEvent,
-    wall_now_us,
-)
+from .tracing import Tracer
 
 __all__ = [
     "Counter",
@@ -110,51 +106,21 @@ class Histogram:
              "observations": self.observations}, q)
 
 
-class _Span:
-    """Context manager recording one wall-clock ``"X"`` trace event."""
-
-    __slots__ = ("_hub", "_name", "_cat", "_tid", "_args", "_start")
-
-    def __init__(self, hub: "Telemetry", name: str, cat: str, tid: int,
-                 args: Optional[dict]):
-        self._hub = hub
-        self._name = name
-        self._cat = cat
-        self._tid = tid
-        self._args = args
-        self._start = 0.0
-
-    def __enter__(self) -> "_Span":
-        self._start = wall_now_us()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        end = wall_now_us()
-        self._hub.trace.append(TraceEvent(
-            name=self._name, cat=self._cat, ph="X",
-            ts=self._start, dur=end - self._start,
-            pid=WALL_PID, tid=self._tid, args=self._args,
-        ))
-
-
 class Telemetry:
-    """The live hub: counters, gauges, histograms, trace, series.
-
-    Parameters
-    ----------
-    trace_capacity:
-        Ring-buffer size for trace events; the oldest events are
-        dropped (and counted) past this bound.
-    """
+    """The live hub: counters, gauges, histograms, trace, series."""
 
     enabled = True
 
-    def __init__(self, trace_capacity: int = 65536):
+    TRACE_CAPACITY = 65536
+    """Ring size of :attr:`trace`; the oldest events are dropped (and
+    counted) past this bound."""
+
+    def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.series: Dict[str, TimeSeries] = {}
-        self.trace = TraceBuffer(capacity=trace_capacity)
+        self.trace = Tracer("repro", capacity=self.TRACE_CAPACITY)
 
     # -- instruments (create-on-first-use) -----------------------------
 
@@ -190,28 +156,16 @@ class Telemetry:
 
     # -- tracing -------------------------------------------------------
 
-    def emit(self, event: TraceEvent) -> None:
-        self.trace.append(event)
-
-    def span(self, name: str, cat: str = "span", tid: int = 0,
-             args: Optional[dict] = None) -> _Span:
+    def span(self, name: str, cat: str = "span",
+             attrs: Optional[dict] = None):
         """Wall-clock span context manager (records on exit)."""
-        return _Span(self, name, cat, tid, args)
+        return self.trace.start_span(name, cat=cat, attrs=attrs)
 
-    def add_span(self, name: str, cat: str, duration_s: float,
-                 tid: int = 0, args: Optional[dict] = None) -> None:
-        """Record an already-measured wall-clock span ending now.
-
-        Used when the duration was measured elsewhere (e.g. inside a
-        worker process) and only the number crossed the process
-        boundary.
-        """
-        end = wall_now_us()
-        dur = max(0.0, duration_s * 1e6)
-        self.trace.append(TraceEvent(
-            name=name, cat=cat, ph="X", ts=end - dur, dur=dur,
-            pid=WALL_PID, tid=tid, args=args,
-        ))
+    def event(self, name: str, cat: str, ph: str, cycle: int,
+              tid: int = 0, attrs: Optional[dict] = None) -> None:
+        """Record a simulated-time instant (``"i"``) or counter
+        (``"C"``) at ``cycle``."""
+        self.trace.sim_event(name, cat, ph, cycle, tid=tid, attrs=attrs)
 
     # -- inspection ----------------------------------------------------
 
@@ -403,18 +357,8 @@ class _NullInstrument:
         pass
 
 
-class _NullSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
 _NULL_INSTRUMENT = _NullInstrument()
-_NULL_SPAN = _NullSpan()
+_NULL_SPAN = nullcontext()  # reusable: one shared no-op span
 
 
 class NullTelemetry:
@@ -433,7 +377,7 @@ class NullTelemetry:
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.series: Dict[str, TimeSeries] = {}
-        self.trace = TraceBuffer(capacity=1)
+        self.trace = Tracer("null", capacity=1)
 
     def counter(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT
@@ -448,15 +392,12 @@ class NullTelemetry:
         # a fresh throwaway series: appends land nowhere persistent
         return TimeSeries(name)
 
-    def emit(self, event: TraceEvent) -> None:
-        pass
-
-    def span(self, name: str, cat: str = "span", tid: int = 0,
-             args: Optional[dict] = None) -> _NullSpan:
+    def span(self, name: str, cat: str = "span",
+             attrs: Optional[dict] = None) -> nullcontext:
         return _NULL_SPAN
 
-    def add_span(self, name: str, cat: str, duration_s: float,
-                 tid: int = 0, args: Optional[dict] = None) -> None:
+    def event(self, name: str, cat: str, ph: str, cycle: int,
+              tid: int = 0, attrs: Optional[dict] = None) -> None:
         pass
 
     def snapshot(self) -> dict:

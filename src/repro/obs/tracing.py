@@ -1,33 +1,44 @@
-"""Distributed job tracing: W3C-traceparent contexts, durable span logs.
+"""The one event model: spans, the per-process ring, and its exporters.
+
+Every trace event in the repository is a :class:`Span`, recorded by a
+:class:`Tracer` into one bounded ring.  Spans live on one of two
+clocks:
+
+* ``clock="wall"`` (the default) — host time.  ``ts`` is epoch
+  microseconds (``time.time_ns() // 1000``) so logs from different
+  processes on one host share a clock; durations are measured with
+  ``perf_counter`` for resolution.  Wall spans are complete events
+  (``ph="X"``) and carry a distributed-trace identity.
+* ``clock="sim"`` — simulated time.  ``ts`` is a simulation cycle.
+  :meth:`Tracer.sim_event` records cycle-stamped instants (``"i"``) and
+  counters (``"C"``): epoch samples, VM completions, migrations.  They
+  join no distributed trace.
 
 A job crosses many processes — client, fleet front end, worker HTTP
-server, scheduler, executor subprocesses — and the per-process
-:mod:`repro.obs.trace` ring cannot follow it.  This module adds the
-cross-process layer:
+server, scheduler, executor subprocesses — so the wall clock also
+carries the cross-process layer:
 
 * :class:`SpanContext` — a ``(trace_id, span_id)`` pair serialised in
   the W3C ``traceparent`` header format
   (``00-<32 hex trace id>-<16 hex span id>-<2 hex flags>``) so context
   survives HTTP hops and pickled multiprocessing payloads.
 * :class:`Tracer` — a thread-safe per-process span recorder with a
-  bounded in-memory ring, flushed (append-only JSONL) to a durable
-  per-process span log under a shared trace directory.  Tracing must
-  never be able to OOM or corrupt the system it observes: the ring is
-  fixed-capacity, log writes are line-buffered appends, and readers
-  tolerate torn trailing lines.
+  bounded in-memory ring, and (when given a ``log_dir``) an append-only
+  JSONL span log under a shared trace directory.  Tracing must never
+  be able to OOM or corrupt the system it observes: the ring is
+  fixed-capacity (overflow drops the oldest span and counts it), log
+  writes are one append per span, and readers tolerate torn trailing
+  lines.
 * A collector — :func:`collect_spans`, :func:`align_clocks`,
   :func:`trace_for_job`, :func:`validate_trace` — that merges the
-  per-process logs into one timeline, aligns cross-process clock skew
-  against each span's parent, and exports Chrome-trace/Perfetto JSON
-  with real OS pid lanes (:func:`spans_to_chrome`).
+  per-process logs into one timeline and aligns cross-process clock
+  skew against each span's parent.
+* :func:`spans_to_chrome` — the one Chrome-trace/Perfetto exporter:
+  wall spans on real OS pid lanes, sim events on one cycle lane.
 * :func:`critical_path` — a deepest-covering-span sweep that attributes
   every microsecond of a job's makespan to exactly one category
   (route, queue wait, replay, simulation, store I/O, …), so the
   segment sum always equals the end-to-end span by construction.
-
-Span timestamps are epoch microseconds (``time.time_ns() // 1000``) so
-logs from different processes on one host share a clock; durations are
-measured with ``perf_counter`` for resolution.
 """
 
 from __future__ import annotations
@@ -39,9 +50,10 @@ import re
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "TRACEPARENT_HEADER",
@@ -55,12 +67,19 @@ __all__ = [
     "validate_trace",
     "trace_for_job",
     "spans_to_chrome",
+    "export_chrome_trace",
     "critical_path",
     "CriticalPath",
     "CATEGORY_LABELS",
 ]
 
 TRACEPARENT_HEADER = "traceparent"
+
+SIM_LANE_PID = 0
+"""Chrome-trace pid of the simulated-time lane.  No OS process can hold
+pid 0, so the lane never collides with a real process lane."""
+
+SIM_LANE_LABEL = "simulated time (1 cycle = 1 us)"
 
 _TRACEPARENT_RE = re.compile(r"^00-([0-9a-f]{32})-([0-9a-f]{16})-([0-9a-f]{2})$")
 
@@ -122,7 +141,13 @@ class SpanContext:
 
 @dataclass
 class Span:
-    """One finished span.  ``ts`` is epoch us, ``dur`` is us."""
+    """One finished span or simulated-time event.
+
+    On the wall clock ``ts`` is epoch us and ``dur`` is us; on the sim
+    clock ``ts`` is a cycle, ``dur`` is 0 and the ids are empty.  ``ph``
+    is the Chrome-trace phase: ``"X"`` (complete span), ``"i"``
+    (instant) or ``"C"`` (counter, ``attrs`` holds the values).
+    """
 
     name: str
     cat: str
@@ -136,6 +161,8 @@ class Span:
     tid: int = 0
     attrs: Dict[str, Any] = field(default_factory=dict)
     status: str = "ok"
+    ph: str = "X"
+    clock: str = "wall"
 
     @property
     def end(self) -> int:
@@ -162,6 +189,11 @@ class Span:
             out["parent_id"] = self.parent_id
         if self.attrs:
             out["attrs"] = self.attrs
+        # defaults stay implicit so wall-span log lines keep their shape
+        if self.ph != "X":
+            out["ph"] = self.ph
+        if self.clock != "wall":
+            out["clock"] = self.clock
         return out
 
     @classmethod
@@ -179,6 +211,8 @@ class Span:
             tid=int(data.get("tid", 0)),
             attrs=data.get("attrs", {}) or {},
             status=data.get("status", "ok"),
+            ph=data.get("ph", "X"),
+            clock=data.get("clock", "wall"),
         )
 
 
@@ -227,23 +261,21 @@ class Tracer:
     """Thread-safe per-process span recorder with a durable JSONL log.
 
     Finished spans land in a bounded ring (oldest evicted, eviction
-    counted) and, when ``log_dir`` is set, are appended to a
-    per-process ``<service>-<pid>-<nonce>.spans.jsonl`` file.  The log
-    file is created lazily on the first flushed span so an idle tracer
-    leaves no artifacts.
+    counted) and, when ``log_dir`` is set, each is appended as it is
+    recorded to a per-process ``<service>-<pid>-<nonce>.spans.jsonl``
+    file.  The log file is created lazily on the first span so an idle
+    tracer leaves no artifacts.
     """
 
     def __init__(self, service: str, log_dir: Optional[Union[str, Path]] = None,
-                 capacity: int = 4096, flush_every: int = 1) -> None:
+                 capacity: int = 4096) -> None:
         if capacity <= 0:
             raise ValueError("tracer capacity must be positive")
         self.service = service
         self.log_dir = Path(log_dir) if log_dir is not None else None
         self.capacity = capacity
-        self.flush_every = max(1, int(flush_every))
         self.dropped = 0
-        self._spans: List[Span] = []
-        self._pending: List[Span] = []
+        self._spans: Deque[Span] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._log_path: Optional[Path] = None
 
@@ -283,78 +315,68 @@ class Tracer:
             ts_us = _now_us() - dur_us
         if context is None:
             context = parent.child() if parent else SpanContext.mint()
-        span = Span(
-            name=name,
-            cat=cat,
-            trace_id=context.trace_id,
+        return self._record(
+            name=name, cat=cat, trace_id=context.trace_id,
             span_id=context.span_id,
             parent_id=parent.span_id if parent else None,
-            ts=int(ts_us),
-            dur=dur_us,
-            process=self.service,
-            pid=os.getpid(),
+            ts=int(ts_us), dur=dur_us,
+            attrs=dict(attrs) if attrs else {}, status=status)
+
+    def sim_event(self, name: str, cat: str, ph: str, cycle: int,
+                  tid: int = 0,
+                  attrs: Optional[Dict[str, Any]] = None) -> Span:
+        """Record a simulated-time instant (``ph="i"``) or counter
+        (``ph="C"``) stamped with ``cycle``; it joins no trace."""
+        return self._record(
+            name=name, cat=cat, trace_id="", span_id="", parent_id=None,
+            # float(): the batched kernel hands over numpy scalars
+            ts=float(cycle), dur=0, tid=tid,
             attrs=dict(attrs) if attrs else {},
-            status=status,
-        )
-        self._store(span)
-        return span
+            ph=ph, clock="sim")
 
     def _finish(self, active: _ActiveSpan, ts_us: int, dur_us: int) -> Span:
-        span = Span(
-            name=active.name,
-            cat=active.cat,
+        return self._record(
+            name=active.name, cat=active.cat,
             trace_id=active.context.trace_id,
-            span_id=active.context.span_id,
-            parent_id=active.parent_id,
-            ts=ts_us,
-            dur=dur_us,
-            process=self.service,
-            pid=os.getpid(),
-            attrs=active.attrs,
-            status=active.status,
-        )
-        self._store(span)
+            span_id=active.context.span_id, parent_id=active.parent_id,
+            ts=ts_us, dur=dur_us, attrs=active.attrs, status=active.status)
+
+    def _record(self, **fields: Any) -> Span:
+        span = Span(process=self.service, pid=os.getpid(), **fields)
+        with self._lock:
+            if len(self._spans) == self.capacity:
+                self.dropped += 1
+            self._spans.append(span)
+            if self.log_dir is not None:
+                self._append_to_log(span)
         return span
 
-    def _store(self, span: Span) -> None:
-        with self._lock:
-            self._spans.append(span)
-            if len(self._spans) > self.capacity:
-                del self._spans[0]
-                self.dropped += 1
-            if self.log_dir is not None:
-                self._pending.append(span)
-                if len(self._pending) >= self.flush_every:
-                    self._flush_locked()
-
-    # -- durability --------------------------------------------------
-
-    def flush(self) -> None:
-        """Append any unflushed spans to the durable log."""
-        with self._lock:
-            self._flush_locked()
-
-    def _flush_locked(self) -> None:
-        if not self._pending or self.log_dir is None:
-            return
+    def _append_to_log(self, span: Span) -> None:
         if self._log_path is None:
             self.log_dir.mkdir(parents=True, exist_ok=True)
             nonce = uuid.uuid4().hex[:6]
             self._log_path = self.log_dir / (
                 f"{self.service}-{os.getpid()}-{nonce}.spans.jsonl"
             )
-        lines = "".join(
-            json.dumps(span.to_json_dict(), sort_keys=True) + "\n"
-            for span in self._pending
-        )
         with open(self._log_path, "a", encoding="utf-8") as handle:
-            handle.write(lines)
-        self._pending.clear()
+            handle.write(json.dumps(span.to_json_dict(), sort_keys=True)
+                         + "\n")
+
+    # -- inspection --------------------------------------------------
 
     def spans(self) -> List[Span]:
         """Snapshot of the in-memory ring, oldest first."""
         with self._lock:
             return list(self._spans)
+
+    def __len__(self) -> int:
+        return len(self._spans)
+
+    def clear(self) -> None:
+        """Empty the ring and reset the drop count."""
+        with self._lock:
+            self._spans.clear()
+            self.dropped = 0
 
 
 _PROCESS_TRACERS: Dict[Tuple[str, str], Tracer] = {}
@@ -487,37 +509,43 @@ def _chrome_tid(span: Span) -> int:
 
 
 def spans_to_chrome(spans: List[Span]) -> dict:
-    """Chrome Trace Event JSON with real OS pid lanes.
+    """Chrome Trace Event JSON: the one exporter of :class:`Span` data.
 
-    Timestamps are normalised to the earliest span so traces load near
-    t=0; each process gets a ``process_name`` metadata event.
+    Wall spans go on real OS pid lanes, their timestamps normalised to
+    the earliest wall span so traces load near t=0.  Sim events go on
+    one lane (pid :data:`SIM_LANE_PID`) with raw cycle timestamps, so
+    viewers render cycle counts directly.  Every lane gets a
+    ``process_name`` metadata event.
     """
-    if not spans:
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
-    origin = min(s.ts for s in spans)
+    origin = min((s.ts for s in spans if s.clock == "wall"), default=0)
     names: Dict[int, str] = {}
     events: List[dict] = []
     for span in spans:
-        names.setdefault(span.pid, f"{span.process} (pid {span.pid})")
-        args: Dict[str, Any] = {
-            "trace_id": span.trace_id,
-            "span_id": span.span_id,
-        }
-        if span.parent_id:
-            args["parent_id"] = span.parent_id
-        if span.status != "ok":
-            args["status"] = span.status
-        args.update(span.attrs)
-        events.append({
+        if span.clock == "sim":
+            pid, ts, tid = SIM_LANE_PID, span.ts, span.tid
+            names.setdefault(pid, SIM_LANE_LABEL)
+            args: Dict[str, Any] = dict(span.attrs)
+        else:
+            pid, ts, tid = span.pid, span.ts - origin, _chrome_tid(span)
+            names.setdefault(pid, f"{span.process} (pid {span.pid})")
+            args = {"trace_id": span.trace_id, "span_id": span.span_id}
+            if span.parent_id:
+                args["parent_id"] = span.parent_id
+            if span.status != "ok":
+                args["status"] = span.status
+            args.update(span.attrs)
+        event: Dict[str, Any] = {
             "name": span.name,
             "cat": span.cat or "span",
-            "ph": "X",
-            "ts": span.ts - origin,
-            "dur": max(span.dur, 1),
-            "pid": span.pid,
-            "tid": _chrome_tid(span),
-            "args": args,
-        })
+            "ph": span.ph,
+            "ts": ts,
+        }
+        if span.ph == "X":
+            event["dur"] = max(span.dur, 1)
+        elif span.ph == "i":
+            event["s"] = "t"  # instant scope: thread
+        event.update(pid=pid, tid=tid, args=args)
+        events.append(event)
     metadata = [
         {
             "name": "process_name",
@@ -529,6 +557,14 @@ def spans_to_chrome(spans: List[Span]) -> dict:
         for pid, label in sorted(names.items())
     ]
     return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
+
+
+def export_chrome_trace(spans: List[Span], path: Union[str, Path]) -> Path:
+    """Write :func:`spans_to_chrome` of ``spans`` to ``path``."""
+    path = Path(path)
+    with open(path, "w") as handle:
+        json.dump(spans_to_chrome(spans), handle, indent=1)
+    return path
 
 
 @dataclass

@@ -39,7 +39,6 @@ from typing import Dict, Tuple
 
 from ..control import MIGRATE, REQUEUE, CompositeControl, requeue
 from ..errors import ConfigurationError
-from ..obs.trace import TraceEvent
 from .policies import Scheduler, SchedView
 from .signals import SchedSensor
 
@@ -171,10 +170,9 @@ class SchedHook:
             if telemetry.enabled:
                 telemetry.series_for("sched.migrations").append(
                     now, float(self.migrations))
-                telemetry.emit(TraceEvent(
-                    name="sched.migrate", cat="sched", ph="i", ts=now,
-                    args={"policy": self.policy.name, "moves": applied},
-                ))
+                telemetry.event(
+                    "sched.migrate", "sched", "i", now,
+                    attrs={"policy": self.policy.name, "moves": applied})
 
     def _actuate(self, moves: Dict[int, int], now: int) -> int:
         engine = self._actuator

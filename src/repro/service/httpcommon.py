@@ -281,8 +281,6 @@ class HttpService:
         await self._wind_down()
         self._server.close()
         await self._server.wait_closed()
-        if self.tracer is not None:
-            self.tracer.flush()
 
     def serve_forever(self) -> None:
         """Blocking entry point (``repro serve``/``repro fleet``)."""

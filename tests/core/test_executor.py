@@ -230,12 +230,36 @@ class TestExecutorTelemetry:
         from repro.obs.telemetry import Telemetry
 
         telemetry = Telemetry()
-        SweepExecutor(jobs=1, store=ResultStore(),
-                      telemetry=telemetry).run(grid_cells(policies=("rr",)))
-        spans = [e for e in telemetry.trace.events() if e.ph == "X"]
+        SweepExecutor(jobs=1, store=ResultStore(), telemetry=telemetry,
+                      tracer=telemetry.trace).run(
+                          grid_cells(policies=("rr",)))
+        spans = [e for e in telemetry.trace.spans() if e.ph == "X"]
         names = {e.name for e in spans}
-        assert "grid[2]" in names
-        assert sum(1 for e in spans if e.name.startswith("cell ")) == 2
+        assert "executor.grid" in names
+        assert sum(1 for e in spans if e.name == "cell.simulate") == 2
+
+    def test_each_grid_cell_hit_and_put_is_one_span(self):
+        from repro.obs.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        store = ResultStore()
+        cells = grid_cells(policies=("rr",))
+        for _ in range(2):  # cold, then warm
+            SweepExecutor(jobs=1, store=store, telemetry=telemetry,
+                          tracer=telemetry.trace).run(cells)
+        names = [e.name for e in telemetry.trace.spans()]
+        assert sorted(names) == sorted(
+            ["executor.grid"] * 2 + ["cell.simulate"] * 2
+            + ["store.put"] * 2 + ["cell.cached"] * 2)
+
+    def test_no_tracer_records_no_spans(self):
+        from repro.obs.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        SweepExecutor(jobs=1, store=ResultStore(), telemetry=telemetry).run(
+            grid_cells(policies=("rr",)))
+        assert telemetry.counters["executor.simulated"].value == 2
+        assert len(telemetry.trace) == 0
 
     def test_failures_counted(self):
         from repro.obs.telemetry import Telemetry

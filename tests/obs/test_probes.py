@@ -90,20 +90,20 @@ class TestEpochSampling:
 
     def test_counter_events_emitted(self):
         hub, probe, _result = run_probed(InspectableMachine(), [make_thread()])
-        counters = [e for e in hub.trace.events() if e.ph == "C"]
+        counters = [e for e in hub.trace.spans() if e.ph == "C"]
         by_name = {}
         for event in counters:
             by_name.setdefault(event.name, []).append(event)
         assert set(by_name) == {"miss_rate", "miss_latency", "l2_share",
                                 "queue_depth"}
         assert len(by_name["miss_rate"]) == probe.samples
-        assert "vm0" in by_name["miss_rate"][0].args
+        assert "vm0" in by_name["miss_rate"][0].attrs
 
     def test_vm_completion_instants(self):
         threads = [make_thread(tid=0, vm=0, measured=10),
                    make_thread(tid=1, vm=1, core=1, measured=30)]
         hub, _probe, result = run_probed(InspectableMachine(), threads)
-        instants = {e.name: e.ts for e in hub.trace.events() if e.ph == "i"}
+        instants = {e.name: e.ts for e in hub.trace.spans() if e.ph == "i"}
         assert instants["vm0 complete"] == result.vm_completion_times[0]
         assert instants["vm1 complete"] == result.vm_completion_times[1]
 

@@ -10,7 +10,6 @@ from repro.obs.telemetry import (
     NullTelemetry,
     Telemetry,
 )
-from repro.obs.trace import SIM_PID, WALL_PID, TraceEvent
 
 
 class TestInstruments:
@@ -58,32 +57,33 @@ class TestHub:
 
     def test_span_records_wall_complete_event(self):
         hub = Telemetry()
-        with hub.span("work", cat="test", args={"k": 1}):
+        with hub.span("work", cat="test", attrs={"k": 1}):
             pass
-        events = hub.trace.events()
+        events = hub.trace.spans()
         assert len(events) == 1
         event = events[0]
         assert event.ph == "X"
-        assert event.pid == WALL_PID
+        assert event.clock == "wall"
         assert event.name == "work"
         assert event.dur >= 0
-        assert event.args == {"k": 1}
+        assert event.attrs == {"k": 1}
 
-    def test_add_span_backdates_start(self):
+    def test_record_span_backdates_start(self):
+        import time
+
         hub = Telemetry()
-        hub.add_span("cell", cat="executor", duration_s=2.0)
-        event = hub.trace.events()[0]
+        hub.trace.record_span("cell", cat="executor", duration_s=2.0)
+        event = hub.trace.spans()[0]
         assert event.ph == "X"
         assert event.dur == pytest.approx(2e6)
-        # the span ends "now": start = end - dur may precede the origin
-        from repro.obs.trace import wall_now_us
+        # the span ends "now": start = now - dur
+        assert event.ts + event.dur <= time.time_ns() // 1000
 
-        assert event.ts + event.dur <= wall_now_us()
-
-    def test_emit_appends_to_trace(self):
+    def test_event_appends_to_trace(self):
         hub = Telemetry()
-        hub.emit(TraceEvent(name="e", cat="c", ph="i", ts=1.0, pid=SIM_PID))
-        assert [e.name for e in hub.trace.events()] == ["e"]
+        hub.event("e", "c", "i", 1)
+        assert [e.name for e in hub.trace.spans()] == ["e"]
+        assert hub.trace.spans()[0].clock == "sim"
 
     def test_snapshot_is_json_serializable(self):
         import json
@@ -115,8 +115,7 @@ class TestNullTelemetry:
         hub.counter("c").inc()
         hub.gauge("g").set(9)
         hub.histogram("h").observe(1)
-        hub.emit(TraceEvent(name="e", cat="c", ph="i", ts=0.0))
-        hub.add_span("s", cat="c", duration_s=1.0)
+        hub.event("e", "c", "i", 0)
         with hub.span("s"):
             pass
         assert hub.counters == {}

@@ -1,106 +1,114 @@
-"""Tests for the trace ring buffer and Chrome-trace exporter."""
+"""Tests for the trace ring (a :class:`Tracer`) and the Chrome exporter."""
 
 import json
 
 import pytest
 
-from repro.obs.trace import (
-    SIM_PID,
-    WALL_PID,
-    TraceBuffer,
-    TraceEvent,
-    chrome_trace_dict,
+from repro.obs.tracing import (
+    SIM_LANE_PID,
+    Span,
+    Tracer,
     export_chrome_trace,
+    spans_to_chrome,
 )
 
 
-def ev(name="e", ph="i", ts=0.0, **kw):
-    return TraceEvent(name=name, cat="test", ph=ph, ts=ts, **kw)
+def wall(name="w", pid=1234, process="proc", ts=0, dur=0):
+    return Span(name=name, cat="test", trace_id="a" * 32,
+                span_id="1" * 16, parent_id=None, ts=ts, dur=dur,
+                process=process, pid=pid)
+
+
+def sim(name="e", ph="i", cycle=0, **kw):
+    tracer = Tracer("t")
+    return tracer.sim_event(name, "test", ph, cycle, **kw)
+
+
+def chrome_events(spans):
+    return [e for e in spans_to_chrome(spans)["traceEvents"]
+            if e["ph"] != "M"]
+
+
+def lane_labels(spans):
+    return {e["pid"]: e["args"]["name"]
+            for e in spans_to_chrome(spans)["traceEvents"]
+            if e["ph"] == "M"}
 
 
 class TestTraceBuffer:
     def test_append_and_iterate_in_order(self):
-        buf = TraceBuffer(capacity=8)
+        tracer = Tracer("t", capacity=8)
         for index in range(3):
-            buf.append(ev(name=f"e{index}", ts=float(index)))
-        assert [e.name for e in buf] == ["e0", "e1", "e2"]
-        assert len(buf) == 3
-        assert buf.dropped == 0
+            tracer.sim_event(f"e{index}", "test", "i", index)
+        assert [e.name for e in tracer.spans()] == ["e0", "e1", "e2"]
+        assert len(tracer) == 3
+        assert tracer.dropped == 0
 
     def test_overflow_drops_oldest_and_counts(self):
-        buf = TraceBuffer(capacity=3)
+        tracer = Tracer("t", capacity=3)
         for index in range(5):
-            buf.append(ev(name=f"e{index}"))
-        assert [e.name for e in buf.events()] == ["e2", "e3", "e4"]
-        assert buf.dropped == 2
-        assert len(buf) == 3
+            tracer.sim_event(f"e{index}", "test", "i", index)
+        assert [e.name for e in tracer.spans()] == ["e2", "e3", "e4"]
+        assert tracer.dropped == 2
+        assert len(tracer) == 3
 
     def test_clear_resets_dropped(self):
-        buf = TraceBuffer(capacity=1)
-        buf.append(ev())
-        buf.append(ev())
-        buf.clear()
-        assert len(buf) == 0
-        assert buf.dropped == 0
+        tracer = Tracer("t", capacity=1)
+        tracer.sim_event("e", "test", "i", 0)
+        tracer.sim_event("e", "test", "i", 1)
+        tracer.clear()
+        assert len(tracer) == 0
+        assert tracer.dropped == 0
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
-            TraceBuffer(capacity=0)
+            Tracer("t", capacity=0)
 
 
 class TestEventJson:
     def test_complete_span_has_dur(self):
-        d = ev(ph="X", ts=10.0, dur=5.0).to_json_dict()
+        (d,) = chrome_events([wall(ts=10, dur=5)])
         assert d["ph"] == "X"
-        assert d["dur"] == 5.0
+        assert d["dur"] == 5
 
     def test_instant_has_scope_and_no_dur(self):
-        d = ev(ph="i", ts=1.0).to_json_dict()
+        (d,) = chrome_events([sim(ph="i", cycle=1)])
         assert d["s"] == "t"
         assert "dur" not in d
 
     def test_counter_args_pass_through(self):
-        d = ev(ph="C", args={"vm0": 0.5}).to_json_dict()
+        (d,) = chrome_events([sim(ph="C", attrs={"vm0": 0.5})])
         assert d["args"] == {"vm0": 0.5}
         assert "dur" not in d
 
 
 class TestChromeTraceExport:
     def test_dict_includes_metadata_for_seen_pids_only(self):
-        payload = chrome_trace_dict([ev(pid=SIM_PID)])
-        metadata = [e for e in payload["traceEvents"] if e["ph"] == "M"]
-        assert len(metadata) == 1
-        assert metadata[0]["pid"] == SIM_PID
-        assert "cycle" in metadata[0]["args"]["name"]
+        labels = lane_labels([sim()])
+        assert list(labels) == [SIM_LANE_PID]
+        assert "cycle" in labels[SIM_LANE_PID]
 
     def test_both_clock_domains_labelled(self):
-        payload = chrome_trace_dict([ev(pid=SIM_PID), ev(pid=WALL_PID)])
-        metadata = [e for e in payload["traceEvents"] if e["ph"] == "M"]
-        assert {m["pid"] for m in metadata} == {SIM_PID, WALL_PID}
+        labels = lane_labels([sim(), wall(pid=1234)])
+        assert set(labels) == {SIM_LANE_PID, 1234}
 
     def test_unknown_pids_get_distinct_fallback_labels(self):
         # merged multi-process traces: every OS pid present in the
         # stream must render as its own named lane, not collide
-        payload = chrome_trace_dict([ev(pid=1234), ev(pid=5678)])
-        metadata = {e["pid"]: e["args"]["name"]
-                    for e in payload["traceEvents"] if e["ph"] == "M"}
-        assert metadata == {1234: "process 1234", 5678: "process 5678"}
+        labels = lane_labels([wall(pid=1234), wall(pid=5678)])
+        assert labels == {1234: "proc (pid 1234)", 5678: "proc (pid 5678)"}
 
     def test_caller_labels_override_fallbacks(self):
-        payload = chrome_trace_dict(
-            [ev(pid=1234), ev(pid=SIM_PID)],
-            process_names={1234: "worker w0 (pid 1234)"})
-        metadata = {e["pid"]: e["args"]["name"]
-                    for e in payload["traceEvents"] if e["ph"] == "M"}
-        assert metadata[1234] == "worker w0 (pid 1234)"
-        assert "cycle" in metadata[SIM_PID]
+        # a span's process name labels its lane; the sim lane keeps its
+        # cycle label alongside
+        labels = lane_labels([wall(pid=1234, process="worker w0"), sim()])
+        assert labels[1234] == "worker w0 (pid 1234)"
+        assert "cycle" in labels[SIM_LANE_PID]
 
     def test_export_writes_loadable_json(self, tmp_path):
-        events = [
-            ev(name="span", ph="X", ts=0.0, dur=3.0, pid=WALL_PID),
-            ev(name="mark", ph="i", ts=1.0, pid=SIM_PID),
-        ]
-        path = export_chrome_trace(events, tmp_path / "trace.json")
+        spans = [wall(name="span", ts=100, dur=3),
+                 sim(name="mark", cycle=1)]
+        path = export_chrome_trace(spans, tmp_path / "trace.json")
         loaded = json.loads(path.read_text())
         assert loaded["displayTimeUnit"] == "ms"
         names = [e["name"] for e in loaded["traceEvents"]]
@@ -108,3 +116,19 @@ class TestChromeTraceExport:
         # every event carries the fields Perfetto requires
         for event in loaded["traceEvents"]:
             assert {"name", "ph", "pid", "tid"} <= set(event)
+        # wall time is normalised to the first wall span, cycles are raw
+        stamps = {e["name"]: e["ts"] for e in loaded["traceEvents"]
+                  if e["ph"] != "M"}
+        assert stamps == {"span": 0, "mark": 1.0}
+
+
+class TestSpanLogShape:
+    def test_wall_span_line_omits_default_phase_and_clock(self):
+        assert not {"ph", "clock"} & set(wall().to_json_dict())
+
+    def test_sim_event_round_trips_phase_and_clock(self):
+        event = sim(ph="C", cycle=7, attrs={"vm0": 1})
+        data = event.to_json_dict()
+        assert (data["ph"], data["clock"]) == ("C", "sim")
+        back = Span.from_json_dict(data)
+        assert (back.ph, back.clock, back.ts) == ("C", "sim", 7)

@@ -96,7 +96,6 @@ class TestTracer:
     def test_no_log_dir_leaves_no_files(self, tmp_path):
         tracer = Tracer("t")
         tracer.record_span("s", "job", 0.0)
-        tracer.flush()
         assert tracer.log_path is None
         assert list(tmp_path.iterdir()) == []
 

@@ -395,6 +395,70 @@ class TestSweepExecutorFlags:
         assert err.count("cached") == 20
 
 
+class TestChromeTraceExports:
+    """The four Chrome-trace exports load, and carry the right lanes."""
+
+    @staticmethod
+    def load(path):
+        events = json.loads(path.read_text())["traceEvents"]
+        lanes = {e["pid"]: e["args"]["name"] for e in events
+                 if e["ph"] == "M"}
+        return events, lanes
+
+    def assert_sim_and_wall_lanes(self, path):
+        events, lanes = self.load(path)
+        (sim_pid,) = [pid for pid, name in lanes.items() if "cycle" in name]
+        sim = [e for e in events if e["pid"] == sim_pid and e["ph"] != "M"]
+        assert {"miss_rate", "l2_share"} <= {
+            e["name"] for e in sim if e["ph"] == "C"}
+        assert "vm0 complete" in {e["name"] for e in sim if e["ph"] == "i"}
+        wall = [e for e in events if e["pid"] != sim_pid and e["ph"] == "X"]
+        assert [e["name"] for e in wall] == ["simulate mix1/shared-4/rr"]
+        assert lanes[wall[0]["pid"]].endswith(f"(pid {wall[0]['pid']})")
+
+    def assert_executor_spans(self, path, err):
+        events, _lanes = self.load(path)
+        names = [e["name"] for e in events if e["ph"] == "X"]
+        cold = sum(1 for line in err.splitlines()
+                   if line.startswith("[") and "cached" not in line)
+        assert cold > 0
+        assert names.count("executor.grid") == 1
+        assert names.count("cell.simulate") == cold
+
+    def test_run_trace_out(self, capsys, tmp_path):
+        out = tmp_path / "run.json"
+        code, _out, _err = run_cli(
+            capsys, "run", "--mix", "mix1", "--policy", "rr", "--refs",
+            "300", "--seed", "1", "--epoch", "1000", "--trace-out",
+            str(out))
+        assert code == 0
+        self.assert_sim_and_wall_lanes(out)
+
+    def test_trace_out(self, capsys, tmp_path):
+        out = tmp_path / "trace.json"
+        code, _out, _err = run_cli(
+            capsys, "trace", "--mix", "mix1", "--policy", "rr", "--refs",
+            "300", "--seed", "1", "--epoch", "1000", "--out", str(out))
+        assert code == 0
+        self.assert_sim_and_wall_lanes(out)
+
+    def test_sweep_trace_out(self, capsys, tmp_path):
+        out = tmp_path / "sweep.json"
+        code, _out, err = run_cli(
+            capsys, "sweep", "--mix", "iso-tpch", "--refs", "300",
+            "--seed", "1", "--progress", "--trace-out", str(out))
+        assert code == 0
+        self.assert_executor_spans(out, err)
+
+    def test_profile_out(self, capsys, tmp_path):
+        out = tmp_path / "profile.json"
+        code, _out, err = run_cli(
+            capsys, "profile", "mixes", "--mixes", "mix1,mix2", "--refs",
+            "300", "--progress", "--out", str(out))
+        assert code == 0
+        self.assert_executor_spans(out, err)
+
+
 class TestSuiteCommand:
     def test_suite_list(self, capsys):
         code, out, _err = run_cli(capsys, "suite", "list")
