@@ -126,8 +126,8 @@ def _fold_np(state: PrivateState, blocks):
     prev[sort_order[1:][same]] = sort_order[:-1][same]
 
     idx = _np.arange(n, dtype=_np.int64)
-    # gap=2n is an always-miss sentinel (thresholds never exceed c1*n)
-    gap = _np.where(prev >= 0, idx - prev, 2 * n + max(state.c1, 1))
+    # always-miss sentinel: thresholds peak at c1*n (one distinct block)
+    gap = _np.where(prev >= 0, idx - prev, state.c1 * n + 1)
     firsts = _np.nonzero(prev < 0)[0]
     if ranks:
         blk_list = arr.tolist()
@@ -148,10 +148,8 @@ def _fold_np(state: PrivateState, blocks):
     is_run_end = _np.ones(n, dtype=bool)
     is_run_end[:-1] = sorted_blocks[1:] != sorted_blocks[:-1]
     last_positions = _np.sort(sort_order[is_run_end])
-    last_index = {
-        int(b): int(i)
-        for b, i in zip(arr[last_positions].tolist(), last_positions.tolist())
-    }
+    last_index = dict(zip(arr[last_positions].tolist(),
+                          last_positions.tolist()))
     _finish_epoch(state, order, last_index)
     return levels
 
@@ -195,15 +193,20 @@ def self_check():
     levels = fold_private(state, [10, 8, 11, 12], use_numpy=False)
     assert levels[0] == 0, levels
     assert len(state.resident_blocks()) == 4
+    # a first touch always misses, even when so few distinct blocks
+    # push the L1 threshold past the epoch length
+    levels = fold_private(PrivateState(2, 64), [1, 2, 3, 4, 5] * 200)
+    assert list(levels[:6]) == [2, 2, 2, 2, 2, 0], levels[:6]
     if HAVE_NUMPY:
-        a = PrivateState(c0=2, c1=4)
-        b = PrivateState(c0=2, c1=4)
-        stream = [5, 6, 5, 7, 8, 9, 5, 6, 10, 10, 11, 6]
-        for lo, hi in ((0, 6), (6, 12)):
-            va = fold_private(a, stream[lo:hi], use_numpy=False)
-            vb = fold_private(b, stream[lo:hi], use_numpy=True)
-            assert list(va) == list(vb.tolist()), (va, vb)
-            assert a.resident_blocks() == b.resident_blocks()
+        for c1, stream in ((4, [5, 6, 5, 7, 8, 9, 5, 6, 10, 10, 11, 6]),
+                           (64, [1, 2, 3, 4, 5] * 40)):
+            a, b = PrivateState(2, c1), PrivateState(2, c1)
+            half = len(stream) // 2
+            for epoch in (stream[:half], stream[half:]):
+                va = fold_private(a, epoch, use_numpy=False)
+                vb = fold_private(b, epoch, use_numpy=True)
+                assert va == vb.tolist(), (va, vb)
+                assert a.resident_blocks() == b.resident_blocks()
     return True
 
 

@@ -6,15 +6,17 @@ stepping one reference at a time through cache/coherence/mesh objects,
 it advances every thread one *epoch* (``epoch_refs`` references) at a
 time:
 
-1. each thread's address stream for the epoch is pulled as a batch
-   (numpy arrays when available — see
-   :meth:`repro.workloads.generator.ThreadTrace.take_batch`);
+1. each thread's address stream for the epoch is pulled as three
+   int64 columns (slices of the trace buffer — see
+   :meth:`repro.workloads.generator.ThreadTrace.take_batch`), which
+   stay arrays through the whole epoch;
 2. references are classified against a stack-distance model of the
    private L0/L1 (:mod:`repro.sim._batchfold`) — the vectorized hot
    path, since it sees every reference;
-3. the surviving L2-level references are folded through per-set
-   occupancy state per L2 domain, classifying local hits,
-   cross-domain cache-to-cache transfers, and memory fetches;
+3. the surviving L2-level references of each L2 domain are merged by
+   estimated issue time (one ``lexsort``) and replayed through per-set
+   occupancy state, classifying local hits, cross-domain
+   cache-to-cache transfers, and memory fetches;
 4. coherence effects of writes (upgrades, invalidations) and queueing
    delays on shared resources (L2 banks, memory channels, mesh links —
    an M/D/1 waiting-time estimate fed by the previous epoch's arrival
@@ -52,18 +54,16 @@ utility monitors work unchanged).
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
 from typing import Dict, List, Optional
+
+import numpy as _np
 
 from ..control import EPOCH_PROBE, QUOTA
 from ..errors import SimulationError
 from ._batchfold import HAVE_NUMPY, PrivateState, fold_private
-from .engine import EngineResult, ThreadStats
+from .engine import EngineResult
 from .records import HitLevel
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - fallback path
-    _np = None
 
 __all__ = ["BatchedEngine", "DEFAULT_EPOCH_REFS"]
 
@@ -71,6 +71,12 @@ DEFAULT_EPOCH_REFS = 1024
 """Default references per thread per folding epoch."""
 
 _LEVELS = len(HitLevel)
+_L2, _L2_PEER, _C2C_CLEAN, _C2C_DIRTY, _MEMORY = range(HitLevel.L2, _LEVELS)
+_MISS_LEVELS = range(_L2, _LEVELS)  # the levels of an L1 miss
+
+
+def _level_counts(lv) -> List[int]:
+    return _np.bincount(lv, minlength=_LEVELS).tolist()
 
 
 class _Line:
@@ -92,13 +98,11 @@ class _DomainState:
     :meth:`repro.caches.partitioning.WayQuota.victim_selector` expects.
     """
 
-    __slots__ = ("domain_id", "sets", "resident", "recent_evictions",
-                 "evict_cap")
+    __slots__ = ("domain_id", "sets", "recent_evictions", "evict_cap")
 
     def __init__(self, domain_id: int, evict_cap: int = 0):
         self.domain_id = domain_id
         self.sets: Dict[int, Dict[int, _Line]] = {}
-        self.resident = 0
         # blocks recently evicted from this L2 (LRU) — the window in
         # which a peer L1 may still hold a line the L2 has dropped
         self.recent_evictions: Dict[int, None] = {}
@@ -143,7 +147,8 @@ class BatchedEngine:
         References per thread per folding epoch.
     use_numpy:
         Force (``True``) or forbid (``False``) the vectorized private
-        filter; ``None`` auto-detects.
+        fold (``False`` runs its pure-Python oracle); ``None``
+        auto-detects.  Every other step works on numpy columns.
     """
 
     #: capabilities (:mod:`repro.control`): pre-folded batches admit
@@ -380,8 +385,7 @@ class BatchedEngine:
         ch = self._ctrl_hops[core]
         dh = self._data_hops[core]
         out = list(base)
-        for level in (HitLevel.L2, HitLevel.L2_PEER, HitLevel.C2C_CLEAN,
-                      HitLevel.C2C_DIRTY, HitLevel.MEMORY):
+        for level in _MISS_LEVELS:
             out[level] += ch[level] * w_link_c + dh[level] * w_link_d
             out[level] += w_l2_local
         # cross-domain transfers also queue at the provider's bank
@@ -395,22 +399,18 @@ class BatchedEngine:
     # ------------------------------------------------------------------
 
     def _take_batch(self, thread):
-        """One epoch of (blocks, writes, thinks) for ``thread``."""
+        """One epoch of (blocks, writes, thinks) int64 columns."""
         refs = thread.references
         take = getattr(refs, "take_batch", None)
         if take is not None:
             return take(self.epoch_refs)
-        rows = []
-        for _ in range(self.epoch_refs):
-            ref = next(refs, None)
-            if ref is None:
-                raise SimulationError(
-                    f"thread {thread.thread_id} reference stream ended; "
-                    "workload generators must be infinite"
-                )
-            rows.append(ref)
-        blocks, writes, thinks = zip(*rows)
-        return list(blocks), list(writes), list(thinks)
+        rows = list(islice(refs, self.epoch_refs))
+        if len(rows) < self.epoch_refs:
+            raise SimulationError(
+                f"thread {thread.thread_id} reference stream ended; "
+                "workload generators must be infinite"
+            )
+        return [_np.asarray(col, dtype=_np.int64) for col in zip(*rows)]
 
     # ------------------------------------------------------------------
     # the epoch loop
@@ -445,10 +445,10 @@ class BatchedEngine:
             for t in threads:
                 blocks, writes, thinks = self._take_batch(t)
                 batches[t.thread_id] = (blocks, writes, thinks)
-                levels[t.thread_id] = fold_private(
+                levels[t.thread_id] = _np.asarray(fold_private(
                     self._private[t.thread_id], blocks,
                     use_numpy=self.use_numpy,
-                )
+                ), dtype=_np.int64)
                 total_refs += len(blocks)
 
             prev_clocks = dict(clocks)
@@ -515,7 +515,8 @@ class BatchedEngine:
         memory-latency penalty, like the reference path).
 
         Events within a domain are merged by *estimated issue time*
-        ``clock[tid] + (i + 1) * rate[tid]``, not by reference index.
+        ``clock[tid] + (i + 1) * rate[tid]`` (ties broken by index,
+        then thread), not by reference index.
         The distinction matters for pipelined-scan workloads: the
         thread leading the scan pays compulsory misses, slows down in
         wall-clock, and in the reference engine the trailing threads
@@ -525,32 +526,39 @@ class BatchedEngine:
         reference's load-balancing feedback at epoch granularity.
         """
         tap = getattr(self.machine, "l2_tap", None)
+        # domain -> [(est, index, thread, vm, block, write) columns]
         by_domain: Dict[int, List] = {}
         for t in threads:
-            lv = levels[t.thread_id]
-            if self.use_numpy:
-                idxs = _np.nonzero(lv == 2)[0].tolist()
-            else:
-                idxs = [i for i, v in enumerate(lv) if v == 2]
-            if not idxs:
-                continue
-            domain = self._domain_of_core[t.core_id]
-            blocks, writes, _thinks = batches[t.thread_id]
             tid = t.thread_id
-            clock = clocks[tid]
-            rate = self._rates[tid]
-            events = by_domain.setdefault(domain, [])
-            for i in idxs:
-                events.append((clock + (i + 1) * rate, i, tid, t.vm_id,
-                               int(blocks[i]), bool(writes[i])))
+            idx = _np.flatnonzero(levels[tid] == 2)
+            if idx.size:
+                blocks, writes, _thinks = batches[tid]
+                by_domain.setdefault(self._domain_of_core[t.core_id], []).append((
+                    clocks[tid] + (idx + 1) * self._rates[tid], idx,
+                    _np.full(idx.size, tid), _np.full(idx.size, t.vm_id),
+                    blocks[idx], writes[idx]))
 
         dir_penalties: Dict[int, List[int]] = {}
         for domain_id in sorted(by_domain):
-            events = by_domain[domain_id]
-            events.sort()
-            self._fold_domain(domain_id, events, levels, tap, dir_penalties)
-        for idxs in dir_penalties.values():
-            idxs.sort()
+            est, idx, tids, vms, blocks, writes = (
+                _np.concatenate(col) for col in zip(*by_domain[domain_id]))
+            order = _np.lexsort((tids, idx, est))
+            idx, tids = idx[order], tids[order]
+            out, missed = self._fold_domain(
+                domain_id, blocks[order].tolist(),
+                writes[order].astype(bool).tolist(), tids.tolist(),
+                vms[order].tolist(), tap,
+            )
+            out = _np.asarray(out)
+            dir_missed = _np.zeros(order.size, dtype=bool)
+            dir_missed[missed] = True
+            # a thread's events stay in index order through the merge
+            for tid in _np.unique(tids).tolist():
+                mine = tids == tid
+                levels[tid][idx[mine]] = out[mine]
+                penalised = idx[mine & dir_missed]
+                if penalised.size:
+                    dir_penalties[tid] = penalised.tolist()
         return dir_penalties
 
     def _dir_access(self, block: int) -> bool:
@@ -567,79 +575,83 @@ class BatchedEngine:
         self.dir_misses += 1
         return False
 
-    def _fold_domain(self, domain_id, events, levels, tap,
-                     dir_penalties) -> None:
+    def _fold_domain(self, domain_id, blocks, writes, tids, vms, tap):
+        """Replay one domain's merged L2 events against its sets.
+
+        Returns each event's final level and the merge positions that
+        missed the directory cache.
+        """
         state = self._domains[domain_id]
         sets = state.sets
+        recent = state.recent_evictions
+        evict_cap = state.evict_cap
         mask = self._set_mask
         assoc = self._assoc
         quota = getattr(self.machine.domains[domain_id], "quota", None)
-        others = [d for d in self._domains if d.domain_id != domain_id]
+        others = [d.sets for d in self._domains if d.domain_id != domain_id]
         siblings = self._domain_threads.get(domain_id, ())
-        for _est, i, tid, vm_id, block, write in events:
+        dir_access = self._dir_access
+        out = []
+        missed = []
+        writebacks = 0
+        for k, block in enumerate(blocks):
+            vm_id = vms[k]
             if tap is not None:
                 tap(domain_id, vm_id, block)
             set_id = block & mask
             cache_set = sets.get(set_id)
             if cache_set is None:
                 cache_set = sets[set_id] = {}
-            line = cache_set.get(block)
+            line = cache_set.pop(block, None)
             if line is not None:
-                # hit: refresh recency (move to MRU position)
-                del cache_set[block]
-                cache_set[block] = line
-                level = HitLevel.L2
-            else:
-                level = self._classify_miss(state, siblings, tid, others,
-                                            set_id, block)
-                if level != HitLevel.L2_PEER and not self._dir_access(block):
-                    dir_penalties.setdefault(tid, []).append(i)
-                if len(cache_set) >= assoc:
-                    self._evict(state, cache_set, vm_id, quota)
-                # a write miss fills the line exclusive: ownership is
-                # part of the fetch, so reconciliation must not charge
-                # a separate upgrade for it
-                cache_set[block] = _Line(vm_id, write)
-                state.recent_evictions.pop(block, None)
-                state.resident += 1
-            levels[tid][i] = int(level)
+                cache_set[block] = line  # hit: refresh recency (MRU)
+                out.append(_L2)
+                continue
+            level = _MEMORY
+            if block in recent:
+                # the L2 dropped the line recently; a sibling L1 may
+                # still hold it (the reference's intra-domain window)
+                tid = tids[k]
+                for peer_tid, peer_state in siblings:
+                    if peer_tid != tid and block in peer_state.resident:
+                        level = _L2_PEER
+                        break
+            if level == _MEMORY:
+                for other_sets in others:
+                    other_set = other_sets.get(set_id)
+                    if other_set is not None:
+                        line = other_set.get(block)
+                        if line is not None:
+                            level = _C2C_DIRTY if line.dirty else _C2C_CLEAN
+                            break
+                if not dir_access(block):
+                    missed.append(k)
+            if len(cache_set) >= assoc:
+                victim = None
+                if quota is not None:
+                    victim = quota.victim_selector(vm_id)(cache_set)
+                if victim is None:
+                    victim = next(iter(cache_set))  # LRU
+                if cache_set.pop(victim).dirty:
+                    writebacks += 1
+                recent.pop(victim, None)
+                recent[victim] = None
+                if len(recent) > evict_cap:
+                    del recent[next(iter(recent))]
+            # a write miss fills the line exclusive: ownership is part
+            # of the fetch, so reconciliation must not charge a
+            # separate upgrade for it
+            cache_set[block] = _Line(vm_id, writes[k])
+            recent.pop(block, None)
+            out.append(level)
 
-    def _classify_miss(self, state, siblings, tid, others, set_id,
-                       block) -> HitLevel:
-        if block in state.recent_evictions:
-            # the L2 dropped the line recently; a sibling L1 may still
-            # hold it (the reference's intra-domain transfer window)
-            for peer_tid, peer_state in siblings:
-                if peer_tid != tid and block in peer_state.resident:
-                    self.intra_domain_transfers += 1
-                    return HitLevel.L2_PEER
-        for other in others:
-            other_set = other.sets.get(set_id)
-            if other_set is not None:
-                line = other_set.get(block)
-                if line is not None:
-                    if line.dirty:
-                        self.c2c_dirty += 1
-                        return HitLevel.C2C_DIRTY
-                    self.c2c_clean += 1
-                    return HitLevel.C2C_CLEAN
-        self.memory_fetches += 1
-        return HitLevel.MEMORY
-
-    def _evict(self, state, cache_set, vm_id, quota) -> None:
-        victim = None
-        if quota is not None:
-            victim = quota.victim_selector(vm_id)(cache_set)
-        if victim is None:
-            victim = next(iter(cache_set))  # LRU
-        line = cache_set.pop(victim)
-        if line.dirty:
-            self.writebacks += 1
-        recent = state.recent_evictions
-        recent.pop(victim, None)
-        recent[victim] = None
-        if len(recent) > state.evict_cap:
-            del recent[next(iter(recent))]
+        counts = _level_counts(out)
+        self.writebacks += writebacks
+        self.intra_domain_transfers += counts[_L2_PEER]
+        self.c2c_clean += counts[_C2C_CLEAN]
+        self.c2c_dirty += counts[_C2C_DIRTY]
+        self.memory_fetches += counts[_MEMORY]
+        return out, missed
 
     # ------------------------------------------------------------------
     # write reconciliation (upgrades + invalidations)
@@ -655,31 +667,29 @@ class BatchedEngine:
         dirty, and copies in other domains are invalidated.
         """
         mask = self._set_mask
-        # domain -> {block: (earliest estimated write time, thread id)}
-        written: Dict[int, Dict[int, tuple]] = {}
+        # domain -> [(block, estimated write time, thread id) columns]
+        written: Dict[int, List] = {}
         for t in threads:
-            blocks, writes, _thinks = batches[t.thread_id]
-            domain = self._domain_of_core[t.core_id]
-            dom_written = written.setdefault(domain, {})
             tid = t.thread_id
-            clock = clocks[tid]
-            rate = self._rates[tid]
-            if self.use_numpy and not isinstance(writes, list):
-                idxs = _np.nonzero(_np.asarray(writes) != 0)[0].tolist()
-            else:
-                idxs = [i for i, w in enumerate(writes) if w]
-            for i in idxs:
-                block = int(blocks[i])
-                est = (clock + (i + 1) * rate, tid)
-                prev = dom_written.get(block)
-                if prev is None or est < prev:
-                    dom_written[block] = est
+            blocks, writes, _thinks = batches[tid]
+            idx = _np.flatnonzero(writes)
+            if idx.size:
+                written.setdefault(self._domain_of_core[t.core_id], []).append(
+                    (blocks[idx], clocks[tid] + (idx + 1) * self._rates[tid],
+                     _np.full(idx.size, tid)))
 
         upgrades_by_thread: Dict[int, int] = {}
         for domain_id in sorted(written):
             state = self._domains[domain_id]
             others = [d for d in self._domains if d.domain_id != domain_id]
-            for block, (_est, tid) in written[domain_id].items():
+            blocks, est, tids = (_np.concatenate(col)
+                                 for col in zip(*written[domain_id]))
+            # each block's earliest (time, thread) write sorts first
+            order = _np.lexsort((tids, est, blocks))
+            _, first = _np.unique(blocks[order], return_index=True)
+            earliest = order[first]
+            for block, tid in zip(blocks[earliest].tolist(),
+                                  tids[earliest].tolist()):
                 set_id = block & mask
                 cache_set = state.sets.get(set_id)
                 line = cache_set.get(block) if cache_set is not None else None
@@ -688,9 +698,7 @@ class BatchedEngine:
                 if not line.dirty:
                     line.dirty = True
                     self.upgrades += 1
-                    upgrades_by_thread[tid] = (
-                        upgrades_by_thread.get(tid, 0) + 1
-                    )
+                    upgrades_by_thread[tid] = upgrades_by_thread.get(tid, 0) + 1
                 for other in others:
                     other_set = other.sets.get(set_id)
                     if other_set is not None:
@@ -723,8 +731,8 @@ class BatchedEngine:
             lv = levels[tid]
             n = len(blocks)
             lat = self._epoch_latencies(t.core_id)
-            counts = self._level_counts(lv)
-            think_total = self._total(thinks)
+            counts = _level_counts(lv)
+            think_total = float(thinks.sum())
             lat_total = 0.0
             for level, count in enumerate(counts):
                 lat_total += count * lat[level]
@@ -734,16 +742,11 @@ class BatchedEngine:
             mem_lat = float(self.machine.config.memory_latency)
             lat_total += len(penalties) * mem_lat
             domain = self._domain_of_core[t.core_id]
-            l1_miss_count = 0
-            for level in (HitLevel.L2, HitLevel.L2_PEER, HitLevel.C2C_CLEAN,
-                          HitLevel.C2C_DIRTY, HitLevel.MEMORY):
-                l1_miss_count += counts[level]
-            l2_arrivals[domain] += l1_miss_count
+            l2_arrivals[domain] += sum(counts[_L2:])
             mem_arrivals += counts[HitLevel.MEMORY]
             ch = self._ctrl_hops[t.core_id]
             dh = self._data_hops[t.core_id]
-            for level in (HitLevel.L2, HitLevel.L2_PEER, HitLevel.C2C_CLEAN,
-                          HitLevel.C2C_DIRTY, HitLevel.MEMORY):
+            for level in _MISS_LEVELS:
                 if counts[level]:
                     legs = ch[level] + dh[level]
                     flits = (ch[level] * self._ctrl_flits
@@ -785,8 +788,8 @@ class BatchedEngine:
                 k = window_end - issued_before
                 partial = (
                     k
-                    + self._total(thinks[:k])
-                    + self._lat_sum(lv, lat, 0, k)
+                    + float(thinks[:k].sum())
+                    + float(_np.asarray(lat)[lv[:k]].sum())
                     + bisect_left(penalties, k) * mem_lat
                 )
                 t.completion_time = int(round(clocks[tid] + partial))
@@ -815,12 +818,12 @@ class BatchedEngine:
         stats = t.stats
         if a == 0 and b == n:
             counts = full_counts
-            w = self._total(writes)
-            think = self._total(thinks)
+            w = writes.sum()
+            think = thinks.sum()
         else:
-            counts = self._level_counts(lv[a:b])
-            w = self._total(writes[a:b])
-            think = self._total(thinks[a:b])
+            counts = _level_counts(lv[a:b])
+            w = writes[a:b].sum()
+            think = thinks[a:b].sum()
         refs = b - a
         stats.refs += refs
         stats.writes += int(w)
@@ -861,30 +864,6 @@ class BatchedEngine:
         stats.cache_cycles += int(round(
             lat_total - mem_cycles - dir_cycles - net
         ))
-
-    # -- small backend-agnostic helpers --------------------------------
-
-    def _level_counts(self, lv):
-        counts = [0] * _LEVELS
-        if self.use_numpy and not isinstance(lv, list):
-            binned = _np.bincount(lv, minlength=_LEVELS)
-            for level in range(_LEVELS):
-                counts[level] = int(binned[level])
-        else:
-            for v in lv:
-                counts[v] += 1
-        return counts
-
-    def _total(self, values):
-        if self.use_numpy and not isinstance(values, (list, tuple)):
-            return float(_np.sum(values))
-        return float(sum(values))
-
-    def _lat_sum(self, lv, lat, a, b):
-        if self.use_numpy and not isinstance(lv, list):
-            table = _np.asarray(lat, dtype=_np.float64)
-            return float(table[lv[a:b]].sum())
-        return float(sum(lat[v] for v in lv[a:b]))
 
     # ------------------------------------------------------------------
     # queueing reconciliation

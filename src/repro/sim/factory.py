@@ -158,11 +158,9 @@ def resolve_mode(mode: str, needs: AbstractSet[str] = frozenset()) -> str:
     ``"auto"`` picks ``"batched"`` only when the batched engine
     provides every capability in ``needs`` (see :mod:`repro.control`:
     no over-commit, rebinding, scheduler, scenario, VM churn or
-    heterogeneous chip) *and* numpy is importable; the pure-Python
-    folding fallback exists for constrained environments, but ``auto``
-    should never silently choose the slow path.  Explicitly requesting
-    ``"batched"`` without numpy is honoured (the fallback runs);
-    requesting it for needs it lacks raises at build time.
+    heterogeneous chip) *and* numpy is importable.  An explicit
+    ``"batched"`` passes through unchanged; requesting it for needs it
+    lacks raises at build time.
     """
     mode = (mode or "auto").strip().lower()
     if mode == "auto":

@@ -3,7 +3,9 @@
 :class:`ThreadTrace` turns a :class:`~repro.workloads.profile.WorkloadProfile`
 into an infinite, deterministic stream of ``(block, is_write, think)``
 tuples for one thread.  Generation is vectorized in batches so the
-generator never becomes the simulation bottleneck.
+generator never becomes the simulation bottleneck: each refill is kept
+as three int64 columns plus a cursor, sliced by the batched engine
+(:meth:`ThreadTrace.take_batch`) and read as tuples by ``__next__``.
 
 The pipelined-scan model of the shared-read pool (see the profile
 module docstring) is implemented here: thread ``t`` samples uniformly
@@ -19,12 +21,14 @@ from typing import Iterator, List, Tuple
 import numpy as np
 
 from ..errors import WorkloadError
-from ..sim.records import MemoryReference
 from .profile import WorkloadProfile
 
 __all__ = ["ThreadTrace", "WorkloadInstance"]
 
 Ref = Tuple[int, int, int]
+Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+_NO_REFS: Columns = tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
 
 
 class ThreadTrace:
@@ -89,7 +93,7 @@ class ThreadTrace:
         self._scan_start = lead % self._shared_size if self._shared_size else 0
 
         self._count = 0  # total references generated (drives the scan)
-        self._pending: List[Ref] = []
+        self._set_buffer(_NO_REFS)
         self._phases = tuple(phases) if phases else ()
         self._phase_profiles = tuple(
             phase.apply_to(profile) for phase in self._phases
@@ -106,46 +110,49 @@ class ThreadTrace:
         return self
 
     def __next__(self) -> Ref:
-        if not self._pending:
-            self._refill()
-        ref = self._pending.pop()
+        pending = self._pending
+        if not pending:  # hand the buffer's rest to the iterator
+            if self._pos == len(self._cols[0]):
+                self._refill()
+            pending = self._pending = self._pop_order()
+            self._pos = len(self._cols[0])
+        ref = pending.pop()
         scale = self._load_scale
         if scale != 1.0:
             return (ref[0], ref[1], int(ref[2] * scale))
         return ref
 
-    def references(self) -> Iterator[MemoryReference]:
-        """The same stream as typed :class:`MemoryReference` records."""
-        for block, access, think in self:
-            yield MemoryReference(block, access, think)
-
-    def take_batch(self, n: int) -> Tuple[List[int], List[int], List[int]]:
-        """Consume the next ``n`` references as three parallel columns.
+    def take_batch(self, n: int) -> Columns:
+        """Consume the next ``n`` references as three int64 columns.
 
         Returns ``(blocks, writes, thinks)`` covering *exactly* the same
         references, in the same order, as ``n`` calls to ``__next__`` —
-        the batched engine's bulk entry point.  Mixing ``take_batch``
-        and iteration is safe: any references already buffered for the
+        the batched engine's bulk entry point.  The columns are slices
+        of the trace buffer (copied only when the batch spans refills)
+        and must not be written to.  Mixing ``take_batch`` and
+        iteration is safe: any references already buffered for the
         iterator are consumed first.
         """
         if n <= 0:
             raise WorkloadError("take_batch size must be positive")
-        rows: List[Ref] = []
-        while len(rows) < n:
-            if not self._pending:
+        if self._pending:  # take back the iterator's unconsumed tail
+            self._pos = len(self._cols[0]) - len(self._pending)
+            self._pending = []
+        parts = []
+        while n:
+            if self._pos == len(self._cols[0]):
                 self._refill()
-            take = min(n - len(rows), len(self._pending))
-            # _pending is stored reversed (pop() from the end yields
-            # generation order), so the next `take` refs are the tail.
-            chunk = self._pending[-take:]
-            del self._pending[-take:]
-            chunk.reverse()
-            rows.extend(chunk)
-        blocks, writes, thinks = zip(*rows)
+            pos = self._pos
+            self._pos = end = min(pos + n, len(self._cols[0]))
+            n -= end - pos
+            parts.append([col[pos:end] for col in self._cols])
+        blocks, writes, thinks = (
+            parts[0] if len(parts) == 1
+            else [np.concatenate(col) for col in zip(*parts)])
         scale = self._load_scale
         if scale != 1.0:
-            thinks = [int(t * scale) for t in thinks]
-        return list(blocks), list(writes), list(thinks)
+            thinks = (thinks * scale).astype(np.int64)
+        return blocks, writes, thinks
 
     # ------------------------------------------------------------------
     # scenario actuation (see repro.scenarios.hook)
@@ -189,7 +196,19 @@ class ThreadTrace:
         self._phase_profiles = tuple(
             phase.apply_to(variant) for phase in self._phases
         )
-        self._pending.clear()
+        self._set_buffer(_NO_REFS)
+
+    # the trace buffer: one refill's columns, a cursor, and the rest
+    # handed to the iterator as tuples in pop order (last first)
+
+    def _set_buffer(self, cols: Columns) -> None:
+        self._cols = cols
+        self._pos = 0
+        self._pending = []
+
+    def _pop_order(self) -> List[Ref]:
+        pos = self._pos
+        return list(zip(*(col[pos:][::-1].tolist() for col in self._cols)))
 
     # ------------------------------------------------------------------
 
@@ -263,9 +282,7 @@ class ThreadTrace:
             thinks = np.zeros(n, dtype=np.int64)
 
         self._count += n
-        batch = list(zip(blocks.tolist(), writes.tolist(), thinks.tolist()))
-        batch.reverse()  # pop() then yields in generation order
-        self._pending = batch
+        self._set_buffer((blocks, writes, thinks))
 
     @staticmethod
     def _sample_powerlaw(
@@ -279,13 +296,14 @@ class ThreadTrace:
     # ------------------------------------------------------------------
 
     def state(self) -> dict:
-        """Serializable generator state (see :mod:`.checkpoint`)."""
+        """Serializable generator state (see :mod:`.checkpoint`);
+        ``pending`` lists the unconsumed buffer in pop order."""
         return {
             "thread_index": self.thread_index,
             "base_block": self.base_block,
             "batch_size": self.batch_size,
             "count": self._count,
-            "pending": list(self._pending),
+            "pending": list(self._pending) or self._pop_order(),
             "rng_state": self._rng.bit_generator.state,
             "load_scale": self._load_scale,
         }
@@ -304,7 +322,9 @@ class ThreadTrace:
             )
         self.batch_size = state["batch_size"]
         self._count = state["count"]
-        self._pending = [tuple(ref) for ref in state["pending"]]
+        rows = np.array(state["pending"], dtype=np.int64).reshape(-1, 3)
+        self._set_buffer(tuple(
+            np.ascontiguousarray(rows[::-1, k]) for k in range(3)))
         self._rng.bit_generator.state = state["rng_state"]
         self._load_scale = float(state.get("load_scale", 1.0))
 

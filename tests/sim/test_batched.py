@@ -47,6 +47,60 @@ class TestTakeBatch:
         with pytest.raises(WorkloadError):
             self._trace().take_batch(0)
 
+    def test_crosses_phase_boundaries(self):
+        # refills stop at phase ends (37 and 50 refs), shorter than the
+        # batch, so every take_batch below concatenates several refills
+        from repro.workloads.phases import Phase
+
+        phases = [Phase("burst", 37, (("think_mean", 3.0),)),
+                  Phase("calm", 50, (("p_hot", 0.1),))]
+
+        def trace():
+            return ThreadTrace(WORKLOADS["tpch"], thread_index=0,
+                               base_block=0, rng=np.random.default_rng(3),
+                               batch_size=64, phases=phases)
+
+        a, b = trace(), trace()
+        expected = [next(a) for _ in range(700)]
+        got = []
+        for n in (100, 1, 199, 400):
+            got.extend(zip(*b.take_batch(n)))
+        assert got == expected
+
+    def test_load_scale_matches_iterator(self):
+        a, b = self._trace(), self._trace()
+        a.set_load_scale(0.5)
+        b.set_load_scale(0.5)
+        expected = [next(a) for _ in range(300)]
+        columns = b.take_batch(300)
+        assert [col.dtype for col in columns] == [np.int64] * 3
+        assert list(zip(*columns)) == expected
+        assert any(t for (_b, _w, t) in expected)
+
+
+class TestPrivateFold:
+    """The numpy private fold must agree with its pure-Python oracle,
+    including on epochs that touch only a handful of blocks (where the
+    L1 threshold ``c1 * n / distinct`` exceeds the epoch length)."""
+
+    @pytest.mark.parametrize("working_set", [1, 2, 5, 17, 64, 300])
+    def test_numpy_matches_python(self, working_set):
+        from repro.sim._batchfold import PrivateState, fold_private
+
+        rng = np.random.default_rng(working_set)
+        fast, slow = PrivateState(4, 64), PrivateState(4, 64)
+        for _epoch in range(4):
+            blocks = rng.integers(0, working_set, 512).tolist()
+            expected = fold_private(slow, blocks, use_numpy=False)
+            got = fold_private(fast, blocks, use_numpy=True)
+            assert got.tolist() == expected
+            assert fast.resident_blocks() == slow.resident_blocks()
+
+    def test_self_check(self):
+        from repro.sim._batchfold import self_check
+
+        assert self_check()
+
 
 class TestConstruction:
     def _threads(self, cores=(0, 1)):

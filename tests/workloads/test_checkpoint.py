@@ -1,5 +1,7 @@
 """Tests for workload checkpoint save/restore."""
 
+import json
+
 import pytest
 
 from repro.errors import CheckpointError, WorkloadError
@@ -39,6 +41,39 @@ class TestRoundTrip:
         checkpoint_from_json(restored, text)
         replayed = [[next(t) for _ in range(300)] for t in restored.traces]
         assert continued == replayed
+
+    def test_format1_pending_restores_mid_batch(self):
+        """``pending`` keeps its format-1 layout: the unconsumed rest of
+        the current refill, last reference first (the iterator's pop
+        order).  Such a checkpoint restores mid-batch, for the iterator
+        and the batched engine's ``take_batch`` alike."""
+        stream = make_instance().trace(0)
+        full = [list(next(stream)) for _ in range(400)]
+
+        original = make_instance()
+        for _ in range(100):  # batch_size 64: 28 references stay buffered
+            next(original.trace(0))
+        payload = json.loads(checkpoint_to_json(original))
+        assert payload["format_version"] == 1
+        thread_state = payload["state"]["threads"][0]
+        assert thread_state["pending"] == full[100:128][::-1]
+        thread_state["pending"] = full[100:128][::-1]
+        text = json.dumps(payload)
+
+        restored = make_instance()
+        checkpoint_from_json(restored, text)
+        trace = restored.trace(0)
+        got = [list(next(trace)) for _ in range(10)]
+        got += [list(ref) for ref in zip(*(col.tolist()
+                                           for col in trace.take_batch(90)))]
+        got += [list(next(trace)) for _ in range(100)]
+        assert got == full[100:300]
+
+        batched = make_instance()
+        checkpoint_from_json(batched, text)
+        columns = batched.trace(0).take_batch(300)
+        assert [list(ref) for ref in zip(*(col.tolist() for col in columns))
+                ] == full[100:400]
 
     def test_file_round_trip(self, tmp_path):
         inst = make_instance()
