@@ -37,7 +37,7 @@ def drive_analytical(pairs, flits, gap):
     time = 0
     for src, dst in pairs:
         time += gap
-        total += mesh.traverse(src, dst, flits, time).latency
+        total += mesh.traverse(src, dst, flits, time)
     return total / len(pairs)
 
 

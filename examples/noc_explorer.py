@@ -49,7 +49,7 @@ def run_analytical(gap, rng):
         while dst == src:
             dst = int(rng.integers(16))
         time += gap
-        total += mesh.traverse(src, dst, DATA_FLITS, time).latency
+        total += mesh.traverse(src, dst, DATA_FLITS, time)
     return total / PACKETS
 
 

@@ -21,7 +21,7 @@ domain.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from .geometry import CacheGeometry
@@ -62,14 +62,13 @@ class CoreCacheStack:
         :meth:`mark_dirty` separately, *after* the machine model has
         obtained write permission from the directory.
         """
-        line = self.l0.lookup(block)
-        if line is not None:
+        if self.l0.lookup(block) is not None:
             return 0
         line = self.l1.lookup(block)
-        if line is not None:
-            self._fill_l0(block, line.dirty)
-            return 1
-        return None
+        if line is None:
+            return None
+        self._fill_l0(block, line.dirty)
+        return 1
 
     def mark_dirty(self, block: int) -> None:
         """Mark a privately-cached block modified and claim ownership
@@ -80,18 +79,33 @@ class CoreCacheStack:
         line = self.l1.peek(block)
         if line is not None:
             line.dirty = True
-        self._claim_ownership(block)
+        if self.domain is not None:
+            self.domain.note_private_write(block, self.slot)
 
     def fill(self, block: int, dirty: bool) -> None:
         """Install a block into L1 and L0 after a miss was satisfied."""
+        domain = self.domain
         evicted = self.l1.insert(block, PrivateLine(dirty))
         if evicted is not None:
-            self._spill_l1_victim(*evicted)
+            # an L1 capacity eviction: merge the L0 copy's state into
+            # the victim and tell the domain
+            victim, victim_line = evicted
+            l0_line = self.l0.invalidate(victim)
+            if domain is None:
+                raise SimulationError(
+                    f"core {self.core_id} evicted from L1 before being "
+                    "attached to an L2 domain"
+                )
+            if victim_line.dirty or (l0_line is not None and l0_line.dirty):
+                domain.writeback(victim, self.slot)
+            domain.note_private_eviction(victim, self.slot)
         self._fill_l0(block, dirty)
-        if self.domain is not None:
-            self.domain.note_private_fill(block, self.slot)
-        if dirty:
-            self._claim_ownership(block)
+        if domain is not None:
+            line = domain.cache.peek(block)
+            if line is not None:
+                line.l1_mask |= 1 << self.slot
+                if dirty:
+                    line.l1_owner = self.slot
 
     def invalidate(self, block: int) -> bool:
         """Drop the block from L0 and L1; True if a dirty copy existed."""
@@ -130,23 +144,6 @@ class CoreCacheStack:
                 # L1 lost the line already (race with back-invalidation
                 # ordering); push dirtiness to the domain directly.
                 self.domain.writeback(victim, self.slot)
-
-    def _spill_l1_victim(self, victim: int, victim_line: PrivateLine) -> None:
-        """Handle an L1 capacity eviction: merge L0 state, notify domain."""
-        l0_line = self.l0.invalidate(victim)
-        dirty = victim_line.dirty or (l0_line is not None and l0_line.dirty)
-        if self.domain is None:
-            raise SimulationError(
-                f"core {self.core_id} evicted from L1 before being attached "
-                "to an L2 domain"
-            )
-        if dirty:
-            self.domain.writeback(victim, self.slot)
-        self.domain.note_private_eviction(victim, self.slot)
-
-    def _claim_ownership(self, block: int) -> None:
-        if self.domain is not None:
-            self.domain.note_private_write(block, self.slot)
 
 
 class L2Domain:
@@ -212,24 +209,24 @@ class L2Domain:
 
     def fill(
         self, block: int, dirty: bool, vm_id: int, requester_slot: int
-    ) -> List[Tuple[int, bool]]:
+    ) -> Sequence[Tuple[int, bool]]:
         """Install a block brought in from outside the domain.
 
-        Returns the list of ``(victim_block, victim_was_dirty)`` evicted
+        Returns the ``(victim_block, victim_was_dirty)`` pairs evicted
         to make room.  Victims are back-invalidated from member private
         caches to preserve inclusion; a dirty private copy makes the
         victim dirty regardless of the L2 line's own state.
         """
-        line = L2Line(dirty=dirty, vm_id=vm_id)
-        line.add_sharer(requester_slot)
+        line = L2Line(dirty, vm_id)
+        line.l1_mask = 1 << requester_slot
         if dirty:
             line.l1_owner = requester_slot
         selector = (
             self.quota.victim_selector(vm_id) if self.quota is not None else None
         )
-        evicted = self.cache.insert(block, line, victim_selector=selector)
+        evicted = self.cache.insert(block, line, selector)
         if evicted is None:
-            return []
+            return ()
         victim, victim_line = evicted
         victim_dirty = self._back_invalidate(victim, victim_line)
         if victim_dirty:
@@ -247,11 +244,6 @@ class L2Domain:
     # ------------------------------------------------------------------
     # intra-domain bookkeeping (called by member stacks)
     # ------------------------------------------------------------------
-
-    def note_private_fill(self, block: int, slot: int) -> None:
-        line = self.cache.peek(block)
-        if line is not None:
-            line.add_sharer(slot)
 
     def note_private_eviction(self, block: int, slot: int) -> None:
         line = self.cache.peek(block)

@@ -35,7 +35,8 @@ class SetAssocCache:
         Diagnostic label, e.g. ``"core3/L1"`` or ``"l2/domain0"``.
     """
 
-    __slots__ = ("geometry", "policy", "name", "stats", "_sets", "_set_mask")
+    __slots__ = ("geometry", "policy", "name", "stats", "_sets", "_set_mask",
+                 "_promotes", "_assoc")
 
     def __init__(
         self,
@@ -49,6 +50,10 @@ class SetAssocCache:
         self.stats = CacheStats()
         self._sets: list = [{} for _ in range(geometry.num_sets)]
         self._set_mask = geometry.num_sets - 1
+        # read on every hit and fill: the policy's flag and the geometry
+        # are fixed for the array's life
+        self._promotes = self.policy.promotes_on_hit
+        self._assoc = geometry.assoc
 
     # ------------------------------------------------------------------
     # core operations
@@ -67,7 +72,7 @@ class SetAssocCache:
             stats.misses += 1
             return None
         stats.hits += 1
-        if self.policy.promotes_on_hit:
+        if self._promotes:
             del cache_set[block]
             cache_set[block] = line
         return line
@@ -103,7 +108,7 @@ class SetAssocCache:
             cache_set[block] = line
             return None
         evicted = None
-        if len(cache_set) >= self.geometry.assoc:
+        if len(cache_set) >= self._assoc:
             victim = None
             if victim_selector is not None:
                 victim = victim_selector(cache_set)
@@ -132,7 +137,7 @@ class SetAssocCache:
         line = cache_set.get(block)
         if line is None:
             return False
-        if self.policy.promotes_on_hit:
+        if self._promotes:
             del cache_set[block]
             cache_set[block] = line
         return True

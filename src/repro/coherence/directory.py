@@ -93,10 +93,11 @@ class DirectoryCache:
         self._cache = SetAssocCache(geometry, name=f"tile{tile_id}/dircache")
 
     def access(self, block: int) -> bool:
-        hit = self._cache.lookup(block) is not None
-        if not hit:
-            self._cache.insert(block, _DIR_TAG)
-        return hit
+        cache = self._cache
+        if cache.lookup(block) is not None:
+            return True
+        cache.insert(block, _DIR_TAG)
+        return False
 
     @property
     def hits(self) -> int:
@@ -140,7 +141,7 @@ class Directory:
 
     def cache_access(self, block: int) -> bool:
         """Directory-cache lookup at the home tile; True on hit."""
-        return self.caches[self.home_tile(block)].access(block)
+        return self.caches[block % self.num_tiles].access(block)
 
     def forget(self, block: int) -> None:
         """Drop an INVALID entry to bound memory use."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from ..errors import CoherenceError
 from .directory import Directory, DirectoryEntry
@@ -38,8 +38,7 @@ class DataSource(enum.IntEnum):
     NONE = 3  # upgrade: requester already has current data
 
 
-@dataclass(frozen=True)
-class FetchOutcome:
+class FetchOutcome(NamedTuple):
     """Result of resolving one domain-level miss or upgrade.
 
     Attributes
@@ -65,6 +64,12 @@ class FetchOutcome:
     invalidate_domains: tuple = ()
     fill_dirty: bool = False
     memory_writeback: bool = False
+
+
+# a fetch from memory carries no per-miss data: one immutable outcome
+# per access kind serves every such miss
+_MEMORY_READ = FetchOutcome(DataSource.MEMORY)
+_MEMORY_WRITE = FetchOutcome(DataSource.MEMORY, fill_dirty=True)
 
 
 @dataclass
@@ -114,7 +119,7 @@ class CoherenceController:
         """Resolve a domain miss (the block is absent from ``domain``)."""
         self._check_domain(domain)
         entry = self.directory.entry(block)
-        if entry.is_sharer(domain):
+        if entry.sharers >> domain & 1:
             raise CoherenceError(
                 f"domain {domain} missed on block {block:#x} but the "
                 f"directory lists it as a sharer ({entry!r}); eviction "
@@ -163,7 +168,7 @@ class CoherenceController:
             self.stats.memory_fetches += 1
             entry.state = DirState.SHARED
             entry.add_sharer(domain)
-            return FetchOutcome(source=DataSource.MEMORY)
+            return _MEMORY_READ
         if entry.state == DirState.SHARED:
             self.stats.c2c_clean += 1
             provider = self._closest_sharer(entry, domain)
@@ -187,7 +192,7 @@ class CoherenceController:
             entry.state = DirState.MODIFIED
             entry.owner = domain
             entry.sharers = 1 << domain
-            return FetchOutcome(source=DataSource.MEMORY, fill_dirty=True)
+            return _MEMORY_WRITE
         if entry.state == DirState.SHARED:
             victims = tuple(entry.sharer_list())
             self.stats.c2c_clean += 1
@@ -225,11 +230,11 @@ class CoherenceController:
         """A domain dropped its copy (capacity eviction or back-inval)."""
         self._check_domain(domain)
         entry = self.directory.peek(block)
-        if entry is None or not entry.is_sharer(domain):
+        if entry is None or not entry.sharers >> domain & 1:
             # Invalidation initiated by the directory itself: the
             # sharer bit is already gone. Nothing to do.
             return
-        entry.drop_sharer(domain)
+        entry.sharers &= ~(1 << domain)
         if entry.owner == domain:
             entry.owner = -1
             if was_dirty:

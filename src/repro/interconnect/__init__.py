@@ -1,6 +1,6 @@
 """On-chip network substrate: mesh topology, flit-level and analytical models."""
 
-from .analytical import HOP_CYCLES, AnalyticalMesh, TraversalResult
+from .analytical import HOP_CYCLES, AnalyticalMesh
 from .network import FlitNetwork
 from .packet import FLIT_BYTES, Flit, MessageClass, Packet, flits_for
 from .router import PORTS, Port, Router
@@ -9,7 +9,6 @@ from .topology import MeshTopology
 __all__ = [
     "HOP_CYCLES",
     "AnalyticalMesh",
-    "TraversalResult",
     "FlitNetwork",
     "FLIT_BYTES",
     "Flit",

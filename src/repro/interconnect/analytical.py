@@ -17,31 +17,17 @@ per-hop constants (see ``benchmarks/test_noc_calibration.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..sim.server import FifoServer
 from .topology import MeshTopology
 
-__all__ = ["AnalyticalMesh", "TraversalResult"]
+__all__ = ["AnalyticalMesh"]
 
 #: head-flit latency per hop: 3 router pipeline stages + 1 link cycle.
 #: The paper's routers are 3-stage with speculative VC/switch allocation,
 #: so under low load a hop costs the full pipeline plus the link.
 HOP_CYCLES = 4
-
-
-@dataclass(frozen=True)
-class TraversalResult:
-    """Latency decomposition of one message traversal."""
-
-    latency: int
-    hops: int
-    queueing: int
-
-    @property
-    def zero_load(self) -> int:
-        return self.latency - self.queueing
 
 
 class AnalyticalMesh:
@@ -72,45 +58,62 @@ class AnalyticalMesh:
         ]
         self.messages = 0
         self.total_latency = 0
-        self.total_queueing = 0
-        self.total_hops = 0
         self.track_tile_traffic = track_tile_traffic
         self.tile_traffic: Dict[int, int] = {}
-        # DOR routes are static; cache the link lists per (src, dst)
-        self._route_cache: Dict[int, List[int]] = {}
+        # DOR routes are static: each (src, dst) pair's link servers
+        # are looked up once, on its first message
+        self._route_cache: Dict[int, Tuple[FifoServer, ...]] = {}
         self._route_key_shift = max(1, topology.num_tiles).bit_length()
 
-    def traverse(self, src: int, dst: int, flits: int, now: int) -> TraversalResult:
+    def traverse(self, src: int, dst: int, flits: int, now: int) -> int:
         """Send a ``flits``-flit message from ``src`` to ``dst`` at ``now``.
 
-        Returns the traversal latency including queueing.  ``src == dst``
+        Returns the traversal latency in cycles, queueing included (the
+        hops and the queueing delay show in :attr:`total_hops` and
+        :attr:`total_queueing`).  ``src == dst``
         costs nothing (same-tile communication stays inside the tile).
         """
         if src == dst:
-            return TraversalResult(latency=0, hops=0, queueing=0)
+            return 0
         key = (src << self._route_key_shift) | dst
-        links = self._route_cache.get(key)
-        if links is None:
-            links = self.topology.route_links(src, dst)
-            self._route_cache[key] = links
-        head_time = now
-        queueing = 0
+        route = self._route_cache.get(key)
+        if route is None:
+            route = self._route_cache[key] = tuple(
+                self._links[link_id]
+                for link_id in self.topology.route_links(src, dst)
+            )
         hop_cycles = self.hop_cycles
-        servers = self._links
-        for link_id in links:
-            wait = servers[link_id].request(head_time, service_time=flits)
-            queueing += wait
-            head_time += wait + hop_cycles
-        latency = (head_time - now) + (flits - 1)
+        head = now
+        for link in route:
+            # FifoServer.request(head, flits), inlined.  A link's
+            # busy_until is past its last arrival, so a head at or after
+            # busy_until finds the link idle; a head before it waits,
+            # and one before the link's last arrival is clamped to it.
+            stats = link.stats
+            busy = link.busy_until
+            if head >= busy:
+                link.busy_until = head + flits
+                stats.last_arrival = head
+            else:
+                arrival = stats.last_arrival
+                if head > arrival:
+                    arrival = head
+                wait = busy - arrival
+                link.busy_until = busy + flits
+                stats.wait_cycles += wait
+                stats.last_arrival = arrival
+                head += wait
+            stats.requests += 1
+            stats.busy_cycles += flits
+            head += hop_cycles
+        latency = (head - now) + (flits - 1)
         self.messages += 1
         self.total_latency += latency
-        self.total_queueing += queueing
-        self.total_hops += len(links)
         if self.track_tile_traffic:
             tt = self.tile_traffic
             tt[src] = tt.get(src, 0) + flits
             tt[dst] = tt.get(dst, 0) + flits
-        return TraversalResult(latency=latency, hops=len(links), queueing=queueing)
+        return latency
 
     def zero_load_latency(self, src: int, dst: int, flits: int) -> int:
         """Latency with no contention (for tests and calibration)."""
@@ -121,6 +124,18 @@ class AnalyticalMesh:
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
+
+    @property
+    def total_hops(self) -> int:
+        """Hops of every message since the last reset (one link request
+        per hop)."""
+        return sum(link.stats.requests for link in self._links)
+
+    @property
+    def total_queueing(self) -> int:
+        """Queueing cycles of every message since the last reset (the
+        waits at every link)."""
+        return sum(link.stats.wait_cycles for link in self._links)
 
     @property
     def mean_latency(self) -> float:
@@ -159,6 +174,4 @@ class AnalyticalMesh:
             link.reset()
         self.messages = 0
         self.total_latency = 0
-        self.total_queueing = 0
-        self.total_hops = 0
         self.tile_traffic.clear()

@@ -99,6 +99,28 @@ class Chip:
         self.intra_domain_transfers = 0
         self.upgrade_transactions = 0
         self.accesses = 0
+        # constants of the per-reference path, bound once; tables that
+        # fill with use (the mesh's routes) stay lazy, since every cell
+        # builds a chip and many never send most messages
+        self._l0_latency = config.l0_geometry.latency
+        self._l1_latency = config.l1_geometry.latency
+        self._private_latency = self._l0_latency + self._l1_latency
+        self._l2_latency = config.l2_latency
+        self._dir_latency = config.directory_latency
+        self._memory_latency = config.memory_latency
+        self._control_flits = config.control_flits
+        self._data_flits = config.data_flits
+        self._domain_of = self.placement.domain_of
+        self._home_tile = self.placement.home_tile
+        self._dir_tiles = self.directory.num_tiles
+        self._controllers = self.memory.controllers
+        self._num_controllers = len(self._controllers)
+        # a private read hit's timing never varies: one immutable
+        # result per level, shared by every such hit
+        self._read_hits = (
+            AccessResult(HitLevel.L0, self._l0_latency, self._l0_latency),
+            AccessResult(HitLevel.L1, self._private_latency, self._private_latency),
+        )
 
     # ------------------------------------------------------------------
     # wiring
@@ -133,84 +155,57 @@ class Chip:
     def access(self, core_id: int, block: int, is_write: bool, now: int) -> AccessResult:
         """Serve one reference; returns its decomposed timing."""
         self.accesses += 1
-        config = self.config
         stack = self.stacks[core_id]
 
         # ---- private L0/L1 -------------------------------------------
         lvl = stack.probe(block)
         if lvl is not None:
-            cache = config.l0_geometry.latency
-            if lvl == 1:
-                cache += config.l1_geometry.latency
-            net = 0
-            dir_cycles = 0
-            if is_write:
-                net, dir_cycles = self._write_permission(
-                    core_id, block, now + cache
-                )
-                stack.mark_dirty(block)
+            if not is_write:
+                return self._read_hits[lvl]
+            cache = self._l0_latency if lvl == 0 else self._private_latency
+            net, dir_cycles = self._write_permission(core_id, block, now + cache)
+            stack.mark_dirty(block)
             level = HitLevel.L0 if lvl == 0 else HitLevel.L1
-            latency = cache + net + dir_cycles
-            return AccessResult(level, latency, cache, net, dir_cycles, 0)
+            return AccessResult(
+                level, cache + net + dir_cycles, cache, net, dir_cycles, 0
+            )
 
         # ---- local L2 domain -----------------------------------------
-        domain_id = self.placement.domain_of[core_id]
+        domain_id = self._domain_of[core_id]
         domain = self.domains[domain_id]
         if self.l2_tap is not None:
             self.l2_tap(domain_id, self.vm_of_core[core_id], block)
-        home = self.placement.home_tile[domain_id]
-        cache = config.l0_geometry.latency + config.l1_geometry.latency
-        net = self.mesh.traverse(
-            core_id, home, config.control_flits, now + cache
-        ).latency
-        t = now + cache + net
-        cache += self.l2_servers[domain_id].request(t)
+        home = self._home_tile[domain_id]
+        mesh = self.mesh
+        cache = self._private_latency
+        net = mesh.traverse(core_id, home, self._control_flits, now + cache)
+        cache += self.l2_servers[domain_id].request(now + cache + net)
         line = domain.lookup(block)
-        cache += config.l2_latency
+        cache += self._l2_latency
         t = now + cache + net
-
-        if line is not None:
-            return self._finish_l2_hit(
-                core_id, block, is_write, now, domain, home, cache, net, t
+        if line is None:
+            # ---- domain miss: directory protocol ---------------------
+            return self._l2_miss(
+                core_id, block, is_write, now, domain_id, domain, home,
+                cache, net, t,
             )
 
-        # ---- domain miss: directory protocol -------------------------
-        return self._finish_l2_miss(
-            core_id, block, is_write, now, domain_id, domain, home, cache, net, t
-        )
-
-    # ------------------------------------------------------------------
-    # hit/miss completion paths
-    # ------------------------------------------------------------------
-
-    def _finish_l2_hit(
-        self,
-        core_id: int,
-        block: int,
-        is_write: bool,
-        now: int,
-        domain: L2Domain,
-        home: int,
-        cache: int,
-        net: int,
-        t: int,
-    ) -> AccessResult:
-        config = self.config
-        stack = self.stacks[core_id]
-        level = HitLevel.L2
-        owner_slot = domain.dirty_private_holder(block, exclude_slot=stack.slot)
-        if owner_slot is not None:
+        # ---- domain hit ----------------------------------------------
+        owner_slot = domain.dirty_private_holder(block, stack.slot)
+        if owner_slot is None:
+            # data returns from the domain cache
+            level = HitLevel.L2
+            net += mesh.traverse(home, core_id, self._data_flits, t)
+        else:
             # a peer core in the domain holds the only modified copy:
             # forward the request to its L1 and transfer the data
+            level = HitLevel.L2_PEER
             owner_core = domain.core_ids[owner_slot]
-            net += self.mesh.traverse(
-                home, owner_core, config.control_flits, t
-            ).latency
-            cache += config.l1_geometry.latency
-            t = now + cache + net
-            net += self.mesh.traverse(
-                owner_core, core_id, config.data_flits, t
-            ).latency
+            net += mesh.traverse(home, owner_core, self._control_flits, t)
+            cache += self._l1_latency
+            net += mesh.traverse(
+                owner_core, core_id, self._data_flits, now + cache + net
+            )
             if is_write:
                 owner_stack = domain.stacks[owner_slot]
                 if owner_stack is not None:
@@ -222,11 +217,7 @@ class Chip:
                     peer_line.l1_owner = -1
             else:
                 domain.downgrade_owner(block, owner_slot)
-            level = HitLevel.L2_PEER
             self.intra_domain_transfers += 1
-        else:
-            # data returns from the domain cache
-            net += self.mesh.traverse(home, core_id, config.data_flits, t).latency
 
         dir_cycles = 0
         if is_write:
@@ -234,12 +225,14 @@ class Chip:
                 core_id, block, now + cache + net
             )
             net += extra_net
-        stack.fill(block, dirty=is_write)
-        self._drain_writebacks(domain, now + cache + net)
-        latency = cache + net + dir_cycles
-        return AccessResult(level, latency, cache, net, dir_cycles, 0)
+        stack.fill(block, is_write)
+        if domain.writebacks_to_memory:
+            self._drain_writebacks(domain, now + cache + net)
+        return AccessResult(
+            level, cache + net + dir_cycles, cache, net, dir_cycles, 0
+        )
 
-    def _finish_l2_miss(
+    def _l2_miss(
         self,
         core_id: int,
         block: int,
@@ -252,92 +245,77 @@ class Chip:
         net: int,
         t: int,
     ) -> AccessResult:
-        config = self.config
-        stack = self.stacks[core_id]
+        mesh = self.mesh
+        control_flits = self._control_flits
         outcome = self.coherence.fetch(block, domain_id, is_write)
 
         # request travels to the block's directory home tile
-        dir_home = self.directory.home_tile(block)
-        net += self.mesh.traverse(home, dir_home, config.control_flits, t).latency
-        dir_cycles = config.directory_latency
+        dir_home = block % self._dir_tiles
+        net += mesh.traverse(home, dir_home, control_flits, t)
+        dir_cycles = self._dir_latency
         if not self.directory.cache_access(block):
             # the entry itself must be fetched from memory
-            dir_cycles += config.memory_latency
+            dir_cycles += self._memory_latency
         t = now + cache + net + dir_cycles
 
         mem_cycles = 0
-        if outcome.source == DataSource.MEMORY:
-            controller = self.memory.controller_for(block)
-            net += self.mesh.traverse(
-                dir_home, controller.tile, config.control_flits, t
-            ).latency
+        source = outcome.source
+        if source == DataSource.MEMORY:
+            controller = self._controllers[block % self._num_controllers]
+            net += mesh.traverse(dir_home, controller.tile, control_flits, t)
             t = now + cache + net + dir_cycles
-            result = controller.access(t, block)
-            mem_cycles = result.latency
+            mem_cycles = controller.access(t, block).latency
             t += mem_cycles
-            net += self.mesh.traverse(
-                controller.tile, core_id, config.data_flits, t
-            ).latency
+            net += mesh.traverse(controller.tile, core_id, self._data_flits, t)
             level = HitLevel.MEMORY
         else:
             provider = outcome.provider_domain
-            provider_home = self.placement.home_tile[provider]
-            net += self.mesh.traverse(
-                dir_home, provider_home, config.control_flits, t
-            ).latency
-            t = now + cache + net + dir_cycles
-            cache += self.l2_servers[provider].request(t)
-            cache += config.l2_latency
-            if outcome.source == DataSource.C2C_DIRTY:
-                pslot = self.domains[provider].dirty_private_holder(
-                    block, exclude_slot=-1
-                )
+            provider_home = self._home_tile[provider]
+            net += mesh.traverse(dir_home, provider_home, control_flits, t)
+            cache += self.l2_servers[provider].request(
+                now + cache + net + dir_cycles
+            )
+            cache += self._l2_latency
+            if source == DataSource.C2C_DIRTY:
+                provider_domain = self.domains[provider]
+                pslot = provider_domain.dirty_private_holder(block, -1)
                 if pslot is not None:
                     # modified data sits in a provider-core L1
-                    cache += config.l1_geometry.latency
+                    cache += self._l1_latency
                     if not is_write:
-                        self.domains[provider].downgrade_owner(block, pslot)
+                        provider_domain.downgrade_owner(block, pslot)
                 level = HitLevel.C2C_DIRTY
             else:
                 level = HitLevel.C2C_CLEAN
             t = now + cache + net + dir_cycles
-            net += self.mesh.traverse(
-                provider_home, core_id, config.data_flits, t
-            ).latency
+            net += mesh.traverse(provider_home, core_id, self._data_flits, t)
 
         # invalidations fan out from the directory home (writes)
         if outcome.invalidate_domains:
-            inval_latency = 0
-            for victim in outcome.invalidate_domains:
-                if victim == domain_id:
-                    continue
-                victim_home = self.placement.home_tile[victim]
-                leg = self.mesh.traverse(
-                    dir_home, victim_home, config.control_flits, t
-                ).latency
-                inval_latency = max(inval_latency, 2 * leg)
-                self.domains[victim].invalidate(block)
-            net += inval_latency
+            net += self._invalidate(
+                block, outcome.invalidate_domains, domain_id, dir_home, t
+            )
 
         if outcome.memory_writeback:
-            self.memory.controller_for(block).writeback(t, block)
+            self._controllers[block % self._num_controllers].writeback(t, block)
 
         # fill the domain and the private stack
-        vm_id = self.vm_of_core[core_id]
-        fill_dirty = outcome.fill_dirty or is_write
+        stack = self.stacks[core_id]
         victims = domain.fill(
-            block, dirty=fill_dirty, vm_id=vm_id, requester_slot=stack.slot
+            block, outcome.fill_dirty or is_write, self.vm_of_core[core_id],
+            stack.slot,
         )
         for victim_block, victim_dirty in victims:
             self.coherence.domain_evicted(victim_block, domain_id, victim_dirty)
-        stack.fill(block, dirty=is_write)
-        self._drain_writebacks(domain, t)
+        stack.fill(block, is_write)
+        if domain.writebacks_to_memory:
+            self._drain_writebacks(domain, t)
 
         latency = cache + net + dir_cycles + mem_cycles
         return AccessResult(level, latency, cache, net, dir_cycles, mem_cycles)
 
     # ------------------------------------------------------------------
-    # write permission (upgrades)
+    # write permission (upgrades) and invalidations
     # ------------------------------------------------------------------
 
     def _write_permission(self, core_id: int, block: int, t: int) -> tuple:
@@ -346,48 +324,62 @@ class Chip:
         Returns ``(network_cycles, directory_cycles)``; both zero on
         the fast path (this domain already owns the block modified).
         """
-        domain_id = self.placement.domain_of[core_id]
         entry = self.directory.peek(block)
         if entry is None:
             # Locally cached data always has a directory entry; treat a
             # missing one as INVALID (first touch was a warm preload).
             return 0, 0
+        domain_id = self._domain_of[core_id]
         if entry.state == DirState.MODIFIED and entry.owner == domain_id:
             return 0, 0
-        config = self.config
+        mesh = self.mesh
+        control_flits = self._control_flits
         self.upgrade_transactions += 1
-        dir_home = self.directory.home_tile(block)
-        net = self.mesh.traverse(core_id, dir_home, config.control_flits, t).latency
-        dir_cycles = config.directory_latency
+        dir_home = block % self._dir_tiles
+        net = mesh.traverse(core_id, dir_home, control_flits, t)
+        dir_cycles = self._dir_latency
         if not self.directory.cache_access(block):
-            dir_cycles += config.memory_latency
+            dir_cycles += self._memory_latency
         t2 = t + net + dir_cycles
         outcome = self.coherence.upgrade(block, domain_id)
+        if outcome.invalidate_domains:
+            net += self._invalidate(
+                block, outcome.invalidate_domains, domain_id, dir_home, t2
+            )
+        if outcome.memory_writeback:
+            self._controllers[block % self._num_controllers].writeback(t2, block)
+        net += mesh.traverse(dir_home, core_id, control_flits, t2)
+        return net, dir_cycles
+
+    def _invalidate(
+        self, block: int, victims: tuple, domain_id: int, dir_home: int, t: int
+    ) -> int:
+        """Invalidate ``block`` in the remote ``victims`` domains.
+
+        The invalidations fan out in parallel from the directory home:
+        returns the longest round trip, in network cycles.
+        """
         inval_latency = 0
-        for victim in outcome.invalidate_domains:
+        for victim in victims:
             if victim == domain_id:
                 continue
-            victim_home = self.placement.home_tile[victim]
             leg = self.mesh.traverse(
-                dir_home, victim_home, config.control_flits, t2
-            ).latency
-            inval_latency = max(inval_latency, 2 * leg)
+                dir_home, self._home_tile[victim], self._control_flits, t
+            )
+            if 2 * leg > inval_latency:
+                inval_latency = 2 * leg
             self.domains[victim].invalidate(block)
-        if outcome.memory_writeback:
-            self.memory.controller_for(block).writeback(t2, block)
-        net += inval_latency
-        net += self.mesh.traverse(dir_home, core_id, config.control_flits, t2).latency
-        return net, dir_cycles
+        return inval_latency
 
     # ------------------------------------------------------------------
 
     def _drain_writebacks(self, domain: L2Domain, t: int) -> None:
         """Push queued dirty evictions into the memory controllers."""
         queue = domain.writebacks_to_memory
-        if queue:
-            for victim in queue:
-                self.memory.controller_for(victim).writeback(t, victim)
-            queue.clear()
+        controllers = self._controllers
+        for victim in queue:
+            controllers[victim % self._num_controllers].writeback(t, victim)
+        queue.clear()
 
     # ------------------------------------------------------------------
     # inspection

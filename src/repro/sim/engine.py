@@ -3,10 +3,12 @@
 The engine owns a priority queue of (ready-time, core) pairs.  Each step
 pops the core with the smallest local time, pulls the next memory
 reference from the thread bound to that core, sends it through the
-machine model, and re-inserts the core at its completion time.  Because
-cores are processed in non-decreasing global time, the FIFO resource
-servers in :mod:`repro.sim.server` observe monotone arrivals and model
-contention exactly.
+machine model, and re-inserts the core at its completion time.  Cores
+are processed in non-decreasing global time, so references *issue* in
+time order; the messages a reference sends later in its life do not
+reach the FIFO resource servers of :mod:`repro.sim.server` in time
+order, and the servers clamp such regressed arrivals, so contention is
+modelled approximately (see :class:`~repro.sim.server.FifoServer`).
 
 Measurement methodology mirrors Section IV of the paper:
 
@@ -106,20 +108,21 @@ class ThreadStats:
         )
 
     def record(self, access: int, think: int, result: AccessResult) -> None:
+        level, latency, cache, network, directory, memory = result
         self.refs += 1
         if access:
             self.writes += 1
         else:
             self.reads += 1
         self.think_cycles += think
-        self.latency_cycles += result.latency
-        self.level_counts[result.level] += 1
-        if result.level >= HitLevel.L2:  # inline of level.is_l1_miss
-            self.miss_latency_cycles += result.latency
-        self.cache_cycles += result.cache_cycles
-        self.network_cycles += result.network_cycles
-        self.directory_cycles += result.directory_cycles
-        self.memory_cycles += result.memory_cycles
+        self.latency_cycles += latency
+        self.level_counts[level] += 1
+        if level >= HitLevel.L2:  # inline of level.is_l1_miss
+            self.miss_latency_cycles += latency
+        self.cache_cycles += cache
+        self.network_cycles += network
+        self.directory_cycles += directory
+        self.memory_cycles += memory
 
 
 class ThreadContext:
@@ -345,8 +348,8 @@ class Engine:
 
         The heap is keyed on each thread's next *issue* time (its ready
         time plus the pending reference's think time), so references
-        hit shared resources in globally non-decreasing time order —
-        the property the FIFO contention servers rely on.
+        *issue* in globally non-decreasing time order (their later
+        messages need not; see :class:`~repro.sim.server.FifoServer`).
         """
         threads = self.threads
         inv = self._inv_speeds
@@ -360,10 +363,9 @@ class Engine:
                     "generators must be infinite (restart on completion)"
                 )
             pending[tid] = ref
-            think = (
-                ref[2] if inv is None
-                else int(ref[2] * inv[threads[tid].core_id])
-            )
+            think = ref[2]
+            if inv is not None:
+                think = int(think * inv[threads[tid].core_id])
             heap.append((threads[tid].start_time + think, tid))
         heapq.heapify(heap)
 
@@ -382,15 +384,19 @@ class Engine:
         control_due = control.next_due if control is not None else None
         delays = self._delays
         has_stops = self._has_stops
+        access_machine = self.machine.access
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        max_steps = self.max_steps
         steps = 0
         while pending_vms > 0:
             steps += 1
-            if steps > self.max_steps:
+            if steps > max_steps:
                 raise SimulationError(
-                    f"engine exceeded {self.max_steps} steps without all "
+                    f"engine exceeded {max_steps} steps without all "
                     f"VMs completing; {pending_vms} VM(s) still pending"
                 )
-            issue_time, tid = heapq.heappop(heap)
+            issue_time, tid = heappop(heap)
             if probe is not None:
                 probe.on_step(issue_time)
             if control_due is not None and issue_time >= control_due:
@@ -402,7 +408,7 @@ class Engine:
                 # pattern as the MigratingEngine)
                 extra = delays.pop(tid, 0)
                 if extra:
-                    heapq.heappush(heap, (issue_time + extra, tid))
+                    heappush(heap, (issue_time + extra, tid))
                     continue
             thread = threads[tid]
             if has_stops and thread.stop_time is not None \
@@ -423,7 +429,7 @@ class Engine:
                             probe.on_vm_complete(vm, issue_time)
                 continue
             block, access, think = pending[tid]
-            result = self.machine.access(
+            result = access_machine(
                 thread.core_id, block, bool(access), issue_time
             )
             finish = issue_time + result.latency + 1  # +1: the access itself
@@ -454,11 +460,10 @@ class Engine:
                     "generators must be infinite (restart on completion)"
                 )
             pending[tid] = next_ref
-            next_think = (
-                next_ref[2] if inv is None
-                else int(next_ref[2] * inv[thread.core_id])
-            )
-            heapq.heappush(heap, (finish + next_think, tid))
+            think = next_ref[2]
+            if inv is not None:
+                think = int(think * inv[thread.core_id])
+            heappush(heap, (finish + think, tid))
 
         # The run "finishes" when the last VM completes: the maximum
         # completion time.  (The last *popped* issue_time undercounts

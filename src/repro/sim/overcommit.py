@@ -99,11 +99,6 @@ class OvercommitEngine:
         # a homogeneous machine (exact legacy arithmetic)
         self._inv_speeds = getattr(machine, "inverse_core_speeds", None)
 
-    def _think(self, core: int, think: int) -> int:
-        """Think cycles as spent on ``core`` (scaled when heterogeneous)."""
-        inv = self._inv_speeds
-        return think if inv is None else int(think * inv[core])
-
     # -- QoS actuator surface (used by repro.qos.hook.QosHook) ---------
 
     def run_queues(self) -> Dict[int, List[int]]:
@@ -141,11 +136,12 @@ class OvercommitEngine:
             # wake the idle core: charge a switch penalty and schedule
             # the migrated thread's pending reference
             self._quantum_left[core] = self.quantum_refs
+            think = self._pending[tid][2]
+            inv = self._inv_speeds
+            if inv is not None:
+                think = int(think * inv[core])
             heapq.heappush(
-                self._heap,
-                (now + self.switch_penalty
-                 + self._think(core, self._pending[tid][2]), core),
-            )
+                self._heap, (now + self.switch_penalty + think, core))
             if self._bind is not None:
                 self._bind(core, thread.vm_id)
         return became_head
@@ -160,6 +156,11 @@ class OvercommitEngine:
                 raise SimulationError(f"thread {tid} stream ended at start")
             pending[tid] = ref
 
+        # heterogeneous cores scale think cycles by the issuing core's
+        # inverse speed; the same expression as the base engine's
+        inv = self._inv_speeds
+        quantum_refs = self.quantum_refs
+        switch_penalty = self.switch_penalty
         # heap of (next issue time, core); each core runs the thread at
         # the head of its queue
         heap = self._heap
@@ -172,10 +173,11 @@ class OvercommitEngine:
             thread = threads[tid]
             if bind is not None:
                 bind(core, thread.vm_id)
-            heap.append(
-                (thread.start_time + self._think(core, pending[tid][2]), core)
-            )
-            quantum_left[core] = self.quantum_refs
+            think = pending[tid][2]
+            if inv is not None:
+                think = int(think * inv[core])
+            heap.append((thread.start_time + think, core))
+            quantum_left[core] = quantum_refs
         heapq.heapify(heap)
 
         vm_pending: Dict[int, int] = {}
@@ -188,17 +190,21 @@ class OvercommitEngine:
         # epoch-gated like the base engine: int compare per step
         control_due = control.next_due if control is not None else None
         has_stops = self._has_stops
+        access_machine = self.machine.access
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        max_steps = self.max_steps
         steps = 0
         issue_time = 0
         context_switches = 0
         while pending_vms > 0:
             steps += 1
-            if steps > self.max_steps:
+            if steps > max_steps:
                 raise SimulationError(
-                    f"over-commit engine exceeded {self.max_steps} steps; "
+                    f"over-commit engine exceeded {max_steps} steps; "
                     f"{pending_vms} VM(s) still pending"
                 )
-            issue_time, core = heapq.heappop(heap)
+            issue_time, core = heappop(heap)
             if control_due is not None and issue_time >= control_due:
                 # the hook may rewrite quotas and migrate *waiting*
                 # threads; the popped core's head thread never moves
@@ -226,19 +232,18 @@ class OvercommitEngine:
                         pending_vms -= 1
                 if queue:
                     next_tid = queue[0]
-                    quantum_left[core] = self.quantum_refs
+                    quantum_left[core] = quantum_refs
                     context_switches += 1
                     if bind is not None \
                             and threads[next_tid].vm_id != thread.vm_id:
                         bind(core, threads[next_tid].vm_id)
-                    heapq.heappush(
-                        heap,
-                        (issue_time + self.switch_penalty
-                         + self._think(core, pending[next_tid][2]), core),
-                    )
+                    think = pending[next_tid][2]
+                    if inv is not None:
+                        think = int(think * inv[core])
+                    heappush(heap, (issue_time + switch_penalty + think, core))
                 continue
             block, access, think = pending[tid]
-            result = self.machine.access(core, block, bool(access), issue_time)
+            result = access_machine(core, block, bool(access), issue_time)
             finish = issue_time + result.latency + 1
 
             index = thread.issued
@@ -246,7 +251,9 @@ class OvercommitEngine:
             window_start = thread.warmup_refs
             window_end = window_start + thread.measured_refs
             if window_start <= index < window_end:
-                thread.stats.record(access, self._think(core, think), result)
+                if inv is not None:
+                    think = int(think * inv[core])
+                thread.stats.record(access, think, result)
                 if thread.issued == window_end:
                     thread.completion_time = finish
                     vm = thread.vm_id
@@ -260,22 +267,22 @@ class OvercommitEngine:
                 raise SimulationError(f"thread {tid} stream ended mid-run")
             pending[tid] = next_ref
 
-            quantum_left[core] -= 1
-            if quantum_left[core] <= 0 and len(queue) > 1:
+            left = quantum_left[core] - 1
+            if left <= 0 and len(queue) > 1:
                 queue.rotate(-1)
-                quantum_left[core] = self.quantum_refs
-                finish += self.switch_penalty
+                quantum_left[core] = quantum_refs
+                finish += switch_penalty
                 context_switches += 1
                 next_tid = queue[0]
                 if bind is not None and threads[next_tid].vm_id != thread.vm_id:
                     bind(core, threads[next_tid].vm_id)
+                think = pending[next_tid][2]
             else:
-                if quantum_left[core] <= 0:
-                    quantum_left[core] = self.quantum_refs
-                next_tid = tid
-            heapq.heappush(
-                heap, (finish + self._think(core, pending[next_tid][2]), core)
-            )
+                quantum_left[core] = quantum_refs if left <= 0 else left
+                think = next_ref[2]
+            if inv is not None:
+                think = int(think * inv[core])
+            heappush(heap, (finish + think, core))
 
         final_time = max(vm_completion.values())
         if control is not None:

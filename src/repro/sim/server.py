@@ -56,11 +56,17 @@ class FifoServer:
 
     Notes
     -----
-    The global event loop guarantees non-decreasing arrival times, so a
-    simple ``busy_until`` register implements an exact FIFO M/D/1-style
-    queue.  Arrivals that regress in time (possible only through API
-    misuse) are clamped to the last arrival to keep the server
-    consistent rather than raising deep inside the hot path.
+    A ``busy_until`` register implements a FIFO M/D/1-style queue for
+    arrivals in non-decreasing time.  The global event loop issues
+    references in time order, but the messages a reference sends later
+    in its life (the directory leg, a data reply, a memory access)
+    reach their servers after a later-issued reference's first ones
+    may have.  Such a regressed arrival is clamped to the server's last
+    arrival: it queues behind every earlier request instead of slipping
+    into an idle gap before them, so contention is approximate, not
+    exact.  Regressed arrivals are common: on ``mix1`` at 1500 refs per
+    thread (seed 1) they are 37% of mesh-link requests, 5.9% of L2-bank
+    requests and 4.6% of memory requests.
     """
 
     name: str
@@ -77,17 +83,22 @@ class FifoServer:
         """
         if service_time is None:
             service_time = self.service_time
-        if now < self.stats.last_arrival:
-            now = self.stats.last_arrival
-        wait = self.busy_until - now
-        if wait < 0:
+        stats = self.stats
+        busy = self.busy_until
+        # busy_until is past the last arrival, so a request at or after
+        # it finds the server idle and cannot be a regressed arrival
+        if now >= busy:
             wait = 0
-        self.busy_until = now + wait + service_time
-        s = self.stats
-        s.requests += 1
-        s.busy_cycles += service_time
-        s.wait_cycles += wait
-        s.last_arrival = now
+            self.busy_until = now + service_time
+        else:
+            if now < stats.last_arrival:
+                now = stats.last_arrival
+            wait = busy - now
+            self.busy_until = busy + service_time
+            stats.wait_cycles += wait
+        stats.requests += 1
+        stats.busy_cycles += service_time
+        stats.last_arrival = now
         return wait
 
     def peek_wait(self, now: int) -> int:

@@ -8,28 +8,33 @@ def mesh():
     return AnalyticalMesh(MeshTopology(4, 4))
 
 
+def link(m, src, dst):
+    """The FIFO server of the mesh link ``src -> dst``."""
+    return m._links[list(m.topology.links()).index((src, dst))]
+
+
 class TestZeroLoad:
     def test_local_traversal_free(self):
         m = mesh()
-        r = m.traverse(3, 3, flits=5, now=0)
-        assert r.latency == 0 and r.hops == 0
+        assert m.traverse(3, 3, flits=5, now=0) == 0
+        assert m.total_hops == 0 and m.messages == 0
 
     def test_single_hop_control(self):
         m = mesh()
-        r = m.traverse(0, 1, flits=1, now=0)
-        assert r.latency == m.hop_cycles  # 1 hop, 1 flit
-        assert r.queueing == 0
+        assert m.traverse(0, 1, flits=1, now=0) == m.hop_cycles  # 1 hop, 1 flit
+        assert m.total_queueing == 0
+        assert m.total_hops == 1
 
     def test_serialization_added_once(self):
         m = mesh()
-        r = m.traverse(0, 1, flits=5, now=0)
-        assert r.latency == m.hop_cycles + 4
+        assert m.traverse(0, 1, flits=5, now=0) == m.hop_cycles + 4
 
     def test_matches_zero_load_formula(self):
         m = mesh()
         for src, dst, flits in ((0, 15, 5), (2, 9, 1), (7, 8, 5)):
-            r = m.traverse(src, dst, flits, now=10_000_000 * (src + 1))
-            assert r.latency == m.zero_load_latency(src, dst, flits)
+            latency = m.traverse(src, dst, flits, now=10_000_000 * (src + 1))
+            assert latency == m.zero_load_latency(src, dst, flits)
+        assert m.total_queueing == 0
 
 
 class TestContention:
@@ -37,14 +42,28 @@ class TestContention:
         m = mesh()
         first = m.traverse(0, 1, flits=5, now=0)
         second = m.traverse(0, 1, flits=5, now=0)
-        assert second.queueing > 0
-        assert second.latency > first.latency
+        assert m.total_queueing > 0
+        assert second > first
+        assert second - m.zero_load_latency(0, 1, 5) == m.total_queueing
 
     def test_disjoint_paths_do_not_interfere(self):
         m = mesh()
         m.traverse(0, 1, flits=5, now=0)
-        r = m.traverse(14, 15, flits=5, now=0)
-        assert r.queueing == 0
+        latency = m.traverse(14, 15, flits=5, now=0)
+        assert latency == m.zero_load_latency(14, 15, 5)
+        assert m.total_queueing == 0
+
+    def test_regressed_arrival_gets_the_clamped_wait(self):
+        m = mesh()
+        m.traverse(0, 1, flits=1, now=100)  # link busy over [100, 101)
+        # a message reaching the link at 50, before its last arrival,
+        # is clamped to arrive at 100 and waits 1 cycle, not 51
+        assert m.traverse(0, 1, flits=1, now=50) == m.hop_cycles + 1
+        assert m.total_queueing == 1
+        server = link(m, 0, 1)
+        assert server.stats.last_arrival == 100
+        assert server.stats.wait_cycles == 1
+        assert server.busy_until == 102
 
     def test_hotspot_detection(self):
         m = mesh()
@@ -77,12 +96,28 @@ class TestStatistics:
         m.traverse(0, 1, flits=5, now=0)
         m.reset()
         assert m.messages == 0
-        assert m.traverse(0, 1, flits=5, now=0).queueing == 0
+        assert m.traverse(0, 1, flits=5, now=0) == m.zero_load_latency(0, 1, 5)
+        assert m.total_queueing == 0
+
+    def test_link_statistics_after_reset_with_cached_routes(self):
+        m = mesh()
+        for i in range(20):
+            m.traverse(0, 3, flits=5, now=i)  # caches the 0 -> 3 route
+        m.reset()
+        assert m.link_utilizations(horizon=10) == [0.0] * len(m._links)
+        m.traverse(0, 3, flits=5, now=0)  # through the cached route
+        row = [(0, 1), (1, 2), (2, 3)]
+        utils = dict(zip(m.topology.links(), m.link_utilizations(horizon=10)))
+        depths = dict(zip(m.topology.links(), m.link_queue_depths(now=0)))
+        assert [utils[pair] for pair in row] == [0.5, 0.5, 0.5]
+        assert [depths[pair] for pair in row] == [5.0, 9.0, 13.0]
+        assert sum(utils.values()) == 1.5
+        assert sum(depths.values()) == 27.0
+        assert [link(m, *pair).stats.requests for pair in row] == [1, 1, 1]
 
     def test_route_cache_consistency(self):
         """Cached routes give identical results to fresh computation."""
         m = mesh()
         a = m.zero_load_latency(2, 13, 5)
         m.traverse(2, 13, 5, now=0)
-        r = m.traverse(2, 13, 5, now=10_000)
-        assert r.latency == a
+        assert m.traverse(2, 13, 5, now=10_000) == a
