@@ -93,11 +93,10 @@ class DirectoryCache:
         self._cache = SetAssocCache(geometry, name=f"tile{tile_id}/dircache")
 
     def access(self, block: int) -> bool:
-        cache = self._cache
-        if cache.lookup(block) is not None:
-            return True
-        cache.insert(block, _DIR_TAG)
-        return False
+        hit = self._cache.lookup(block) is not None
+        if not hit:
+            self._cache.insert(block, _DIR_TAG)
+        return hit
 
     @property
     def hits(self) -> int:
@@ -141,7 +140,7 @@ class Directory:
 
     def cache_access(self, block: int) -> bool:
         """Directory-cache lookup at the home tile; True on hit."""
-        return self.caches[block % self.num_tiles].access(block)
+        return self.caches[self.home_tile(block)].access(block)
 
     def forget(self, block: int) -> None:
         """Drop an INVALID entry to bound memory use."""

@@ -85,10 +85,9 @@ class AnalyticalMesh:
         hop_cycles = self.hop_cycles
         head = now
         for link in route:
-            # FifoServer.request(head, flits), inlined.  A link's
-            # busy_until is past its last arrival, so a head at or after
-            # busy_until finds the link idle; a head before it waits,
-            # and one before the link's last arrival is clamped to it.
+            # FifoServer.request(head, flits), inlined: a head at or
+            # after busy_until finds the link idle; one before it
+            # waits, clamped to the link's last arrival if earlier.
             stats = link.stats
             busy = link.busy_until
             if head >= busy:

@@ -112,9 +112,6 @@ class Chip:
         self._data_flits = config.data_flits
         self._domain_of = self.placement.domain_of
         self._home_tile = self.placement.home_tile
-        self._dir_tiles = self.directory.num_tiles
-        self._controllers = self.memory.controllers
-        self._num_controllers = len(self._controllers)
         # a private read hit's timing never varies: one immutable
         # result per level, shared by every such hit
         self._read_hits = (
@@ -250,7 +247,7 @@ class Chip:
         outcome = self.coherence.fetch(block, domain_id, is_write)
 
         # request travels to the block's directory home tile
-        dir_home = block % self._dir_tiles
+        dir_home = self.directory.home_tile(block)
         net += mesh.traverse(home, dir_home, control_flits, t)
         dir_cycles = self._dir_latency
         if not self.directory.cache_access(block):
@@ -261,7 +258,7 @@ class Chip:
         mem_cycles = 0
         source = outcome.source
         if source == DataSource.MEMORY:
-            controller = self._controllers[block % self._num_controllers]
+            controller = self.memory.controller_for(block)
             net += mesh.traverse(dir_home, controller.tile, control_flits, t)
             t = now + cache + net + dir_cycles
             mem_cycles = controller.access(t, block).latency
@@ -297,7 +294,7 @@ class Chip:
             )
 
         if outcome.memory_writeback:
-            self._controllers[block % self._num_controllers].writeback(t, block)
+            self.memory.controller_for(block).writeback(t, block)
 
         # fill the domain and the private stack
         stack = self.stacks[core_id]
@@ -335,7 +332,7 @@ class Chip:
         mesh = self.mesh
         control_flits = self._control_flits
         self.upgrade_transactions += 1
-        dir_home = block % self._dir_tiles
+        dir_home = self.directory.home_tile(block)
         net = mesh.traverse(core_id, dir_home, control_flits, t)
         dir_cycles = self._dir_latency
         if not self.directory.cache_access(block):
@@ -347,7 +344,7 @@ class Chip:
                 block, outcome.invalidate_domains, domain_id, dir_home, t2
             )
         if outcome.memory_writeback:
-            self._controllers[block % self._num_controllers].writeback(t2, block)
+            self.memory.controller_for(block).writeback(t2, block)
         net += mesh.traverse(dir_home, core_id, control_flits, t2)
         return net, dir_cycles
 
@@ -366,8 +363,7 @@ class Chip:
             leg = self.mesh.traverse(
                 dir_home, self._home_tile[victim], self._control_flits, t
             )
-            if 2 * leg > inval_latency:
-                inval_latency = 2 * leg
+            inval_latency = max(inval_latency, 2 * leg)
             self.domains[victim].invalidate(block)
         return inval_latency
 
@@ -376,9 +372,8 @@ class Chip:
     def _drain_writebacks(self, domain: L2Domain, t: int) -> None:
         """Push queued dirty evictions into the memory controllers."""
         queue = domain.writebacks_to_memory
-        controllers = self._controllers
         for victim in queue:
-            controllers[victim % self._num_controllers].writeback(t, victim)
+            self.memory.controller_for(victim).writeback(t, victim)
         queue.clear()
 
     # ------------------------------------------------------------------

@@ -85,8 +85,8 @@ class FifoServer:
             service_time = self.service_time
         stats = self.stats
         busy = self.busy_until
-        # busy_until is past the last arrival, so a request at or after
-        # it finds the server idle and cannot be a regressed arrival
+        # busy_until never precedes the last arrival, so a request at
+        # or after it finds the server idle and is not a regressed one
         if now >= busy:
             wait = 0
             self.busy_until = now + service_time

@@ -1,5 +1,7 @@
 """Tests for the analytical (queueing) mesh model."""
 
+from hypothesis import given, strategies as st
+
 from repro.interconnect.analytical import AnalyticalMesh
 from repro.interconnect.topology import MeshTopology
 
@@ -74,6 +76,25 @@ class TestContention:
         assert util > 0.5
         # hottest link must lie on the 0 -> 3 row
         assert src in (0, 1, 2) and dst == src + 1
+
+
+class TestInlinedLinkRequests:
+    @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15),
+                              st.sampled_from((1, 5)), st.integers(0, 400)),
+                    min_size=1, max_size=60))
+    def test_traverse_matches_fifo_requests_per_link(self, messages):
+        """Any message order: the inlined link requests of traverse give
+        the latency and link state that FifoServer.request gives."""
+        m, twin = mesh(), mesh()
+        for src, dst, flits, now in messages:
+            head = now
+            for link_id in twin.topology.route_links(src, dst):
+                head += twin._links[link_id].request(head, flits) + twin.hop_cycles
+            expected = 0 if src == dst else head - now + flits - 1
+            assert m.traverse(src, dst, flits, now) == expected
+        for ours, theirs in zip(m._links, twin._links):
+            assert ours.busy_until == theirs.busy_until
+            assert ours.stats == theirs.stats
 
 
 class TestStatistics:

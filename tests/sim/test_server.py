@@ -82,3 +82,19 @@ class TestFifoServerProperties:
         for now in sorted(arrivals):
             s.request(now)
         assert s.stats.busy_cycles == 7 * len(arrivals)
+
+    @given(st.lists(st.tuples(st.integers(0, 2_000), st.integers(0, 50)),
+                    min_size=1, max_size=200))
+    def test_matches_clamped_fifo_model_on_any_arrival_order(self, reqs):
+        """Unsorted arrivals: each request is clamped to the last
+        arrival and then waits out the backlog, whatever the order."""
+        s = FifoServer("s", service_time=1)
+        busy = last = waited = 0
+        for now, service in reqs:
+            arrival = max(now, last)
+            wait = max(0, busy - arrival)
+            busy, last, waited = arrival + wait + service, arrival, waited + wait
+            assert s.request(now, service_time=service) == wait
+            assert (s.busy_until, s.stats.last_arrival) == (busy, last)
+        assert s.stats.wait_cycles == waited
+        assert s.stats.requests == len(reqs)
