@@ -21,7 +21,7 @@ domain.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from .geometry import CacheGeometry
@@ -209,10 +209,10 @@ class L2Domain:
 
     def fill(
         self, block: int, dirty: bool, vm_id: int, requester_slot: int
-    ) -> Sequence[Tuple[int, bool]]:
+    ) -> List[Tuple[int, bool]]:
         """Install a block brought in from outside the domain.
 
-        Returns the ``(victim_block, victim_was_dirty)`` pairs evicted
+        Returns the list of ``(victim_block, victim_was_dirty)`` evicted
         to make room.  Victims are back-invalidated from member private
         caches to preserve inclusion; a dirty private copy makes the
         victim dirty regardless of the L2 line's own state.
@@ -226,7 +226,7 @@ class L2Domain:
         )
         evicted = self.cache.insert(block, line, selector)
         if evicted is None:
-            return ()
+            return []
         victim, victim_line = evicted
         victim_dirty = self._back_invalidate(victim, victim_line)
         if victim_dirty:

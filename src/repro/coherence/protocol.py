@@ -119,7 +119,7 @@ class CoherenceController:
         """Resolve a domain miss (the block is absent from ``domain``)."""
         self._check_domain(domain)
         entry = self.directory.entry(block)
-        if entry.sharers >> domain & 1:
+        if entry.is_sharer(domain):
             raise CoherenceError(
                 f"domain {domain} missed on block {block:#x} but the "
                 f"directory lists it as a sharer ({entry!r}); eviction "
@@ -230,11 +230,11 @@ class CoherenceController:
         """A domain dropped its copy (capacity eviction or back-inval)."""
         self._check_domain(domain)
         entry = self.directory.peek(block)
-        if entry is None or not entry.sharers >> domain & 1:
+        if entry is None or not entry.is_sharer(domain):
             # Invalidation initiated by the directory itself: the
             # sharer bit is already gone. Nothing to do.
             return
-        entry.sharers &= ~(1 << domain)
+        entry.drop_sharer(domain)
         if entry.owner == domain:
             entry.owner = -1
             if was_dirty:
