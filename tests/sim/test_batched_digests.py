@@ -5,7 +5,8 @@ batched engine may drift from the reference engine; it does not notice
 a change that stays inside those bounds.  This guard pins the exact
 serialized result of one small batched cell per Table IV mix (plus a
 QoS-quota cell and a private-L2 cell, which take the quota-victim and
-many-domain paths of the L2 fold), so a kernel rewrite that is meant to
+many-domain paths of the L2 fold, and a cell with 64-entry directory
+caches, whose tiles evict), so a kernel rewrite that is meant to
 be behaviour-preserving can prove it.
 
 A deliberate model change updates the digests below; regenerate them
@@ -36,6 +37,7 @@ _CELLS = {
     "mixD": "1dcccb37f62888b7a1fc2562b216fb2d4d28d698336e9d280924f65c9741c6aa",
     "mix7/qos": "60747917627a805be6ca41653fa4c234b1dc88a2437e26163be8b26131f4755f",
     "mix1/private": "50fa8fa181f2611daed12fc7690d9613f8f37a2839ece374d906037846989ee4",
+    "mix1/smalldir": "22b505c8d328e55319d4b8a5880261728af7cc6217842e35b5205bf0a61af857",
 }
 
 
@@ -47,6 +49,8 @@ def _spec(cell):
         params.update(sharing="shared", qos_policy="ucp", qos_epoch=5000)
     elif variant == "private":
         params.update(sharing="private")
+    elif variant == "smalldir":
+        params.update(dir_cache_entries=64)
     return ExperimentSpec(**params)
 
 
@@ -63,5 +67,5 @@ def test_batched_result_digest_is_pinned(cell):
 
 if __name__ == "__main__":  # pragma: no cover - digest regeneration
     mixes = [f"mix{i}" for i in range(1, 10)] + ["mixA", "mixB", "mixC", "mixD"]
-    for cell in mixes + ["mix7/qos", "mix1/private"]:
+    for cell in mixes + ["mix7/qos", "mix1/private", "mix1/smalldir"]:
         print(f'    "{cell}": "{_digest(cell)}",')
