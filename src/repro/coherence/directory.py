@@ -87,10 +87,16 @@ class DirectoryCache:
     DEFAULT_ENTRIES = 16 * 1024
 
     def __init__(self, tile_id: int, entries: int = DEFAULT_ENTRIES, assoc: int = 8):
-        geometry = CacheGeometry(
+        self._cache = SetAssocCache(self.geometry(entries, assoc),
+                                    name=f"tile{tile_id}/dircache")
+
+    @staticmethod
+    def geometry(entries: int, assoc: int = 8) -> CacheGeometry:
+        """The cache geometry of ``entries`` directory entries (raises
+        on a size the associativity does not divide)."""
+        return CacheGeometry(
             size_bytes=entries * 64, assoc=assoc, latency=0, block_bytes=64
         )
-        self._cache = SetAssocCache(geometry, name=f"tile{tile_id}/dircache")
 
     def access(self, block: int) -> bool:
         hit = self._cache.lookup(block) is not None
@@ -112,16 +118,21 @@ class DirectoryCache:
 
 
 class Directory:
-    """Exact global directory striped over ``num_tiles`` home tiles."""
+    """Exact global directory striped over ``num_tiles`` home tiles.
+
+    ``caches`` holds each tile's :class:`DirectoryCache`, built on the
+    tile's first :meth:`cache_access` (``None`` until then: a tile never
+    looked up has no hits and no misses).
+    """
 
     def __init__(self, num_tiles: int, dir_cache_entries: int = DirectoryCache.DEFAULT_ENTRIES):
         if num_tiles <= 0:
             raise ValueError("num_tiles must be positive")
+        DirectoryCache.geometry(dir_cache_entries)  # validate eagerly
         self.num_tiles = num_tiles
         self._entries: Dict[int, DirectoryEntry] = {}
-        self.caches = [
-            DirectoryCache(tile, entries=dir_cache_entries) for tile in range(num_tiles)
-        ]
+        self._cache_entries = dir_cache_entries
+        self.caches: List[Optional[DirectoryCache]] = [None] * num_tiles
 
     def home_tile(self, block: int) -> int:
         """Home tile of a block (striped by physical address)."""
@@ -140,7 +151,12 @@ class Directory:
 
     def cache_access(self, block: int) -> bool:
         """Directory-cache lookup at the home tile; True on hit."""
-        return self.caches[self.home_tile(block)].access(block)
+        tile = self.home_tile(block)
+        cache = self.caches[tile]
+        if cache is None:
+            cache = self.caches[tile] = DirectoryCache(
+                tile, entries=self._cache_entries)
+        return cache.access(block)
 
     def forget(self, block: int) -> None:
         """Drop an INVALID entry to bound memory use."""

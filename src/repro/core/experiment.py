@@ -793,10 +793,10 @@ def run_experiment(
         residency = engine.l2_resident_sets()
     else:
         coherence = chip.coherence.stats
-        total_dir_accesses = sum(
-            c.hits + c.misses for c in chip.directory.caches
-        )
-        total_dir_hits = sum(c.hits for c in chip.directory.caches)
+        # a tile never looked up has no cache yet: no hits, no misses
+        caches = [c for c in chip.directory.caches if c is not None]
+        total_dir_accesses = sum(c.hits + c.misses for c in caches)
+        total_dir_hits = sum(c.hits for c in caches)
         summary = ChipSummary(
             mesh_mean_latency=chip.mesh.mean_latency,
             mesh_mean_queueing=chip.mesh.mean_queueing,

@@ -26,7 +26,7 @@ either vectorized (numpy) or in pure Python with *identical* results:
 
 Because L0 and L1 are filled and aged by the same reference stream,
 their resident sets are nested (L0 is the most-recent ``c0`` entries of
-the L1 ordering), so a single ordered dict models both levels.
+the L1 ordering), so a single recency ordering models both levels.
 
 **Import constraints**: this file must stay importable without numpy
 and without the rest of the ``repro`` package — the no-numpy CI job
@@ -49,10 +49,10 @@ __all__ = ["HAVE_NUMPY", "PrivateState", "fold_private", "self_check"]
 class PrivateState:
     """Recency state of one thread's private L0+L1 stack.
 
-    ``resident`` is an ordered dict of block -> None, least-recently
-    used first; the most recent ``c0`` entries are considered L0
-    resident, the most recent ``c1`` entries L1 resident (the dict is
-    truncated to ``c1``).
+    ``resident`` holds the resident blocks, least-recently used first:
+    an int64 array when numpy is importable, else a list.  The most
+    recent ``c0`` entries are considered L0 resident, the most recent
+    ``c1`` entries L1 resident (the order is truncated to ``c1``).
     """
 
     __slots__ = ("c0", "c1", "resident")
@@ -62,32 +62,22 @@ class PrivateState:
             raise ValueError("private cache capacities must be positive")
         self.c0 = min(c0, c1)
         self.c1 = c1
-        self.resident = {}
+        self.resident = _resident([])
 
     def resident_blocks(self):
-        return list(self.resident)
+        return list(self.resident) if _np is None else self.resident.tolist()
 
 
-def _start_ranks(state: PrivateState):
-    """block -> recency rank (0 = MRU) for the carried-over residents."""
-    order = list(state.resident)
-    m = len(order)
-    return {block: m - 1 - pos for pos, block in enumerate(order)}, order
-
-
-def _finish_epoch(state: PrivateState, order, last_index):
-    """Rebuild the resident ordering after one epoch (see module doc)."""
-    survivors = [b for b in order if b not in last_index]
-    touched = sorted(last_index, key=last_index.__getitem__)
-    new_order = survivors + touched
-    if len(new_order) > state.c1:
-        new_order = new_order[-state.c1:]
-    state.resident = dict.fromkeys(new_order)
+def _resident(order):
+    """The stored form of a resident ordering (see PrivateState)."""
+    return order if _np is None else _np.asarray(order, dtype=_np.int64)
 
 
 def _fold_py(state: PrivateState, blocks):
     n = len(blocks)
-    ranks, order = _start_ranks(state)
+    order = state.resident_blocks()
+    m = len(order)
+    ranks = {block: m - 1 - pos for pos, block in enumerate(order)}
     distinct = len(set(blocks))
     g0 = state.c0 * n / distinct
     g1 = state.c1 * n / distinct
@@ -110,14 +100,17 @@ def _fold_py(state: PrivateState, blocks):
         else:
             append(2)
         last[block] = i
-    _finish_epoch(state, order, last)
+    # the boundary rebuild (see module doc): untouched survivors, then
+    # touched blocks in last-touch order, cut to capacity
+    survivors = [b for b in order if b not in last]
+    touched = sorted(last, key=last.__getitem__)
+    state.resident = _resident((survivors + touched)[-state.c1:])
     return levels
 
 
 def _fold_np(state: PrivateState, blocks):
     arr = _np.asarray(blocks, dtype=_np.int64)
     n = arr.shape[0]
-    ranks, order = _start_ranks(state)
 
     sort_order = _np.argsort(arr, kind="stable")
     sorted_blocks = arr[sort_order]
@@ -128,29 +121,32 @@ def _fold_np(state: PrivateState, blocks):
     idx = _np.arange(n, dtype=_np.int64)
     # always-miss sentinel: thresholds peak at c1*n (one distinct block)
     gap = _np.where(prev >= 0, idx - prev, state.c1 * n + 1)
-    firsts = _np.nonzero(prev < 0)[0]
-    if ranks:
-        blk_list = arr.tolist()
-        get_rank = ranks.get
-        for i in firsts.tolist():
-            r = get_rank(blk_list[i])
-            if r is not None:
-                gap[i] = i + r + 1
+    # each distinct block's run in sorted order: its first and last
+    # occurrence in the stream (the sort is stable)
+    starts = _np.flatnonzero(_np.concatenate(([True], ~same)))
+    ends = _np.append(starts[1:] - 1, n - 1)
+    distinct = int(starts.shape[0])
 
-    distinct = int(firsts.shape[0])
+    # a carried-over resident's first touch sits rank + 1 references
+    # back, rank its recency rank (0 = MRU)
+    resident = state.resident
+    m = resident.shape[0]
+    uniq = sorted_blocks[starts]
+    at = _np.minimum(_np.searchsorted(uniq, resident), distinct - 1)
+    touched = uniq[at] == resident
+    first = sort_order[starts[at[touched]]]
+    gap[first] = first + (m - _np.flatnonzero(touched))
+
     g0 = state.c0 * n / distinct
     g1 = state.c1 * n / distinct
     levels = _np.where(gap <= g0, 0, _np.where(gap <= g1, 1, 2)).astype(
         _np.int64
     )
 
-    # last occurrence of each distinct block, in ascending stream order
-    is_run_end = _np.ones(n, dtype=bool)
-    is_run_end[:-1] = sorted_blocks[1:] != sorted_blocks[:-1]
-    last_positions = _np.sort(sort_order[is_run_end])
-    last_index = dict(zip(arr[last_positions].tolist(),
-                          last_positions.tolist()))
-    _finish_epoch(state, order, last_index)
+    # the boundary rebuild (see module doc): untouched survivors, then
+    # touched blocks in last-touch order, cut to capacity
+    last = arr[_np.sort(sort_order[ends])]
+    state.resident = _np.concatenate((resident[~touched], last))[-state.c1:]
     return levels
 
 

@@ -56,7 +56,6 @@ utility monitors work unchanged).
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import OrderedDict
 from itertools import islice
 from typing import Dict, List, Optional
 
@@ -171,9 +170,10 @@ class BatchedEngine:
         self._tick = 0
         self._vm_ids = sorted({t.vm_id for t in threads})
         self._vm_code = {vm: code for code, vm in enumerate(self._vm_ids)}
-        # per domain: blocks recently evicted from its L2 (LRU) — the
-        # window in which a peer L1 may still hold a line the L2 dropped
-        self._recent = [OrderedDict() for _ in range(self._num_domains)]
+        # per domain: blocks recently evicted from its L2, oldest first —
+        # the window in which a peer L1 may still hold a line the L2
+        # dropped
+        self._recent = [_np.zeros(0, dtype=_np.int64)] * self._num_domains
         self._evict_cap = cores_per_domain * self._c1
         self._private = {
             t.thread_id: PrivateState(self._c0, self._c1) for t in threads
@@ -190,11 +190,14 @@ class BatchedEngine:
         # start equal, so epoch 0 degenerates to index order)
         self._rates: Dict[int, float] = {tid: 1.0 for tid in self.threads}
 
-        # directory caches: one LRU dict per tile, striped like the
-        # reference Directory (home tile = block % num_tiles)
+        # directory caches: one LRU per tile, striped like the reference
+        # Directory (home tile = block % num_tiles), held as each block's
+        # last-access stamp (0: not cached), grown to the largest block
         self._dir_tiles = config.num_cores
         self._dir_capacity = max(1, config.directory_cache_entries)
-        self._dircache = [dict() for _ in range(self._dir_tiles)]
+        self._dir_stamp = _np.zeros(0, dtype=_np.int64)
+        self._dir_count = _np.zeros(self._dir_tiles, dtype=_np.int64)
+        self._dir_clock = 0
         self.dir_hits = 0
         self.dir_misses = 0
 
@@ -236,27 +239,48 @@ class BatchedEngine:
         topo = machine.topology
         ctrl = config.control_flits
         data = config.data_flits
-        tiles = range(config.num_cores)
-        mem_tiles = config.memory_tiles
-        # one hop matrix, built once, gives every leg: a message to its
-        # own tile costs nothing, any other hops * hop_cycles + flits - 1
-        # (the mesh's zero-load latency)
-        hops = [[topo.hops(s, d) if s != d else 0 for d in tiles]
-                for s in tiles]
-        zl = {flits: [[h * mesh.hop_cycles + flits - 1 if s != d else 0
-                       for d, h in enumerate(row)]
-                      for s, row in enumerate(hops)]
+        tiles = config.num_cores
+        mem_tiles = list(config.memory_tiles)
+        # one hop matrix (Manhattan distance between tile coordinates)
+        # gives every leg: a message to its own tile costs nothing, any
+        # other hops * hop_cycles + flits - 1 (the mesh's zero-load
+        # latency)
+        xy = _np.array([topo.coords(t) for t in range(tiles)])
+        hops = _np.abs(xy[:, None] - xy[None]).sum(2)
+        zl = {flits: _np.where(hops > 0, hops * mesh.hop_cycles + flits - 1, 0)
               for flits in {ctrl, data}}
+        homes = list(placement.home_tile)
+        # other[d, t]: how often tile t is another domain's home, seen
+        # from domain d (a lone domain provides to itself)
+        other = _np.tile(_np.bincount(homes, minlength=tiles),
+                         (len(homes), 1))
+        other[_np.arange(len(homes)), homes] -= len(homes) > 1
+        providers = other.sum(1)
+        cores = _np.arange(tiles)
+        dom = _np.asarray(placement.domain_of)
+        home = _np.asarray(homes)[dom]
 
-        def mean(srcs, dsts, flits):
-            lat = zl[flits]
-            pairs = [(s, d) for s in srcs for d in dsts]
-            return (sum(lat[s][d] for s, d in pairs) / len(pairs),
-                    sum(hops[s][d] for s, d in pairs) / len(pairs))
+        def legs(cost):
+            """Each core's legs over one (source x destination) cost
+            matrix; a mean is an integer sum over its pairs divided by
+            the pair count, so each float is the exact quotient."""
+            columns = {
+                "c2h": cost[cores, home],            # core -> its home
+                "h2c": cost[home, cores],            # home -> core
+                "h2dir": cost[home].sum(1) / tiles,  # home -> directories
+                "c2dir": cost.sum(1) / tiles,        # core -> directories
+                "dir2c": cost.sum(0) / tiles,        # directories -> core
+                "mem2c": cost[mem_tiles].sum(0) / len(mem_tiles),
+                "dir2prov": (other @ cost.sum(0))[dom] / (tiles * providers[dom]),
+                "prov2c": (other @ cost)[dom, cores] / providers[dom],
+            }
+            return [dict(zip(columns, row)) for row in
+                    zip(*(col.tolist() for col in columns.values()))]
 
         # block-independent: directory home -> memory controller leg
-        dir2mem_lat, dir2mem_hops = mean(tiles, mem_tiles, ctrl)
-        homes = list(placement.home_tile)
+        pairs = tiles * len(mem_tiles)
+        dir2mem_lat = float(zl[ctrl][:, mem_tiles].sum() / pairs)
+        dir2mem_hops = float(hops[:, mem_tiles].sum() / pairs)
 
         self._lat: Dict[int, List[float]] = {}
         self._ctrl_hops: Dict[int, List[float]] = {}
@@ -266,20 +290,16 @@ class BatchedEngine:
         l0 = config.l0_geometry.latency
         l1 = config.l1_geometry.latency
         l2 = config.l2_latency
-        for core in range(config.num_cores):
-            domain = placement.domain_of[core]
-            home = homes[domain]
-            c2h = zl[ctrl][core][home]
-            c2h_h = hops[core][home]
-            h2c_lat = zl[data][home][core]
-            h2c_h = hops[home][core]
-            h2dir_lat, h2dir_h = mean([home], tiles, ctrl)
-            mem2c_lat, mem2c_h = mean(mem_tiles, [core], data)
-            other = [h for d, h in enumerate(homes) if d != domain] or [home]
-            dir2prov_lat, dir2prov_h = mean(tiles, other, ctrl)
-            prov2c_lat, prov2c_h = mean(other, [core], data)
-            c2dir_lat, c2dir_h = mean([core], tiles, ctrl)
-            dir2c_lat, dir2c_h = mean(tiles, [core], ctrl)
+        for core, (c, d, h) in enumerate(zip(legs(zl[ctrl]), legs(zl[data]),
+                                             legs(hops))):
+            c2h, c2h_h = c["c2h"], h["c2h"]
+            h2c_lat, h2c_h = d["h2c"], h["h2c"]
+            h2dir_lat, h2dir_h = c["h2dir"], h["h2dir"]
+            mem2c_lat, mem2c_h = d["mem2c"], h["mem2c"]
+            dir2prov_lat, dir2prov_h = c["dir2prov"], h["dir2prov"]
+            prov2c_lat, prov2c_h = d["prov2c"], h["prov2c"]
+            c2dir_lat, c2dir_h = c["c2dir"], h["c2dir"]
+            dir2c_lat, dir2c_h = c["dir2c"], h["dir2c"]
 
             lat = [0.0] * _LEVELS
             ctrl_hops = [0.0] * _LEVELS
@@ -540,16 +560,16 @@ class BatchedEngine:
         out = _np.full(hit.size, _L2)
         out[miss] = self._c2c_levels(doms[miss], sets[miss], blocks[miss],
                                      *start)
-        penalised = _np.zeros(hit.size, dtype=bool)
         bounds = _np.cumsum(_np.bincount(doms[miss], minlength=self._num_domains))
         for domain_id, (lo, hi) in enumerate(zip([0] + bounds.tolist(), bounds.tolist())):
             mine = miss[lo:hi]
             # a lone thread has no sibling L1 to supply its misses
-            if len(self._domain_threads.get(domain_id, ())) > 1:
-                out[self._peer_pass(domain_id, mine, blocks, tids, victims)] = _L2_PEER
-                mine = mine[out[mine] != _L2_PEER]
-            penalised[self._dir_access(blocks[mine].tolist(),
-                                       mine.tolist())] = True
+            if hi > lo and len(self._domain_threads.get(domain_id, ())) > 1:
+                out[mine[self._peer_pass(domain_id, blocks[mine], tids[mine],
+                                         victims[mine])]] = _L2_PEER
+        rest = miss[out[miss] != _L2_PEER]
+        penalised = _np.zeros(hit.size, dtype=bool)
+        penalised[self._dir_access(blocks[rest], rest)] = True
 
         counts = _level_counts(out)
         self.intra_domain_transfers += counts[_L2_PEER]
@@ -688,54 +708,154 @@ class BatchedEngine:
                 level[span[found]] = _np.where(held_dirty, _C2C_DIRTY, _C2C_CLEAN)
         return level
 
-    def _peer_pass(self, domain_id, misses, blocks, tids, victims):
-        """Walk one domain's misses in merge order through its recent-
-        eviction window; returns the positions a sibling L1 supplies.
+    def _peer_pass(self, domain_id, blocks, tids, victims):
+        """One domain's misses, in merge order, against its recent-
+        eviction window; returns the indices a sibling L1 supplies.
 
-        A miss tests the window before its own eviction enters it.
+        Each miss tests the window, then its victim enters the window
+        (the oldest entry goes when that overflows the cap), then the
+        missed block leaves it.  A victim is never in the window
+        already: a block re-enters the L2 only through a miss, which
+        takes it out.  So the window is a FIFO with deletions, settled
+        here in bulk (see :meth:`_trim_frontier`).
         """
-        recent = self._recent[domain_id]
-        cap = self._evict_cap
+        window = self._recent[domain_id]
+        n = blocks.size
+        inserted = _np.flatnonzero(victims >= 0)
+        # the window's entries, oldest first: the carried-over ones, then
+        # each victim.  On one time line a carried entry sits at 0 and
+        # miss k tests at 3k+1, enters its victim at 3k+2 and deletes
+        # its block at 3k+3.
+        entry_blocks = _np.concatenate((window, victims[inserted]))
+        m = entry_blocks.size
+        times = _np.concatenate((_np.zeros(window.size, dtype=_np.int64),
+                                 3 * inserted + 2, 3 * _np.arange(n) + 3))
+        # a miss deletes the entry just before it in (block, time) order
+        # (between two entries of a block there is always a miss of it)
+        span = 3 * n + 4
+        keys = _np.concatenate((entry_blocks, blocks)) * span + times
+        order = _np.argsort(keys)
+        keys = keys[order] // span
+        pairs = _np.flatnonzero((order[:-1] < m) & (order[1:] >= m)
+                                & (keys[:-1] == keys[1:]))
+        deleted, deleter = order[pairs], order[pairs + 1] - m
+        frontier = self._trim_frontier(window.size, times[window.size:m],
+                                       deleted, times[m + deleter])
+        live = _np.ones(m, dtype=bool)
+        live[deleted] = False
+        live[:frontier[-1] + 1 if frontier.size else 0] = False
+        self._recent[domain_id] = entry_blocks[live]
+        # a deleting miss hits unless its entry was trimmed before its test
+        before = _np.searchsorted(inserted, deleter)
+        seen = _np.concatenate(([-1], frontier))[before]
+        found = deleter[deleted > seen]
+        if not found.size:
+            return found
+        # the L2 dropped the line recently; a sibling L1 may still hold
+        # it (the reference's intra-domain window)
         siblings = self._domain_threads[domain_id]
-        peer = []
-        for pos, block, tid, victim in zip(
-                misses.tolist(), blocks[misses].tolist(),
-                tids[misses].tolist(), victims[misses].tolist()):
-            if block in recent:
-                # the L2 dropped the line recently; a sibling L1 may
-                # still hold it (the reference's intra-domain window)
-                for peer_tid, peer_state in siblings:
-                    if peer_tid != tid and block in peer_state.resident:
-                        peer.append(pos)
-                        break
-            if victim >= 0:
-                recent[victim] = None
-                recent.move_to_end(victim)
-                if len(recent) > cap:
-                    recent.popitem(last=False)
-            recent.pop(block, None)
-        return peer
+        held = _np.concatenate([state.resident for _, state in siblings])
+        holder = _np.repeat([tid for tid, _ in siblings],
+                            [state.resident.size for _, state in siblings])
+        supplied = ((held == blocks[found, None])
+                    & (holder != tids[found, None])).any(1)
+        return found[supplied]
 
-    def _dir_access(self, blocks, positions) -> List[int]:
+    def _trim_frontier(self, carried, times, deleted, deleted_times):
+        """The window's trim frontier after each insertion.
+
+        Entries are numbered oldest first, the ``carried`` ones from
+        earlier epochs first, and the insertions at ``times`` after
+        them; entry ``deleted[i]`` leaves at ``deleted_times[i]``.  After
+        each insertion the oldest live entry goes while more than the
+        cap are live, so every entry at or below the frontier is gone:
+        the frontier sits at the (cap+1)-th newest entry not yet
+        deleted, and is a running maximum (-1: nothing trimmed).
+        """
+        cap = self._evict_cap
+        q = carried + _np.arange(times.size)
+        p = q - cap
+        # count the deletions among entries p..q (a deleted entry is
+        # older than q) and move p down by the shortfall until exactly
+        # cap + 1 entries of p..q are live, or there are too few
+        open_ = _np.flatnonzero(p >= 0)
+        while open_.size and deleted.size:
+            gone = ((deleted >= p[open_, None])
+                    & (deleted_times < times[open_, None])).sum(1)
+            short = gone - (q[open_] - p[open_] - cap)
+            p[open_] -= short
+            open_ = open_[(short > 0) & (p[open_] >= 0)]
+        return _np.maximum.accumulate(_np.maximum(p, -1))
+
+    def _dir_access(self, blocks, positions):
         """Directory-cache lookups, in order, at each block's home tile
-        (LRU); returns the positions that missed."""
+        (LRU); returns the positions that missed.
+
+        A tile whose residents plus this call's new blocks fit its
+        capacity evicts nothing, so a lookup hits iff its block was
+        cached or is a repeat; only a tile that can evict walks its
+        lookups in order (:meth:`_dir_walk`).
+        """
+        n = blocks.size
+        if not n:
+            return positions
         tiles = self._dir_tiles
-        capacity = self._dir_capacity
-        dircache = self._dircache
-        missed = []
-        for block, pos in zip(blocks, positions):
-            cache = dircache[block % tiles]
-            if block in cache:
-                del cache[block]
-                cache[block] = None
-            else:
-                cache[block] = None
-                if len(cache) > capacity:
-                    del cache[next(iter(cache))]
-                missed.append(pos)
-        self.dir_misses += len(missed)
-        self.dir_hits += len(blocks) - len(missed)
+        top = int(blocks.max()) + 1
+        if top > self._dir_stamp.size:
+            grown = _np.zeros(max(top, 2 * self._dir_stamp.size), dtype=_np.int64)
+            grown[:self._dir_stamp.size] = self._dir_stamp
+            self._dir_stamp = grown
+        stamp = self._dir_stamp
+        order = _np.argsort(blocks, kind="stable")
+        sorted_blocks = blocks[order]
+        first = _np.ones(n, dtype=bool)
+        first[1:] = sorted_blocks[1:] != sorted_blocks[:-1]
+        uniq = sorted_blocks[first]
+        last = order[_np.append(first[1:], True)]
+        new = stamp[uniq] == 0
+        growth = _np.bincount(uniq[new] % tiles, minlength=tiles)
+        walks = _np.flatnonzero(self._dir_count + growth > self._dir_capacity)
+        hit_sorted = ~first
+        hit_sorted[first] = ~new
+        hit = _np.empty(n, dtype=bool)
+        hit[order] = hit_sorted
+        stamps = self._dir_clock + 1 + _np.arange(n)
+        self._dir_clock += n
+        if walks.size:
+            keep = ~_np.isin(uniq % tiles, walks)
+            uniq, last = uniq[keep], last[keep]
+            growth[walks] = 0
+            home = blocks % tiles
+            for tile in walks.tolist():
+                mine = _np.flatnonzero(home == tile)
+                hit[mine] = self._dir_walk(tile, blocks[mine], stamps[mine])
+        stamp[uniq] = stamps[last]
+        self._dir_count += growth
+        missed = positions[~hit]
+        self.dir_misses += missed.size
+        self.dir_hits += n - missed.size
         return missed
+
+    def _dir_walk(self, tile, blocks, stamps):
+        """One tile's lookups in order through an LRU dict rebuilt from
+        the stamps; returns each lookup's hit flag."""
+        tiles = self._dir_tiles
+        view = self._dir_stamp[tile::tiles]  # the tile's blocks' stamps
+        held = _np.flatnonzero(view)
+        held = held[_np.argsort(view[held])]
+        cache = dict(zip((held * tiles + tile).tolist(), view[held].tolist()))
+        view[held] = 0
+        capacity = self._dir_capacity
+        hits = []
+        for block, at in zip(blocks.tolist(), stamps.tolist()):
+            hits.append(cache.pop(block, None) is not None)
+            cache[block] = at
+            if len(cache) > capacity:
+                del cache[next(iter(cache))]
+        resident = _np.fromiter(cache, dtype=_np.int64, count=len(cache))
+        view[resident // tiles] = list(cache.values())
+        self._dir_count[tile] = len(cache)
+        return hits
 
     # ------------------------------------------------------------------
     # write reconciliation (upgrades + invalidations)

@@ -1,7 +1,10 @@
 """Tests for the striped directory and directory caches."""
 
+import pytest
+
 from repro.coherence.directory import Directory, DirectoryCache, DirectoryEntry
 from repro.coherence.states import DirState
+from repro.errors import ConfigurationError
 
 
 class TestDirectoryEntry:
@@ -75,3 +78,13 @@ class TestDirectoryCache:
         assert d.cache_access(5) is True
         # a different block with the same home tile shares that cache
         assert d.caches[1].hits + d.caches[1].misses == 2
+
+    def test_tile_caches_are_built_on_first_lookup(self):
+        d = Directory(4, dir_cache_entries=64)
+        assert d.caches == [None] * 4
+        d.cache_access(6)
+        assert [c is not None for c in d.caches] == [False, False, True, False]
+
+    def test_bad_cache_size_fails_at_construction(self):
+        with pytest.raises(ConfigurationError):
+            Directory(4, dir_cache_entries=12)

@@ -81,7 +81,9 @@ class TestTakeBatch:
 class TestPrivateFold:
     """The numpy private fold must agree with its pure-Python oracle,
     including on epochs that touch only a handful of blocks (where the
-    L1 threshold ``c1 * n / distinct`` exceeds the epoch length)."""
+    L1 threshold ``c1 * n / distinct`` exceeds the epoch length), on
+    residents carried over from earlier epochs and on the cut to
+    ``c1`` at the epoch boundary."""
 
     @pytest.mark.parametrize("working_set", [1, 2, 5, 17, 64, 300])
     def test_numpy_matches_python(self, working_set):
@@ -89,12 +91,22 @@ class TestPrivateFold:
 
         rng = np.random.default_rng(working_set)
         fast, slow = PrivateState(4, 64), PrivateState(4, 64)
-        for _epoch in range(4):
-            blocks = rng.integers(0, working_set, 512).tolist()
+        carried = truncated = False
+        for epoch in range(6):
+            # the working set drifts and the epoch length alternates, so
+            # residents carry over touched, survive untouched or age out
+            base = epoch * (working_set // 3)
+            blocks = (base + rng.integers(0, working_set, (512, 40)[epoch % 2])).tolist()
+            before = set(slow.resident_blocks())
+            carried |= bool(before & set(blocks))
+            truncated |= len(before | set(blocks)) > 64
             expected = fold_private(slow, blocks, use_numpy=False)
             got = fold_private(fast, blocks, use_numpy=True)
             assert got.tolist() == expected
             assert fast.resident_blocks() == slow.resident_blocks()
+            assert len(slow.resident_blocks()) <= 64
+        assert carried
+        assert truncated == (working_set >= 64)
 
     def test_self_check(self):
         from repro.sim._batchfold import self_check
