@@ -748,7 +748,7 @@ class BatchedEngine:
         # a deleting miss hits unless its entry was trimmed before its test
         before = _np.searchsorted(inserted, deleter)
         seen = _np.concatenate(([-1], frontier))[before]
-        found = deleter[deleted > seen]
+        found = _np.sort(deleter[deleted > seen])
         if not found.size:
             return found
         # the L2 dropped the line recently; a sibling L1 may still hold

@@ -1,4 +1,4 @@
-"""The batched kernel's array L2 state against plain per-set models.
+"""The batched kernel's array passes against plain in-order models.
 
 ``BatchedEngine._replay`` applies an epoch's L2 events in lock-step
 rounds (the r-th event of every set at once) and ``_quota_victims``
@@ -6,6 +6,11 @@ evaluates the way-quota victim rules on the arrays.  Both must equal a
 one-event-at-a-time walk: an ``OrderedDict`` LRU per set, and
 :meth:`WayQuota.victim_selector` on that dict.  The geometry is tiny
 (4 domains x 4 sets x 4 ways) so random streams overflow sets often.
+
+``_peer_pass`` settles each domain's recent-eviction window in bulk and
+``_dir_access`` each tile's directory cache; both must equal the walk
+in merge order through one ``OrderedDict`` per domain or tile, at
+capacities small enough to trim and evict in every epoch.
 """
 
 from collections import OrderedDict
@@ -220,3 +225,134 @@ def test_zero_quota_falls_through_to_reclaim():
     quota = engine.machine.domains[0].quota
     assert victims.tolist() == [SETS * 1]
     assert (quota.self_evictions, quota.reclaims) == (0, 1)
+
+
+def _model_window(recent, cap, misses, residents):
+    """Misses (block, thread, victim) in order through an OrderedDict
+    window; returns the indices a sibling's resident blocks supply."""
+    peer = []
+    for k, (block, tid, victim) in enumerate(misses):
+        if block in recent and any(
+                other != tid and block in held
+                for other, held in residents.items()):
+            peer.append(k)
+        if victim >= 0:
+            recent[victim] = None
+            recent.move_to_end(victim)
+            if len(recent) > cap:
+                recent.popitem(last=False)
+        recent.pop(block, None)
+    return peer
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(20, 200), min_size=1, max_size=5))
+def test_bulk_peer_window_matches_ordered_walk(cap, seed, sizes):
+    rng = np.random.default_rng(seed)
+    engine, threads = _engine()
+    engine._evict_cap = cap
+    placement = engine.machine.placement
+    windows = [OrderedDict() for _ in range(DOMAINS)]
+    for size in sizes:
+        residents = [rng.choice(BLOCKS, rng.integers(0, 9), replace=False)
+                     for _ in threads]
+        for tid, held in enumerate(residents):
+            engine._private[tid].resident = held.astype(np.int64)
+        # the victims come from the L2 replay, as in the kernel
+        doms = rng.integers(0, DOMAINS, size)
+        blocks = rng.integers(0, BLOCKS, size)
+        tids = np.asarray(placement.domains)[doms, rng.integers(0, 4, size)]
+        hit, victims = engine._replay(doms * SETS + blocks % SETS, blocks,
+                                      np.zeros(size, dtype=bool), tids % VMS)
+        for domain in range(DOMAINS):
+            mine = np.flatnonzero(~hit & (doms == domain))
+            got = engine._peer_pass(domain, blocks[mine], tids[mine],
+                                    victims[mine])
+            expected = _model_window(
+                windows[domain], cap,
+                list(zip(blocks[mine].tolist(), tids[mine].tolist(),
+                         victims[mine].tolist())),
+                {tid: set(residents[tid].tolist())
+                 for tid in placement.domains[domain]})
+            assert got.tolist() == expected
+            assert engine._recent[domain].tolist() == list(windows[domain])
+        # invalidations drop L2 lines without entering the window
+        written = {d: rng.integers(0, BLOCKS, 3).tolist()
+                   for d in range(DOMAINS) if rng.random() < 0.5}
+        _reconcile(engine, threads, written)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(1, 60),
+       st.floats(0.0, 0.9))
+def test_trim_frontier_matches_fifo_walk(cap, seed, inserts, delete_share):
+    # an abstract FIFO: carried entries, then one insertion per step k
+    # (time 3k+2); a deleted entry leaves at some later step (3j+3)
+    rng = np.random.default_rng(seed)
+    engine, _threads = _engine()
+    engine._evict_cap = cap
+    carried = int(rng.integers(0, cap + 1))
+    steps = np.sort(rng.choice(inserts * 2, inserts, replace=False))
+    times = 3 * steps + 2
+    entry_steps = np.concatenate((np.full(carried, -1), steps))
+    deleted = np.flatnonzero(rng.random(entry_steps.size) < delete_share)
+    deleted_times = 3 * rng.integers(entry_steps[deleted] + 1,
+                                     2 * inserts + 1) + 3
+    frontier = engine._trim_frontier(carried, times, deleted, deleted_times)
+
+    live, gone, expected = OrderedDict.fromkeys(range(carried)), -1, []
+    leaves = sorted(zip(deleted_times.tolist(), deleted.tolist()))
+    for q, at in enumerate(times.tolist(), start=carried):
+        while leaves and leaves[0][0] < at:
+            live.pop(leaves.pop(0)[1], None)
+        live[q] = None
+        while len(live) > cap:
+            gone = max(gone, live.popitem(last=False)[0])
+        expected.append(gone)
+    assert frontier.tolist() == expected
+
+
+def _model_directory(caches, capacity, blocks, tiles):
+    """Lookups in order through one OrderedDict LRU per tile; returns
+    each lookup's hit flag."""
+    hits = []
+    for block in blocks:
+        cache = caches.setdefault(block % tiles, OrderedDict())
+        hits.append(block in cache)
+        if block in cache:
+            cache.move_to_end(block)
+        else:
+            cache[block] = None
+            if len(cache) > capacity:
+                cache.popitem(last=False)
+    return hits
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(16, 2000), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(0, 400), min_size=1, max_size=6))
+def test_bulk_directory_cache_matches_per_tile_lru(capacity, spread, seed,
+                                                    sizes):
+    rng = np.random.default_rng(seed)
+    engine, _threads = _engine()
+    engine._dir_capacity = capacity
+    tiles = engine._dir_tiles
+    caches = {}
+    for size in sizes:
+        # a narrow block range, so tiles refill and re-hit
+        blocks = rng.integers(0, spread, size)
+        positions = np.arange(size) * 3 + 1
+        before = engine.dir_hits, engine.dir_misses
+        missed = engine._dir_access(blocks, positions)
+        hits = _model_directory(caches, capacity, blocks.tolist(), tiles)
+        assert missed.tolist() == positions[~np.asarray(hits, dtype=bool)].tolist()
+        assert (engine.dir_hits - before[0], engine.dir_misses - before[1]) == (
+            sum(hits), size - sum(hits))
+        # the stamps hold each tile's LRU order
+        stamp = engine._dir_stamp
+        for tile in range(tiles):
+            held = np.flatnonzero(stamp[tile::tiles]) * tiles + tile
+            order = held[np.argsort(stamp[held])].tolist()
+            assert order == list(caches.get(tile, {}))
+            assert engine._dir_count[tile] == len(order)
