@@ -115,6 +115,10 @@ class BatchedEngine:
     #: quota rewrites only
     provides = frozenset({QUOTA, EPOCH_PROBE})
 
+    #: window deletions per table in :meth:`_trim_frontier` (the table
+    #: holds the square of this many entries)
+    _TRIM_CHUNK = 256
+
     def __init__(
         self,
         machine,
@@ -542,8 +546,7 @@ class BatchedEngine:
             return {}
         doms, est, idx, tids, vms, blocks, writes = (
             _np.concatenate(col) for col in zip(*parts))
-        # the merge: domains ascending, each by (est, index, thread)
-        order = _np.lexsort((tids, idx, est, doms))
+        order = self._merge_order(doms, est, idx, tids)
         doms, tids, vms, blocks, writes = (
             col[order] for col in (doms, tids, vms, blocks, writes))
         if tap is not None:
@@ -587,6 +590,17 @@ class BatchedEngine:
                 dir_penalties[tid] = idx[penalised[lo:hi]].tolist()
             lo = hi
         return dir_penalties
+
+    def _merge_order(self, doms, est, idx, tids):
+        """The merge: domains ascending, each by (est, index, thread),
+        as one sort of unique integer keys (est by its dense rank)."""
+        by_est = _np.argsort(est)
+        rank = _np.empty(est.size, dtype=_np.int64)
+        rank[by_est] = _np.cumsum(_np.concatenate(
+            ([0], _np.diff(est[by_est]) != 0)))
+        tid_rank = _np.searchsorted(self._order, tids)
+        return _np.argsort(((doms * est.size + rank) * (int(idx.max()) + 1)
+                            + idx) * len(self._order) + tid_rank)
 
     def _replay(self, rows, blocks, writes, vms):
         """Replay merged L2 events against the set arrays in lock-step.
@@ -765,27 +779,46 @@ class BatchedEngine:
         """The window's trim frontier after each insertion.
 
         Entries are numbered oldest first, the ``carried`` ones from
-        earlier epochs first, and the insertions at ``times`` after
-        them; entry ``deleted[i]`` leaves at ``deleted_times[i]``.  After
-        each insertion the oldest live entry goes while more than the
-        cap are live, so every entry at or below the frontier is gone:
-        the frontier sits at the (cap+1)-th newest entry not yet
-        deleted, and is a running maximum (-1: nothing trimmed).
+        earlier epochs first, then the insertions at ``times``; entry
+        ``deleted[i]`` leaves at ``deleted_times[i]``.  After each
+        insertion the oldest live entry goes while more than the cap
+        are live, so every entry at or below the frontier is gone: the
+        frontier sits at the (cap+1)-th newest entry not yet deleted,
+        and is a running maximum (-1: nothing trimmed).
         """
-        cap = self._evict_cap
-        q = carried + _np.arange(times.size)
-        p = q - cap
-        # count the deletions among entries p..q (a deleted entry is
-        # older than q) and move p down by the shortfall until exactly
-        # cap + 1 entries of p..q are live, or there are too few
-        open_ = _np.flatnonzero(p >= 0)
-        while open_.size and deleted.size:
-            gone = ((deleted >= p[open_, None])
-                    & (deleted_times < times[open_, None])).sum(1)
-            short = gone - (q[open_] - p[open_] - cap)
-            p[open_] -= short
-            open_ = open_[(short > 0) & (p[open_] >= 0)]
-        return _np.maximum.accumulate(_np.maximum(p, -1))
+        size = carried + times.size
+        by_time = _np.argsort(deleted_times)
+        gone = deleted[by_time]
+        # insertion q follows j[q] deletions, all of entries older than
+        # q, so its frontier is its r-th entry not deleted (0: oldest)
+        j = _np.searchsorted(deleted_times[by_time], times)
+        r = carried + _np.arange(times.size) - j - self._evict_cap
+        frontier = _np.full(times.size, -1)
+        # the r-th integer outside a sorted set S is r plus the number
+        # of i with S[i] - i <= r; one table row per prefix of the
+        # deletions (in time order), a chunk of rows at a time
+        for lo in range(0, gone.size + 1, self._TRIM_CHUNK):
+            rows = _np.flatnonzero((j >= lo) & (j < lo + self._TRIM_CHUNK)
+                                   & (r >= 0))
+            if not rows.size:
+                continue
+            # the chunk's deletions ranked among the entries not deleted
+            # before it, then sorted per prefix (padded with size)
+            base = _np.sort(gone[:lo])
+            new = gone[lo:lo + self._TRIM_CHUNK]
+            new = new - _np.searchsorted(base, new)
+            n = new.size
+            table = _np.where(_np.arange(n) < _np.arange(n + 1)[:, None],
+                              new, size)
+            table.sort(1)
+            table = _np.where(table < size, table - _np.arange(n), size)
+            table += _np.arange(n + 1)[:, None] * (size + 1)
+            k, rank = j[rows] - lo, r[rows]
+            rank = rank + _np.searchsorted(
+                table.ravel(), k * (size + 1) + rank, "right") - k * n
+            frontier[rows] = rank + _np.searchsorted(
+                base - _np.arange(lo), rank, "right")
+        return _np.maximum.accumulate(frontier)
 
     def _dir_access(self, blocks, positions):
         """Directory-cache lookups, in order, at each block's home tile
@@ -806,8 +839,9 @@ class BatchedEngine:
             grown[:self._dir_stamp.size] = self._dir_stamp
             self._dir_stamp = grown
         stamp = self._dir_stamp
-        order = _np.argsort(blocks, kind="stable")
-        sorted_blocks = blocks[order]
+        # by block, then stream position
+        keys = _np.sort(blocks * n + _np.arange(n))
+        order, sorted_blocks = keys % n, keys // n
         first = _np.ones(n, dtype=bool)
         first[1:] = sorted_blocks[1:] != sorted_blocks[:-1]
         uniq = sorted_blocks[first]

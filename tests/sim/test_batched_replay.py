@@ -227,6 +227,20 @@ def test_zero_quota_falls_through_to_reclaim():
     assert (quota.self_evictions, quota.reclaims) == (0, 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300))
+def test_merge_order_matches_lexsort(seed, size):
+    # few distinct estimates, so ties fall to the index, then the thread
+    rng = np.random.default_rng(seed)
+    engine, threads = _engine()
+    pairs = rng.choice(16 * 64, size, replace=False)
+    idx, tids = pairs // 16, pairs % 16
+    doms = rng.integers(0, DOMAINS, size)
+    est = rng.integers(0, 8, size) * 0.5
+    order = engine._merge_order(doms, est, idx, tids)
+    assert order.tolist() == np.lexsort((tids, idx, est, doms)).tolist()
+
+
 def _model_window(recent, cap, misses, residents):
     """Misses (block, thread, victim) in order through an OrderedDict
     window; returns the indices a sibling's resident blocks supply."""
@@ -285,13 +299,15 @@ def test_bulk_peer_window_matches_ordered_walk(cap, seed, sizes):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(1, 60),
-       st.floats(0.0, 0.9))
-def test_trim_frontier_matches_fifo_walk(cap, seed, inserts, delete_share):
+       st.floats(0.0, 0.9), st.sampled_from([1, 3, 256]))
+def test_trim_frontier_matches_fifo_walk(cap, seed, inserts, delete_share,
+                                         chunk):
     # an abstract FIFO: carried entries, then one insertion per step k
     # (time 3k+2); a deleted entry leaves at some later step (3j+3)
     rng = np.random.default_rng(seed)
     engine, _threads = _engine()
     engine._evict_cap = cap
+    engine._TRIM_CHUNK = chunk  # small chunks split the deletions
     carried = int(rng.integers(0, cap + 1))
     steps = np.sort(rng.choice(inserts * 2, inserts, replace=False))
     times = 3 * steps + 2
