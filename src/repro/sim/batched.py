@@ -14,11 +14,14 @@ time:
    private L0/L1 (:mod:`repro.sim._batchfold`) — the vectorized hot
    path, since it sees every reference;
 3. the surviving L2-level references of each L2 domain are merged by
-   estimated issue time (one ``lexsort``) and replayed against array
-   L2 state in lock-step rounds (see :meth:`BatchedEngine._replay`),
+   estimated issue time (one sort) and replayed against array L2
+   state in lock-step rounds (see :meth:`BatchedEngine._replay`),
    classifying local hits, cross-domain cache-to-cache transfers, and
-   memory fetches; the tap, the peer-L1 eviction window and the
-   directory caches walk the merged events in order;
+   memory fetches; each domain's peer-L1 eviction window is settled
+   in bulk as a FIFO with deletions (:meth:`BatchedEngine._peer_pass`)
+   and the directory caches as one last-access stamp per block
+   (:meth:`BatchedEngine._dir_access`); only the tap walks the merged
+   events one by one;
 4. coherence effects of writes (upgrades, invalidations) and queueing
    delays on shared resources (L2 banks, memory channels, mesh links —
    an M/D/1 waiting-time estimate fed by the previous epoch's arrival
@@ -37,9 +40,10 @@ Known modelling simplifications (all reconciled at epoch granularity):
   against sibling threads' epoch-boundary private resident sets rather
   than their instantaneous L1 contents;
 * per-tile directory caches are modelled as fully-associative LRU
-  dictionaries of the configured entry count (the reference uses 8-way
-  set-associative); a dir-cache miss charges the same memory-latency
-  penalty as the reference path;
+  caches of the configured entry count (the reference uses 8-way
+  set-associative), kept as each block's last-access stamp and settled
+  in bulk while a tile's residents fit; a dir-cache miss charges the
+  same memory-latency penalty as the reference path;
 * coherence between domains is resolved against epoch-*start* state;
   two domains touching the same block inside one epoch only see each
   other at the next boundary;
@@ -523,8 +527,9 @@ class BatchedEngine:
         reference's load-balancing feedback at epoch granularity.
 
         The merge (domains ascending) is a sequential fold's order: the
-        sets replay in lock-step, while the tap, the recent-eviction
-        window and the directory caches walk the events in that order.
+        tap walks the events in that order, the sets replay in
+        lock-step, and the recent-eviction windows and the directory
+        caches are settled in bulk to what that walk would leave.
         """
         tap = getattr(self.machine, "l2_tap", None)
         vm_code = self._vm_code
