@@ -112,17 +112,18 @@ def _fold_np(state: PrivateState, blocks):
     arr = _np.asarray(blocks, dtype=_np.int64)
     n = arr.shape[0]
 
-    sort_order = _np.argsort(arr, kind="stable")
-    sorted_blocks = arr[sort_order]
+    idx = _np.arange(n, dtype=_np.int64)
+    # by block, then stream position: one sort of unique keys
+    keys = _np.sort(arr * n + idx)
+    sort_order, sorted_blocks = keys % n, keys // n
     same = sorted_blocks[1:] == sorted_blocks[:-1]
     prev = _np.full(n, -1, dtype=_np.int64)
     prev[sort_order[1:][same]] = sort_order[:-1][same]
 
-    idx = _np.arange(n, dtype=_np.int64)
     # always-miss sentinel: thresholds peak at c1*n (one distinct block)
     gap = _np.where(prev >= 0, idx - prev, state.c1 * n + 1)
     # each distinct block's run in sorted order: its first and last
-    # occurrence in the stream (the sort is stable)
+    # occurrence in the stream
     starts = _np.flatnonzero(_np.concatenate(([True], ~same)))
     ends = _np.append(starts[1:] - 1, n - 1)
     distinct = int(starts.shape[0])
