@@ -232,7 +232,7 @@ def test_zero_quota_falls_through_to_reclaim():
 def test_merge_order_matches_lexsort(seed, size):
     # few distinct estimates, so ties fall to the index, then the thread
     rng = np.random.default_rng(seed)
-    engine, threads = _engine()
+    engine, _threads = _engine()
     pairs = rng.choice(16 * 64, size, replace=False)
     idx, tids = pairs // 16, pairs % 16
     doms = rng.integers(0, DOMAINS, size)
