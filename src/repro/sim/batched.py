@@ -200,10 +200,13 @@ class BatchedEngine:
 
         # directory caches: one LRU per tile, striped like the reference
         # Directory (home tile = block % num_tiles), held as each block's
-        # last-access stamp (0: not cached), grown to the largest block
+        # last-access stamp (0: not cached) in a dense array sized from
+        # the VM partitions (grown if a block lies past them)
         self._dir_tiles = config.num_cores
         self._dir_capacity = max(1, config.directory_cache_entries)
-        self._dir_stamp = _np.zeros(0, dtype=_np.int64)
+        self._dir_stamp = _np.zeros(max(
+            getattr(t.references, "partition_end", 0) for t in threads),
+            dtype=_np.int64)
         self._dir_count = _np.zeros(self._dir_tiles, dtype=_np.int64)
         self._dir_clock = 0
         self.dir_hits = 0

@@ -104,6 +104,12 @@ class ThreadTrace:
         # stream untouched, so non-scenario runs stay byte-identical.
         self._load_scale = 1.0
 
+    @property
+    def partition_end(self) -> int:
+        """One past the last block of the VM's partition (the base
+        profile's pools; a phase may reach past it)."""
+        return self.base_block + self.profile.partition_blocks
+
     # ------------------------------------------------------------------
 
     def __iter__(self) -> Iterator[Ref]:
