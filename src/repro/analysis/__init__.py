@@ -12,7 +12,6 @@ from .characterize import (
 from .fairness import FairnessReport, fairness_report, jains_index
 from .occupancy import OccupancySnapshot, measure_occupancy
 from .persist import load_result, result_from_dict, result_to_dict, save_result
-from .qos_report import compare_policies, policy_table
 from .replication import ReplicationSnapshot, measure_replication
 from .report import bar, format_kv, format_series, format_table
 from .scenario_report import (
@@ -47,8 +46,6 @@ __all__ = [
     "result_from_dict",
     "result_to_dict",
     "save_result",
-    "compare_policies",
-    "policy_table",
     "compare_sched_policies",
     "policy_cells",
     "sched_table",

@@ -123,10 +123,13 @@ class ExperimentSpec:
     policy:
         ``"rr"``, ``"affinity"``, ``"rr-aff"``, or ``"random"``.
     seed:
-        Experiment seed; 0 means "use the environment default".
+        Experiment seed; 0 (the default) resolves to the built-in seed
+        1 (``DEFAULT_SEED``).
     measured_refs, warmup_refs:
-        Per-thread measurement window; ``None`` means environment /
-        derived defaults (warmup defaults to half the measured count).
+        Per-thread measurement window; ``None`` resolves to the
+        built-in defaults: 24000 measured refs
+        (``DEFAULT_MEASURED_REFS``) and a warm-up of half the measured
+        count.
     scale:
         Capacity/footprint scale factor.
     l2_replacement:

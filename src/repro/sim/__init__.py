@@ -1,6 +1,6 @@
 """Simulation substrate: RNG streams, records, engines, engine factory."""
 
-from ._batchfold import HAVE_NUMPY, PrivateState, fold_private
+from ._batchfold import PrivateState, fold_private
 from .batched import BatchedEngine
 from .dynamic import AffinityRebinder, MigratingEngine, RandomRebinder
 from .engine import Engine, EngineResult, MachineModel, ThreadContext, ThreadStats
@@ -25,7 +25,6 @@ from .rng import RngFactory, derive_seed, stream
 from .server import FifoServer, ServerStats
 
 __all__ = [
-    "HAVE_NUMPY",
     "PrivateState",
     "fold_private",
     "BatchedEngine",

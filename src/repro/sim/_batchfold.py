@@ -6,8 +6,8 @@ references, decide which land in the private L0/L1 and which proceed to
 the shared L2 layer — without dispatching per-reference through cache
 objects.
 
-The model is deliberately epoch-granular so that it can be computed
-either vectorized (numpy) or in pure Python with *identical* results:
+The model is deliberately epoch-granular, so one vectorized pass over
+the epoch computes it:
 
 * Within an epoch, a reference hits a private level iff the gap to the
   previous occurrence of its block is at most ``g = capacity * n / U``
@@ -27,32 +27,22 @@ either vectorized (numpy) or in pure Python with *identical* results:
 Because L0 and L1 are filled and aged by the same reference stream,
 their resident sets are nested (L0 is the most-recent ``c0`` entries of
 the L1 ordering), so a single recency ordering models both levels.
-
-**Import constraints**: this file must stay importable without numpy
-and without the rest of the ``repro`` package — the no-numpy CI job
-loads it standalone to prove the fallback path works (see
-``ci/check_nonumpy.py``).
 """
 
 from __future__ import annotations
 
-try:  # optional fast path; the pure-Python path is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
+import numpy as _np
 
-HAVE_NUMPY = _np is not None
-
-__all__ = ["HAVE_NUMPY", "PrivateState", "fold_private", "self_check"]
+__all__ = ["PrivateState", "fold_private"]
 
 
 class PrivateState:
     """Recency state of one thread's private L0+L1 stack.
 
-    ``resident`` holds the resident blocks, least-recently used first:
-    an int64 array when numpy is importable, else a list.  The most
-    recent ``c0`` entries are considered L0 resident, the most recent
-    ``c1`` entries L1 resident (the order is truncated to ``c1``).
+    ``resident`` holds the resident blocks as an int64 array,
+    least-recently used first.  The most recent ``c0`` entries are
+    considered L0 resident, the most recent ``c1`` entries L1 resident
+    (the order is truncated to ``c1``).
     """
 
     __slots__ = ("c0", "c1", "resident")
@@ -62,55 +52,20 @@ class PrivateState:
             raise ValueError("private cache capacities must be positive")
         self.c0 = min(c0, c1)
         self.c1 = c1
-        self.resident = _resident([])
-
-    def resident_blocks(self):
-        return list(self.resident) if _np is None else self.resident.tolist()
+        self.resident = _np.zeros(0, dtype=_np.int64)
 
 
-def _resident(order):
-    """The stored form of a resident ordering (see PrivateState)."""
-    return order if _np is None else _np.asarray(order, dtype=_np.int64)
+def fold_private(state: PrivateState, blocks):
+    """Classify one epoch of references against the private stack.
 
-
-def _fold_py(state: PrivateState, blocks):
-    n = len(blocks)
-    order = state.resident_blocks()
-    m = len(order)
-    ranks = {block: m - 1 - pos for pos, block in enumerate(order)}
-    distinct = len(set(blocks))
-    g0 = state.c0 * n / distinct
-    g1 = state.c1 * n / distinct
-    last = {}
-    levels = []
-    append = levels.append
-    get_last = last.get
-    get_rank = ranks.get
-    for i, block in enumerate(blocks):
-        j = get_last(block)
-        if j is None:
-            r = get_rank(block)
-            gap = (i + r + 1) if r is not None else None
-        else:
-            gap = i - j
-        if gap is not None and gap <= g0:
-            append(0)
-        elif gap is not None and gap <= g1:
-            append(1)
-        else:
-            append(2)
-        last[block] = i
-    # the boundary rebuild (see module doc): untouched survivors, then
-    # touched blocks in last-touch order, cut to capacity
-    survivors = [b for b in order if b not in last]
-    touched = sorted(last, key=last.__getitem__)
-    state.resident = _resident((survivors + touched)[-state.c1:])
-    return levels
-
-
-def _fold_np(state: PrivateState, blocks):
+    Returns per-reference levels as an int64 array: ``0`` (L0 hit),
+    ``1`` (L1 hit), or ``2`` (missed the private stack, proceeds to the
+    L2 layer).  Rebuilds ``state.resident`` for the next epoch.
+    """
     arr = _np.asarray(blocks, dtype=_np.int64)
     n = arr.shape[0]
+    if n == 0:
+        return _np.zeros(0, dtype=_np.int64)
 
     idx = _np.arange(n, dtype=_np.int64)
     # by block, then stream position: one sort of unique keys
@@ -150,63 +105,3 @@ def _fold_np(state: PrivateState, blocks):
     state.resident = _np.concatenate((resident[~touched], last))[-state.c1:]
     return levels
 
-
-def fold_private(state: PrivateState, blocks, use_numpy=None):
-    """Classify one epoch of references against the private stack.
-
-    Returns per-reference levels — ``0`` (L0 hit), ``1`` (L1 hit), or
-    ``2`` (missed the private stack, proceeds to the L2 layer) — as a
-    numpy array on the vectorized path or a plain list on the fallback
-    path.  Both paths compute the *same* model and return identical
-    values; ``use_numpy=None`` picks the fast path when numpy is
-    available.
-    """
-    if len(blocks) == 0:
-        return _np.zeros(0, dtype=_np.int64) if (HAVE_NUMPY and use_numpy is not False) else []
-    if use_numpy is None:
-        use_numpy = HAVE_NUMPY
-    if use_numpy:
-        if not HAVE_NUMPY:
-            raise RuntimeError("numpy requested but not importable")
-        return _fold_np(state, blocks)
-    if HAVE_NUMPY and isinstance(blocks, _np.ndarray):
-        blocks = blocks.tolist()
-    return _fold_py(state, blocks)
-
-
-def self_check():
-    """Deterministic smoke test of the fallback path (no-numpy CI).
-
-    Exercises in-epoch reuse, carryover residency, and eviction by
-    truncation; raises ``AssertionError`` on any mismatch.
-    """
-    state = PrivateState(c0=2, c1=4)
-    # epoch 1: all cold; immediate reuse of 7 hits L0
-    levels = fold_private(state, [7, 7, 8, 9, 7, 10], use_numpy=False)
-    assert levels == [2, 0, 2, 2, 0, 2], levels
-    assert state.resident_blocks() == [8, 9, 7, 10], state.resident_blocks()
-    # epoch 2: 10 was MRU (rank 0) -> L0 carryover hit at i=0;
-    # 8 at rank 3 -> gap 4+... exceeds both thresholds
-    levels = fold_private(state, [10, 8, 11, 12], use_numpy=False)
-    assert levels[0] == 0, levels
-    assert len(state.resident_blocks()) == 4
-    # a first touch always misses, even when so few distinct blocks
-    # push the L1 threshold past the epoch length
-    levels = fold_private(PrivateState(2, 64), [1, 2, 3, 4, 5] * 200)
-    assert list(levels[:6]) == [2, 2, 2, 2, 2, 0], levels[:6]
-    if HAVE_NUMPY:
-        for c1, stream in ((4, [5, 6, 5, 7, 8, 9, 5, 6, 10, 10, 11, 6]),
-                           (64, [1, 2, 3, 4, 5] * 40)):
-            a, b = PrivateState(2, c1), PrivateState(2, c1)
-            half = len(stream) // 2
-            for epoch in (stream[:half], stream[half:]):
-                va = fold_private(a, epoch, use_numpy=False)
-                vb = fold_private(b, epoch, use_numpy=True)
-                assert va == vb.tolist(), (va, vb)
-                assert a.resident_blocks() == b.resident_blocks()
-    return True
-
-
-if __name__ == "__main__":  # pragma: no cover - CI entry point
-    self_check()
-    print("batchfold self-check OK (numpy=%s)" % HAVE_NUMPY)

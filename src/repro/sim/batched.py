@@ -61,13 +61,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import islice
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as _np
 
 from ..control import EPOCH_PROBE, QUOTA
 from ..errors import SimulationError
-from ._batchfold import HAVE_NUMPY, PrivateState, fold_private
+from ._batchfold import PrivateState, fold_private
 from .engine import EngineResult
 from .records import HitLevel
 
@@ -109,10 +109,6 @@ class BatchedEngine:
         epochs.
     epoch_refs:
         References per thread per folding epoch.
-    use_numpy:
-        Force (``True``) or forbid (``False``) the vectorized private
-        fold (``False`` runs its pure-Python oracle); ``None``
-        auto-detects.  Every other step works on numpy columns.
     """
 
     #: capabilities (:mod:`repro.control`): pre-folded batches admit
@@ -130,7 +126,6 @@ class BatchedEngine:
         probe=None,
         control=None,
         epoch_refs: int = DEFAULT_EPOCH_REFS,
-        use_numpy: Optional[bool] = None,
     ):
         if not threads:
             raise SimulationError("engine needs at least one thread")
@@ -144,16 +139,11 @@ class BatchedEngine:
             cores_seen.add(thread.core_id)
         if epoch_refs <= 0:
             raise SimulationError("epoch_refs must be positive")
-        if use_numpy is None:
-            use_numpy = HAVE_NUMPY
-        if use_numpy and not HAVE_NUMPY:
-            raise SimulationError("use_numpy=True but numpy is unavailable")
         self.machine = machine
         self.threads = {t.thread_id: t for t in threads}
         self.probe = probe
         self.control = control
         self.epoch_refs = epoch_refs
-        self.use_numpy = use_numpy
 
         config = machine.config
         geometry = config.l2_geometry()
@@ -449,10 +439,9 @@ class BatchedEngine:
             for t in threads:
                 blocks, writes, thinks = self._take_batch(t)
                 batches[t.thread_id] = (blocks, writes, thinks)
-                levels[t.thread_id] = _np.asarray(fold_private(
-                    self._private[t.thread_id], blocks,
-                    use_numpy=self.use_numpy,
-                ), dtype=_np.int64)
+                levels[t.thread_id] = fold_private(
+                    self._private[t.thread_id], blocks
+                )
                 total_refs += len(blocks)
 
             prev_clocks = dict(clocks)

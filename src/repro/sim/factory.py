@@ -32,7 +32,6 @@ from typing import AbstractSet, Callable, Dict, FrozenSet, Optional, Sequence
 from ..control import (ASYM_L2, CORE_SPEEDS, EPOCH_PROBE, MIGRATE, REQUEUE,
                        RETIRE)
 from ..errors import ConfigurationError
-from ._batchfold import HAVE_NUMPY
 from .batched import DEFAULT_EPOCH_REFS, BatchedEngine
 from .dynamic import MigratingEngine
 from .engine import Engine
@@ -158,15 +157,12 @@ def resolve_mode(mode: str, needs: AbstractSet[str] = frozenset()) -> str:
     ``"auto"`` picks ``"batched"`` only when the batched engine
     provides every capability in ``needs`` (see :mod:`repro.control`:
     no over-commit, rebinding, scheduler, scenario, VM churn or
-    heterogeneous chip) *and* numpy is importable.  An explicit
-    ``"batched"`` passes through unchanged; requesting it for needs it
-    lacks raises at build time.
+    heterogeneous chip).  An explicit ``"batched"`` passes through
+    unchanged; requesting it for needs it lacks raises at build time.
     """
     mode = (mode or "auto").strip().lower()
     if mode == "auto":
-        if HAVE_NUMPY and needs <= BatchedEngine.provides:
-            return "batched"
-        return "reference"
+        return "batched" if needs <= BatchedEngine.provides else "reference"
     if mode not in _REGISTRY:
         raise ConfigurationError(
             f"unknown engine mode {mode!r}; "

@@ -11,7 +11,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis.qos_report import compare_policies, policy_table
 from repro.core.experiment import (
     ExperimentSpec,
     clear_result_cache,
@@ -98,23 +97,3 @@ class TestSpecValidation:
                        measured_refs=200)
         with pytest.raises(ConfigurationError):
             run_experiment(spec, use_cache=False)
-
-
-class TestPolicyComparison:
-    def test_compare_policies_scores_every_cell(self):
-        base = replace(BASE, measured_refs=400, warmup_refs=100)
-        reports = compare_policies(
-            ["mix7"], policies=["", "static-equal"], base=base,
-            use_cache=False)
-        assert set(reports) == {("mix7", ""), ("mix7", "static-equal")}
-        assert reports[("mix7", "")].policy == "none"
-        assert reports[("mix7", "static-equal")].policy == "static-equal"
-
-        headers, rows = policy_table(reports)
-        assert headers == ["Mix", "uncontrolled", "static-equal"]
-        assert rows[0][0] == "mix7"
-        assert all(isinstance(cell, float) for cell in rows[0][1:])
-
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(ValueError, match="unknown metric"):
-            policy_table({}, metric="nope")

@@ -8,7 +8,6 @@ from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.errors import ConfigurationError
 from repro.sched import CompositeControl, SchedHook, StaticPlacement
 from repro.sim.factory import EngineRequest, make_engine, resolve_mode
-from repro.sim._batchfold import HAVE_NUMPY
 
 _FAST = dict(measured_refs=800, warmup_refs=400, seed=1)
 
@@ -22,11 +21,10 @@ def test_auto_mode_never_resolves_sched_spec_to_batched():
     spec = ExperimentSpec(mix="mix1", sched_policy="contention",
                           engine_mode="auto", **_FAST)
     assert spec.normalized().engine_mode == "reference"
-    # the plain spec still picks batched when numpy is available, so
-    # the gate above is the scheduler, not a global fallback
+    # the plain spec still picks batched, so the gate above is the
+    # scheduler, not a global fallback
     plain = ExperimentSpec(mix="mix1", engine_mode="auto", **_FAST)
-    expected = "batched" if HAVE_NUMPY else "reference"
-    assert plain.normalized().engine_mode == expected
+    assert plain.normalized().engine_mode == "batched"
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-import repro.sim.batched as batched_mod
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.errors import SimulationError
 from repro.sim import BatchedEngine, MemoryReference, ThreadContext
+from repro.sim._batchfold import PrivateState, fold_private
 from repro.workloads.generator import ThreadTrace
 from repro.workloads.library import WORKLOADS
 
@@ -78,17 +78,51 @@ class TestTakeBatch:
         assert any(t for (_b, _w, t) in expected)
 
 
+def _fold_oracle(state, blocks):
+    """The private fold's model, one reference at a time (see
+    :mod:`repro.sim._batchfold`): the reference that ``fold_private``
+    must match on levels and on the rebuilt resident order."""
+    n = len(blocks)
+    order = state.resident.tolist()
+    m = len(order)
+    ranks = {block: m - 1 - pos for pos, block in enumerate(order)}
+    distinct = len(set(blocks))
+    g0 = state.c0 * n / distinct
+    g1 = state.c1 * n / distinct
+    last = {}
+    levels = []
+    for i, block in enumerate(blocks):
+        j = last.get(block)
+        if j is None:
+            r = ranks.get(block)
+            gap = (i + r + 1) if r is not None else None
+        else:
+            gap = i - j
+        if gap is not None and gap <= g0:
+            levels.append(0)
+        elif gap is not None and gap <= g1:
+            levels.append(1)
+        else:
+            levels.append(2)
+        last[block] = i
+    # untouched survivors, then touched blocks in last-touch order, cut
+    # to capacity
+    survivors = [b for b in order if b not in last]
+    touched = sorted(last, key=last.__getitem__)
+    state.resident = np.asarray((survivors + touched)[-state.c1:],
+                                dtype=np.int64)
+    return levels
+
+
 class TestPrivateFold:
-    """The numpy private fold must agree with its pure-Python oracle,
-    including on epochs that touch only a handful of blocks (where the
-    L1 threshold ``c1 * n / distinct`` exceeds the epoch length), on
-    residents carried over from earlier epochs and on the cut to
-    ``c1`` at the epoch boundary."""
+    """The private fold must agree with its one-reference-at-a-time
+    oracle, including on epochs that touch only a handful of blocks
+    (where the L1 threshold ``c1 * n / distinct`` exceeds the epoch
+    length), on residents carried over from earlier epochs and on the
+    cut to ``c1`` at the epoch boundary."""
 
     @pytest.mark.parametrize("working_set", [1, 2, 5, 17, 64, 300])
     def test_numpy_matches_python(self, working_set):
-        from repro.sim._batchfold import PrivateState, fold_private
-
         rng = np.random.default_rng(working_set)
         fast, slow = PrivateState(4, 64), PrivateState(4, 64)
         carried = truncated = False
@@ -97,21 +131,39 @@ class TestPrivateFold:
             # residents carry over touched, survive untouched or age out
             base = epoch * (working_set // 3)
             blocks = (base + rng.integers(0, working_set, (512, 40)[epoch % 2])).tolist()
-            before = set(slow.resident_blocks())
+            before = set(slow.resident.tolist())
             carried |= bool(before & set(blocks))
             truncated |= len(before | set(blocks)) > 64
-            expected = fold_private(slow, blocks, use_numpy=False)
-            got = fold_private(fast, blocks, use_numpy=True)
+            expected = _fold_oracle(slow, blocks)
+            got = fold_private(fast, blocks)
+            assert got.dtype == np.int64
             assert got.tolist() == expected
-            assert fast.resident_blocks() == slow.resident_blocks()
-            assert len(slow.resident_blocks()) <= 64
+            assert fast.resident.tolist() == slow.resident.tolist()
+            assert len(slow.resident) <= 64
         assert carried
         assert truncated == (working_set >= 64)
 
-    def test_self_check(self):
-        from repro.sim._batchfold import self_check
-
-        assert self_check()
+    def test_known_answers(self):
+        state = PrivateState(c0=2, c1=4)
+        # epoch 1: all cold; immediate reuse of 7 hits L0
+        levels = fold_private(state, [7, 7, 8, 9, 7, 10])
+        assert levels.tolist() == [2, 0, 2, 2, 0, 2]
+        assert state.resident.tolist() == [8, 9, 7, 10]
+        # epoch 2: 10 was MRU (rank 0), so its first touch is an L0
+        # carry-over hit
+        # and 8 (rank 3) sits past both thresholds
+        levels = fold_private(state, [10, 8, 11, 12])
+        assert levels.tolist() == [0, 2, 2, 2]
+        assert state.resident.tolist() == [10, 8, 11, 12]
+        # an empty epoch classifies nothing and keeps the residents
+        resident = state.resident.tolist()
+        levels = fold_private(state, [])
+        assert levels.dtype == np.int64 and levels.shape == (0,)
+        assert state.resident.tolist() == resident
+        # a first touch always misses, even when so few distinct blocks
+        # push the L1 threshold past the epoch length
+        levels = fold_private(PrivateState(2, 64), [1, 2, 3, 4, 5] * 200)
+        assert levels[:6].tolist() == [2, 2, 2, 2, 2, 0]
 
 
 class TestConstruction:
@@ -146,28 +198,6 @@ class TestConstruction:
         with pytest.raises(SimulationError, match="epoch_refs"):
             BatchedEngine(self._machine(), self._threads(), epoch_refs=0)
 
-    def test_rejects_numpy_request_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(batched_mod, "HAVE_NUMPY", False)
-        with pytest.raises(SimulationError, match="numpy is unavailable"):
-            BatchedEngine(self._machine(), self._threads(), use_numpy=True)
-
-    def test_numpy_default_follows_availability(self, monkeypatch):
-        monkeypatch.setattr(batched_mod, "HAVE_NUMPY", False)
-        engine = BatchedEngine(self._machine(), self._threads())
-        assert engine.use_numpy is False
-
-
-class TestFallbackIdentity:
-    """The pure-Python fold must be bit-identical to the numpy fold —
-    the fallback changes speed, never results."""
-
-    def test_run_experiment_identical_without_numpy(self, monkeypatch):
-        spec = _spec()
-        fast = run_experiment(spec, use_cache=False)
-        monkeypatch.setattr(batched_mod, "HAVE_NUMPY", False)
-        slow = run_experiment(spec, use_cache=False)
-        assert fast.vm_metrics == slow.vm_metrics
-        assert fast.chip_summary == slow.chip_summary
 
 
 class TestBatchedRun:

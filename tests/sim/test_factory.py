@@ -56,7 +56,6 @@ class TestResolveMode:
             resolve_mode("warp-speed")
 
     def test_auto_prefers_batched_for_plain_shape(self):
-        # numpy is importable in the test environment
         assert resolve_mode("auto") == "batched"
 
     def test_auto_falls_back_for_overcommit(self):
@@ -67,15 +66,6 @@ class TestResolveMode:
 
     def test_auto_batches_needs_the_batched_engine_provides(self):
         assert resolve_mode("auto", BatchedEngine.provides) == "batched"
-
-    def test_auto_falls_back_without_numpy(self, monkeypatch):
-        monkeypatch.setattr("repro.sim.factory.HAVE_NUMPY", False)
-        assert resolve_mode("auto") == "reference"
-
-    def test_explicit_batched_honoured_without_numpy(self, monkeypatch):
-        # the pure-Python fallback exists; only *auto* avoids it
-        monkeypatch.setattr("repro.sim.factory.HAVE_NUMPY", False)
-        assert resolve_mode("batched") == "batched"
 
     def test_concrete_modes_pass_through(self):
         assert resolve_mode("reference") == "reference"
