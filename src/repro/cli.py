@@ -72,10 +72,13 @@
 
 Run sizes and seeds are explicit flags (``--refs``, ``--seed``); the
 old ``REPRO_REFS`` / ``REPRO_SEED`` environment knobs were removed
-and now raise a configuration error when set.  Simulation commands
-take ``--engine`` to pick the kernel (``auto``, ``reference``,
-``batched`` — see ``docs/engines.md``).  Telemetry never changes
-simulation results (see ``docs/observability.md``).
+and now raise a configuration error when set; a zero or negative
+``--refs`` (or negative ``--warmup``) is refused.  ``run`` and
+``sweep`` take ``--engine`` to pick the kernel (``auto``, the
+default, ``reference``, ``batched`` — see ``docs/engines.md``); the
+other simulation commands run the spec default, ``reference``.
+Telemetry never changes simulation results (see
+``docs/observability.md``).
 
 Exit codes are uniform across commands: ``0`` success, ``2`` library
 error (bad configuration, failed sweep cells, service rejection),
@@ -90,7 +93,7 @@ import sys
 from typing import List, Optional
 
 from .analysis.report import format_kv, format_series, format_table
-from .core.experiment import ExperimentSpec, run_experiment
+from .core.experiment import DEFAULT_SCALE, ExperimentSpec, run_experiment
 from .core.isolation import normalize_result
 from .core.mixes import MIXES
 from .errors import ReproError
@@ -108,6 +111,102 @@ EXIT_ERROR = 2
 EXIT_IO = 3
 EXIT_INTERRUPTED = 130
 
+# Every flag that sets an ExperimentSpec field, declared once:
+# flag -> (spec field, add_argument keywords).  Commands pick theirs
+# through _add_spec_flags and build specs through _spec_from_args.
+_SPEC_FLAGS = {
+    "--mix": ("mix", dict(
+        default="mix5", help="Table IV mix name or iso-<workload>")),
+    "--sharing": ("sharing", dict(
+        default="shared-4", choices=_SHARINGS,
+        help="L2 sharing degree (default: %(default)s)")),
+    "--policy": ("policy", dict(
+        default="affinity", choices=_POLICIES,
+        help="thread placement policy (default: %(default)s)")),
+    "--refs": ("measured_refs", dict(
+        type=int, default=None, help="measured references per thread")),
+    "--warmup": ("warmup_refs", dict(
+        type=int, default=None,
+        help="warm-up references per thread (default: half of --refs)")),
+    "--seed": ("seed", dict(
+        type=int, default=0, help="experiment seed (0 = built-in seed)")),
+    "--scale": ("scale", dict(
+        type=float, default=DEFAULT_SCALE,
+        help="capacity/footprint scale (default 1/16)")),
+    "--cores": ("num_cores", dict(type=int, default=16)),
+    "--slots-per-core": ("slots_per_core", dict(
+        type=int, default=1,
+        help="run-queue slots per core (default: %(default)s); >1 "
+             "over-commits cores (Section VII study)")),
+    "--stagger": ("start_stagger", dict(
+        type=int, default=0, help="per-VM start-time stagger in cycles")),
+    "--vm-quota": ("l2_vm_quota", dict(
+        action="store_true", help="enable per-VM way-quota partitioning")),
+    "--rebind": ("rebind", dict(
+        default="", choices=("", "random", "affinity"),
+        help="dynamic thread rebinding policy")),
+    "--rebind-interval": ("rebind_interval", dict(type=int, default=100_000)),
+    "--phase-plan": ("phase_plan", dict(
+        default="", help="named workload phase plan (e.g. 'burst')")),
+    "--qos-policy": ("qos_policy", dict(
+        default="", help="QoS controller: static-equal, missrate-prop, "
+                         "ucp, or target-slowdown (empty = off)")),
+    "--qos-target": ("qos_target", dict(
+        type=float, default=0.0,
+        help="slowdown ceiling for target-slowdown (e.g. 1.3)")),
+    "--qos-epoch": ("qos_epoch", dict(
+        type=int, default=10_000,
+        help="QoS control period in simulated cycles")),
+    "--sched-policy": ("sched_policy", dict(
+        default="", help="adaptive scheduling policy (static, "
+                         "contention, adaptive, hetero); empty = off")),
+    "--sched-epoch": ("sched_epoch", dict(
+        type=int, default=10_000,
+        help="scheduling control period in cycles")),
+    "--core-speeds": ("core_speeds", dict(
+        default="", help="per-core speed classes, e.g. '1.0x8,0.5x8' "
+                         "(empty = homogeneous)")),
+    "--l2-asym": ("l2_asym", dict(
+        default="", help="per-domain L2 associativities, e.g. "
+                         "'16x2,8x2' (empty = uniform)")),
+    "--vm-schedule": ("vm_schedule", dict(
+        default="", help="per-VM start[:stop] cycles, comma-separated "
+                         "(VM churn; empty = none)")),
+    "--engine": ("engine_mode", dict(
+        default="auto", choices=("auto", "reference", "batched"),
+        help="simulation kernel: 'reference' is the event-driven model, "
+             "'batched' the epoch-folded fast path, 'auto' picks batched "
+             "when the run shape allows (see docs/engines.md)")),
+}
+
+
+def _add_spec_flags(parser, *flags: str, **defaults) -> None:
+    """Declare ``flags`` (keys of :data:`_SPEC_FLAGS`) on ``parser``.
+
+    ``"--sched=--policy"`` declares ``--sched`` with the ``--policy``
+    entry's field and keywords.  ``defaults``, keyed by dest, override
+    the table's defaults.  The parser records the spec field of each
+    dest for :func:`_spec_from_args`.
+    """
+    fields = {}
+    for flag in flags:
+        option, _, entry = flag.partition("=")
+        field, kwargs = _SPEC_FLAGS[entry or option]
+        dest = option[2:].replace("-", "_")
+        if dest in defaults:
+            kwargs = {**kwargs, "default": defaults[dest]}
+        parser.add_argument(option, **kwargs)
+        fields[dest] = field
+    parser.set_defaults(spec_fields=fields)
+
+
+def _spec_from_args(args, **fixed) -> ExperimentSpec:
+    """The spec a command's spec flags describe; ``fixed`` sets the
+    fields the command supplies itself."""
+    fields = {field: getattr(args, dest)
+              for dest, field in args.spec_fields.items()}
+    return ExperimentSpec(**{**fields, **fixed})
+
 
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
@@ -124,32 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one consolidation experiment")
-    run_p.add_argument("--mix", default="mix5",
-                       help="Table IV mix name or iso-<workload>")
-    run_p.add_argument("--sharing", default="shared-4", choices=_SHARINGS)
-    run_p.add_argument("--policy", default="affinity", choices=_POLICIES)
-    run_p.add_argument("--refs", type=int, default=None,
-                       help="measured references per thread")
-    run_p.add_argument("--warmup", type=int, default=None)
-    run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--scale", type=float, default=None,
-                       help="capacity/footprint scale (default 1/16)")
-    run_p.add_argument("--cores", type=int, default=16)
-    run_p.add_argument("--slots-per-core", type=int, default=1,
-                       help=">1 over-commits cores (Section VII study)")
-    run_p.add_argument("--stagger", type=int, default=0,
-                       help="per-VM start-time stagger in cycles")
-    run_p.add_argument("--vm-quota", action="store_true",
-                       help="enable per-VM way-quota partitioning")
-    _add_qos_flags(run_p)
-    _add_sched_flags(run_p)
-    _add_engine_flag(run_p)
-    run_p.add_argument("--rebind", default="", choices=("", "random",
-                                                        "affinity"),
-                       help="dynamic thread rebinding policy")
-    run_p.add_argument("--rebind-interval", type=int, default=100_000)
-    run_p.add_argument("--phase-plan", default="",
-                       help="named workload phase plan (e.g. 'burst')")
+    _add_spec_flags(run_p, *_SPEC_FLAGS)
     run_p.add_argument("--normalize", action="store_true",
                        help="also print paper-style normalized metrics "
                             "(runs the isolation baselines)")
@@ -161,41 +235,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser(
         "sweep", help="sharing-degree x policy sweep for one mix")
-    sweep_p.add_argument("--mix", default="iso-tpch")
+    _add_spec_flags(sweep_p, "--mix", "--refs", "--seed", "--engine",
+                    "--qos-policy", "--qos-target", "--qos-epoch",
+                    "--sched-policy", "--sched-epoch", "--core-speeds",
+                    "--l2-asym", "--vm-schedule", mix="iso-tpch")
     sweep_p.add_argument("--metric", default="cycles",
                          choices=("cycles", "miss_rate", "miss_latency"))
-    sweep_p.add_argument("--refs", type=int, default=None)
-    sweep_p.add_argument("--seed", type=int, default=0)
-    _add_engine_flag(sweep_p)
-    _add_qos_flags(sweep_p)
-    _add_sched_flags(sweep_p)
     _add_executor_flags(sweep_p)
     _add_telemetry_flags(sweep_p)
 
     qos_p = sub.add_parser(
         "qos", help="run one experiment under a cache-QoS policy and "
                     "print its scorecard")
-    qos_p.add_argument("--policy", default="ucp",
-                       help="QoS controller: static-equal, "
-                            "missrate-prop, ucp, or target-slowdown")
-    qos_p.add_argument("--mix", default="mix7",
-                       help="Table IV mix name")
-    qos_p.add_argument("--sharing", default="shared", choices=_SHARINGS,
-                       help="L2 sharing degree (default: fully shared, "
-                            "so VMs actually contend)")
-    qos_p.add_argument("--sched", default="affinity", choices=_POLICIES,
-                       help="scheduling policy")
-    qos_p.add_argument("--target", type=float, default=0.0,
-                       help="slowdown ceiling for target-slowdown "
-                            "(e.g. 1.3)")
-    qos_p.add_argument("--qos-epoch", type=int, default=10_000,
-                       help="control period in simulated cycles")
-    qos_p.add_argument("--refs", type=int, default=None)
-    qos_p.add_argument("--warmup", type=int, default=None)
-    qos_p.add_argument("--seed", type=int, default=0)
-    qos_p.add_argument("--slots-per-core", type=int, default=1,
-                       help=">1 over-commits cores; enables "
-                            "controller-driven thread re-binding")
+    _add_spec_flags(qos_p, "--policy=--qos-policy", "--mix", "--sharing",
+                    "--sched=--policy", "--target=--qos-target",
+                    "--qos-epoch", "--refs", "--warmup", "--seed",
+                    "--slots-per-core",
+                    policy="ucp", mix="mix7", sharing="shared")
     qos_p.add_argument("--baseline", action="store_true",
                        help="also run the uncontrolled shared-L2 run "
                             "and print the comparison")
@@ -205,24 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     sched_p = sub.add_parser(
         "sched", help="compare scheduling policies (static placements "
                       "vs. adaptive) on one mix")
-    sched_p.add_argument("--mix", default="mix7",
-                         help="Table IV mix name")
     sched_p.add_argument("--policies", default="static,contention,adaptive",
                          help="comma-separated scheduling policies; "
                               "'static' expands to one cell per "
                               "placement policy")
-    sched_p.add_argument("--placement", default="affinity",
-                         choices=_POLICIES,
-                         help="initial placement for the adaptive cells")
-    sched_p.add_argument("--sharing", default="shared", choices=_SHARINGS,
-                         help="L2 sharing degree (default: fully shared)")
-    _add_machine_shape_flags(sched_p)
-    sched_p.add_argument("--cores", type=int, default=16)
-    sched_p.add_argument("--slots-per-core", type=int, default=1,
-                         help=">1 over-commits cores")
-    sched_p.add_argument("--refs", type=int, default=None)
-    sched_p.add_argument("--warmup", type=int, default=None)
-    sched_p.add_argument("--seed", type=int, default=0)
+    _add_spec_flags(sched_p, "--mix", "--placement=--policy", "--sharing",
+                    "--sched-epoch", "--core-speeds", "--l2-asym",
+                    "--vm-schedule", "--cores", "--slots-per-core",
+                    "--refs", "--warmup", "--seed",
+                    mix="mix7", sharing="shared")
     sched_p.add_argument("--json", default=None, metavar="PATH",
                          help="save the comparison + verdict as JSON")
     sched_p.add_argument("--metrics-out", default=None, metavar="PATH",
@@ -249,27 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated scheduling policies; "
                             "'static' expands to one cell per "
                             "placement policy")
-    scn_p.add_argument("--placement", default="affinity",
-                       choices=_POLICIES,
-                       help="initial placement for the adaptive cells")
-    scn_p.add_argument("--sharing", default="shared-4", choices=_SHARINGS,
-                       help="L2 sharing degree (default: shared-4, so "
-                            "domain-aware policies have domains to act "
-                            "on)")
-    scn_p.add_argument("--slots-per-core", type=int, default=2,
-                       dest="slots_per_core", metavar="N",
-                       help="run-queue slots per core (default: 2 — "
-                            "consolidation scenarios over-commit the "
-                            "machine; pass 1 for the paper's "
-                            "one-thread-per-core shape)")
-    scn_p.add_argument("--sched-epoch", type=int, default=10_000,
-                       help="scheduling control period in cycles "
-                            "(the scenario's own epoch drives its "
-                            "load/phase actuation)")
-    scn_p.add_argument("--cores", type=int, default=16)
-    scn_p.add_argument("--refs", type=int, default=None)
-    scn_p.add_argument("--warmup", type=int, default=None)
-    scn_p.add_argument("--seed", type=int, default=0)
+    # consolidation scenarios over-commit the machine; --slots-per-core 1
+    # is the paper's one-thread-per-core shape
+    _add_spec_flags(scn_p, "--placement=--policy", "--sharing",
+                    "--slots-per-core", "--sched-epoch", "--cores",
+                    "--refs", "--warmup", "--seed", slots_per_core=2)
     scn_p.add_argument("--windows", action="store_true",
                        help="also print the per-window load/issued "
                             "attribution of the first adaptive cell")
@@ -284,14 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
         "suite", help="run a canned experiment suite by name")
     suite_p.add_argument("name",
                          help="registry name (use 'list' to see them)")
-    suite_p.add_argument("--mix", default="mix5",
-                         help="mix for suites parameterized by one mix")
+    _add_spec_flags(suite_p, "--mix", "--refs", "--seed")
     suite_p.add_argument("--mixes", default=None,
                          help="comma-separated mixes for the 'mixes' suite")
     suite_p.add_argument("--metric", default="cycles",
                          choices=("cycles", "miss_rate", "miss_latency"))
-    suite_p.add_argument("--refs", type=int, default=None)
-    suite_p.add_argument("--seed", type=int, default=0)
     _add_executor_flags(suite_p)
 
     trace_p = sub.add_parser(
@@ -305,13 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--trace-dir", default=None, metavar="DIR",
                          help="span-log directory written by a traced "
                               "serve/fleet (required with --job)")
-    trace_p.add_argument("--mix", default="mix5",
-                         help="Table IV mix name or iso-<workload>")
-    trace_p.add_argument("--sharing", default="shared-4", choices=_SHARINGS)
-    trace_p.add_argument("--policy", default="affinity", choices=_POLICIES)
-    trace_p.add_argument("--refs", type=int, default=None)
-    trace_p.add_argument("--warmup", type=int, default=None)
-    trace_p.add_argument("--seed", type=int, default=0)
+    _add_spec_flags(trace_p, "--mix", "--sharing", "--policy", "--refs",
+                    "--warmup", "--seed")
     trace_p.add_argument("--epoch", type=int, default=5000,
                          help="sampling period in simulated cycles "
                               "(default 5000)")
@@ -326,13 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     profile_p.add_argument("name", nargs="?", default="sharing-policy",
                            help="suite registry name (default "
                                 "sharing-policy)")
-    profile_p.add_argument("--mix", default="mix5",
-                           help="mix for suites parameterized by one mix")
+    _add_spec_flags(profile_p, "--mix", "--refs", "--seed")
     profile_p.add_argument("--mixes", default=None,
                            help="comma-separated mixes for the 'mixes' "
                                 "suite")
-    profile_p.add_argument("--refs", type=int, default=None)
-    profile_p.add_argument("--seed", type=int, default=0)
     profile_p.add_argument("--epoch", type=int, default=0,
                            help="also epoch-sample every cold cell "
                                 "(0 = off)")
@@ -379,17 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit an experiment grid to a running service")
     submit_p.add_argument("--url", default="http://127.0.0.1:8765",
                           help="service base URL")
-    submit_p.add_argument("--mix", default="mix5",
-                          help="Table IV mix name or iso-<workload>")
+    _add_spec_flags(submit_p, "--mix", "--refs", "--warmup", "--seed")
     submit_p.add_argument("--sharings", default="shared-4",
                           help="comma-separated sharing degrees "
                                "(grid axis)")
     submit_p.add_argument("--policies", default="affinity",
                           help="comma-separated scheduling policies "
                                "(grid axis)")
-    submit_p.add_argument("--refs", type=int, default=None)
-    submit_p.add_argument("--warmup", type=int, default=None)
-    submit_p.add_argument("--seed", type=int, default=0)
     submit_p.add_argument("--priority", type=int, default=10,
                           help="lower runs sooner")
     submit_p.add_argument("--client-id", default="cli",
@@ -442,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser(
         "bench", help="run the benchmark basket and append records to "
-                      "BENCH_kernel.json / BENCH_sweep.json")
+                      "BENCH_kernel.json / BENCH_sweep.json / "
+                      "BENCH_service.json")
     bench_p.add_argument("--quick", action="store_true",
                          help="seconds-long CI basket (small runs)")
     bench_p.add_argument("--only", action="append", default=None,
@@ -520,49 +537,6 @@ def _add_service_flags(parser) -> None:
                              "(default: tracing off)")
 
 
-def _add_engine_flag(parser) -> None:
-    parser.add_argument("--engine", default="auto",
-                        choices=("auto", "reference", "batched"),
-                        help="simulation kernel: 'reference' is the "
-                             "event-driven model, 'batched' the "
-                             "epoch-folded fast path, 'auto' picks "
-                             "batched when the run shape allows "
-                             "(see docs/engines.md)")
-
-
-def _add_qos_flags(parser) -> None:
-    parser.add_argument("--qos-policy", default="",
-                        help="dynamic cache-QoS controller "
-                             "(static-equal, missrate-prop, ucp, "
-                             "target-slowdown); empty = off")
-    parser.add_argument("--qos-target", type=float, default=0.0,
-                        help="slowdown ceiling for target-slowdown")
-    parser.add_argument("--qos-epoch", type=int, default=10_000,
-                        help="QoS control period in simulated cycles")
-
-
-def _add_sched_flags(parser) -> None:
-    parser.add_argument("--sched-policy", default="",
-                        help="adaptive scheduling policy (static, "
-                             "contention, adaptive, hetero); "
-                             "empty = off")
-    _add_machine_shape_flags(parser)
-
-
-def _add_machine_shape_flags(parser) -> None:
-    parser.add_argument("--sched-epoch", type=int, default=10_000,
-                        help="scheduling control period in cycles")
-    parser.add_argument("--core-speeds", default="",
-                        help="per-core speed classes, e.g. '1.0x8,0.5x8' "
-                             "(empty = homogeneous)")
-    parser.add_argument("--l2-asym", default="",
-                        help="per-domain L2 associativities, e.g. "
-                             "'16x2,8x2' (empty = uniform)")
-    parser.add_argument("--vm-schedule", default="",
-                        help="per-VM start[:stop] cycles, comma-"
-                             "separated (VM churn; empty = none)")
-
-
 def _add_telemetry_flags(parser) -> None:
     parser.add_argument("--telemetry", action="store_true",
                         help="enable the telemetry hub (counters, "
@@ -616,36 +590,6 @@ def _metric_row(vms, metric: str) -> float:
     return sum(vm.mean_miss_latency for vm in vms) / len(vms)
 
 
-def _spec_from_args(args) -> ExperimentSpec:
-    params = dict(
-        mix=args.mix,
-        sharing=args.sharing,
-        policy=args.policy,
-        seed=args.seed,
-        measured_refs=args.refs,
-        warmup_refs=args.warmup,
-        num_cores=args.cores,
-        slots_per_core=args.slots_per_core,
-        start_stagger=args.stagger,
-        l2_vm_quota=args.vm_quota,
-        rebind=args.rebind,
-        rebind_interval=args.rebind_interval,
-        phase_plan=args.phase_plan,
-        qos_policy=args.qos_policy,
-        qos_target=args.qos_target,
-        qos_epoch=args.qos_epoch,
-        sched_policy=args.sched_policy,
-        sched_epoch=args.sched_epoch,
-        core_speeds=args.core_speeds,
-        l2_asym=args.l2_asym,
-        vm_schedule=args.vm_schedule,
-        engine_mode=args.engine,
-    )
-    if args.scale is not None:
-        params["scale"] = args.scale
-    return ExperimentSpec(**params)
-
-
 def _write_trace(telemetry, path) -> None:
     from .obs import export_chrome_trace
 
@@ -661,6 +605,14 @@ def _print_timeline(series) -> None:
 
     print()
     print(timeline_report(series))
+
+
+def _save_json(payload, path, what: str) -> None:
+    import json
+
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=1)
+    print(f"\n{what} saved to {path}")
 
 
 def _cmd_run(args) -> int:
@@ -715,11 +667,7 @@ def _cmd_run(args) -> int:
     if result.series is not None:
         _print_timeline(result.series)
     if args.series_out:
-        import json
-
-        with open(args.series_out, "w") as handle:
-            json.dump(result.series or {}, handle, indent=1)
-        print(f"\ntime series saved to {args.series_out}")
+        _save_json(result.series or {}, args.series_out, "time series")
     if telemetry is not None and args.trace_out:
         print()
         _write_trace(telemetry, args.trace_out)
@@ -735,19 +683,9 @@ def _cmd_sweep(args) -> int:
     from .core.suite import SuiteRunner, sharing_policy_suite
 
     telemetry = _make_telemetry(args)
-    base = ExperimentSpec(mix=args.mix, seed=args.seed,
-                          measured_refs=args.refs,
-                          qos_policy=args.qos_policy,
-                          qos_target=args.qos_target,
-                          qos_epoch=args.qos_epoch,
-                          sched_policy=args.sched_policy,
-                          sched_epoch=args.sched_epoch,
-                          core_speeds=args.core_speeds,
-                          l2_asym=args.l2_asym,
-                          vm_schedule=args.vm_schedule,
-                          engine_mode=args.engine)
     suite = sharing_policy_suite(args.mix, sharings=_SHARINGS,
-                                 policies=_POLICIES, base=base)
+                                 policies=_POLICIES,
+                                 base=_spec_from_args(args))
     outcome = SuiteRunner(_make_executor(args, telemetry)).run(suite)
     _raise_on_failures(outcome)
     series = {}
@@ -777,13 +715,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_qos(args) -> int:
     from .qos import qos_report
 
-    spec = ExperimentSpec(
-        mix=args.mix, sharing=args.sharing, policy=args.sched,
-        seed=args.seed, measured_refs=args.refs, warmup_refs=args.warmup,
-        slots_per_core=args.slots_per_core,
-        qos_policy=args.policy, qos_target=args.target,
-        qos_epoch=args.qos_epoch,
-    )
+    spec = _spec_from_args(args)
     # bypass the cache: the controller's live account (result.qos) is
     # not part of the serialized result, so a cache hit would lose it
     result = run_experiment(spec, use_cache=False)
@@ -826,11 +758,7 @@ def _cmd_qos(args) -> int:
         print()
         print(format_kv("Uncontrolled baseline", _speedup_lines(base_report)))
     if args.json:
-        import json
-
-        with open(args.json, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-        print(f"\nscorecard saved to {args.json}")
+        _save_json(report.to_dict(), args.json, "scorecard")
     return 0
 
 
@@ -900,17 +828,10 @@ def _print_policy_scorecard(args, compare, title: str, payload: dict,
             handle.write(render_prometheus(telemetry.snapshot()))
         print(f"\nmetrics written to {args.metrics_out}")
     if args.json:
-        import json
-
-        payload = {
-            **payload,
-            "policies": {label: report.to_dict()
-                         for label, report in reports.items()},
-            "verdict": verdict,
-        }
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"\n{saved} saved to {args.json}")
+        _save_json({**payload,
+                    "policies": {label: report.to_dict()
+                                 for label, report in reports.items()},
+                    "verdict": verdict}, args.json, saved)
 
 
 def _cmd_sched(args) -> int:
@@ -919,13 +840,6 @@ def _cmd_sched(args) -> int:
     from .analysis.sched_report import compare_sched_policies
 
     policies = _policy_list(args)
-    base = ExperimentSpec(
-        mix=args.mix, sharing=args.sharing, policy=args.placement,
-        seed=args.seed, measured_refs=args.refs, warmup_refs=args.warmup,
-        num_cores=args.cores, slots_per_core=args.slots_per_core,
-        core_speeds=args.core_speeds, l2_asym=args.l2_asym,
-        vm_schedule=args.vm_schedule, sched_epoch=args.sched_epoch,
-    )
     shape = [f"{args.cores} cores"]
     if args.slots_per_core > 1:
         shape.append(f"x{args.slots_per_core} slots")
@@ -938,7 +852,7 @@ def _cmd_sched(args) -> int:
     _print_policy_scorecard(
         args,
         partial(compare_sched_policies, args.mix, policies=policies,
-                base=base),
+                base=_spec_from_args(args)),
         title=f"Scheduling: {args.mix} / {args.sharing} "
               f"({', '.join(shape)})",
         payload={"mix": args.mix}, saved="comparison")
@@ -1000,12 +914,8 @@ def _cmd_scenario(args) -> int:
         print(f"note: {scenario.name!r} scripts VM arrivals; "
               "running single-slot")
         slots = 1
-    base = ExperimentSpec(
-        mix=scenario.mix_name, sharing=args.sharing, policy=args.placement,
-        seed=args.seed, measured_refs=args.refs, warmup_refs=args.warmup,
-        num_cores=args.cores, sched_epoch=args.sched_epoch,
-        slots_per_core=slots,
-    )
+    base = _spec_from_args(args, mix=scenario.mix_name,
+                           slots_per_core=slots)
     _print_policy_scorecard(
         args,
         partial(compare_scenario_policies, scenario.name,
@@ -1073,13 +983,9 @@ def _cmd_trace(args) -> int:
     if args.job is not None:
         return _cmd_trace_job(args)
     telemetry = Telemetry()
-    spec = ExperimentSpec(mix=args.mix, sharing=args.sharing,
-                          policy=args.policy, seed=args.seed,
-                          measured_refs=args.refs,
-                          warmup_refs=args.warmup)
     # bypass the cache: tracing wants the events, not just the result
-    result = run_experiment(spec, use_cache=False, telemetry=telemetry,
-                            epoch=args.epoch)
+    result = run_experiment(_spec_from_args(args), use_cache=False,
+                            telemetry=telemetry, epoch=args.epoch)
     _print_timeline(result.series or {})
     print()
     samples = max((len(points) for points in (result.series or {}).values()),
@@ -1088,29 +994,16 @@ def _cmd_trace(args) -> int:
           f"(epoch = {args.epoch} cycles)")
     _write_trace(telemetry, args.out)
     if args.series_out:
-        import json
-
-        with open(args.series_out, "w") as handle:
-            json.dump(result.series or {}, handle, indent=1)
-        print(f"time series saved to {args.series_out}")
+        _save_json(result.series or {}, args.series_out, "time series")
     return 0
 
 
 def _cmd_profile(args) -> int:
-    from .core.suite import SuiteRunner, get_suite
+    from .core.suite import SuiteRunner
     from .obs import Telemetry
 
     telemetry = Telemetry()
-    params = {}
-    if args.name == "mixes":
-        if args.mixes:
-            params["mixes"] = [m.strip() for m in args.mixes.split(",")]
-    else:
-        params["mix"] = args.mix
-    if args.refs is not None or args.seed:
-        params["base"] = ExperimentSpec(mix=args.mix, seed=args.seed,
-                                        measured_refs=args.refs)
-    suite = get_suite(args.name, **params)
+    suite = _suite_from_args(args)
     outcome = SuiteRunner(_make_executor(args, telemetry)).run(suite)
     _raise_on_failures(outcome)
     rows = [
@@ -1144,6 +1037,22 @@ def _raise_on_failures(outcome) -> None:
         raise SweepError(outcome.failures)
 
 
+def _suite_from_args(args):
+    """The canned suite ``suite`` and ``profile`` name, with a base
+    spec only when a run size or seed was given."""
+    from .core.suite import get_suite
+
+    params = {}
+    if args.name == "mixes":
+        if args.mixes:
+            params["mixes"] = [m.strip() for m in args.mixes.split(",")]
+    else:
+        params["mix"] = args.mix
+    if args.refs is not None or args.seed:
+        params["base"] = _spec_from_args(args)
+    return get_suite(args.name, **params)
+
+
 def _cmd_suite(args) -> int:
     from .core.suite import SuiteRunner, get_suite, suite_names
 
@@ -1154,19 +1063,7 @@ def _cmd_suite(args) -> int:
                            title="Canned suites"))
         return 0
 
-    base = None
-    if args.refs is not None or args.seed:
-        base = ExperimentSpec(mix=args.mix, seed=args.seed,
-                              measured_refs=args.refs)
-    params = {}
-    if args.name == "mixes":
-        if args.mixes:
-            params["mixes"] = [m.strip() for m in args.mixes.split(",")]
-    else:
-        params["mix"] = args.mix
-    if base is not None:
-        params["base"] = base
-    suite = get_suite(args.name, **params)
+    suite = _suite_from_args(args)
     outcome = SuiteRunner(_make_executor(args)).run(suite)
     _raise_on_failures(outcome)
     rows = [
@@ -1333,15 +1230,9 @@ def _cmd_loadgen(args) -> int:
 def _submit_cells(args):
     sharings = [s.strip() for s in args.sharings.split(",") if s.strip()]
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    keys, specs = [], []
-    for sharing in sharings:
-        for policy in policies:
-            keys.append((sharing, policy))
-            specs.append(ExperimentSpec(
-                mix=args.mix, sharing=sharing, policy=policy,
-                seed=args.seed, measured_refs=args.refs,
-                warmup_refs=args.warmup))
-    return keys, specs
+    keys = [(sharing, policy) for sharing in sharings for policy in policies]
+    return keys, [_spec_from_args(args, sharing=sharing, policy=policy)
+                  for sharing, policy in keys]
 
 
 def _cmd_submit(args) -> int:

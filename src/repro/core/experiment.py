@@ -278,8 +278,16 @@ def resolve_defaults(spec: ExperimentSpec) -> ExperimentSpec:
     consults the environment).  ``engine_mode="auto"`` resolves to a
     concrete engine for the run shape.  The returned spec is
     idempotent under re-resolution and is what the result store hashes
-    (see :func:`repro.core.store.spec_key`).
+    (see :func:`repro.core.store.spec_key`).  Only ``None`` run sizes
+    mean "default": a set ``measured_refs`` must be positive and a set
+    ``warmup_refs`` non-negative.
     """
+    if spec.measured_refs is not None and spec.measured_refs <= 0:
+        raise ConfigurationError(
+            f"measured_refs must be positive, got {spec.measured_refs}")
+    if spec.warmup_refs is not None and spec.warmup_refs < 0:
+        raise ConfigurationError(
+            f"warmup_refs must be non-negative, got {spec.warmup_refs}")
     measured = spec.measured_refs or default_measured_refs()
     warmup = spec.warmup_refs if spec.warmup_refs is not None else measured // 2
     seed = spec.seed or default_seed()

@@ -38,6 +38,7 @@ from typing import Optional, Union
 
 from ..core.experiment import ExperimentSpec
 from ..core.store import ResultStore
+from ..errors import ReproError
 from ..obs.telemetry import Telemetry, render_prometheus
 from ..obs.tracing import TRACEPARENT_HEADER, SpanContext
 from .httpcommon import BadRequest, HttpService
@@ -110,7 +111,11 @@ def parse_job_body(body: Optional[bytes], client: str) -> Job:
     priority = payload.get("priority", 10)
     if not isinstance(priority, int):
         raise BadRequest("'priority' must be an integer")
-    job = Job.create(cells, priority=priority, client=client)
+    try:
+        # keying the cells resolves each spec, which refuses bad fields
+        job = Job.create(cells, priority=priority, client=client)
+    except ReproError as exc:
+        raise BadRequest(f"invalid spec: {exc}") from None
     job_id = payload.get("job_id")
     if job_id is not None:
         if not isinstance(job_id, str) or not job_id or len(job_id) > 64:

@@ -62,6 +62,16 @@ class TestResolution:
                            engine_mode="auto"))
         assert resolved.engine_mode in ("reference", "batched")
 
+    @pytest.mark.parametrize("fields", [
+        dict(measured_refs=0), dict(measured_refs=-5),
+        dict(measured_refs=100, warmup_refs=-3),
+    ])
+    def test_invalid_run_sizes_rejected(self, fields):
+        # only None means "default": a zero or negative size is refused
+        # instead of silently running the built-in size
+        with pytest.raises(ConfigurationError, match="_refs must be"):
+            resolve_defaults(ExperimentSpec(mix="mixA", seed=1, **fields))
+
     def test_reference_mode_preserved(self):
         resolved = resolve_defaults(
             ExperimentSpec(mix="mixA", measured_refs=100, seed=1,

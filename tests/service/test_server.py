@@ -46,13 +46,20 @@ class TestValidation:
         assert status == 400
         assert "specs" in text
 
-    def test_unknown_spec_field_is_400(self, server):
+    @pytest.mark.parametrize("field, value, message", [
+        ("bogus_field", 1, "bogus_field"),
+        ("sharing", "shared-5", "shared-5"),
+        ("engine_mode", "bogus", "bogus"),
+        ("measured_refs", -5, "measured_refs must be positive"),
+    ], ids=["unknown-field", "bad-sharing", "bad-engine", "negative-refs"])
+    def test_unknown_spec_field_is_400(self, server, field, value, message):
+        # a spec the library refuses is the client's error, not a 500
         body = json.dumps({"specs": [{"mix": "mix5",
-                                      "bogus_field": 1}]}).encode()
+                                      field: value}]}).encode()
         status, _h, text = raw_request(server.port, "POST", "/jobs",
                                        body=body)
         assert status == 400
-        assert "bogus_field" in text
+        assert message in text
 
     def test_non_integer_priority_is_400(self, server):
         body = json.dumps({"specs": [{"mix": "mix5"}],

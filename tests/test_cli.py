@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.experiment import clear_result_cache
+from repro.core.experiment import ExperimentSpec, clear_result_cache
 
 
 @pytest.fixture(autouse=True)
@@ -34,6 +34,141 @@ class TestParser:
     def test_bad_sharing_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--sharing", "shared-5"])
+
+
+class _HandedOn(Exception):
+    """Stops a command once its specs reached the library."""
+
+
+S = ExperimentSpec
+_ALL_CELLS = [("private", "rr"), ("private", "affinity"),
+              ("shared", "rr"), ("shared", "affinity")]
+
+
+class TestSpecAssembly:
+    """Every simulation command hands the library the spec its flags
+    describe: each spec flag of each command is set at least once."""
+
+    @pytest.fixture
+    def handed_on(self, monkeypatch):
+        import repro.cli
+        from repro.analysis import scenario_report, sched_report
+        from repro.core.suite import SuiteRunner
+        from repro.service import ServiceClient
+
+        seen = []
+
+        def capture(*specs):
+            seen.extend(specs)
+            raise _HandedOn
+
+        monkeypatch.setattr(repro.cli, "run_experiment",
+                            lambda spec, **_kw: capture(spec))
+        monkeypatch.setattr(SuiteRunner, "run",
+                            lambda _self, suite: capture(suite.base))
+        monkeypatch.setattr(sched_report, "compare_sched_policies",
+                            lambda _mix, **kw: capture(kw["base"]))
+        monkeypatch.setattr(scenario_report, "compare_scenario_policies",
+                            lambda _name, **kw: capture(kw["base"]))
+        monkeypatch.setattr(ServiceClient, "submit",
+                            lambda _self, specs, **_kw: capture(*specs))
+        return seen
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["run"], [S(mix="mix5", engine_mode="auto")]),
+        (["run", "--mix", "mix1", "--sharing", "private", "--policy", "rr",
+          "--refs", "300", "--warmup", "100", "--seed", "3",
+          "--scale", "0.125", "--cores", "64", "--slots-per-core", "2",
+          "--stagger", "500", "--vm-quota", "--qos-policy", "ucp",
+          "--qos-target", "1.3", "--qos-epoch", "2000",
+          "--sched-policy", "contention", "--sched-epoch", "3000",
+          "--core-speeds", "1.0x8,0.5x8", "--l2-asym", "16x2,8x2",
+          "--vm-schedule", "0,0:1000", "--engine", "reference",
+          "--rebind", "random", "--rebind-interval", "5000",
+          "--phase-plan", "burst"],
+         [S(mix="mix1", sharing="private", policy="rr", seed=3,
+            measured_refs=300, warmup_refs=100, scale=0.125,
+            slots_per_core=2, start_stagger=500, num_cores=64,
+            l2_vm_quota=True, qos_policy="ucp", qos_target=1.3,
+            qos_epoch=2000, phase_plan="burst", rebind="random",
+            rebind_interval=5000, sched_policy="contention",
+            sched_epoch=3000, core_speeds="1.0x8,0.5x8",
+            l2_asym="16x2,8x2", vm_schedule="0,0:1000",
+            engine_mode="reference")]),
+        (["sweep"], [S(mix="iso-tpch", engine_mode="auto")]),
+        (["sweep", "--mix", "mix2", "--refs", "400", "--seed", "2",
+          "--engine", "batched", "--qos-policy", "missrate-prop",
+          "--qos-target", "1.2", "--qos-epoch", "4000",
+          "--sched-policy", "adaptive", "--sched-epoch", "5000",
+          "--core-speeds", "1.0x16", "--l2-asym", "16x4",
+          "--vm-schedule", "0,100"],
+         [S(mix="mix2", seed=2, measured_refs=400,
+            qos_policy="missrate-prop", qos_target=1.2, qos_epoch=4000,
+            sched_policy="adaptive", sched_epoch=5000,
+            core_speeds="1.0x16", l2_asym="16x4", vm_schedule="0,100",
+            engine_mode="batched")]),
+        (["qos"], [S(mix="mix7", sharing="shared", qos_policy="ucp")]),
+        (["qos", "--policy", "target-slowdown", "--mix", "mix3",
+          "--sharing", "shared-8", "--sched", "rr-aff", "--target", "1.4",
+          "--qos-epoch", "6000", "--refs", "500", "--warmup", "50",
+          "--seed", "4", "--slots-per-core", "2"],
+         [S(mix="mix3", sharing="shared-8", policy="rr-aff", seed=4,
+            measured_refs=500, warmup_refs=50, slots_per_core=2,
+            qos_policy="target-slowdown", qos_target=1.4,
+            qos_epoch=6000)]),
+        (["sched"], [S(mix="mix7", sharing="shared")]),
+        (["sched", "--mix", "mix4", "--policies", "contention",
+          "--placement", "random", "--sharing", "shared-2",
+          "--sched-epoch", "7000", "--core-speeds", "1.0x8,0.5x8",
+          "--l2-asym", "16x2,8x2", "--vm-schedule", "0,0:500",
+          "--cores", "64", "--slots-per-core", "2", "--refs", "600",
+          "--warmup", "60", "--seed", "5"],
+         [S(mix="mix4", sharing="shared-2", policy="random", seed=5,
+            measured_refs=600, warmup_refs=60, slots_per_core=2,
+            num_cores=64, sched_epoch=7000, core_speeds="1.0x8,0.5x8",
+            l2_asym="16x2,8x2", vm_schedule="0,0:500")]),
+        (["scenario", "diurnal-web"],
+         [S(mix="scn-diurnal-web", slots_per_core=2)]),
+        (["scenario", "phase-flip", "--placement", "rr",
+          "--sharing", "shared-8", "--slots-per-core", "3",
+          "--sched-epoch", "8000", "--cores", "64", "--refs", "700",
+          "--warmup", "70", "--seed", "6"],
+         [S(mix="scn-phase-flip", sharing="shared-8", policy="rr",
+            seed=6, measured_refs=700, warmup_refs=70, slots_per_core=3,
+            num_cores=64, sched_epoch=8000)]),
+        (["scenario", "churn-storm"], [S(mix="scn-churn-storm")]),
+        (["suite", "sharing-policy"], [S(mix="mix5")]),
+        (["suite", "qos", "--mix", "mix6", "--refs", "800", "--seed", "7"],
+         [S(mix="mix6", sharing="shared", seed=7, measured_refs=800)]),
+        (["suite", "mixes", "--mixes", "mix1,mix2", "--seed", "2"],
+         [S(mix="mix5", seed=2)]),
+        (["trace"], [S(mix="mix5")]),
+        (["trace", "--mix", "mix8", "--sharing", "shared",
+          "--policy", "random", "--refs", "900", "--warmup", "90",
+          "--seed", "8"],
+         [S(mix="mix8", sharing="shared", policy="random", seed=8,
+            measured_refs=900, warmup_refs=90)]),
+        (["profile"], [S(mix="mix5")]),
+        (["profile", "sched", "--mix", "mix9", "--refs", "1000",
+          "--seed", "9"],
+         [S(mix="mix9", sharing="shared", seed=9, measured_refs=1000)]),
+        (["submit"], [S(mix="mix5")]),
+        (["submit", "--mix", "mixA", "--sharings", "private,shared",
+          "--policies", "rr,affinity", "--refs", "300", "--warmup", "30",
+          "--seed", "10"],
+         [S(mix="mixA", sharing=sharing, policy=policy, seed=10,
+            measured_refs=300, warmup_refs=30)
+          for sharing, policy in _ALL_CELLS]),
+    ], ids=["run", "run-all", "sweep", "sweep-all", "qos", "qos-all",
+            "sched", "sched-all", "scenario", "scenario-all",
+            "scenario-arrivals", "suite", "suite-all", "suite-mixes",
+            "trace", "trace-all", "profile", "profile-all", "submit",
+            "submit-all"])
+    def test_command_builds_spec(self, capsys, handed_on, argv, expected):
+        with pytest.raises(_HandedOn):
+            main(argv)
+        capsys.readouterr()
+        assert handed_on == expected
 
 
 class TestCommands:
@@ -522,6 +657,14 @@ class TestVersionAndExitCodes:
                                   "--refs", "300", *flags)
         assert code == 2
         assert "does not provide" in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--refs", "0"), ("--refs", "-5"), ("--refs", "300", "--warmup", "-3"),
+    ])
+    def test_invalid_run_size_exits_2(self, capsys, flags):
+        code, _out, err = run_cli(capsys, "run", "--mix", "iso-tpch", *flags)
+        assert code == 2
+        assert "error:" in err and "_refs must be" in err
 
     def test_missing_result_file_exits_2(self, capsys):
         # load_result wraps the missing file in a ReproError
