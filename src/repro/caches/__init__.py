@@ -2,7 +2,7 @@
 
 from .geometry import L0_GEOMETRY, L1_GEOMETRY, CacheGeometry, l2_domain_geometry
 from .hierarchy import CoreCacheStack, L2Domain
-from .line import L2Line, PrivateLine
+from .line import L2Line
 from .replacement import (
     FifoPolicy,
     LruPolicy,
@@ -21,7 +21,6 @@ __all__ = [
     "CoreCacheStack",
     "L2Domain",
     "L2Line",
-    "PrivateLine",
     "FifoPolicy",
     "LruPolicy",
     "RandomPolicy",

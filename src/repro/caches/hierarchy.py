@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from .geometry import CacheGeometry
-from .line import L2Line, PrivateLine
+from .line import L2Line
 from .replacement import ReplacementPolicy
 from .setassoc import SetAssocCache
 
@@ -34,6 +34,14 @@ __all__ = ["CoreCacheStack", "L2Domain"]
 
 class CoreCacheStack:
     """Private L0 + L1 of one core.
+
+    A private line's only state is its dirty bit and the arrays are
+    LRU, so each set is a ``{block: dirty}`` dict in LRU order that the
+    stack drives directly: the victim is the first key, a hit re-inserts
+    its key, and setting a resident key's flag keeps its position.
+    ``l0``/``l1`` stay :class:`SetAssocCache` containers for inspection;
+    their :class:`CacheStats` are not kept (only directory-cache
+    statistics reach the chip summary).
 
     The stack must be attached to an :class:`L2Domain` (via
     :meth:`L2Domain.attach`) before use so that private-cache evictions
@@ -51,6 +59,12 @@ class CoreCacheStack:
         self.l1 = SetAssocCache(l1_geometry, name=f"core{core_id}/L1")
         self.domain: Optional["L2Domain"] = None
         self.slot: int = -1
+        self._l0_sets = self.l0._sets
+        self._l0_mask = self.l0._set_mask
+        self._l0_assoc = l0_geometry.assoc
+        self._l1_sets = self.l1._sets
+        self._l1_mask = self.l1._set_mask
+        self._l1_assoc = l1_geometry.assoc
 
     # ------------------------------------------------------------------
 
@@ -62,46 +76,69 @@ class CoreCacheStack:
         :meth:`mark_dirty` separately, *after* the machine model has
         obtained write permission from the directory.
         """
-        if self.l0.lookup(block) is not None:
+        s0 = self._l0_sets[block & self._l0_mask]
+        dirty = s0.pop(block, None)
+        if dirty is not None:
+            s0[block] = dirty
             return 0
-        line = self.l1.lookup(block)
-        if line is None:
+        s1 = self._l1_sets[block & self._l1_mask]
+        dirty = s1.pop(block, None)
+        if dirty is None:
             return None
-        self._fill_l0(block, line.dirty)
+        s1[block] = dirty
+        if len(s0) >= self._l0_assoc:
+            victim = next(iter(s0))
+            if s0.pop(victim):
+                self._merge_down(victim)
+        s0[block] = dirty
         return 1
 
     def mark_dirty(self, block: int) -> None:
         """Mark a privately-cached block modified and claim ownership
         of it inside the domain.  Call only after a successful probe."""
-        line = self.l0.peek(block)
-        if line is not None:
-            line.dirty = True
-        line = self.l1.peek(block)
-        if line is not None:
-            line.dirty = True
-        if self.domain is not None:
-            self.domain.note_private_write(block, self.slot)
+        s0 = self._l0_sets[block & self._l0_mask]
+        if block in s0:
+            s0[block] = True
+        s1 = self._l1_sets[block & self._l1_mask]
+        if block in s1:
+            s1[block] = True
+        domain = self.domain
+        if domain is not None:
+            # claim ownership: the domain line lists this core as owner
+            l2 = domain.cache
+            line = l2._sets[block & l2._set_mask].get(block)
+            if line is not None:
+                line.l1_owner = self.slot
+                line.l1_mask |= 1 << self.slot
 
     def fill(self, block: int, dirty: bool) -> None:
         """Install a block into L1 and L0 after a miss was satisfied."""
         domain = self.domain
-        evicted = self.l1.insert(block, PrivateLine(dirty))
-        if evicted is not None:
+        s1 = self._l1_sets[block & self._l1_mask]
+        if s1.pop(block, None) is None and len(s1) >= self._l1_assoc:
             # an L1 capacity eviction: merge the L0 copy's state into
             # the victim and tell the domain
-            victim, victim_line = evicted
-            l0_line = self.l0.invalidate(victim)
+            victim = next(iter(s1))
+            victim_dirty = s1.pop(victim)
+            l0_dirty = self._l0_sets[victim & self._l0_mask].pop(victim, False)
             if domain is None:
                 raise SimulationError(
                     f"core {self.core_id} evicted from L1 before being "
                     "attached to an L2 domain"
                 )
-            if victim_line.dirty or (l0_line is not None and l0_line.dirty):
+            if victim_dirty or l0_dirty:
                 domain.writeback(victim, self.slot)
             domain.note_private_eviction(victim, self.slot)
-        self._fill_l0(block, dirty)
+        s1[block] = dirty
+        s0 = self._l0_sets[block & self._l0_mask]
+        if s0.pop(block, None) is None and len(s0) >= self._l0_assoc:
+            victim = next(iter(s0))
+            if s0.pop(victim):
+                self._merge_down(victim)
+        s0[block] = dirty
         if domain is not None:
-            line = domain.cache.peek(block)
+            l2 = domain.cache
+            line = l2._sets[block & l2._set_mask].get(block)
             if line is not None:
                 line.l1_mask |= 1 << self.slot
                 if dirty:
@@ -109,41 +146,38 @@ class CoreCacheStack:
 
     def invalidate(self, block: int) -> bool:
         """Drop the block from L0 and L1; True if a dirty copy existed."""
-        dirty = False
-        line = self.l0.invalidate(block)
-        if line is not None and line.dirty:
-            dirty = True
-        line = self.l1.invalidate(block)
-        if line is not None and line.dirty:
-            dirty = True
-        return dirty
+        l0_dirty = self._l0_sets[block & self._l0_mask].pop(block, False)
+        l1_dirty = self._l1_sets[block & self._l1_mask].pop(block, False)
+        return l0_dirty or l1_dirty
+
+    def clean(self, block: int) -> None:
+        """Clear the dirty flag of both private copies (their data moved
+        down to the L2); the copies keep their LRU positions."""
+        s0 = self._l0_sets[block & self._l0_mask]
+        if block in s0:
+            s0[block] = False
+        s1 = self._l1_sets[block & self._l1_mask]
+        if block in s1:
+            s1[block] = False
 
     def holds(self, block: int) -> bool:
-        return block in self.l1 or block in self.l0
+        return (block in self._l1_sets[block & self._l1_mask]
+                or block in self._l0_sets[block & self._l0_mask])
 
     def holds_dirty(self, block: int) -> bool:
-        l0 = self.l0.peek(block)
-        if l0 is not None and l0.dirty:
-            return True
-        l1 = self.l1.peek(block)
-        return l1 is not None and l1.dirty
+        return (self._l0_sets[block & self._l0_mask].get(block, False)
+                or self._l1_sets[block & self._l1_mask].get(block, False))
 
     # ------------------------------------------------------------------
 
-    def _fill_l0(self, block: int, dirty: bool) -> None:
-        evicted = self.l0.insert(block, PrivateLine(dirty))
-        if evicted is None:
-            return
-        victim, victim_line = evicted
-        if victim_line.dirty:
-            # merge dirtiness down into L1 (inclusive)
-            l1_line = self.l1.peek(victim)
-            if l1_line is not None:
-                l1_line.dirty = True
-            elif self.domain is not None:
-                # L1 lost the line already (race with back-invalidation
-                # ordering); push dirtiness to the domain directly.
-                self.domain.writeback(victim, self.slot)
+    def _merge_down(self, victim: int) -> None:
+        """Merge a dirty L0 victim into L1 (inclusive), or into the L2
+        when back-invalidation already took the L1 copy."""
+        s1 = self._l1_sets[victim & self._l1_mask]
+        if victim in s1:
+            s1[victim] = True
+        elif self.domain is not None:
+            self.domain.writeback(victim, self.slot)
 
 
 class L2Domain:
@@ -250,13 +284,6 @@ class L2Domain:
         if line is not None:
             line.drop_sharer(slot)
 
-    def note_private_write(self, block: int, slot: int) -> None:
-        """A member core wrote the block in its private cache."""
-        line = self.cache.peek(block)
-        if line is not None:
-            line.l1_owner = slot
-            line.add_sharer(slot)
-
     def writeback(self, block: int, slot: int) -> None:
         """A member core pushed dirty data down into the L2."""
         line = self.cache.peek(block)
@@ -298,12 +325,7 @@ class L2Domain:
             return
         stack = self.stacks[owner_slot]
         if stack is not None:
-            l0_line = stack.l0.peek(block)
-            if l0_line is not None:
-                l0_line.dirty = False
-            l1_line = stack.l1.peek(block)
-            if l1_line is not None:
-                l1_line.dirty = False
+            stack.clean(block)
         line.dirty = True
         line.l1_owner = -1
 

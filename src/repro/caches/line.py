@@ -1,34 +1,20 @@
-"""Cache-line metadata objects.
+"""Cache-line metadata for the last-level cache.
 
-Two kinds of lines exist in the hierarchy:
+:class:`L2Line` is a line in a last-level-cache domain.  Besides
+dirtiness it tracks which cores *inside the domain* hold the line in
+their private caches (an inclusion vector) and which VM the line belongs
+to, which feeds the paper's occupancy and replication analyses (Figures
+12 and 13).  Private L0/L1 lines carry no object: their only state is a
+dirty bit, stored as the value of the set dict (see
+:class:`repro.caches.hierarchy.CoreCacheStack`).
 
-* :class:`PrivateLine` — lines in the per-core L0/L1.  They only track
-  dirtiness; coherence state lives at the L2/directory level.
-* :class:`L2Line` — lines in a last-level-cache domain.  Besides
-  dirtiness they track which cores *inside the domain* hold the line in
-  their private caches (an inclusion vector) and which VM the line
-  belongs to, which feeds the paper's occupancy and replication
-  analyses (Figures 12 and 13).
-
-Both classes use ``__slots__``: the simulator allocates millions of
-lines and attribute dictionaries would dominate memory.
+The class uses ``__slots__``: the simulator allocates millions of lines
+and attribute dictionaries would dominate memory.
 """
 
 from __future__ import annotations
 
-__all__ = ["PrivateLine", "L2Line"]
-
-
-class PrivateLine:
-    """A line resident in a private (L0 or L1) cache."""
-
-    __slots__ = ("dirty",)
-
-    def __init__(self, dirty: bool = False):
-        self.dirty = dirty
-
-    def __repr__(self) -> str:
-        return f"PrivateLine(dirty={self.dirty})"
+__all__ = ["L2Line"]
 
 
 class L2Line:
@@ -59,9 +45,6 @@ class L2Line:
         self.l1_mask = 0
         self.l1_owner = -1
         self.vm_id = vm_id
-
-    def add_sharer(self, slot: int) -> None:
-        self.l1_mask |= 1 << slot
 
     def drop_sharer(self, slot: int) -> None:
         self.l1_mask &= ~(1 << slot)

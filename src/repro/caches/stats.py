@@ -26,24 +26,3 @@ class CacheStats:
     @property
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
-
-    def merged_with(self, other: "CacheStats") -> "CacheStats":
-        """Return the element-wise sum of two counter sets."""
-        return CacheStats(
-            accesses=self.accesses + other.accesses,
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            insertions=self.insertions + other.insertions,
-            evictions=self.evictions + other.evictions,
-            dirty_evictions=self.dirty_evictions + other.dirty_evictions,
-            invalidations=self.invalidations + other.invalidations,
-        )
-
-    def reset(self) -> None:
-        self.accesses = 0
-        self.hits = 0
-        self.misses = 0
-        self.insertions = 0
-        self.evictions = 0
-        self.dirty_evictions = 0
-        self.invalidations = 0

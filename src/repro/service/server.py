@@ -31,6 +31,7 @@ next start.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -77,6 +78,34 @@ def client_key_of(headers: dict, writer,
     return peer[0] if peer else "anon"
 
 
+#: JSON value types each declared spec field type admits; a bool is
+#: accepted only where the field is a bool (JSON true/false are not
+#: integers here, although Python's bool subclasses int)
+_JSON_TYPES = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "Optional[int]": ((int, type(None)), "an integer or null"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+}
+_SPEC_FIELD_TYPES = {
+    f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(ExperimentSpec)
+}
+
+
+def _check_spec_types(index: int, entry: dict) -> None:
+    """Refuse a spec value whose JSON type its field does not declare."""
+    for name, value in entry.items():
+        if name not in _SPEC_FIELD_TYPES:
+            continue  # unknown fields are refused by the constructor
+        types, wanted = _SPEC_FIELD_TYPES[name]
+        bad_bool = isinstance(value, bool) and bool not in types
+        if bad_bool or not isinstance(value, types):
+            raise BadRequest(
+                f"spec #{index}: field {name!r} must be {wanted}, "
+                f"got {json.dumps(value)}")
+
+
 def parse_job_body(body: Optional[bytes], client: str) -> Job:
     """Decode a ``POST /jobs`` body into a :class:`Job`.
 
@@ -103,6 +132,7 @@ def parse_job_body(body: Optional[bytes], client: str) -> Job:
         entry = dict(entry)
         key = entry.pop("key", None)
         key = tuple(key) if isinstance(key, list) else (index,)
+        _check_spec_types(index, entry)
         try:
             spec = ExperimentSpec(**entry)
         except TypeError as exc:

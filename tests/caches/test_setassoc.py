@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.caches.geometry import CacheGeometry
-from repro.caches.line import PrivateLine
+from repro.caches.line import L2Line
 from repro.caches.replacement import FifoPolicy, RandomPolicy
 from repro.caches.setassoc import SetAssocCache
 
@@ -17,42 +17,42 @@ class TestBasicOperations:
     def test_miss_then_hit(self):
         c = small_cache()
         assert c.lookup(5) is None
-        c.insert(5, PrivateLine())
+        c.insert(5, L2Line())
         assert c.lookup(5) is not None
         assert c.stats.hits == 1 and c.stats.misses == 1
 
     def test_peek_no_stats(self):
         c = small_cache()
-        c.insert(5, PrivateLine())
+        c.insert(5, L2Line())
         c.peek(5)
         c.peek(6)
         assert c.stats.accesses == 0
 
     def test_lru_eviction_order(self):
         c = small_cache(assoc=2, sets=1)
-        c.insert(0, PrivateLine())
-        c.insert(1, PrivateLine())
+        c.insert(0, L2Line())
+        c.insert(1, L2Line())
         c.lookup(0)  # 0 is now MRU
-        evicted = c.insert(2, PrivateLine())
+        evicted = c.insert(2, L2Line())
         assert evicted[0] == 1
 
     def test_insert_same_block_no_eviction(self):
         c = small_cache(assoc=2, sets=1)
-        c.insert(0, PrivateLine())
-        c.insert(1, PrivateLine())
-        assert c.insert(0, PrivateLine()) is None
+        c.insert(0, L2Line())
+        c.insert(1, L2Line())
+        assert c.insert(0, L2Line()) is None
         assert len(c) == 2
 
     def test_set_isolation(self):
         """Blocks mapping to different sets never evict each other."""
         c = small_cache(assoc=1, sets=4)
         for block in range(4):
-            assert c.insert(block, PrivateLine()) is None
+            assert c.insert(block, L2Line()) is None
         assert len(c) == 4
 
     def test_invalidate(self):
         c = small_cache()
-        c.insert(3, PrivateLine())
+        c.insert(3, L2Line())
         assert c.invalidate(3) is not None
         assert c.invalidate(3) is None
         assert c.stats.invalidations == 1
@@ -60,29 +60,29 @@ class TestBasicOperations:
 
     def test_dirty_eviction_counted(self):
         c = small_cache(assoc=1, sets=1)
-        c.insert(0, PrivateLine(dirty=True))
-        c.insert(64, PrivateLine())  # hmm: 64 maps to set 0 with 1 set
+        c.insert(0, L2Line(dirty=True))
+        c.insert(64, L2Line())  # hmm: 64 maps to set 0 with 1 set
         assert c.stats.dirty_evictions == 1
 
     def test_touch_refreshes_without_stats(self):
         c = small_cache(assoc=2, sets=1)
-        c.insert(0, PrivateLine())
-        c.insert(1, PrivateLine())
+        c.insert(0, L2Line())
+        c.insert(1, L2Line())
         assert c.touch(0)
-        c.insert(2, PrivateLine())
+        c.insert(2, L2Line())
         assert 0 in c and 1 not in c
         assert c.stats.accesses == 0
 
     def test_occupancy_and_contents(self):
         c = small_cache(assoc=2, sets=4)
-        c.insert(1, PrivateLine())
-        c.insert(2, PrivateLine())
+        c.insert(1, L2Line())
+        c.insert(2, L2Line())
         assert c.occupancy == 2 / 8
         assert {b for b, _ in c.contents()} == {1, 2}
 
     def test_clear_preserves_stats(self):
         c = small_cache()
-        c.insert(1, PrivateLine())
+        c.insert(1, L2Line())
         c.lookup(1)
         c.clear()
         assert len(c) == 0
@@ -92,10 +92,10 @@ class TestBasicOperations:
 class TestFifoPolicy:
     def test_hits_do_not_refresh(self):
         c = small_cache(assoc=2, sets=1, policy=FifoPolicy())
-        c.insert(0, PrivateLine())
-        c.insert(1, PrivateLine())
+        c.insert(0, L2Line())
+        c.insert(1, L2Line())
         c.lookup(0)  # does NOT make 0 MRU under FIFO
-        evicted = c.insert(2, PrivateLine())
+        evicted = c.insert(2, L2Line())
         assert evicted[0] == 0
 
 
@@ -105,7 +105,7 @@ class TestRandomPolicy:
             c = small_cache(assoc=4, sets=1, policy=RandomPolicy(seed=7))
             order = []
             for block in range(20):
-                evicted = c.insert(block, PrivateLine())
+                evicted = c.insert(block, L2Line())
                 if evicted:
                     order.append(evicted[0])
             return order
@@ -127,7 +127,7 @@ class TestCacheProperties:
         for block in blocks:
             c.lookup(block)
             if c.peek(block) is None:
-                c.insert(block, PrivateLine())
+                c.insert(block, L2Line())
         assert len(c) <= 8
         for occupancy in c.set_occupancies():
             assert occupancy <= 2
@@ -139,7 +139,7 @@ class TestCacheProperties:
         c = small_cache(assoc=2, sets=4)
         for block in blocks:
             if c.lookup(block) is None:
-                c.insert(block, PrivateLine())
+                c.insert(block, L2Line())
             assert block in c
 
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=300))
@@ -148,7 +148,7 @@ class TestCacheProperties:
         c = small_cache(assoc=2, sets=2)
         for block in blocks:
             if c.lookup(block) is None:
-                c.insert(block, PrivateLine())
+                c.insert(block, L2Line())
         s = c.stats
         assert s.hits + s.misses == s.accesses
         assert s.insertions - s.evictions == len(c)

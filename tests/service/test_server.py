@@ -51,7 +51,16 @@ class TestValidation:
         ("sharing", "shared-5", "shared-5"),
         ("engine_mode", "bogus", "bogus"),
         ("measured_refs", -5, "measured_refs must be positive"),
-    ], ids=["unknown-field", "bad-sharing", "bad-engine", "negative-refs"])
+        ("measured_refs", "100", "spec #0: field 'measured_refs'"),
+        ("seed", "x", "spec #0: field 'seed'"),
+        ("num_cores", "x", "spec #0: field 'num_cores'"),
+        ("scale", "big", "spec #0: field 'scale'"),
+        ("measured_refs", 1.5, "spec #0: field 'measured_refs'"),
+        ("measured_refs", True, "spec #0: field 'measured_refs'"),
+        ("l2_vm_quota", 1, "spec #0: field 'l2_vm_quota'"),
+    ], ids=["unknown-field", "bad-sharing", "bad-engine", "negative-refs",
+            "string-refs", "string-seed", "string-cores", "string-scale",
+            "float-refs", "bool-refs", "int-flag"])
     def test_unknown_spec_field_is_400(self, server, field, value, message):
         # a spec the library refuses is the client's error, not a 500
         body = json.dumps({"specs": [{"mix": "mix5",
