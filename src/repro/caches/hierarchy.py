@@ -96,15 +96,9 @@ class CoreCacheStack:
     def mark_dirty(self, block: int) -> None:
         """Mark a privately-cached block modified and claim ownership
         of it inside the domain.  Call only after a successful probe."""
-        s0 = self._l0_sets[block & self._l0_mask]
-        if block in s0:
-            s0[block] = True
-        s1 = self._l1_sets[block & self._l1_mask]
-        if block in s1:
-            s1[block] = True
+        self.set_dirty(block, True)
         domain = self.domain
         if domain is not None:
-            # claim ownership: the domain line lists this core as owner
             l2 = domain.cache
             line = l2._sets[block & l2._set_mask].get(block)
             if line is not None:
@@ -150,15 +144,15 @@ class CoreCacheStack:
         l1_dirty = self._l1_sets[block & self._l1_mask].pop(block, False)
         return l0_dirty or l1_dirty
 
-    def clean(self, block: int) -> None:
-        """Clear the dirty flag of both private copies (their data moved
-        down to the L2); the copies keep their LRU positions."""
+    def set_dirty(self, block: int, dirty: bool) -> None:
+        """Set the flag of the resident private copies; they keep their
+        LRU positions."""
         s0 = self._l0_sets[block & self._l0_mask]
         if block in s0:
-            s0[block] = False
+            s0[block] = dirty
         s1 = self._l1_sets[block & self._l1_mask]
         if block in s1:
-            s1[block] = False
+            s1[block] = dirty
 
     def holds(self, block: int) -> bool:
         return (block in self._l1_sets[block & self._l1_mask]
@@ -325,7 +319,7 @@ class L2Domain:
             return
         stack = self.stacks[owner_slot]
         if stack is not None:
-            stack.clean(block)
+            stack.set_dirty(block, False)
         line.dirty = True
         line.l1_owner = -1
 

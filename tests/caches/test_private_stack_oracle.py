@@ -83,11 +83,11 @@ class ObjectStack:
                 dirty = True
         return dirty
 
-    def clean(self, block):
+    def set_dirty(self, block, dirty):
         for cache in (self.l0, self.l1):
             line = cache.peek(block)
             if line is not None:
-                line.dirty = False
+                line.dirty = dirty
 
     def holds(self, block):
         return block in self.l1 or block in self.l0
