@@ -1,9 +1,8 @@
 """Benchmark basket, load generation, and performance records.
 
-``repro bench`` runs a fixed basket of wall-clock benchmarks (cold and
-warm cell latency, reference-vs-batched kernel speedup, sweep
-throughput, service round-trip and open-loop load response, QoS
-overhead) and appends the results to ``BENCH_kernel.json`` /
+``repro bench`` runs a fixed basket of wall-clock benchmarks (QoS-loop
+and tracing overhead, parallel sweep throughput, open-loop service
+load) and appends the results to ``BENCH_kernel.json`` /
 ``BENCH_sweep.json`` / ``BENCH_service.json`` at the repository root —
 the repo's performance trajectory, versioned with the code.
 

@@ -1,10 +1,10 @@
 """The fixed benchmark basket.
 
-A small registry of wall-clock benchmarks over the public simulation
-surface: cold/warm single-cell latency, reference-vs-batched kernel
-speedup, sweep throughput at N worker processes, the service's warm
-round-trip and open-loop load response, and the overhead of the
-control hooks and of tracing.
+A small registry of the wall-clock measurements ``perfbench/`` does
+not take: the overhead of the cache-QoS control loop and of
+distributed tracing, sweep throughput at N worker processes, and the
+service's open-loop load response.  Cold cells, scorecards (with their
+control hooks) and closed-loop service latency are perfbench's.
 
 ``run_basket`` executes a selection and returns
 :class:`~repro.bench.records.BenchRecord` rows; the CLI appends them
@@ -59,47 +59,6 @@ def _spec(ctx: BenchContext, refs: int, **overrides) -> ExperimentSpec:
 # ----------------------------------------------------------------------
 # kernel basket
 # ----------------------------------------------------------------------
-
-
-def _bench_cell_cold(ctx: BenchContext) -> List[BenchRecord]:
-    """Cold single-cell latency, reference vs batched."""
-    refs = ctx.cell_refs(full=4000, quick=400)
-    spec = _spec(ctx, refs)
-    timings = {}
-    for mode in ("reference", "batched"):
-        run = replace(spec, engine_mode=mode)
-        timings[mode] = _timed(
-            lambda run=run: run_experiment(run, use_cache=False)
-        )
-    speedup = timings["reference"] / max(1e-9, timings["batched"])
-    return [BenchRecord(
-        bench="cell-cold", target="kernel", quick=ctx.quick,
-        params={"mix": spec.mix, "measured_refs": refs,
-                "warmup_refs": spec.warmup_refs, "seed": ctx.seed},
-        metrics={
-            "reference_seconds": timings["reference"],
-            "batched_seconds": timings["batched"],
-            "speedup": speedup,
-            "batched_cells_per_sec": 1.0 / max(1e-9, timings["batched"]),
-        },
-    )]
-
-
-def _bench_cell_warm(ctx: BenchContext) -> List[BenchRecord]:
-    """Warm-cell latency: a store hit through ``run_experiment``."""
-    refs = ctx.cell_refs(full=1000, quick=300)
-    spec = _spec(ctx, refs, engine_mode="batched")
-    store = ResultStore()  # private, memory-only
-    run_experiment(spec, store=store)  # populate
-    repeats = 5 if ctx.quick else 25
-    elapsed = _timed(lambda: [run_experiment(spec, store=store)
-                              for _ in range(repeats)])
-    return [BenchRecord(
-        bench="cell-warm", target="kernel", quick=ctx.quick,
-        params={"mix": spec.mix, "measured_refs": refs,
-                "repeats": repeats, "seed": ctx.seed},
-        metrics={"warm_ms": 1000.0 * elapsed / repeats},
-    )]
 
 
 def _same_simulation(plain, controlled, what: str) -> None:
@@ -157,63 +116,6 @@ def _bench_qos_overhead(ctx: BenchContext) -> List[BenchRecord]:
             "plain_seconds": t_base,
             "qos_seconds": t_qos,
             "overhead_ratio": t_qos / max(1e-9, t_base),
-        },
-    )]
-
-
-def _bench_sched_overhead(ctx: BenchContext) -> List[BenchRecord]:
-    """Wall-clock overhead of the contention-aware scheduling hook."""
-    refs = ctx.cell_refs(full=1500, quick=300)
-    base = _spec(ctx, refs, sharing="shared", engine_mode="reference")
-    sched = replace(base, sched_policy="contention", sched_epoch=10_000)
-    t_base = _timed(lambda: run_experiment(base, use_cache=False))
-    t_sched = _timed(lambda: run_experiment(sched, use_cache=False))
-    return [BenchRecord(
-        bench="sched-overhead", target="kernel", quick=ctx.quick,
-        params={"mix": base.mix, "measured_refs": refs,
-                "policy": "contention", "seed": ctx.seed},
-        metrics={
-            "plain_seconds": t_base,
-            "sched_seconds": t_sched,
-            "overhead_ratio": t_sched / max(1e-9, t_base),
-        },
-    )]
-
-
-def _bench_scenario_overhead(ctx: BenchContext) -> List[BenchRecord]:
-    """Wall-clock cost of the scenario control hook.
-
-    A constant-curve scenario over mix1's roster simulates
-    byte-for-byte what the static mix1 spec does
-    (``tests/scenarios/test_determinism.py``): the hook attaches and
-    closes a window every epoch but never actuates, so the time
-    difference is the hook alone.
-    """
-    from ..core.mixes import MIXES
-    from ..scenarios import (LoadCurve, Scenario, VMSlot,
-                             register_scenario, scenario_spec)
-
-    refs = ctx.cell_refs(full=1500, quick=300)
-    flat = Scenario(
-        name="bench-flat-mix1",
-        roster=tuple(VMSlot(workload=workload)
-                     for workload, count in MIXES["mix1"].components
-                     for _ in range(count)),
-        curve=LoadCurve(), epoch=5_000)
-    register_scenario(flat, overwrite=True)
-    fields = dict(measured_refs=refs, warmup_refs=refs // 2,
-                  seed=ctx.seed, engine_mode="reference")
-    t_base, t_scenario = _timed_pair(
-        ExperimentSpec(mix="mix1", **fields),
-        scenario_spec(flat.name, **fields), "the scenario hook")
-    return [BenchRecord(
-        bench="scenario-overhead", target="kernel", quick=ctx.quick,
-        params={"scenario": flat.name, "mix": "mix1",
-                "measured_refs": refs, "seed": ctx.seed},
-        metrics={
-            "plain_seconds": t_base,
-            "scenario_seconds": t_scenario,
-            "overhead_ratio": t_scenario / max(1e-9, t_base),
         },
     )]
 
@@ -340,36 +242,6 @@ def _bench_sweep_throughput(ctx: BenchContext) -> List[BenchRecord]:
     )]
 
 
-def _bench_service_roundtrip(ctx: BenchContext) -> List[BenchRecord]:
-    """Warm round-trip through the HTTP job API (all cells cached)."""
-    from ..service import ServiceClient, ServiceServer
-
-    refs = ctx.cell_refs(full=600, quick=300)
-    spec = _spec(ctx, refs, engine_mode="batched")
-    server = ServiceServer(port=0).start_in_thread()
-    try:
-        client = ServiceClient(f"http://{server.host}:{server.port}")
-        # first job simulates and fills the server's store ...
-        job = client.submit([spec])
-        client.wait(job["job_id"], timeout=120.0)
-        # ... so the timed round-trips are pure service overhead
-        repeats = 3 if ctx.quick else 10
-
-        def roundtrip():
-            handle = client.submit([spec])
-            client.wait(handle["job_id"], timeout=120.0)
-
-        elapsed = _timed(lambda: [roundtrip() for _ in range(repeats)])
-    finally:
-        server.shutdown()
-    return [BenchRecord(
-        bench="service-roundtrip", target="service", quick=ctx.quick,
-        params={"mix": spec.mix, "measured_refs": refs,
-                "repeats": repeats, "seed": ctx.seed},
-        metrics={"warm_roundtrip_ms": 1000.0 * elapsed / repeats},
-    )]
-
-
 def _bench_service_loadgen(ctx: BenchContext) -> List[BenchRecord]:
     """Open-loop Poisson load against a single in-process worker."""
     from ..service import ServiceServer
@@ -399,14 +271,9 @@ def _bench_service_loadgen(ctx: BenchContext) -> List[BenchRecord]:
 # ----------------------------------------------------------------------
 
 _BASKET: Dict[str, Callable[[BenchContext], List[BenchRecord]]] = {
-    "cell-cold": _bench_cell_cold,
-    "cell-warm": _bench_cell_warm,
     "qos-overhead": _bench_qos_overhead,
-    "sched-overhead": _bench_sched_overhead,
-    "scenario-overhead": _bench_scenario_overhead,
     "obs-tracing": _bench_obs_tracing,
     "sweep-throughput": _bench_sweep_throughput,
-    "service-roundtrip": _bench_service_roundtrip,
     "service-loadgen": _bench_service_loadgen,
 }
 

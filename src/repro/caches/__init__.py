@@ -11,7 +11,6 @@ from .replacement import (
     make_policy,
 )
 from .setassoc import SetAssocCache
-from .stats import CacheStats
 
 __all__ = [
     "L0_GEOMETRY",
@@ -27,5 +26,4 @@ __all__ = [
     "ReplacementPolicy",
     "make_policy",
     "SetAssocCache",
-    "CacheStats",
 ]

@@ -39,9 +39,7 @@ class CoreCacheStack:
     LRU, so each set is a ``{block: dirty}`` dict in LRU order that the
     stack drives directly: the victim is the first key, a hit re-inserts
     its key, and setting a resident key's flag keeps its position.
-    ``l0``/``l1`` stay :class:`SetAssocCache` containers for inspection;
-    their :class:`CacheStats` are not kept (only directory-cache
-    statistics reach the chip summary).
+    ``l0``/``l1`` stay :class:`SetAssocCache` containers for inspection.
 
     The stack must be attached to an :class:`L2Domain` (via
     :meth:`L2Domain.attach`) before use so that private-cache evictions
@@ -229,7 +227,7 @@ class L2Domain:
     # ------------------------------------------------------------------
 
     def lookup(self, block: int) -> Optional[L2Line]:
-        """Access the L2 array (counts in stats, promotes recency)."""
+        """Access the L2 array (promotes recency)."""
         return self.cache.lookup(block)
 
     def peek(self, block: int) -> Optional[L2Line]:

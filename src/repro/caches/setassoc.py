@@ -17,7 +17,6 @@ from typing import Iterator, Optional, Tuple
 
 from .geometry import CacheGeometry
 from .replacement import LruPolicy, ReplacementPolicy
-from .stats import CacheStats
 
 __all__ = ["SetAssocCache"]
 
@@ -35,7 +34,7 @@ class SetAssocCache:
         Diagnostic label, e.g. ``"core3/L1"`` or ``"l2/domain0"``.
     """
 
-    __slots__ = ("geometry", "policy", "name", "stats", "_sets", "_set_mask",
+    __slots__ = ("geometry", "policy", "name", "_sets", "_set_mask",
                  "_promotes", "_assoc")
 
     def __init__(
@@ -47,7 +46,6 @@ class SetAssocCache:
         self.geometry = geometry
         self.policy = (policy or LruPolicy()).clone()
         self.name = name
-        self.stats = CacheStats()
         self._sets: list = [{} for _ in range(geometry.num_sets)]
         self._set_mask = geometry.num_sets - 1
         # read on every hit and fill: the policy's flag and the geometry
@@ -60,25 +58,19 @@ class SetAssocCache:
     # ------------------------------------------------------------------
 
     def lookup(self, block: int) -> Optional[object]:
-        """Return the line object for ``block``, updating recency.
-
-        Counts as an access; returns ``None`` on miss.
-        """
+        """Return the line object for ``block``, updating recency;
+        ``None`` on a miss."""
         cache_set = self._sets[block & self._set_mask]
-        stats = self.stats
-        stats.accesses += 1
         line = cache_set.get(block)
         if line is None:
-            stats.misses += 1
             return None
-        stats.hits += 1
         if self._promotes:
             del cache_set[block]
             cache_set[block] = line
         return line
 
     def peek(self, block: int) -> Optional[object]:
-        """Return the line object without affecting recency or stats."""
+        """Return the line object without affecting recency."""
         return self._sets[block & self._set_mask].get(block)
 
     def insert(
@@ -102,7 +94,6 @@ class SetAssocCache:
             policy.  The set dict iterates in LRU→MRU order.
         """
         cache_set = self._sets[block & self._set_mask]
-        stats = self.stats
         if block in cache_set:
             del cache_set[block]
             cache_set[block] = line
@@ -114,33 +105,13 @@ class SetAssocCache:
                 victim = victim_selector(cache_set)
             if victim is None:
                 victim = self.policy.victim(cache_set)
-            victim_line = cache_set.pop(victim)
-            stats.evictions += 1
-            if getattr(victim_line, "dirty", False):
-                stats.dirty_evictions += 1
-            evicted = (victim, victim_line)
+            evicted = (victim, cache_set.pop(victim))
         cache_set[block] = line
-        stats.insertions += 1
         return evicted
 
     def invalidate(self, block: int) -> Optional[object]:
         """Remove ``block`` if present; return its line object."""
-        cache_set = self._sets[block & self._set_mask]
-        line = cache_set.pop(block, None)
-        if line is not None:
-            self.stats.invalidations += 1
-        return line
-
-    def touch(self, block: int) -> bool:
-        """Refresh recency without counting an access.  True if present."""
-        cache_set = self._sets[block & self._set_mask]
-        line = cache_set.get(block)
-        if line is None:
-            return False
-        if self._promotes:
-            del cache_set[block]
-            cache_set[block] = line
-        return True
+        return self._sets[block & self._set_mask].pop(block, None)
 
     # ------------------------------------------------------------------
     # inspection
@@ -152,24 +123,10 @@ class SetAssocCache:
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets)
 
-    @property
-    def occupancy(self) -> float:
-        """Fraction of the array currently holding valid lines."""
-        return len(self) / self.geometry.num_lines
-
     def contents(self) -> Iterator[Tuple[int, object]]:
         """Iterate ``(block, line)`` over every resident line."""
         for cache_set in self._sets:
             yield from cache_set.items()
-
-    def set_occupancies(self) -> list:
-        """Number of valid lines in each set (for conflict analysis)."""
-        return [len(s) for s in self._sets]
-
-    def clear(self) -> None:
-        """Drop all lines; statistics are preserved."""
-        for cache_set in self._sets:
-            cache_set.clear()
 
     def __repr__(self) -> str:
         return f"SetAssocCache({self.name!r}, {self.geometry.describe()})"

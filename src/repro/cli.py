@@ -30,9 +30,10 @@
     Run a canned experiment suite by name (``repro suite list`` shows
     the registry); takes the same ``--jobs`` / ``--store`` flags.
 ``trace``
-    Run one experiment with epoch probes and event tracing enabled and
-    export a Chrome-trace JSON (loadable in Perfetto /
-    ``chrome://tracing``).
+    Merge one service job's span logs (``--job ID --trace-dir DIR``)
+    into a distributed trace: its critical path and a Chrome-trace
+    JSON (loadable in Perfetto / ``chrome://tracing``).  An
+    experiment's own trace comes from ``run --epoch N --trace-out``.
 ``profile``
     Run a suite with wall-clock executor spans and export the Chrome
     trace of where the sweep spent its time.
@@ -323,25 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_executor_flags(suite_p)
 
     trace_p = sub.add_parser(
-        "trace", help="run one experiment and export a Chrome trace "
-                      "(Perfetto / chrome://tracing), or with --job "
-                      "collect a distributed job trace from span logs")
-    trace_p.add_argument("--job", default=None, metavar="JOB_ID",
-                         help="collect this job's distributed trace from "
-                              "--trace-dir span logs instead of running "
-                              "an experiment")
-    trace_p.add_argument("--trace-dir", default=None, metavar="DIR",
+        "trace", help="collect a distributed job trace from span logs "
+                      "and export it as a Chrome trace")
+    trace_p.add_argument("--job", required=True, metavar="JOB_ID",
+                         help="the job whose trace to collect")
+    trace_p.add_argument("--trace-dir", required=True, metavar="DIR",
                          help="span-log directory written by a traced "
-                              "serve/fleet (required with --job)")
-    _add_spec_flags(trace_p, "--mix", "--sharing", "--policy", "--refs",
-                    "--warmup", "--seed")
-    trace_p.add_argument("--epoch", type=int, default=5000,
-                         help="sampling period in simulated cycles "
-                              "(default 5000)")
+                              "serve/fleet")
     trace_p.add_argument("--out", default="trace.json", metavar="PATH",
                          help="Chrome-trace JSON output path")
-    trace_p.add_argument("--series-out", default=None, metavar="PATH",
-                         help="also save the raw time series as JSON")
 
     profile_p = sub.add_parser(
         "profile", help="run a suite with wall-clock spans and export "
@@ -600,13 +591,6 @@ def _write_trace(telemetry, path) -> None:
           f"https://ui.perfetto.dev or chrome://tracing")
 
 
-def _print_timeline(series) -> None:
-    from .analysis.timeline import timeline_report
-
-    print()
-    print(timeline_report(series))
-
-
 def _save_json(payload, path, what: str) -> None:
     import json
 
@@ -665,7 +649,10 @@ def _cmd_run(args) -> int:
             "refused": result.sched.get("refused", 0),
         }))
     if result.series is not None:
-        _print_timeline(result.series)
+        from .analysis.timeline import timeline_report
+
+        print()
+        print(timeline_report(result.series))
     if args.series_out:
         _save_json(result.series or {}, args.series_out, "time series")
     if telemetry is not None and args.trace_out:
@@ -928,15 +915,12 @@ def _cmd_scenario(args) -> int:
     return 0
 
 
-def _cmd_trace_job(args) -> int:
+def _cmd_trace(args) -> int:
     """``repro trace --job ID``: merge span logs into one job trace."""
     from .obs import (CATEGORY_LABELS, align_clocks, collect_spans,
                       critical_path, export_chrome_trace, trace_for_job,
                       validate_trace)
 
-    if args.trace_dir is None:
-        raise ReproError("--job needs --trace-dir (the span-log "
-                         "directory the service was started with)")
     spans, torn = collect_spans(args.trace_dir)
     if not spans:
         raise ReproError(f"no span logs under {args.trace_dir}")
@@ -975,27 +959,6 @@ def _cmd_trace_job(args) -> int:
               f"missing parent: {names}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK
-
-
-def _cmd_trace(args) -> int:
-    from .obs import Telemetry
-
-    if args.job is not None:
-        return _cmd_trace_job(args)
-    telemetry = Telemetry()
-    # bypass the cache: tracing wants the events, not just the result
-    result = run_experiment(_spec_from_args(args), use_cache=False,
-                            telemetry=telemetry, epoch=args.epoch)
-    _print_timeline(result.series or {})
-    print()
-    samples = max((len(points) for points in (result.series or {}).values()),
-                  default=0)
-    print(f"{samples} epoch samples, {len(telemetry.trace)} trace events "
-          f"(epoch = {args.epoch} cycles)")
-    _write_trace(telemetry, args.out)
-    if args.series_out:
-        _save_json(result.series or {}, args.series_out, "time series")
-    return 0
 
 
 def _cmd_profile(args) -> int:

@@ -65,21 +65,12 @@ class DirectoryEntry:
         )
 
 
-class _DirTag:
-    """Presence-only line object for directory caches."""
-
-    __slots__ = ()
-    dirty = False
-
-
-_DIR_TAG = _DirTag()
-
-
 class DirectoryCache:
     """Timing filter over the directory backing store at one tile.
 
-    ``access(block)`` returns True on a hit.  Misses install the entry
-    (the caller pays the memory-latency penalty for the fetch).
+    ``access(block)`` returns True on a hit and counts it in
+    :attr:`hits` or :attr:`misses`.  Misses install the entry (the
+    caller pays the memory-latency penalty for the fetch).
     """
 
     #: default: 16K entries, 8-way — generous, as in the paper's setup
@@ -89,6 +80,8 @@ class DirectoryCache:
     def __init__(self, tile_id: int, entries: int = DEFAULT_ENTRIES, assoc: int = 8):
         self._cache = SetAssocCache(self.geometry(entries, assoc),
                                     name=f"tile{tile_id}/dircache")
+        self.hits = 0
+        self.misses = 0
 
     @staticmethod
     def geometry(entries: int, assoc: int = 8) -> CacheGeometry:
@@ -99,22 +92,12 @@ class DirectoryCache:
         )
 
     def access(self, block: int) -> bool:
-        hit = self._cache.lookup(block) is not None
-        if not hit:
-            self._cache.insert(block, _DIR_TAG)
-        return hit
-
-    @property
-    def hits(self) -> int:
-        return self._cache.stats.hits
-
-    @property
-    def misses(self) -> int:
-        return self._cache.stats.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self._cache.stats.hit_rate
+        if self._cache.lookup(block) is not None:
+            self.hits += 1
+            return True
+        self.misses += 1
+        self._cache.insert(block, True)  # presence is the only state
+        return False
 
 
 class Directory:

@@ -29,7 +29,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ReproError
 from .experiment import ExperimentResult, ExperimentSpec, resolve_defaults
 
 __all__ = ["CellOutcome", "ProgressCallback", "RetryCallback",
@@ -217,7 +217,15 @@ class SweepExecutor:
         telemetry = self.telemetry
         tracer = self.tracer
         store = self.store if self.store is not None else get_default_store()
-        resolved = [(key, resolve_defaults(spec)) for key, spec in cells]
+        # a spec the library refuses skips the store and fails in its
+        # own cell's run, not the whole grid
+        resolved, refused = [], set()
+        for index, (key, spec) in enumerate(cells):
+            try:
+                spec = resolve_defaults(spec)
+            except ReproError:
+                refused.add(index)
+            resolved.append((key, spec))
         total = len(resolved)
         outcomes: List[Optional[CellOutcome]] = [None] * total
         done = 0
@@ -242,7 +250,7 @@ class SweepExecutor:
             pending: Dict[ExperimentSpec, List[int]] = {}
             for index, (key, spec) in enumerate(resolved):
                 get_start = time.perf_counter()
-                cached = store.get(spec)
+                cached = None if index in refused else store.get(spec)
                 if cached is not None:
                     telemetry.counter("executor.cache_hits").inc()
                     if grid_ctx is not None:

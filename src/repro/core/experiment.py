@@ -280,7 +280,9 @@ def resolve_defaults(spec: ExperimentSpec) -> ExperimentSpec:
     idempotent under re-resolution and is what the result store hashes
     (see :func:`repro.core.store.spec_key`).  Only ``None`` run sizes
     mean "default": a set ``measured_refs`` must be positive and a set
-    ``warmup_refs`` non-negative.
+    ``warmup_refs`` non-negative.  A spec the run would refuse before
+    simulating is refused here, so the library, the CLI and the
+    service's job keying all refuse it in one place.
     """
     if spec.measured_refs is not None and spec.measured_refs <= 0:
         raise ConfigurationError(
@@ -288,6 +290,7 @@ def resolve_defaults(spec: ExperimentSpec) -> ExperimentSpec:
     if spec.warmup_refs is not None and spec.warmup_refs < 0:
         raise ConfigurationError(
             f"warmup_refs must be non-negative, got {spec.warmup_refs}")
+    _refuse_invalid(spec)
     measured = spec.measured_refs or default_measured_refs()
     warmup = spec.warmup_refs if spec.warmup_refs is not None else measured // 2
     seed = spec.seed or default_seed()
@@ -299,6 +302,90 @@ def resolve_defaults(spec: ExperimentSpec) -> ExperimentSpec:
         sharing=spec._canonical_sharing(),
         engine_mode=resolve_mode(spec.engine_mode, _spec_needs(spec)),
     )
+
+
+def _refuse_invalid(spec: ExperimentSpec) -> None:
+    """Raise what the run would raise before simulating: conflicting
+    fields, or a mix, placement, QoS policy, scheduling policy,
+    scenario or phase plan no registry knows.  A registry module is
+    imported only when its field is set."""
+    if spec.qos_policy and spec.l2_vm_quota:
+        raise ConfigurationError(
+            "l2_vm_quota and qos_policy both claim ownership of the way "
+            "quotas; use qos_policy='static-equal' for the static split"
+        )
+    if spec.qos_policy and spec.qos_epoch <= 0:
+        raise ConfigurationError("qos_epoch must be positive")
+    if spec.sched_policy:
+        if spec.sched_epoch <= 0:
+            raise ConfigurationError("sched_epoch must be positive")
+        if spec.rebind:
+            raise ConfigurationError(
+                "sched_policy and rebind both migrate threads; "
+                "pick one migration mechanism"
+            )
+    if spec.vm_schedule:
+        if spec.slots_per_core > 1:
+            raise ConfigurationError(
+                "vm_schedule (VM churn) requires single-slot runs"
+            )
+        if spec.rebind:
+            raise ConfigurationError(
+                "vm_schedule cannot be combined with the rebind phase "
+                "rebinder; use a sched_policy for dynamic placement"
+            )
+        if spec.start_stagger:
+            raise ConfigurationError(
+                "vm_schedule supersedes start_stagger; encode the "
+                "arrival times in the schedule"
+            )
+    if spec.l2_asym and (spec.qos_policy or spec.l2_vm_quota):
+        raise ConfigurationError(
+            "asymmetric L2 domains (l2_asym) are incompatible with the "
+            "way-quota owners (qos_policy / l2_vm_quota), which assume "
+            "uniform domain associativity"
+        )
+    if spec.scenario:
+        from ..scenarios.registry import get_scenario
+
+        scenario = get_scenario(spec.scenario)
+        if spec.mix != scenario.mix_name:
+            raise ConfigurationError(
+                f"a scenario spec's mix must be the scenario's own "
+                f"roster mix: expected {scenario.mix_name!r}, got "
+                f"{spec.mix!r} (use scenario_spec() to build one)"
+            )
+        for conflicting, label in (
+            (spec.phase_plan, "phase_plan"),
+            (spec.vm_schedule, "vm_schedule"),
+            (spec.start_stagger, "start_stagger"),
+            (spec.rebind, "rebind"),
+        ):
+            if conflicting:
+                raise ConfigurationError(
+                    f"scenario runs own the {label} axis; encode it in "
+                    f"the scenario instead of setting spec.{label}"
+                )
+        if scenario.has_arrivals and spec.slots_per_core > 1:
+            raise ConfigurationError(
+                "scenario arrivals require single-slot runs (the "
+                "over-commit engine honours start times only for run-"
+                "queue heads); departures compose with over-commit"
+            )
+    resolve_mix(spec.mix)
+    make_scheduler(spec.policy)
+    if spec.qos_policy:
+        from ..qos.controllers import make_controller
+
+        make_controller(spec.qos_policy)
+    if spec.sched_policy:
+        from ..sched.policies import make_sched_policy
+
+        make_sched_policy(spec.sched_policy)
+    if spec.phase_plan:
+        from ..workloads.phases import get_phase_plan
+
+        get_phase_plan(spec.phase_plan)
 
 
 def _spec_needs(spec: ExperimentSpec) -> Set[str]:
@@ -545,70 +632,11 @@ def run_experiment(
     want_series = telemetry.enabled and epoch > 0
 
     spec = spec.normalized()
-    if spec.qos_policy and spec.l2_vm_quota:
-        raise ConfigurationError(
-            "l2_vm_quota and qos_policy both claim ownership of the way "
-            "quotas; use qos_policy='static-equal' for the static split"
-        )
-    if spec.qos_policy and spec.qos_epoch <= 0:
-        raise ConfigurationError("qos_epoch must be positive")
-    if spec.sched_policy:
-        if spec.sched_epoch <= 0:
-            raise ConfigurationError("sched_epoch must be positive")
-        if spec.rebind:
-            raise ConfigurationError(
-                "sched_policy and rebind both migrate threads; "
-                "pick one migration mechanism"
-            )
-    if spec.vm_schedule:
-        if spec.slots_per_core > 1:
-            raise ConfigurationError(
-                "vm_schedule (VM churn) requires single-slot runs"
-            )
-        if spec.rebind:
-            raise ConfigurationError(
-                "vm_schedule cannot be combined with the rebind phase "
-                "rebinder; use a sched_policy for dynamic placement"
-            )
-        if spec.start_stagger:
-            raise ConfigurationError(
-                "vm_schedule supersedes start_stagger; encode the "
-                "arrival times in the schedule"
-            )
-    if spec.l2_asym and (spec.qos_policy or spec.l2_vm_quota):
-        raise ConfigurationError(
-            "asymmetric L2 domains (l2_asym) are incompatible with the "
-            "way-quota owners (qos_policy / l2_vm_quota), which assume "
-            "uniform domain associativity"
-        )
     scenario = None
     if spec.scenario:
         from ..scenarios.registry import get_scenario
 
         scenario = get_scenario(spec.scenario)
-        if spec.mix != scenario.mix_name:
-            raise ConfigurationError(
-                f"a scenario spec's mix must be the scenario's own "
-                f"roster mix: expected {scenario.mix_name!r}, got "
-                f"{spec.mix!r} (use scenario_spec() to build one)"
-            )
-        for conflicting, label in (
-            (spec.phase_plan, "phase_plan"),
-            (spec.vm_schedule, "vm_schedule"),
-            (spec.start_stagger, "start_stagger"),
-            (spec.rebind, "rebind"),
-        ):
-            if conflicting:
-                raise ConfigurationError(
-                    f"scenario runs own the {label} axis; encode it in "
-                    f"the scenario instead of setting spec.{label}"
-                )
-        if scenario.has_arrivals and spec.slots_per_core > 1:
-            raise ConfigurationError(
-                "scenario arrivals require single-slot runs (the "
-                "over-commit engine honours start times only for run-"
-                "queue heads); departures compose with over-commit"
-            )
     if store is None:
         store = get_default_store()
     if use_cache:

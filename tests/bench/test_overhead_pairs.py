@@ -1,25 +1,14 @@
-"""The basket's hook-overhead benches time identical simulations."""
+"""The basket's QoS-overhead bench times identical simulations."""
 
 import pytest
 
 from repro.bench.basket import BenchContext, _same_simulation, run_basket
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.errors import ReproError
-from repro.scenarios import registry as _registry
-
-
-@pytest.fixture(autouse=True)
-def restore_scenario_registry():
-    # the scenario bench registers its flat scenario in this process
-    saved = dict(_registry._CUSTOM_SCENARIOS)
-    yield
-    _registry._CUSTOM_SCENARIOS.clear()
-    _registry._CUSTOM_SCENARIOS.update(saved)
 
 
 @pytest.mark.parametrize("bench,seconds", [
     ("qos-overhead", "qos_seconds"),
-    ("scenario-overhead", "scenario_seconds"),
 ])
 def test_quick_run_pairs_byte_identical_simulations(bench, seconds):
     (record,) = run_basket([bench], BenchContext(quick=True, refs=120))

@@ -14,7 +14,7 @@ from repro.bench.records import (
 from repro.errors import ReproError
 
 
-def record(target="kernel", bench="cell-cold"):
+def record(target="kernel", bench="qos-overhead"):
     return BenchRecord(bench=bench, target=target,
                        params={"refs": 300}, metrics={"seconds": 1.5})
 
@@ -26,7 +26,7 @@ class TestTargets:
     def test_each_target_routes_to_its_own_file(self, tmp_path):
         written = append_records(tmp_path, [
             record("kernel"), record("sweep", "sweep-throughput"),
-            record("service", "service-roundtrip"),
+            record("service", "service-loadgen"),
         ])
         assert sorted(p.name for p in written) == [
             "BENCH_kernel.json", "BENCH_service.json", "BENCH_sweep.json"]
@@ -44,7 +44,7 @@ class TestTargets:
         append_records(tmp_path, [record("service", "service-loadgen")])
         payload = load_bench_file(tmp_path / "BENCH_service.json")
         assert [r["bench"] for r in payload["records"]] == [
-            "cell-cold", "service-loadgen"]
+            "qos-overhead", "service-loadgen"]
 
 
 class TestValidation:

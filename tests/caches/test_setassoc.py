@@ -19,14 +19,14 @@ class TestBasicOperations:
         assert c.lookup(5) is None
         c.insert(5, L2Line())
         assert c.lookup(5) is not None
-        assert c.stats.hits == 1 and c.stats.misses == 1
 
-    def test_peek_no_stats(self):
-        c = small_cache()
-        c.insert(5, L2Line())
-        c.peek(5)
-        c.peek(6)
-        assert c.stats.accesses == 0
+    def test_peek_does_not_refresh_lru(self):
+        c = small_cache(assoc=2, sets=1)
+        c.insert(0, L2Line())
+        c.insert(1, L2Line())
+        assert c.peek(0) is not None and c.peek(2) is None
+        evicted = c.insert(2, L2Line())
+        assert evicted[0] == 0
 
     def test_lru_eviction_order(self):
         c = small_cache(assoc=2, sets=1)
@@ -55,38 +55,22 @@ class TestBasicOperations:
         c.insert(3, L2Line())
         assert c.invalidate(3) is not None
         assert c.invalidate(3) is None
-        assert c.stats.invalidations == 1
         assert 3 not in c
 
     def test_dirty_eviction_counted(self):
+        # the victim comes back with its line, which the caller counts
+        # as a writeback
         c = small_cache(assoc=1, sets=1)
         c.insert(0, L2Line(dirty=True))
-        c.insert(64, L2Line())  # hmm: 64 maps to set 0 with 1 set
-        assert c.stats.dirty_evictions == 1
-
-    def test_touch_refreshes_without_stats(self):
-        c = small_cache(assoc=2, sets=1)
-        c.insert(0, L2Line())
-        c.insert(1, L2Line())
-        assert c.touch(0)
-        c.insert(2, L2Line())
-        assert 0 in c and 1 not in c
-        assert c.stats.accesses == 0
+        victim, line = c.insert(64, L2Line())
+        assert victim == 0 and line.dirty
 
     def test_occupancy_and_contents(self):
         c = small_cache(assoc=2, sets=4)
         c.insert(1, L2Line())
         c.insert(2, L2Line())
-        assert c.occupancy == 2 / 8
+        assert len(c) == 2
         assert {b for b, _ in c.contents()} == {1, 2}
-
-    def test_clear_preserves_stats(self):
-        c = small_cache()
-        c.insert(1, L2Line())
-        c.lookup(1)
-        c.clear()
-        assert len(c) == 0
-        assert c.stats.hits == 1
 
 
 class TestFifoPolicy:
@@ -129,8 +113,10 @@ class TestCacheProperties:
             if c.peek(block) is None:
                 c.insert(block, L2Line())
         assert len(c) <= 8
-        for occupancy in c.set_occupancies():
-            assert occupancy <= 2
+        per_set = [0] * 4
+        for block, _line in c.contents():
+            per_set[block % 4] += 1
+        assert max(per_set) <= 2
 
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=300))
     @settings(max_examples=50)
@@ -145,10 +131,12 @@ class TestCacheProperties:
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=300))
     @settings(max_examples=30)
     def test_stats_balance(self, blocks):
+        # every miss inserts, and an insert either grows the array or
+        # hands back exactly one victim
         c = small_cache(assoc=2, sets=2)
+        insertions = evictions = 0
         for block in blocks:
             if c.lookup(block) is None:
-                c.insert(block, L2Line())
-        s = c.stats
-        assert s.hits + s.misses == s.accesses
-        assert s.insertions - s.evictions == len(c)
+                insertions += 1
+                evictions += c.insert(block, L2Line()) is not None
+        assert insertions - evictions == len(c)

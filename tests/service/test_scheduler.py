@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.executor import SweepExecutor
 from repro.core.store import ResultStore
+from repro.errors import SimulationError
 from repro.obs import Telemetry
 from repro.service.jobs import Job, JobQueue, JobState
 from repro.service.scheduler import JobScheduler
@@ -26,6 +27,25 @@ def make_scheduler(store=None, queue=None, telemetry=None, **kwargs):
         telemetry=telemetry,
         **kwargs,
     )
+
+
+@pytest.fixture
+def poison_spec(monkeypatch):
+    """A spec admission accepts but every run of which raises: the
+    worker-side failure that retries cannot fix.  (A spec the library
+    refuses, such as an unknown mix, cannot be keyed into a job.)"""
+    import repro.core.experiment as experiment
+
+    spec = tiny_spec(mix="iso-tpcw")
+    real = experiment.run_experiment
+
+    def run(run_spec, *args, **kwargs):
+        if run_spec.mix == spec.mix:
+            raise SimulationError("poisoned cell")
+        return real(run_spec, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_experiment", run)
+    return spec
 
 
 def run_jobs(scheduler, jobs, timeout=120.0):
@@ -131,14 +151,14 @@ class TestCoalescing:
 
 
 class TestRetriesAndQuarantine:
-    def test_poison_job_is_retried_then_quarantined(self):
+    def test_poison_job_is_retried_then_quarantined(self, poison_spec):
         telemetry = Telemetry()
         scheduler = make_scheduler(telemetry=telemetry, max_attempts=3)
-        poison = Job.create([(("bad",), tiny_spec(mix="mix99"))])
+        poison = Job.create([(("bad",), poison_spec)])
         job, = run_jobs(scheduler, [poison])
         assert job.state == JobState.QUARANTINED
         assert job.attempts == 3
-        assert "unknown mix" in job.error
+        assert "poisoned cell" in job.error
         assert telemetry.counters["service.retries"].value == 2
         assert telemetry.counters["service.quarantined"].value == 1
 
@@ -166,20 +186,21 @@ class TestRetriesAndQuarantine:
         assert job.attempts == 1  # recovered inside the executor run
         assert telemetry.counters["executor.retries"].value == 1
 
-    def test_mixed_job_good_cells_are_stored_despite_quarantine(self):
+    def test_mixed_job_good_cells_are_stored_despite_quarantine(
+            self, poison_spec):
         store = ResultStore()
         scheduler = make_scheduler(store, max_attempts=1)
         good = tiny_spec()
-        mixed = Job.create([(("good",), good),
-                            (("bad",), tiny_spec(mix="mix99"))])
+        mixed = Job.create([(("good",), good), (("bad",), poison_spec)])
         job, = run_jobs(scheduler, [mixed])
         assert job.state == JobState.QUARANTINED
         # the good cell's result still landed in the shared store
         assert store.get(good) is not None
 
-    def test_follower_of_quarantined_primary_is_quarantined(self):
+    def test_follower_of_quarantined_primary_is_quarantined(
+            self, poison_spec):
         scheduler = make_scheduler(max_attempts=1)
-        poison_cells = [(("bad",), tiny_spec(mix="mix99"))]
+        poison_cells = [(("bad",), poison_spec)]
         first = Job.create(poison_cells)
         second = Job.create(poison_cells)
         done = run_jobs(scheduler, [first, second])
@@ -237,7 +258,7 @@ def test_executor_error_counts_as_attempt(monkeypatch):
 
 
 @pytest.mark.parametrize("attempts", [1, 2])
-def test_max_attempts_bounds_total_runs(attempts):
+def test_max_attempts_bounds_total_runs(attempts, poison_spec):
     runs = []
     scheduler = make_scheduler(max_attempts=attempts)
     original = scheduler._run_cells
@@ -247,8 +268,7 @@ def test_max_attempts_bounds_total_runs(attempts):
         return original(job)
 
     scheduler._run_cells = spy
-    job, = run_jobs(scheduler, [Job.create(
-        [(("bad",), tiny_spec(mix="mix99"))])])
+    job, = run_jobs(scheduler, [Job.create([(("bad",), poison_spec)])])
     assert job.state == JobState.QUARANTINED
     assert runs == list(range(1, attempts + 1))
 

@@ -46,25 +46,35 @@ class TestValidation:
         assert status == 400
         assert "specs" in text
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("bogus_field", 1, "bogus_field"),
-        ("sharing", "shared-5", "shared-5"),
-        ("engine_mode", "bogus", "bogus"),
-        ("measured_refs", -5, "measured_refs must be positive"),
-        ("measured_refs", "100", "spec #0: field 'measured_refs'"),
-        ("seed", "x", "spec #0: field 'seed'"),
-        ("num_cores", "x", "spec #0: field 'num_cores'"),
-        ("scale", "big", "spec #0: field 'scale'"),
-        ("measured_refs", 1.5, "spec #0: field 'measured_refs'"),
-        ("measured_refs", True, "spec #0: field 'measured_refs'"),
-        ("l2_vm_quota", 1, "spec #0: field 'l2_vm_quota'"),
+    @pytest.mark.parametrize("fields, message", [
+        ({"bogus_field": 1}, "bogus_field"),
+        ({"sharing": "shared-5"}, "shared-5"),
+        ({"engine_mode": "bogus"}, "bogus"),
+        ({"measured_refs": -5}, "measured_refs must be positive"),
+        ({"measured_refs": "100"}, "spec #0: field 'measured_refs'"),
+        ({"seed": "x"}, "spec #0: field 'seed'"),
+        ({"num_cores": "x"}, "spec #0: field 'num_cores'"),
+        ({"scale": "big"}, "spec #0: field 'scale'"),
+        ({"measured_refs": 1.5}, "spec #0: field 'measured_refs'"),
+        ({"measured_refs": True}, "spec #0: field 'measured_refs'"),
+        ({"l2_vm_quota": 1}, "spec #0: field 'l2_vm_quota'"),
+        ({"qos_policy": "ucp", "l2_vm_quota": True},
+         "both claim ownership of the way quotas"),
+        ({"sched_policy": "contention", "rebind": "random"},
+         "both migrate threads"),
+        ({"mix": "nope"}, "unknown mix"),
+        ({"qos_policy": "bogus"}, "unknown QoS policy"),
+        ({"policy": "bogus"}, "unknown scheduling policy"),
+        ({"mix": "mix1", "scenario": "diurnal-web"},
+         "the scenario's own roster mix"),
     ], ids=["unknown-field", "bad-sharing", "bad-engine", "negative-refs",
             "string-refs", "string-seed", "string-cores", "string-scale",
-            "float-refs", "bool-refs", "int-flag"])
-    def test_unknown_spec_field_is_400(self, server, field, value, message):
+            "float-refs", "bool-refs", "int-flag", "qos-and-vm-quota",
+            "sched-and-rebind", "unknown-mix", "unknown-qos-policy",
+            "unknown-placement", "scenario-off-its-mix"])
+    def test_unknown_spec_field_is_400(self, server, fields, message):
         # a spec the library refuses is the client's error, not a 500
-        body = json.dumps({"specs": [{"mix": "mix5",
-                                      field: value}]}).encode()
+        body = json.dumps({"specs": [{"mix": "mix5", **fields}]}).encode()
         status, _h, text = raw_request(server.port, "POST", "/jobs",
                                        body=body)
         assert status == 400

@@ -142,12 +142,6 @@ class TestSpecAssembly:
          [S(mix="mix6", sharing="shared", seed=7, measured_refs=800)]),
         (["suite", "mixes", "--mixes", "mix1,mix2", "--seed", "2"],
          [S(mix="mix5", seed=2)]),
-        (["trace"], [S(mix="mix5")]),
-        (["trace", "--mix", "mix8", "--sharing", "shared",
-          "--policy", "random", "--refs", "900", "--warmup", "90",
-          "--seed", "8"],
-         [S(mix="mix8", sharing="shared", policy="random", seed=8,
-            measured_refs=900, warmup_refs=90)]),
         (["profile"], [S(mix="mix5")]),
         (["profile", "sched", "--mix", "mix9", "--refs", "1000",
           "--seed", "9"],
@@ -162,7 +156,7 @@ class TestSpecAssembly:
     ], ids=["run", "run-all", "sweep", "sweep-all", "qos", "qos-all",
             "sched", "sched-all", "scenario", "scenario-all",
             "scenario-arrivals", "suite", "suite-all", "suite-mixes",
-            "trace", "trace-all", "profile", "profile-all", "submit",
+            "profile", "profile-all", "submit",
             "submit-all"])
     def test_command_builds_spec(self, capsys, handed_on, argv, expected):
         with pytest.raises(_HandedOn):
@@ -531,7 +525,7 @@ class TestSweepExecutorFlags:
 
 
 class TestChromeTraceExports:
-    """The four Chrome-trace exports load, and carry the right lanes."""
+    """The three Chrome-trace exports load, and carry the right lanes."""
 
     @staticmethod
     def load(path):
@@ -566,14 +560,6 @@ class TestChromeTraceExports:
             capsys, "run", "--mix", "mix1", "--policy", "rr", "--refs",
             "300", "--seed", "1", "--epoch", "1000", "--trace-out",
             str(out))
-        assert code == 0
-        self.assert_sim_and_wall_lanes(out)
-
-    def test_trace_out(self, capsys, tmp_path):
-        out = tmp_path / "trace.json"
-        code, _out, _err = run_cli(
-            capsys, "trace", "--mix", "mix1", "--policy", "rr", "--refs",
-            "300", "--seed", "1", "--epoch", "1000", "--out", str(out))
         assert code == 0
         self.assert_sim_and_wall_lanes(out)
 
@@ -665,6 +651,14 @@ class TestVersionAndExitCodes:
         code, _out, err = run_cli(capsys, "run", "--mix", "iso-tpch", *flags)
         assert code == 2
         assert "error:" in err and "_refs must be" in err
+
+    def test_trace_without_job_exits_2(self, capsys):
+        # an experiment's own trace is `run --epoch N --trace-out`;
+        # `trace` only merges one job's span logs
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "--mix", "mix1", "--refs", "300"])
+        assert excinfo.value.code == 2
+        assert "--job" in capsys.readouterr().err
 
     def test_missing_result_file_exits_2(self, capsys):
         # load_result wraps the missing file in a ReproError
