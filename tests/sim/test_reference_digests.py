@@ -11,7 +11,12 @@ commits.
 Cells: one per Table IV mix, plus an over-committed cell (two threads
 per core, the over-commit engine), a diurnal-web scenario cell under
 the adaptive scheduler, a heterogeneous-core cell, and one cell each
-for the non-promoting L2 replacement policies (FIFO and random).
+for the non-promoting L2 replacement policies (FIFO and random), a
+static way-quota cell, a live UCP cache-QoS cell, a cell with 64-entry
+directory caches and an asymmetric-L2 cell.  The two quota cells place
+threads round robin, so every shared domain holds several VMs and gets
+quotas; mix3 fills L2 sets within 600 refs, so its quota cell also
+runs the quota victim selector.
 
 A deliberate model change updates the digests below; regenerate them
 with ``PYTHONPATH=src python tests/sim/test_reference_digests.py``.
@@ -44,6 +49,10 @@ _CELLS = {
     "mix5/speeds": "08bb9fc2c84c2829c7a39d599b5f80097f354da6ae0e618d041b410b983f7bc7",
     "mix2/fifo": "bd6003b9e62c2801df98a9893b104fb2cfb48360e1a5705bc890c9004aed862e",
     "mix2/random": "53284b7ba3284670018bcb34bcc6f9a42aadd574606f20335d8c30499b47583b",
+    "mix3/quota": "5744b7dccabd75344d0ad64a08b11cbb0a11cf13e1fc7e30ae82f88f234b3cfd",
+    "mix5/ucp": "6d367e3fb4fa700648b3b75e4aa240ff1b01a76ce9116c075acec86608a58487",
+    "mix1/dircache": "4852998a4dc6105745d87f0a6400cd601eced51fdd0456cd97b7ab013c9693c0",
+    "mix1/asym": "7f73ed7538e5e410b1549cabcf047a62eea42953245a9cbc1fe8bbaa8ae969df",
 }
 
 _BASE = dict(measured_refs=600, warmup_refs=200, seed=7,
@@ -63,6 +72,14 @@ def _spec(cell):
         params.update(core_speeds="1.0x8,0.5x8")
     elif variant in ("fifo", "random"):
         params.update(l2_replacement=variant)
+    elif variant == "quota":
+        params.update(policy="rr", l2_vm_quota=True)
+    elif variant == "ucp":
+        params.update(policy="rr", qos_policy="ucp")
+    elif variant == "dircache":
+        params.update(dir_cache_entries=64)
+    elif variant == "asym":
+        params.update(l2_asym="16x2,8x2")
     return ExperimentSpec(**params)
 
 
@@ -80,6 +97,7 @@ def test_reference_result_digest_is_pinned(cell):
 if __name__ == "__main__":  # pragma: no cover - digest regeneration
     mixes = [f"mix{i}" for i in range(1, 10)] + ["mixA", "mixB", "mixC", "mixD"]
     variants = ["mix1/overcommit", "diurnal-web/adaptive", "mix5/speeds",
-                "mix2/fifo", "mix2/random"]
+                "mix2/fifo", "mix2/random", "mix3/quota", "mix5/ucp",
+                "mix1/dircache", "mix1/asym"]
     for cell in mixes + variants:
         print(f'    "{cell}": "{_digest(cell)}",')
