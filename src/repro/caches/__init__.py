@@ -2,7 +2,6 @@
 
 from .geometry import L0_GEOMETRY, L1_GEOMETRY, CacheGeometry, l2_domain_geometry
 from .hierarchy import CoreCacheStack, L2Domain
-from .line import L2Line
 from .replacement import (
     FifoPolicy,
     LruPolicy,
@@ -19,7 +18,6 @@ __all__ = [
     "l2_domain_geometry",
     "CoreCacheStack",
     "L2Domain",
-    "L2Line",
     "FifoPolicy",
     "LruPolicy",
     "RandomPolicy",

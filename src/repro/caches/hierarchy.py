@@ -13,6 +13,9 @@ Two cooperating classes implement the *functional* hierarchy state:
   "last private level" (L1) miss path well defined: any block cached by
   a core in the domain is guaranteed present in the domain's L2.
 
+An L2 line carries no object, so the collector has nothing to walk:
+its state is one int in the set dict (see :func:`encode_line`).
+
 Cross-domain coherence (cache-to-cache transfers, invalidation of
 remote domains) is the directory protocol's job —
 :mod:`repro.coherence` — these classes only manage state *within* one
@@ -21,15 +24,47 @@ domain.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from .geometry import CacheGeometry
-from .line import L2Line
-from .replacement import ReplacementPolicy
+from .replacement import LruPolicy, ReplacementPolicy
 from .setassoc import SetAssocCache
 
-__all__ = ["CoreCacheStack", "L2Domain"]
+__all__ = ["CoreCacheStack", "L2Domain", "LineView", "encode_line",
+           "decode_line"]
+
+# an L2 line code: bit 0 dirty, bits 1-8 the slot + 1 of the member L1
+# holding it modified (0: none), bits 9-24 the id + 1 of the VM that
+# brought it in (0: none), bits 25+ the mask of member-L1 slots that
+# may hold it
+DIRTY = 1
+OWNER_SHIFT = 1
+OWNER_FIELD = 0xFF << OWNER_SHIFT
+VM_SHIFT = 9
+VM_FIELD = 0xFFFF << VM_SHIFT
+SHARER_SHIFT = 25
+
+
+class LineView(NamedTuple):
+    """The fields of an L2 line code; -1 means no owner / no VM."""
+
+    dirty: bool
+    l1_mask: int
+    l1_owner: int
+    vm_id: int
+
+
+def encode_line(dirty: bool, vm_id: int = -1, l1_mask: int = 0,
+                l1_owner: int = -1) -> int:
+    return (int(bool(dirty)) | (l1_owner + 1) << OWNER_SHIFT
+            | (vm_id + 1) << VM_SHIFT | l1_mask << SHARER_SHIFT)
+
+
+def decode_line(code: int) -> LineView:
+    return LineView(bool(code & DIRTY), code >> SHARER_SHIFT,
+                    ((code & OWNER_FIELD) >> OWNER_SHIFT) - 1,
+                    ((code & VM_FIELD) >> VM_SHIFT) - 1)
 
 
 class CoreCacheStack:
@@ -57,6 +92,9 @@ class CoreCacheStack:
         self.l1 = SetAssocCache(l1_geometry, name=f"core{core_id}/L1")
         self.domain: Optional["L2Domain"] = None
         self.slot: int = -1
+        # this core's bits in its domain's L2 line codes (set on attach)
+        self._l2_sharer = 0
+        self._l2_owned = 0
         self._l0_sets = self.l0._sets
         self._l0_mask = self.l0._set_mask
         self._l0_assoc = l0_geometry.assoc
@@ -97,11 +135,10 @@ class CoreCacheStack:
         self.set_dirty(block, True)
         domain = self.domain
         if domain is not None:
-            l2 = domain.cache
-            line = l2._sets[block & l2._set_mask].get(block)
-            if line is not None:
-                line.l1_owner = self.slot
-                line.l1_mask |= 1 << self.slot
+            l2_set = domain._sets[block & domain._set_mask]
+            code = l2_set.get(block)
+            if code is not None:
+                l2_set[block] = (code & ~OWNER_FIELD) | self._l2_owned
 
     def fill(self, block: int, dirty: bool) -> None:
         """Install a block into L1 and L0 after a miss was satisfied."""
@@ -129,12 +166,13 @@ class CoreCacheStack:
                 self._merge_down(victim)
         s0[block] = dirty
         if domain is not None:
-            l2 = domain.cache
-            line = l2._sets[block & l2._set_mask].get(block)
-            if line is not None:
-                line.l1_mask |= 1 << self.slot
+            l2_set = domain._sets[block & domain._set_mask]
+            code = l2_set.get(block)
+            if code is not None:
                 if dirty:
-                    line.l1_owner = self.slot
+                    l2_set[block] = (code & ~OWNER_FIELD) | self._l2_owned
+                else:
+                    l2_set[block] = code | self._l2_sharer
 
     def invalidate(self, block: int) -> bool:
         """Drop the block from L0 and L1; True if a dirty copy existed."""
@@ -175,6 +213,10 @@ class CoreCacheStack:
 class L2Domain:
     """One last-level-cache partition and its member cores.
 
+    Each set is an insertion-ordered ``{block: line code}`` dict that
+    the domain drives directly: an LRU hit re-inserts its key and an
+    LRU victim is the first key.
+
     Parameters
     ----------
     domain_id:
@@ -202,8 +244,14 @@ class L2Domain:
         self.slot_of = {cid: slot for slot, cid in enumerate(self.core_ids)}
         self.stacks: List[Optional[CoreCacheStack]] = [None] * len(core_ids)
         self.writebacks_to_memory: List[int] = []
-        self.dirty_writebacks = 0
         self.quota = None  # optional WayQuota (performance isolation)
+        self._sets = self.cache._sets
+        self._set_mask = self.cache._set_mask
+        self._assoc = geometry.assoc
+        self._promotes = self.cache._promotes
+        # an LRU victim is the set's first key; other policies choose
+        policy = self.cache.policy
+        self._policy_victim = None if type(policy) is LruPolicy else policy.victim
 
     def set_quota(self, quota) -> None:
         """Enable way-quota partitioning for this domain (see
@@ -220,18 +268,28 @@ class L2Domain:
             ) from None
         stack.domain = self
         stack.slot = slot
+        stack._l2_sharer = 1 << (SHARER_SHIFT + slot)
+        stack._l2_owned = stack._l2_sharer | (slot + 1) << OWNER_SHIFT
         self.stacks[slot] = stack
 
     # ------------------------------------------------------------------
     # lookups and fills
     # ------------------------------------------------------------------
 
-    def lookup(self, block: int) -> Optional[L2Line]:
-        """Access the L2 array (promotes recency)."""
-        return self.cache.lookup(block)
+    def lookup(self, block: int) -> Optional[int]:
+        """Access the L2 array (promotes recency); the line's code or
+        ``None`` on a miss."""
+        cache_set = self._sets[block & self._set_mask]
+        if self._promotes:
+            code = cache_set.pop(block, None)
+            if code is not None:
+                cache_set[block] = code
+            return code
+        return cache_set.get(block)
 
-    def peek(self, block: int) -> Optional[L2Line]:
-        return self.cache.peek(block)
+    def peek(self, block: int) -> Optional[int]:
+        """The line's code without affecting recency, or ``None``."""
+        return self._sets[block & self._set_mask].get(block)
 
     def fill(
         self, block: int, dirty: bool, vm_id: int, requester_slot: int
@@ -241,51 +299,64 @@ class L2Domain:
         Returns the list of ``(victim_block, victim_was_dirty)`` evicted
         to make room.  Victims are back-invalidated from member private
         caches to preserve inclusion; a dirty private copy makes the
-        victim dirty regardless of the L2 line's own state.
+        victim dirty regardless of the L2 line's own state.  Filling a
+        resident block replaces its line and refreshes its recency.
         """
-        line = L2Line(dirty, vm_id)
-        line.l1_mask = 1 << requester_slot
+        code = (vm_id + 1) << VM_SHIFT | 1 << (SHARER_SHIFT + requester_slot)
         if dirty:
-            line.l1_owner = requester_slot
-        selector = (
-            self.quota.victim_selector(vm_id) if self.quota is not None else None
-        )
-        evicted = self.cache.insert(block, line, selector)
-        if evicted is None:
+            code |= DIRTY | (requester_slot + 1) << OWNER_SHIFT
+        cache_set = self._sets[block & self._set_mask]
+        if cache_set.pop(block, None) is not None or len(cache_set) < self._assoc:
+            cache_set[block] = code
             return []
-        victim, victim_line = evicted
-        victim_dirty = self._back_invalidate(victim, victim_line)
+        victim = None
+        if self.quota is not None:
+            victim = self.quota.victim_selector(vm_id)(cache_set)
+        if victim is None:
+            if self._policy_victim is None:
+                victim = next(iter(cache_set))
+            else:
+                victim = self._policy_victim(cache_set)
+        victim_code = cache_set.pop(victim)
+        cache_set[block] = code
+        victim_dirty = self._back_invalidate(victim, victim_code)
         if victim_dirty:
-            self.dirty_writebacks += 1
             self.writebacks_to_memory.append(victim)
         return [(victim, victim_dirty)]
 
     def invalidate(self, block: int) -> bool:
         """Remove the block (directory-initiated); True if dirty anywhere."""
-        line = self.cache.invalidate(block)
-        if line is None:
+        code = self._sets[block & self._set_mask].pop(block, None)
+        if code is None:
             return False
-        return self._back_invalidate(block, line)
+        return self._back_invalidate(block, code)
 
     # ------------------------------------------------------------------
     # intra-domain bookkeeping (called by member stacks)
     # ------------------------------------------------------------------
 
     def note_private_eviction(self, block: int, slot: int) -> None:
-        line = self.cache.peek(block)
-        if line is not None:
-            line.drop_sharer(slot)
+        """A member L1 dropped the block: clear its sharer bit, and its
+        ownership if it held the line modified."""
+        cache_set = self._sets[block & self._set_mask]
+        code = cache_set.get(block)
+        if code is not None:
+            code &= ~(1 << (SHARER_SHIFT + slot))
+            if code & OWNER_FIELD == (slot + 1) << OWNER_SHIFT:
+                code &= ~OWNER_FIELD
+            cache_set[block] = code
 
     def writeback(self, block: int, slot: int) -> None:
         """A member core pushed dirty data down into the L2."""
-        line = self.cache.peek(block)
-        if line is not None:
-            line.dirty = True
-            if line.l1_owner == slot:
-                line.l1_owner = -1
+        cache_set = self._sets[block & self._set_mask]
+        code = cache_set.get(block)
+        if code is not None:
+            code |= DIRTY
+            if code & OWNER_FIELD == (slot + 1) << OWNER_SHIFT:
+                code &= ~OWNER_FIELD
+            cache_set[block] = code
         else:
             # inclusion victim already left the L2; data goes to memory
-            self.dirty_writebacks += 1
             self.writebacks_to_memory.append(block)
 
     def dirty_private_holder(self, block: int, exclude_slot: int) -> Optional[int]:
@@ -295,10 +366,11 @@ class L2Domain:
         requesting core's miss must be satisfied by the owning core's
         private cache rather than the (stale) L2 copy.
         """
-        line = self.cache.peek(block)
-        if line is None:
+        cache_set = self._sets[block & self._set_mask]
+        code = cache_set.get(block)
+        if code is None:
             return None
-        owner = line.l1_owner
+        owner = ((code & OWNER_FIELD) >> OWNER_SHIFT) - 1
         if owner == -1 or owner == exclude_slot:
             return None
         stack = self.stacks[owner]
@@ -306,28 +378,29 @@ class L2Domain:
             return owner
         # stale owner hint (the private copy was silently evicted);
         # clear it so later lookups take the fast path
-        line.l1_owner = -1
+        cache_set[block] = code & ~OWNER_FIELD
         return None
 
     def downgrade_owner(self, block: int, owner_slot: int) -> None:
         """Pull dirty data from a member L1 into the L2 (owner keeps a
         clean copy); used when another core reads the block."""
-        line = self.cache.peek(block)
-        if line is None:
+        cache_set = self._sets[block & self._set_mask]
+        code = cache_set.get(block)
+        if code is None:
             return
         stack = self.stacks[owner_slot]
         if stack is not None:
             stack.set_dirty(block, False)
-        line.dirty = True
-        line.l1_owner = -1
+        cache_set[block] = (code | DIRTY) & ~OWNER_FIELD
 
     # ------------------------------------------------------------------
 
-    def _back_invalidate(self, block: int, line: L2Line) -> bool:
+    def _back_invalidate(self, block: int, code: int) -> bool:
         """Remove private copies of an evicted/invalidated L2 line."""
-        dirty = line.dirty
-        for slot in line.sharers():
-            stack = self.stacks[slot]
+        dirty = bool(code & DIRTY)
+        mask = code >> SHARER_SHIFT
+        for slot in range(mask.bit_length()):
+            stack = self.stacks[slot] if mask >> slot & 1 else None
             if stack is not None and stack.invalidate(block):
                 dirty = True
         return dirty
@@ -335,8 +408,9 @@ class L2Domain:
     def occupancy_by_vm(self) -> dict:
         """Resident line counts per VM id (Figure 13's raw data)."""
         counts: dict = {}
-        for _, line in self.cache.contents():
-            counts[line.vm_id] = counts.get(line.vm_id, 0) + 1
+        for _, code in self.cache.contents():
+            vm_id = ((code & VM_FIELD) >> VM_SHIFT) - 1
+            counts[vm_id] = counts.get(vm_id, 0) + 1
         return counts
 
     def resident_blocks(self) -> set:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..errors import ConfigurationError
+from .hierarchy import VM_FIELD, VM_SHIFT
 
 __all__ = ["WayQuota", "equal_quotas"]
 
@@ -91,27 +92,31 @@ class WayQuota:
         return self.adjustments - before
 
     def victim_selector(self, vm_id: int):
-        """A per-insertion victim selector for
-        :meth:`repro.caches.setassoc.SetAssocCache.insert`."""
+        """A per-insertion victim selector for :meth:`L2Domain.fill
+        <repro.caches.hierarchy.L2Domain.fill>`: ``select(cache_set)``
+        reads the VM field of the set's packed line codes and returns
+        the victim block, or ``None`` to defer to the replacement
+        policy."""
         quotas = self.quotas
         my_quota = quotas.get(vm_id)
+        mine = vm_id + 1  # VM fields hold the id + 1
 
         def select(cache_set) -> Optional[int]:
             counts: Dict[int, int] = {}
-            for line in cache_set.values():
-                owner = line.vm_id
+            for code in cache_set.values():
+                owner = (code & VM_FIELD) >> VM_SHIFT
                 counts[owner] = counts.get(owner, 0) + 1
-            if my_quota is not None and counts.get(vm_id, 0) >= my_quota:
+            if my_quota is not None and counts.get(mine, 0) >= my_quota:
                 # rule 1: evict own LRU line
-                for block, line in cache_set.items():
-                    if line.vm_id == vm_id:
+                for block, code in cache_set.items():
+                    if (code & VM_FIELD) >> VM_SHIFT == mine:
                         self.self_evictions += 1
                         return block
             # rule 2: reclaim from an over-quota neighbour
-            for block, line in cache_set.items():
-                owner = line.vm_id
-                quota = quotas.get(owner)
-                if quota is not None and owner != vm_id and counts[owner] > quota:
+            for block, code in cache_set.items():
+                owner = (code & VM_FIELD) >> VM_SHIFT
+                quota = quotas.get(owner - 1)
+                if quota is not None and owner != mine and counts[owner] > quota:
                     self.reclaims += 1
                     return block
             return None  # rule 3: fall back to vanilla LRU

@@ -18,6 +18,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..errors import ConfigurationError
+
 __all__ = ["ReplacementPolicy", "LruPolicy", "FifoPolicy", "RandomPolicy", "make_policy"]
 
 
@@ -104,7 +106,7 @@ def make_policy(name: str, seed: Optional[int] = None) -> ReplacementPolicy:
     try:
         cls = _POLICIES[name]
     except KeyError:
-        raise ValueError(
+        raise ConfigurationError(
             f"unknown replacement policy {name!r}; choose from {sorted(_POLICIES)}"
         ) from None
     if cls is RandomPolicy:

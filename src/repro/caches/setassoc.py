@@ -1,10 +1,12 @@
 """Set-associative cache array with pluggable replacement.
 
-The array stores arbitrary per-line metadata objects (see
-:mod:`repro.caches.line`).  Sets are backed by insertion-ordered dicts:
-hit promotion (for LRU) deletes and re-inserts the key, victim selection
-delegates to the replacement policy.  All operations are O(1) for LRU
-and FIFO.
+The array maps each resident block to a per-line value.  Sets are
+backed by insertion-ordered dicts: hit promotion (for LRU) deletes and
+re-inserts the key, victim selection delegates to the replacement
+policy.  All operations are O(1) for LRU and FIFO.  The simulator's
+private stacks and L2 domains keep a :class:`SetAssocCache` as the
+container of their sets and drive those dicts directly (see
+:mod:`repro.caches.hierarchy`).
 
 This class is purely *functional* cache state — it knows nothing about
 latency, coherence, or the interconnect.  Timing composition happens in
@@ -73,25 +75,12 @@ class SetAssocCache:
         """Return the line object without affecting recency."""
         return self._sets[block & self._set_mask].get(block)
 
-    def insert(
-        self,
-        block: int,
-        line: object,
-        victim_selector=None,
-    ) -> Optional[Tuple[int, object]]:
+    def insert(self, block: int, line: object) -> Optional[Tuple[int, object]]:
         """Install ``block``; return ``(victim_block, victim_line)`` if one
         was evicted, else ``None``.
 
         Inserting a block that is already present replaces its line
         object (and refreshes recency) without eviction.
-
-        Parameters
-        ----------
-        victim_selector:
-            Optional ``f(cache_set) -> victim block`` overriding the
-            replacement policy for this insertion (used by way-quota
-            partitioning); it may return ``None`` to defer to the
-            policy.  The set dict iterates in LRU→MRU order.
         """
         cache_set = self._sets[block & self._set_mask]
         if block in cache_set:
@@ -100,11 +89,7 @@ class SetAssocCache:
             return None
         evicted = None
         if len(cache_set) >= self._assoc:
-            victim = None
-            if victim_selector is not None:
-                victim = victim_selector(cache_set)
-            if victim is None:
-                victim = self.policy.victim(cache_set)
+            victim = self.policy.victim(cache_set)
             evicted = (victim, cache_set.pop(victim))
         cache_set[block] = line
         return evicted

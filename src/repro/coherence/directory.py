@@ -9,60 +9,57 @@ The full directory state (the backing store, conceptually in memory) is
 a dict and is always exact; the directory cache affects *timing only*:
 a lookup that misses the home tile's directory cache pays a memory
 access to fetch the entry.
+
+An entry carries no object, so the collector has nothing to walk: its
+state is one int in the backing dict (see :func:`encode_entry`), and
+an untracked block reads as code 0 (INVALID, no owner, no sharers).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from ..caches.geometry import CacheGeometry
-from ..caches.setassoc import SetAssocCache
 from .states import DirState
 
-__all__ = ["DirectoryEntry", "DirectoryCache", "Directory"]
+__all__ = ["DirectoryCache", "Directory", "EntryView", "encode_entry",
+           "decode_entry", "sharer_list"]
+
+# an entry code: bits 0-1 the DirState, bits 2-17 the owning domain's
+# id + 1 (0: none), bits 18+ the mask of sharer domain ids
+STATE_FIELD = 0b11
+OWNER_SHIFT = 2
+OWNER_FIELD = 0xFFFF << OWNER_SHIFT
+SHARER_SHIFT = 18
 
 
-class DirectoryEntry:
-    """Global coherence state of one block.
+class EntryView(NamedTuple):
+    """The fields of an entry code; ``owner`` is -1 for none."""
 
-    ``sharers`` is a bitmask over L2 *domain* ids; ``owner`` is a domain
-    id or -1.  See :class:`repro.coherence.states.DirState`.
-    """
+    state: DirState
+    owner: int
+    sharers: int
 
-    __slots__ = ("state", "owner", "sharers")
 
-    def __init__(self) -> None:
-        self.state = DirState.INVALID
-        self.owner = -1
-        self.sharers = 0
+def encode_entry(state: DirState, owner: int = -1, sharers: int = 0) -> int:
+    return int(state) | (owner + 1) << OWNER_SHIFT | sharers << SHARER_SHIFT
 
-    def add_sharer(self, domain: int) -> None:
-        self.sharers |= 1 << domain
 
-    def drop_sharer(self, domain: int) -> None:
-        self.sharers &= ~(1 << domain)
+def decode_entry(code: int) -> EntryView:
+    return EntryView(DirState(code & STATE_FIELD),
+                     ((code & OWNER_FIELD) >> OWNER_SHIFT) - 1,
+                     code >> SHARER_SHIFT)
 
-    def is_sharer(self, domain: int) -> bool:
-        return bool(self.sharers & (1 << domain))
 
-    def sharer_list(self) -> List[int]:
-        mask, out, idx = self.sharers, [], 0
-        while mask:
-            if mask & 1:
-                out.append(idx)
-            mask >>= 1
-            idx += 1
-        return out
-
-    @property
-    def num_sharers(self) -> int:
-        return bin(self.sharers).count("1")
-
-    def __repr__(self) -> str:
-        return (
-            f"DirectoryEntry(state={self.state.name}, owner={self.owner}, "
-            f"sharers={self.sharer_list()})"
-        )
+def sharer_list(mask: int) -> List[int]:
+    """The domain ids set in a sharer mask, ascending."""
+    out, idx = [], 0
+    while mask:
+        if mask & 1:
+            out.append(idx)
+        mask >>= 1
+        idx += 1
+    return out
 
 
 class DirectoryCache:
@@ -78,8 +75,13 @@ class DirectoryCache:
     DEFAULT_ENTRIES = 16 * 1024
 
     def __init__(self, tile_id: int, entries: int = DEFAULT_ENTRIES, assoc: int = 8):
-        self._cache = SetAssocCache(self.geometry(entries, assoc),
-                                    name=f"tile{tile_id}/dircache")
+        geometry = self.geometry(entries, assoc)
+        # LRU sets of present blocks, driven directly: a hit re-inserts
+        # its key and the victim is the first key
+        self._sets: List[Dict[int, bool]] = [
+            {} for _ in range(geometry.num_sets)]
+        self._set_mask = geometry.num_sets - 1
+        self._assoc = assoc
         self.hits = 0
         self.misses = 0
 
@@ -92,20 +94,27 @@ class DirectoryCache:
         )
 
     def access(self, block: int) -> bool:
-        if self._cache.lookup(block) is not None:
+        cache_set = self._sets[block & self._set_mask]
+        if cache_set.pop(block, False):
+            cache_set[block] = True  # presence is the only state
             self.hits += 1
             return True
         self.misses += 1
-        self._cache.insert(block, True)  # presence is the only state
+        if len(cache_set) >= self._assoc:
+            del cache_set[next(iter(cache_set))]
+        cache_set[block] = True
         return False
 
 
 class Directory:
     """Exact global directory striped over ``num_tiles`` home tiles.
 
-    ``caches`` holds each tile's :class:`DirectoryCache`, built on the
-    tile's first :meth:`cache_access` (``None`` until then: a tile never
-    looked up has no hits and no misses).
+    ``_entries`` maps each tracked block to its packed entry code; the
+    coherence controller reads and writes those codes in place and
+    drops a block whose entry returns to INVALID.  ``caches`` holds
+    each tile's :class:`DirectoryCache`, built on the tile's first
+    :meth:`cache_access` (``None`` until then: a tile never looked up
+    has no hits and no misses).
     """
 
     def __init__(self, num_tiles: int, dir_cache_entries: int = DirectoryCache.DEFAULT_ENTRIES):
@@ -113,7 +122,7 @@ class Directory:
             raise ValueError("num_tiles must be positive")
         DirectoryCache.geometry(dir_cache_entries)  # validate eagerly
         self.num_tiles = num_tiles
-        self._entries: Dict[int, DirectoryEntry] = {}
+        self._entries: Dict[int, int] = {}
         self._cache_entries = dir_cache_entries
         self.caches: List[Optional[DirectoryCache]] = [None] * num_tiles
 
@@ -121,15 +130,8 @@ class Directory:
         """Home tile of a block (striped by physical address)."""
         return block % self.num_tiles
 
-    def entry(self, block: int) -> DirectoryEntry:
-        """The (always exact) directory entry, created on demand."""
-        entry = self._entries.get(block)
-        if entry is None:
-            entry = DirectoryEntry()
-            self._entries[block] = entry
-        return entry
-
-    def peek(self, block: int) -> Optional[DirectoryEntry]:
+    def peek(self, block: int) -> Optional[int]:
+        """The block's packed entry code, or ``None`` if untracked."""
         return self._entries.get(block)
 
     def cache_access(self, block: int) -> bool:
@@ -140,12 +142,6 @@ class Directory:
             cache = self.caches[tile] = DirectoryCache(
                 tile, entries=self._cache_entries)
         return cache.access(block)
-
-    def forget(self, block: int) -> None:
-        """Drop an INVALID entry to bound memory use."""
-        entry = self._entries.get(block)
-        if entry is not None and entry.state == DirState.INVALID:
-            del self._entries[block]
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -7,6 +7,8 @@ which remote domains must be invalidated, and updates the directory.
 It is purely *functional* — latency composition (hops to the home tile,
 directory-cache timing, queueing) lives in the machine model, which
 receives everything it needs in the returned :class:`FetchOutcome`.
+Directory entries are packed ints (see :mod:`repro.coherence.directory`)
+that the controller reads and rewrites in place.
 
 The clean/dirty distinction matters because the paper's Table II
 characterizes workloads by the fraction of misses served by
@@ -23,11 +25,11 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
 from ..errors import CoherenceError
-from .directory import Directory, DirectoryEntry
+from .directory import (OWNER_FIELD, OWNER_SHIFT, SHARER_SHIFT, STATE_FIELD,
+                        Directory, decode_entry, sharer_list)
 from .states import DirState
 
 __all__ = ["DataSource", "FetchOutcome", "CoherenceStats", "CoherenceController"]
-
 
 class DataSource(enum.IntEnum):
     """Where the data for a domain miss comes from."""
@@ -66,10 +68,17 @@ class FetchOutcome(NamedTuple):
     memory_writeback: bool = False
 
 
+# the miss path binds the members once and builds outcomes with
+# tuple.__new__, which skips the NamedTuple constructor's argument
+# handling
+_FROM_MEMORY, _C2C_CLEAN, _C2C_DIRTY, _NO_DATA = DataSource
+_INVALID, _SHARED, _OWNED, _MODIFIED = (int(state) for state in DirState)
+_new = tuple.__new__
+
 # a fetch from memory carries no per-miss data: one immutable outcome
 # per access kind serves every such miss
-_MEMORY_READ = FetchOutcome(DataSource.MEMORY)
-_MEMORY_WRITE = FetchOutcome(DataSource.MEMORY, fill_dirty=True)
+_MEMORY_READ = FetchOutcome(_FROM_MEMORY)
+_MEMORY_WRITE = FetchOutcome(_FROM_MEMORY, fill_dirty=True)
 
 
 @dataclass
@@ -110,6 +119,7 @@ class CoherenceController:
         self.directory = directory
         self.num_domains = num_domains
         self.stats = CoherenceStats()
+        self._entries = directory._entries
 
     # ------------------------------------------------------------------
     # miss resolution
@@ -118,16 +128,16 @@ class CoherenceController:
     def fetch(self, block: int, domain: int, is_write: bool) -> FetchOutcome:
         """Resolve a domain miss (the block is absent from ``domain``)."""
         self._check_domain(domain)
-        entry = self.directory.entry(block)
-        if entry.is_sharer(domain):
+        code = self._entries.get(block, 0)
+        if code >> (SHARER_SHIFT + domain) & 1:
             raise CoherenceError(
                 f"domain {domain} missed on block {block:#x} but the "
-                f"directory lists it as a sharer ({entry!r}); eviction "
-                "notifications are out of sync"
+                f"directory lists it as a sharer ({decode_entry(code)!r}); "
+                "eviction notifications are out of sync"
             )
         if is_write:
-            return self._fetch_write(block, entry, domain)
-        return self._fetch_read(block, entry, domain)
+            return self._fetch_write(block, code, domain)
+        return self._fetch_read(block, code, domain)
 
     def upgrade(self, block: int, domain: int) -> FetchOutcome:
         """Resolve a write to a block the domain holds in SHARED state.
@@ -136,91 +146,76 @@ class CoherenceController:
         copy is current because memory was current).
         """
         self._check_domain(domain)
-        entry = self.directory.entry(block)
-        if not entry.is_sharer(domain):
+        code = self._entries.get(block, 0)
+        if not code >> (SHARER_SHIFT + domain) & 1:
             raise CoherenceError(
                 f"upgrade on block {block:#x} from non-sharer domain "
-                f"{domain} ({entry!r})"
+                f"{domain} ({decode_entry(code)!r})"
             )
-        self.stats.upgrades += 1
-        victims = tuple(d for d in entry.sharer_list() if d != domain)
+        stats = self.stats
+        stats.upgrades += 1
+        victims = tuple(d for d in sharer_list(code >> SHARER_SHIFT)
+                        if d != domain)
         writeback = False
-        if entry.state.has_owner and entry.owner != domain:
+        if (code & STATE_FIELD >= _OWNED
+                and code & OWNER_FIELD != (domain + 1) << OWNER_SHIFT):
             # another domain owns modified data; its copy (and data)
             # must be folded in — rare path, only via OWNED state
             writeback = True
-            self.stats.writebacks += 1
-        entry.state = DirState.MODIFIED
-        entry.owner = domain
-        entry.sharers = 1 << domain
+            stats.writebacks += 1
+        self._entries[block] = _owned_by(domain)
         if victims:
-            self.stats.invalidations_sent += len(victims)
-        return FetchOutcome(
-            source=DataSource.NONE,
-            invalidate_domains=victims,
-            fill_dirty=True,
-            memory_writeback=writeback,
-        )
+            stats.invalidations_sent += len(victims)
+        return _new(FetchOutcome, (_NO_DATA, -1, victims, True, writeback))
 
-    def _fetch_read(self, block: int, entry: DirectoryEntry, domain: int) -> FetchOutcome:
-        self.stats.read_misses += 1
-        if entry.state == DirState.INVALID:
-            self.stats.memory_fetches += 1
-            entry.state = DirState.SHARED
-            entry.add_sharer(domain)
+    def _fetch_read(self, block: int, code: int, domain: int) -> FetchOutcome:
+        stats = self.stats
+        stats.read_misses += 1
+        state = code & STATE_FIELD
+        sharer = 1 << (SHARER_SHIFT + domain)
+        if state == _INVALID:
+            stats.memory_fetches += 1
+            self._entries[block] = code | _SHARED | sharer
             return _MEMORY_READ
-        if entry.state == DirState.SHARED:
-            self.stats.c2c_clean += 1
-            provider = self._closest_sharer(entry, domain)
-            entry.add_sharer(domain)
-            return FetchOutcome(source=DataSource.C2C_CLEAN, provider_domain=provider)
+        if state == _SHARED:
+            stats.c2c_clean += 1
+            provider = self._closest_sharer(code, domain)
+            self._entries[block] = code | sharer
+            return _new(FetchOutcome, (_C2C_CLEAN, provider, (), False, False))
         # MODIFIED or OWNED: owner forwards dirty data, retains ownership
-        owner = entry.owner
+        owner = ((code & OWNER_FIELD) >> OWNER_SHIFT) - 1
         if owner == domain:
             raise CoherenceError(
                 f"domain {domain} missed on block {block:#x} it owns"
             )
-        self.stats.c2c_dirty += 1
-        entry.state = DirState.OWNED
-        entry.add_sharer(domain)
-        return FetchOutcome(source=DataSource.C2C_DIRTY, provider_domain=owner)
+        stats.c2c_dirty += 1
+        self._entries[block] = (code & ~STATE_FIELD) | _OWNED | sharer
+        return _new(FetchOutcome, (_C2C_DIRTY, owner, (), False, False))
 
-    def _fetch_write(self, block: int, entry: DirectoryEntry, domain: int) -> FetchOutcome:
-        self.stats.write_misses += 1
-        if entry.state == DirState.INVALID:
-            self.stats.memory_fetches += 1
-            entry.state = DirState.MODIFIED
-            entry.owner = domain
-            entry.sharers = 1 << domain
+    def _fetch_write(self, block: int, code: int, domain: int) -> FetchOutcome:
+        stats = self.stats
+        stats.write_misses += 1
+        state = code & STATE_FIELD
+        if state == _INVALID:
+            stats.memory_fetches += 1
+            self._entries[block] = _owned_by(domain)
             return _MEMORY_WRITE
-        if entry.state == DirState.SHARED:
-            victims = tuple(entry.sharer_list())
-            self.stats.c2c_clean += 1
-            self.stats.invalidations_sent += len(victims)
-            provider = self._closest_sharer(entry, domain)
-            entry.state = DirState.MODIFIED
-            entry.owner = domain
-            entry.sharers = 1 << domain
-            return FetchOutcome(
-                source=DataSource.C2C_CLEAN,
-                provider_domain=provider,
-                invalidate_domains=victims,
-                fill_dirty=True,
-            )
+        if state == _SHARED:
+            victims = tuple(sharer_list(code >> SHARER_SHIFT))
+            stats.c2c_clean += 1
+            stats.invalidations_sent += len(victims)
+            provider = self._closest_sharer(code, domain)
+            self._entries[block] = _owned_by(domain)
+            return _new(FetchOutcome,
+                        (_C2C_CLEAN, provider, victims, True, False))
         # MODIFIED or OWNED: steal ownership, invalidate everyone else
-        owner = entry.owner
-        victims = tuple(d for d in entry.sharer_list() if d != domain)
-        self.stats.c2c_dirty += 1
-        self.stats.invalidations_sent += len(victims)
-        entry.state = DirState.MODIFIED
-        entry.owner = domain
-        entry.sharers = 1 << domain
-        return FetchOutcome(
-            source=DataSource.C2C_DIRTY,
-            provider_domain=owner,
-            invalidate_domains=victims,
-            fill_dirty=True,
-        )
+        owner = ((code & OWNER_FIELD) >> OWNER_SHIFT) - 1
+        victims = tuple(d for d in sharer_list(code >> SHARER_SHIFT)
+                        if d != domain)
+        stats.c2c_dirty += 1
+        stats.invalidations_sent += len(victims)
+        self._entries[block] = _owned_by(domain)
+        return _new(FetchOutcome, (_C2C_DIRTY, owner, victims, True, False))
 
     # ------------------------------------------------------------------
     # eviction notifications (keep directory exact)
@@ -229,34 +224,35 @@ class CoherenceController:
     def domain_evicted(self, block: int, domain: int, was_dirty: bool) -> None:
         """A domain dropped its copy (capacity eviction or back-inval)."""
         self._check_domain(domain)
-        entry = self.directory.peek(block)
-        if entry is None or not entry.is_sharer(domain):
+        entries = self._entries
+        code = entries.get(block)
+        sharer = 1 << (SHARER_SHIFT + domain)
+        if code is None or not code & sharer:
             # Invalidation initiated by the directory itself: the
             # sharer bit is already gone. Nothing to do.
             return
-        entry.drop_sharer(domain)
-        if entry.owner == domain:
-            entry.owner = -1
+        code &= ~sharer
+        if code & OWNER_FIELD == (domain + 1) << OWNER_SHIFT:
             if was_dirty:
                 self.stats.writebacks += 1
-            entry.state = DirState.SHARED if entry.sharers else DirState.INVALID
-        elif not entry.sharers:
-            entry.state = DirState.INVALID
-        if entry.state == DirState.INVALID:
-            self.directory.forget(block)
+            code &= ~(OWNER_FIELD | STATE_FIELD)
+            if code >> SHARER_SHIFT:
+                code |= _SHARED
+        elif not code >> SHARER_SHIFT:
+            code &= ~STATE_FIELD
+        if code & STATE_FIELD == _INVALID:
+            # drop the INVALID entry to bound memory use
+            del entries[block]
+        else:
+            entries[block] = code
 
     # ------------------------------------------------------------------
 
-    def _closest_sharer(self, entry: DirectoryEntry, domain: int) -> int:
-        """Pick the providing sharer.
-
-        The machine model refines the routing distance; functionally we
-        return the owner if there is one (Origin forwards from the
-        owner) else the lowest-numbered sharer, which is deterministic.
-        """
-        if entry.state.has_owner and entry.owner != domain:
-            return entry.owner
-        for d in entry.sharer_list():
+    def _closest_sharer(self, code: int, domain: int) -> int:
+        """Pick the providing sharer of a SHARED block: the lowest-numbered
+        sharer, which is deterministic (the machine model refines the
+        routing distance)."""
+        for d in sharer_list(code >> SHARER_SHIFT):
             if d != domain:
                 return d
         raise CoherenceError("SHARED entry has no sharer other than requester")
@@ -279,31 +275,38 @@ class CoherenceController:
             resident in each L2 domain; when given, the directory's
             sharer bits are cross-checked against reality.
         """
-        for block, entry in list(self.directory._entries.items()):
-            state = entry.state
+        for block, code in list(self._entries.items()):
+            entry = decode_entry(code)
+            state, owner, sharers = entry
             if state == DirState.INVALID:
-                if entry.sharers or entry.owner != -1:
+                if sharers or owner != -1:
                     raise CoherenceError(f"INVALID entry with residue: {entry!r}")
             elif state == DirState.SHARED:
-                if entry.owner != -1:
+                if owner != -1:
                     raise CoherenceError(f"SHARED entry with owner: {entry!r}")
-                if not entry.sharers:
+                if not sharers:
                     raise CoherenceError(f"SHARED entry with no sharers: {entry!r}")
             elif state in (DirState.MODIFIED, DirState.OWNED):
-                if entry.owner == -1:
+                if owner == -1:
                     raise CoherenceError(f"{state.name} entry without owner: {entry!r}")
-                if not entry.is_sharer(entry.owner):
+                if not sharers >> owner & 1:
                     raise CoherenceError(
                         f"{state.name} owner not in sharer set: {entry!r}"
                     )
-                if state == DirState.MODIFIED and entry.num_sharers != 1:
+                if state == DirState.MODIFIED and sharers & (sharers - 1):
                     raise CoherenceError(
                         f"MODIFIED entry with multiple sharers: {entry!r}"
                     )
             if resident is not None:
-                for d in entry.sharer_list():
+                for d in sharer_list(sharers):
                     if block not in resident[d]:
                         raise CoherenceError(
                             f"directory lists domain {d} for block {block:#x} "
                             "but the domain does not hold it"
                         )
+
+
+def _owned_by(domain: int) -> int:
+    """The code of a block MODIFIED by ``domain``, its only sharer."""
+    return (_MODIFIED | (domain + 1) << OWNER_SHIFT
+            | 1 << (SHARER_SHIFT + domain))

@@ -6,7 +6,8 @@ entries record, per block, which L2 *domains* hold copies and which (if
 any) owns the block with modified data.  Domains — not individual cores
 — are the coherence unit across the chip because each L2 partition is
 inclusive of its member cores' private caches; within a domain,
-ownership is tracked by :class:`repro.caches.line.L2Line`.
+ownership is tracked in the domain's packed L2 line codes (see
+:mod:`repro.caches.hierarchy`).
 """
 
 from __future__ import annotations

@@ -39,6 +39,8 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set
 
+from ..caches.replacement import make_policy
+from ..coherence.directory import DirectoryCache
 from ..control import ASYM_L2, CORE_SPEEDS, MIGRATE, REQUEUE, RETIRE
 from ..errors import ConfigurationError
 from ..machine.chip import Chip
@@ -306,9 +308,10 @@ def resolve_defaults(spec: ExperimentSpec) -> ExperimentSpec:
 
 def _refuse_invalid(spec: ExperimentSpec) -> None:
     """Raise what the run would raise before simulating: conflicting
-    fields, or a mix, placement, QoS policy, scheduling policy,
-    scenario or phase plan no registry knows.  A registry module is
-    imported only when its field is set."""
+    fields, a machine, replacement policy, rebinder or VM schedule the
+    run cannot build, or a mix, placement, QoS policy, scheduling
+    policy, scenario or phase plan no registry knows.  A registry
+    module is imported only when its field is set."""
     if spec.qos_policy and spec.l2_vm_quota:
         raise ConfigurationError(
             "l2_vm_quota and qos_policy both claim ownership of the way "
@@ -372,7 +375,17 @@ def _refuse_invalid(spec: ExperimentSpec) -> None:
                 "over-commit engine honours start times only for run-"
                 "queue heads); departures compose with over-commit"
             )
-    resolve_mix(spec.mix)
+    if spec.slots_per_core <= 0:
+        raise ConfigurationError("slots_per_core must be positive")
+    if spec.rebind and spec.rebind.strip().lower() not in ("random", "affinity"):
+        raise ConfigurationError(
+            f"unknown rebinder {spec.rebind!r}; choose 'random' or 'affinity'")
+    config = _machine_config(spec)
+    make_policy(config.l2_replacement)
+    DirectoryCache.geometry(config.directory_cache_entries)
+    mix = resolve_mix(spec.mix)
+    if spec.vm_schedule:
+        _parse_vm_schedule(spec.vm_schedule, len(mix.profiles()))
     make_scheduler(spec.policy)
     if spec.qos_policy:
         from ..qos.controllers import make_controller
@@ -386,6 +399,25 @@ def _refuse_invalid(spec: ExperimentSpec) -> None:
         from ..workloads.phases import get_phase_plan
 
         get_phase_plan(spec.phase_plan)
+
+
+def _machine_config(spec: ExperimentSpec) -> MachineConfig:
+    """The scaled machine a spec runs on (raises on a machine field the
+    run cannot build)."""
+    machine_params = dict(
+        num_cores=spec.num_cores,
+        sharing=spec.sharing_degree,
+        l2_replacement=spec.l2_replacement,
+    )
+    if spec.dir_cache_entries:
+        machine_params["directory_cache_entries"] = spec.dir_cache_entries
+    if spec.core_speeds:
+        machine_params["core_speeds"] = parse_core_speeds(
+            spec.core_speeds, spec.num_cores)
+    if spec.l2_asym:
+        machine_params["l2_domain_assoc"] = parse_domain_assoc(
+            spec.l2_asym, spec.sharing_degree.num_domains(spec.num_cores))
+    return MachineConfig(**machine_params).scaled(spec.scale)
 
 
 def _spec_needs(spec: ExperimentSpec) -> Set[str]:
@@ -514,20 +546,16 @@ class ExperimentResult:
 
 
 def _make_rebinder(kind: str, chip: Chip, rng_factory: RngFactory):
-    """Build a dynamic-rebinding policy by name."""
+    """Build a dynamic-rebinding policy by name (checked by
+    :func:`resolve_defaults`)."""
     from ..sim.dynamic import AffinityRebinder, RandomRebinder
 
-    kind = kind.strip().lower()
-    if kind == "random":
+    if kind.strip().lower() == "random":
         return RandomRebinder(chip.config.num_cores,
                               rng_factory.stream("rebinder"))
-    if kind == "affinity":
-        return AffinityRebinder(
-            domain_of_core=chip.placement.domain_of,
-            cores_of_domain=[list(d) for d in chip.placement.domains],
-        )
-    raise ConfigurationError(
-        f"unknown rebinder {kind!r}; choose 'random' or 'affinity'"
+    return AffinityRebinder(
+        domain_of_core=chip.placement.domain_of,
+        cores_of_domain=[list(d) for d in chip.placement.domains],
     )
 
 
@@ -661,20 +689,7 @@ def run_experiment(
     mix = resolve_mix(spec.mix)
     profiles = [profile.scaled(spec.scale) for profile in mix.profiles()]
 
-    machine_params = dict(
-        num_cores=spec.num_cores,
-        sharing=spec.sharing_degree,
-        l2_replacement=spec.l2_replacement,
-    )
-    if spec.dir_cache_entries:
-        machine_params["directory_cache_entries"] = spec.dir_cache_entries
-    if spec.core_speeds:
-        machine_params["core_speeds"] = parse_core_speeds(
-            spec.core_speeds, spec.num_cores)
-    if spec.l2_asym:
-        machine_params["l2_domain_assoc"] = parse_domain_assoc(
-            spec.l2_asym, spec.sharing_degree.num_domains(spec.num_cores))
-    config = MachineConfig(**machine_params).scaled(spec.scale)
+    config = _machine_config(spec)
     chip = Chip(config)
     rng_factory = RngFactory(spec.seed)
     thread_counts = [profile.threads for profile in profiles]
@@ -878,6 +893,10 @@ def run_experiment(
         result.sched = sched_hook.summary()
     if scenario_hook is not None:
         result.scenario = scenario_hook.summary()
+    # break the engine <-> hook/probe and chip cycles: reference
+    # counting then frees the finished cell, not a full collection
+    engine.control = engine.probe = None
+    chip.release()
     if use_cache:
         store.put(spec, result)
         if result.series is not None:

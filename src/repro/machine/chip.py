@@ -29,7 +29,7 @@ from typing import Dict, List
 
 from ..caches.hierarchy import CoreCacheStack, L2Domain
 from ..caches.replacement import make_policy
-from ..coherence.directory import Directory
+from ..coherence.directory import OWNER_FIELD, OWNER_SHIFT, STATE_FIELD, Directory
 from ..coherence.protocol import CoherenceController, DataSource
 from ..coherence.states import DirState
 from ..errors import ConfigurationError
@@ -42,6 +42,15 @@ from .config import MachineConfig
 from .placement import DomainPlacement
 
 __all__ = ["Chip"]
+
+# the per-reference path binds the enum members once and builds its
+# results with tuple.__new__, which skips the NamedTuple constructor's
+# argument handling
+_L0, _L1, _L2, _L2_PEER, _C2C_CLEAN, _C2C_DIRTY, _MEMORY = HitLevel
+_FROM_MEMORY = DataSource.MEMORY
+_FROM_DIRTY_CACHE = DataSource.C2C_DIRTY
+_MODIFIED = int(DirState.MODIFIED)
+_new = tuple.__new__
 
 
 class Chip:
@@ -162,10 +171,9 @@ class Chip:
             cache = self._l0_latency if lvl == 0 else self._private_latency
             net, dir_cycles = self._write_permission(core_id, block, now + cache)
             stack.mark_dirty(block)
-            level = HitLevel.L0 if lvl == 0 else HitLevel.L1
-            return AccessResult(
-                level, cache + net + dir_cycles, cache, net, dir_cycles, 0
-            )
+            return _new(AccessResult, (
+                _L0 if lvl == 0 else _L1, cache + net + dir_cycles, cache,
+                net, dir_cycles, 0))
 
         # ---- local L2 domain -----------------------------------------
         domain_id = self._domain_of[core_id]
@@ -177,10 +185,10 @@ class Chip:
         cache = self._private_latency
         net = mesh.traverse(core_id, home, self._control_flits, now + cache)
         cache += self.l2_servers[domain_id].request(now + cache + net)
-        line = domain.lookup(block)
+        code = domain.lookup(block)
         cache += self._l2_latency
         t = now + cache + net
-        if line is None:
+        if code is None:
             # ---- domain miss: directory protocol ---------------------
             return self._l2_miss(
                 core_id, block, is_write, now, domain_id, domain, home,
@@ -191,12 +199,12 @@ class Chip:
         owner_slot = domain.dirty_private_holder(block, stack.slot)
         if owner_slot is None:
             # data returns from the domain cache
-            level = HitLevel.L2
+            level = _L2
             net += mesh.traverse(home, core_id, self._data_flits, t)
         else:
             # a peer core in the domain holds the only modified copy:
             # forward the request to its L1 and transfer the data
-            level = HitLevel.L2_PEER
+            level = _L2_PEER
             owner_core = domain.core_ids[owner_slot]
             net += mesh.traverse(home, owner_core, self._control_flits, t)
             cache += self._l1_latency
@@ -208,10 +216,9 @@ class Chip:
                 if owner_stack is not None:
                     owner_stack.invalidate(block)
                 domain.note_private_eviction(block, owner_slot)
-                peer_line = domain.peek(block)
-                if peer_line is not None:
-                    peer_line.dirty = True
-                    peer_line.l1_owner = -1
+                if domain.peek(block) is not None:
+                    # the owner's dirty data lands in the domain's line
+                    domain.writeback(block, owner_slot)
             else:
                 domain.downgrade_owner(block, owner_slot)
             self.intra_domain_transfers += 1
@@ -225,9 +232,8 @@ class Chip:
         stack.fill(block, is_write)
         if domain.writebacks_to_memory:
             self._drain_writebacks(domain, now + cache + net)
-        return AccessResult(
-            level, cache + net + dir_cycles, cache, net, dir_cycles, 0
-        )
+        return _new(AccessResult,
+                    (level, cache + net + dir_cycles, cache, net, dir_cycles, 0))
 
     def _l2_miss(
         self,
@@ -244,7 +250,8 @@ class Chip:
     ) -> AccessResult:
         mesh = self.mesh
         control_flits = self._control_flits
-        outcome = self.coherence.fetch(block, domain_id, is_write)
+        source, provider, invalidate_domains, fill_dirty, memory_writeback = (
+            self.coherence.fetch(block, domain_id, is_write))
 
         # request travels to the block's directory home tile
         dir_home = self.directory.home_tile(block)
@@ -256,24 +263,22 @@ class Chip:
         t = now + cache + net + dir_cycles
 
         mem_cycles = 0
-        source = outcome.source
-        if source == DataSource.MEMORY:
+        if source is _FROM_MEMORY:
             controller = self.memory.controller_for(block)
             net += mesh.traverse(dir_home, controller.tile, control_flits, t)
             t = now + cache + net + dir_cycles
             mem_cycles = controller.access(t, block).latency
             t += mem_cycles
             net += mesh.traverse(controller.tile, core_id, self._data_flits, t)
-            level = HitLevel.MEMORY
+            level = _MEMORY
         else:
-            provider = outcome.provider_domain
             provider_home = self._home_tile[provider]
             net += mesh.traverse(dir_home, provider_home, control_flits, t)
             cache += self.l2_servers[provider].request(
                 now + cache + net + dir_cycles
             )
             cache += self._l2_latency
-            if source == DataSource.C2C_DIRTY:
+            if source is _FROM_DIRTY_CACHE:
                 provider_domain = self.domains[provider]
                 pslot = provider_domain.dirty_private_holder(block, -1)
                 if pslot is not None:
@@ -281,25 +286,25 @@ class Chip:
                     cache += self._l1_latency
                     if not is_write:
                         provider_domain.downgrade_owner(block, pslot)
-                level = HitLevel.C2C_DIRTY
+                level = _C2C_DIRTY
             else:
-                level = HitLevel.C2C_CLEAN
+                level = _C2C_CLEAN
             t = now + cache + net + dir_cycles
             net += mesh.traverse(provider_home, core_id, self._data_flits, t)
 
         # invalidations fan out from the directory home (writes)
-        if outcome.invalidate_domains:
+        if invalidate_domains:
             net += self._invalidate(
-                block, outcome.invalidate_domains, domain_id, dir_home, t
+                block, invalidate_domains, domain_id, dir_home, t
             )
 
-        if outcome.memory_writeback:
+        if memory_writeback:
             self.memory.controller_for(block).writeback(t, block)
 
         # fill the domain and the private stack
         stack = self.stacks[core_id]
         victims = domain.fill(
-            block, outcome.fill_dirty or is_write, self.vm_of_core[core_id],
+            block, fill_dirty or is_write, self.vm_of_core[core_id],
             stack.slot,
         )
         for victim_block, victim_dirty in victims:
@@ -309,7 +314,8 @@ class Chip:
             self._drain_writebacks(domain, t)
 
         latency = cache + net + dir_cycles + mem_cycles
-        return AccessResult(level, latency, cache, net, dir_cycles, mem_cycles)
+        return _new(AccessResult,
+                    (level, latency, cache, net, dir_cycles, mem_cycles))
 
     # ------------------------------------------------------------------
     # write permission (upgrades) and invalidations
@@ -321,13 +327,13 @@ class Chip:
         Returns ``(network_cycles, directory_cycles)``; both zero on
         the fast path (this domain already owns the block modified).
         """
-        entry = self.directory.peek(block)
-        if entry is None:
+        code = self.directory.peek(block)
+        if code is None:
             # Locally cached data always has a directory entry; treat a
             # missing one as INVALID (first touch was a warm preload).
             return 0, 0
         domain_id = self._domain_of[core_id]
-        if entry.state == DirState.MODIFIED and entry.owner == domain_id:
+        if code & (STATE_FIELD | OWNER_FIELD) == _MODIFIED | (domain_id + 1) << OWNER_SHIFT:
             return 0, 0
         mesh = self.mesh
         control_flits = self._control_flits
@@ -379,6 +385,13 @@ class Chip:
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
+
+    def release(self) -> None:
+        """Break the stack <-> domain reference cycles so reference
+        counting frees a finished chip; it stays inspectable but cannot
+        simulate further."""
+        for stack in self.stacks:
+            stack.domain = None
 
     def check_coherence_invariants(self) -> None:
         """Cross-check the directory against actual domain contents."""

@@ -35,6 +35,9 @@ from .records import AccessResult, HitLevel, LatencyBreakdown, MemoryReference
 
 __all__ = ["MachineModel", "ThreadContext", "ThreadStats", "Engine", "EngineResult"]
 
+# read on every recorded reference: bound once, not looked up on the enum
+_L2 = HitLevel.L2
+
 
 class MachineModel(Protocol):
     """Timing interface the engine drives.
@@ -117,7 +120,7 @@ class ThreadStats:
         self.think_cycles += think
         self.latency_cycles += latency
         self.level_counts[level] += 1
-        if level >= HitLevel.L2:  # inline of level.is_l1_miss
+        if level >= _L2:  # inline of level.is_l1_miss
             self.miss_latency_cycles += latency
         self.cache_cycles += cache
         self.network_cycles += network

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.caches.geometry import CacheGeometry
-from repro.caches.hierarchy import CoreCacheStack, L2Domain
+from repro.caches.hierarchy import (
+    CoreCacheStack,
+    L2Domain,
+    decode_line,
+    encode_line,
+)
 from repro.errors import ConfigurationError
 
 
@@ -63,8 +68,8 @@ class TestProbeAndFill:
         domain, (stack, _) = build_domain()
         domain.fill(10, dirty=False, vm_id=0, requester_slot=0)
         stack.fill(10, dirty=False)
-        line = domain.peek(10)
-        assert line.has_sharer(0)
+        line = decode_line(domain.peek(10))
+        assert line.l1_mask & 0b1
 
     def test_mark_dirty_claims_domain_ownership(self):
         domain, (stack, _) = build_domain()
@@ -73,7 +78,7 @@ class TestProbeAndFill:
         stack.probe(10)
         stack.mark_dirty(10)
         assert stack.holds_dirty(10)
-        assert domain.peek(10).l1_owner == 0
+        assert decode_line(domain.peek(10)).l1_owner == 0
 
 
 class TestInclusion:
@@ -113,7 +118,7 @@ class TestInclusion:
             domain.fill(block, dirty=False, vm_id=0, requester_slot=0)
             stack.fill(block, dirty=False)
         assert not stack.holds(0)
-        assert domain.peek(0).dirty, "dirty data lost on L1 eviction"
+        assert decode_line(domain.peek(0)).dirty, "dirty data lost on L1 eviction"
 
 
 class TestIntraDomainTransfers:
@@ -132,7 +137,7 @@ class TestIntraDomainTransfers:
         a.mark_dirty(7)
         a.invalidate(7)  # silently drop the private copy
         assert domain.dirty_private_holder(7, exclude_slot=1) is None
-        assert domain.peek(7).l1_owner == -1
+        assert decode_line(domain.peek(7)).l1_owner == -1
 
     def test_downgrade_pulls_data_into_l2(self):
         domain, (a, b) = build_domain()
@@ -140,7 +145,7 @@ class TestIntraDomainTransfers:
         a.fill(7, dirty=True)
         a.mark_dirty(7)
         domain.downgrade_owner(7, 0)
-        line = domain.peek(7)
+        line = decode_line(domain.peek(7))
         assert line.dirty
         assert line.l1_owner == -1
         assert not a.holds_dirty(7)
@@ -173,3 +178,19 @@ class TestSnapshots:
         domain.fill(1, dirty=False, vm_id=0, requester_slot=0)
         domain.fill(5, dirty=False, vm_id=0, requester_slot=0)
         assert domain.resident_blocks() == {1, 5}
+
+
+class TestLineCodes:
+    def test_encode_decode_round_trip(self):
+        for fields in ((False, -1, 0, -1), (True, 3, 0b1010, 1),
+                       (True, 0xFFFE, (1 << 16) - 1, 15)):
+            dirty, vm_id, mask, owner = fields
+            code = encode_line(dirty, vm_id, l1_mask=mask, l1_owner=owner)
+            assert tuple(decode_line(code)) == (dirty, mask, owner, vm_id)
+
+    def test_fill_packs_requester_and_vm(self):
+        domain, _ = build_domain()
+        domain.fill(4, dirty=True, vm_id=2, requester_slot=1)
+        domain.fill(5, dirty=False, vm_id=0, requester_slot=0)
+        assert decode_line(domain.peek(4)) == (True, 0b10, 1, 2)
+        assert decode_line(domain.peek(5)) == (False, 0b01, -1, 0)

@@ -3,67 +3,69 @@
 import pytest
 
 from repro.caches.geometry import CacheGeometry
-from repro.caches.hierarchy import L2Domain
-from repro.caches.line import L2Line
+from repro.caches.hierarchy import L2Domain, decode_line
 from repro.caches.partitioning import WayQuota, equal_quotas
-from repro.caches.setassoc import SetAssocCache
 from repro.errors import ConfigurationError
 
 
-def one_set_cache(assoc=4):
+def one_set_domain(assoc=4):
+    """A one-core L2 domain with a single set."""
     geometry = CacheGeometry(size_bytes=assoc * 64, assoc=assoc, latency=1)
-    return SetAssocCache(geometry)
+    return L2Domain(0, geometry, [0])
 
 
-def fill(cache, quota, vm_id, blocks):
+def fill(domain, quota, vm_id, blocks):
+    """Insert clean lines of ``vm_id`` through the quota's selector."""
+    domain.set_quota(quota)
     for block in blocks:
-        cache.insert(block, L2Line(vm_id=vm_id),
-                     victim_selector=quota.victim_selector(vm_id))
+        domain.fill(block, dirty=False, vm_id=vm_id, requester_slot=0)
+
+
+def owners(domain):
+    return [decode_line(code).vm_id for _b, code in domain.cache.contents()]
 
 
 class TestWayQuota:
     def test_vm_cannot_exceed_quota_under_pressure(self):
-        cache = one_set_cache(assoc=4)
+        domain = one_set_domain(assoc=4)
         quota = WayQuota({0: 2, 1: 2}, assoc=4)
-        fill(cache, quota, 0, [0, 1])        # VM0 at quota
-        fill(cache, quota, 1, [2, 3])        # VM1 at quota, set full
-        fill(cache, quota, 0, [4, 5, 6])     # VM0 keeps inserting
-        owners = [line.vm_id for _b, line in cache.contents()]
-        assert owners.count(0) == 2
-        assert owners.count(1) == 2
+        fill(domain, quota, 0, [0, 1])        # VM0 at quota
+        fill(domain, quota, 1, [2, 3])        # VM1 at quota, set full
+        fill(domain, quota, 0, [4, 5, 6])     # VM0 keeps inserting
+        assert owners(domain).count(0) == 2
+        assert owners(domain).count(1) == 2
         assert quota.self_evictions == 3
 
     def test_victim_is_own_lru_line(self):
-        cache = one_set_cache(assoc=4)
+        domain = one_set_domain(assoc=4)
         quota = WayQuota({0: 2, 1: 2}, assoc=4)
-        fill(cache, quota, 0, [0, 1])
-        fill(cache, quota, 1, [2, 3])
-        fill(cache, quota, 0, [4])
-        assert 0 not in cache            # VM0's LRU line evicted
-        assert 1 in cache and 4 in cache
+        fill(domain, quota, 0, [0, 1])
+        fill(domain, quota, 1, [2, 3])
+        fill(domain, quota, 0, [4])
+        assert 0 not in domain.cache      # VM0's LRU line evicted
+        assert 1 in domain.cache and 4 in domain.cache
 
     def test_unused_ways_are_borrowable(self):
         """Quotas bound growth only: an idle VM's ways stay usable."""
-        cache = one_set_cache(assoc=4)
+        domain = one_set_domain(assoc=4)
         quota = WayQuota({0: 2, 1: 2}, assoc=4)
-        fill(cache, quota, 0, [0, 1, 2, 3])  # VM1 absent; VM0 fills all
-        assert len(cache) == 4
+        fill(domain, quota, 0, [0, 1, 2, 3])  # VM1 absent; VM0 fills all
+        assert len(domain.cache) == 4
 
     def test_over_quota_neighbour_reclaimed(self):
-        cache = one_set_cache(assoc=4)
+        domain = one_set_domain(assoc=4)
         quota = WayQuota({0: 2, 1: 2}, assoc=4)
-        fill(cache, quota, 0, [0, 1, 2, 3])  # VM0 borrowed to 4 ways
-        fill(cache, quota, 1, [10])          # VM1 arrives: reclaim
-        owners = [line.vm_id for _b, line in cache.contents()]
-        assert owners.count(1) == 1
-        assert owners.count(0) == 3
+        fill(domain, quota, 0, [0, 1, 2, 3])  # VM0 borrowed to 4 ways
+        fill(domain, quota, 1, [10])          # VM1 arrives: reclaim
+        assert owners(domain).count(1) == 1
+        assert owners(domain).count(0) == 3
         assert quota.reclaims == 1
 
     def test_unlisted_vm_unconstrained(self):
-        cache = one_set_cache(assoc=4)
+        domain = one_set_domain(assoc=4)
         quota = WayQuota({0: 1}, assoc=4)
-        fill(cache, quota, 9, [0, 1, 2, 3])
-        assert len(cache) == 4
+        fill(domain, quota, 9, [0, 1, 2, 3])
+        assert len(domain.cache) == 4
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -109,16 +111,15 @@ class TestSetQuota:
         assert quota.quotas == {0: 3, 1: 1}
 
     def test_raised_quota_takes_effect_at_the_next_insertion(self):
-        cache = one_set_cache(assoc=4)
+        domain = one_set_domain(assoc=4)
         quota = WayQuota({0: 2, 1: 2}, assoc=4)
-        fill(cache, quota, 0, [0, 1])
-        fill(cache, quota, 1, [2, 3])
+        fill(domain, quota, 0, [0, 1])
+        fill(domain, quota, 1, [2, 3])
         quota.set_quota(0, 3)          # controller grows VM0's share
         quota.set_quota(1, 1)
-        fill(cache, quota, 0, [4])     # VM0 may now take a third way
-        owners = [line.vm_id for _b, line in cache.contents()]
-        assert owners.count(0) == 3
-        assert owners.count(1) == 1
+        fill(domain, quota, 0, [4])     # VM0 may now take a third way
+        assert owners(domain).count(0) == 3
+        assert owners(domain).count(1) == 1
         assert quota.reclaims == 1     # VM1 is over its shrunk quota
 
 
@@ -149,8 +150,7 @@ class TestDomainIntegration:
         for block in (2, 3):
             domain.fill(block, dirty=False, vm_id=1, requester_slot=0)
         domain.fill(4, dirty=False, vm_id=0, requester_slot=0)
-        owners = [line.vm_id for _b, line in domain.cache.contents()]
-        assert owners.count(0) == 2 and owners.count(1) == 2
+        assert owners(domain).count(0) == 2 and owners(domain).count(1) == 2
 
 
 class TestExperimentIntegration:

@@ -1,21 +1,25 @@
-"""Differential test: the private L0/L1 stack against a line-object oracle.
+"""Differential test: the private stack and L2 domain against line-object oracles.
 
 :class:`ObjectStack` is the private stack as it was before the sets
-became ``{block: dirty}`` dicts: one line object per private fill, with
-every access going through :class:`SetAssocCache` ``lookup``,
-``insert``, ``peek`` and ``invalidate``.  It is kept here as the
-oracle.  The oracle and :class:`CoreCacheStack` are each attached to
-their own small two-slot :class:`L2Domain`, and both are driven through
-the same random operation sequence.  After every step these must agree:
-the private contents in LRU order with their dirty flags, each domain
-line's ``l1_mask``/``l1_owner``/``dirty``, and the write-backs to memory.
+became ``{block: dirty}`` dicts, and :class:`ObjectDomain` the L2
+domain as it was before its lines became packed int codes: one line
+object per fill, with every access going through
+:class:`SetAssocCache` ``lookup``, ``insert``, ``peek`` and
+``invalidate``.  They are kept here as the oracle.  A
+:class:`CoreCacheStack` pair attached to a small two-slot
+:class:`L2Domain` and an :class:`ObjectStack` pair attached to an
+:class:`ObjectDomain` of the same shape are driven through the same
+random operation sequence.  After every step these must agree: the
+private contents in LRU order with their dirty flags, each domain
+line's ``l1_mask``/``l1_owner``/``dirty`` (decoded from its code on the
+packed side), and the write-backs to memory.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.caches.geometry import CacheGeometry
-from repro.caches.hierarchy import CoreCacheStack, L2Domain
+from repro.caches.hierarchy import CoreCacheStack, L2Domain, decode_line
 from repro.caches.setassoc import SetAssocCache
 from repro.errors import SimulationError
 
@@ -25,6 +29,112 @@ class _Line:
 
     def __init__(self, dirty=False):
         self.dirty = dirty
+
+
+class _L2Line:
+    """An L2 line: dirtiness, the member-L1 sharer mask and owner slot,
+    and the VM that brought it in."""
+
+    __slots__ = ("dirty", "l1_mask", "l1_owner", "vm_id")
+
+    def __init__(self, dirty=False, vm_id=-1):
+        self.dirty = dirty
+        self.l1_mask = 0
+        self.l1_owner = -1
+        self.vm_id = vm_id
+
+    def drop_sharer(self, slot):
+        self.l1_mask &= ~(1 << slot)
+        if self.l1_owner == slot:
+            self.l1_owner = -1
+
+    def sharers(self):
+        return [slot for slot in range(self.l1_mask.bit_length())
+                if self.l1_mask >> slot & 1]
+
+
+class ObjectDomain:
+    """One L2 domain, one :class:`_L2Line` per resident block."""
+
+    def __init__(self, domain_id, geometry, core_ids):
+        self.domain_id = domain_id
+        self.cache = SetAssocCache(geometry)
+        self.slot_of = {cid: slot for slot, cid in enumerate(core_ids)}
+        self.stacks = [None] * len(core_ids)
+        self.writebacks_to_memory = []
+
+    def attach(self, stack):
+        stack.domain = self
+        stack.slot = self.slot_of[stack.core_id]
+        self.stacks[stack.slot] = stack
+
+    def peek(self, block):
+        return self.cache.peek(block)
+
+    def fill(self, block, dirty, vm_id, requester_slot):
+        line = _L2Line(dirty, vm_id)
+        line.l1_mask = 1 << requester_slot
+        if dirty:
+            line.l1_owner = requester_slot
+        evicted = self.cache.insert(block, line)
+        if evicted is None:
+            return []
+        victim, victim_line = evicted
+        victim_dirty = self._back_invalidate(victim, victim_line)
+        if victim_dirty:
+            self.writebacks_to_memory.append(victim)
+        return [(victim, victim_dirty)]
+
+    def invalidate(self, block):
+        line = self.cache.invalidate(block)
+        if line is None:
+            return False
+        return self._back_invalidate(block, line)
+
+    def note_private_eviction(self, block, slot):
+        line = self.cache.peek(block)
+        if line is not None:
+            line.drop_sharer(slot)
+
+    def writeback(self, block, slot):
+        line = self.cache.peek(block)
+        if line is not None:
+            line.dirty = True
+            if line.l1_owner == slot:
+                line.l1_owner = -1
+        else:
+            self.writebacks_to_memory.append(block)
+
+    def dirty_private_holder(self, block, exclude_slot):
+        line = self.cache.peek(block)
+        if line is None:
+            return None
+        owner = line.l1_owner
+        if owner == -1 or owner == exclude_slot:
+            return None
+        stack = self.stacks[owner]
+        if stack is not None and stack.holds_dirty(block):
+            return owner
+        line.l1_owner = -1
+        return None
+
+    def downgrade_owner(self, block, owner_slot):
+        line = self.cache.peek(block)
+        if line is None:
+            return
+        stack = self.stacks[owner_slot]
+        if stack is not None:
+            stack.set_dirty(block, False)
+        line.dirty = True
+        line.l1_owner = -1
+
+    def _back_invalidate(self, block, line):
+        dirty = line.dirty
+        for slot in line.sharers():
+            stack = self.stacks[slot]
+            if stack is not None and stack.invalidate(block):
+                dirty = True
+        return dirty
 
 
 class ObjectStack:
@@ -115,10 +225,10 @@ def geometry(lines, assoc):
     return CacheGeometry(size_bytes=lines * 64, assoc=assoc, latency=1)
 
 
-def build(stack_class):
+def build(stack_class, domain_class):
     # a 2-line L0, a 4-set L1 and a 16-line L2 over 24 blocks: every
     # level evicts, and L2 evictions back-invalidate private copies
-    domain = L2Domain(0, geometry(16, assoc=4), [0, 1])
+    domain = domain_class(0, geometry(16, assoc=4), [0, 1])
     stacks = [stack_class(core, geometry(2, 2), geometry(8, 2))
               for core in (0, 1)]
     for stack in stacks:
@@ -164,13 +274,17 @@ def _dirty(value):
     return value if isinstance(value, bool) else value.dirty
 
 
+def _line(value):
+    line = decode_line(value) if isinstance(value, int) else value
+    return line.l1_mask, line.l1_owner, line.dirty, line.vm_id
+
+
 def snapshot(domain, stacks):
     private = [
         [(block, _dirty(value)) for block, value in cache.contents()]
         for stack in stacks for cache in (stack.l0, stack.l1)
     ]
-    lines = [(block, line.l1_mask, line.l1_owner, line.dirty)
-             for block, line in domain.cache.contents()]
+    lines = [(block, *_line(value)) for block, value in domain.cache.contents()]
     return private, lines, list(domain.writebacks_to_memory)
 
 
@@ -188,8 +302,8 @@ steps = st.lists(
 @given(steps=steps)
 @settings(max_examples=150, deadline=None)
 def test_stack_matches_line_object_oracle(steps):
-    new = build(CoreCacheStack)
-    oracle = build(ObjectStack)
+    new = build(CoreCacheStack, L2Domain)
+    oracle = build(ObjectStack, ObjectDomain)
     for index, (op, slot, block, flag) in enumerate(steps):
         got = apply(op, slot, block, flag, *new)
         want = apply(op, slot, block, flag, *oracle)

@@ -8,6 +8,7 @@ from repro.caches.replacement import (
     RandomPolicy,
     make_policy,
 )
+from repro.errors import ConfigurationError
 
 
 class TestMakePolicy:
@@ -17,7 +18,7 @@ class TestMakePolicy:
         assert isinstance(make_policy("random"), RandomPolicy)
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown replacement"):
+        with pytest.raises(ConfigurationError, match="unknown replacement"):
             make_policy("plru")
 
     def test_random_seed_forwarded(self):

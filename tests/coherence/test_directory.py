@@ -2,28 +2,44 @@
 
 import pytest
 
-from repro.coherence.directory import Directory, DirectoryCache, DirectoryEntry
+from repro.coherence.directory import (
+    SHARER_SHIFT,
+    Directory,
+    DirectoryCache,
+    decode_entry,
+    encode_entry,
+    sharer_list,
+)
+from repro.coherence.protocol import CoherenceController
 from repro.coherence.states import DirState
 from repro.errors import ConfigurationError
 
 
 class TestDirectoryEntry:
     def test_sharer_bitmask(self):
-        e = DirectoryEntry()
-        e.add_sharer(0)
-        e.add_sharer(3)
-        assert e.is_sharer(0) and e.is_sharer(3)
-        assert not e.is_sharer(1)
-        assert e.sharer_list() == [0, 3]
-        assert e.num_sharers == 2
-        e.drop_sharer(0)
-        assert e.sharer_list() == [3]
+        code = encode_entry(DirState.SHARED, sharers=(1 << 0) | (1 << 3))
+        e = decode_entry(code)
+        assert e.sharers >> 0 & 1 and e.sharers >> 3 & 1
+        assert not e.sharers >> 1 & 1
+        assert sharer_list(e.sharers) == [0, 3]
+        assert bin(e.sharers).count("1") == 2
+        dropped = decode_entry(code & ~(1 << (SHARER_SHIFT + 0)))
+        assert sharer_list(dropped.sharers) == [3]
 
     def test_initial_state(self):
-        e = DirectoryEntry()
+        # an untracked block reads as code 0
+        e = decode_entry(0)
         assert e.state == DirState.INVALID
         assert e.owner == -1
         assert e.sharers == 0
+        assert encode_entry(DirState.INVALID) == 0
+
+    def test_fields_round_trip(self):
+        for state, owner, sharers in ((DirState.MODIFIED, 0, 0b1),
+                                      (DirState.OWNED, 63, 1 << 63 | 0b10),
+                                      (DirState.SHARED, -1, 0b110)):
+            code = encode_entry(state, owner, sharers)
+            assert decode_entry(code) == (state, owner, sharers)
 
 
 class TestDirStates:
@@ -43,20 +59,22 @@ class TestDirectory:
 
     def test_entry_created_on_demand(self):
         d = Directory(4)
+        c = CoherenceController(d, num_domains=2)
         assert d.peek(10) is None
-        entry = d.entry(10)
-        assert d.peek(10) is entry
+        c.fetch(10, 0, False)
+        assert decode_entry(d.peek(10)) == (DirState.SHARED, -1, 0b1)
         assert len(d) == 1
 
     def test_forget_only_invalid(self):
         d = Directory(4)
-        entry = d.entry(10)
-        entry.state = DirState.SHARED
-        d.forget(10)
-        assert d.peek(10) is not None
-        entry.state = DirState.INVALID
-        d.forget(10)
+        c = CoherenceController(d, num_domains=2)
+        c.fetch(10, 0, False)
+        c.fetch(10, 1, False)
+        c.domain_evicted(10, 0, was_dirty=False)
+        assert decode_entry(d.peek(10)) == (DirState.SHARED, -1, 0b10)
+        c.domain_evicted(10, 1, was_dirty=False)
         assert d.peek(10) is None
+        assert len(d) == 0
 
 
 class TestDirectoryCache:

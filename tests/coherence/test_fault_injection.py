@@ -2,12 +2,13 @@
 
 These tests corrupt protocol state on purpose and assert the checker
 catches each class of violation — guarding the guards, so a future
-refactoring cannot silently neuter them.
+refactoring cannot silently neuter them.  Directory corruptions are
+written as packed entry codes, the form the directory stores.
 """
 
 import pytest
 
-from repro.coherence.directory import Directory
+from repro.coherence.directory import Directory, decode_entry, encode_entry
 from repro.coherence.protocol import CoherenceController
 from repro.errors import CoherenceError
 from repro.machine.chip import Chip
@@ -18,48 +19,53 @@ def controller():
     return CoherenceController(Directory(16), num_domains=4)
 
 
+def corrupt(c, block, **fields):
+    """Overwrite fields of ``block``'s directory entry (INVALID if
+    untracked) and store the re-packed code."""
+    entries = c.directory._entries
+    entry = decode_entry(entries.get(block, 0))._replace(**fields)
+    entries[block] = encode_entry(*entry)
+
+
 class TestDirectoryCorruptionDetected:
     def test_invalid_with_residue(self):
         c = controller()
-        entry = c.directory.entry(1)
-        entry.sharers = 0b1
+        corrupt(c, 1, sharers=0b1)
         with pytest.raises(CoherenceError, match="INVALID"):
             c.check_invariants()
 
     def test_shared_with_owner(self):
         c = controller()
         c.fetch(1, 0, False)
-        c.directory.entry(1).owner = 0
+        corrupt(c, 1, owner=0)
         with pytest.raises(CoherenceError, match="SHARED entry with owner"):
             c.check_invariants()
 
     def test_shared_without_sharers(self):
         c = controller()
         c.fetch(1, 0, False)
-        c.directory.entry(1).sharers = 0
+        corrupt(c, 1, sharers=0)
         with pytest.raises(CoherenceError, match="no sharers"):
             c.check_invariants()
 
     def test_modified_without_owner(self):
         c = controller()
         c.fetch(1, 0, True)
-        c.directory.entry(1).owner = -1
+        corrupt(c, 1, owner=-1)
         with pytest.raises(CoherenceError, match="without owner"):
             c.check_invariants()
 
     def test_modified_with_extra_sharer(self):
         c = controller()
         c.fetch(1, 0, True)
-        c.directory.entry(1).add_sharer(2)
+        corrupt(c, 1, sharers=decode_entry(c.directory.peek(1)).sharers | 1 << 2)
         with pytest.raises(CoherenceError, match="multiple sharers"):
             c.check_invariants()
 
     def test_owner_outside_sharer_mask(self):
         c = controller()
         c.fetch(1, 0, True)
-        entry = c.directory.entry(1)
-        entry.sharers = 0b10
-        entry.owner = 0
+        corrupt(c, 1, sharers=0b10, owner=0)
         with pytest.raises(CoherenceError, match="owner not in sharer"):
             c.check_invariants()
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coherence.directory import Directory
+from repro.coherence.directory import Directory, decode_entry, sharer_list
 from repro.coherence.protocol import CoherenceController, DataSource
 from repro.coherence.states import DirState
 from repro.errors import CoherenceError
@@ -13,15 +13,25 @@ def controller(num_domains=4):
     return CoherenceController(Directory(16), num_domains=num_domains)
 
 
+def entry(c, block):
+    """The decoded directory entry of ``block`` (INVALID if untracked)."""
+    code = c.directory.peek(block)
+    return decode_entry(0 if code is None else code)
+
+
+def is_sharer(e, domain):
+    return bool(e.sharers >> domain & 1)
+
+
 class TestReadMisses:
     def test_cold_read_from_memory(self):
         c = controller()
         outcome = c.fetch(10, domain=0, is_write=False)
         assert outcome.source == DataSource.MEMORY
         assert not outcome.fill_dirty
-        entry = c.directory.entry(10)
-        assert entry.state == DirState.SHARED
-        assert entry.is_sharer(0)
+        e = entry(c, 10)
+        assert e.state == DirState.SHARED
+        assert is_sharer(e, 0)
 
     def test_second_read_is_clean_c2c(self):
         c = controller()
@@ -29,7 +39,7 @@ class TestReadMisses:
         outcome = c.fetch(10, 1, False)
         assert outcome.source == DataSource.C2C_CLEAN
         assert outcome.provider_domain == 0
-        assert c.directory.entry(10).num_sharers == 2
+        assert bin(entry(c, 10).sharers).count("1") == 2
 
     def test_read_of_modified_is_dirty_c2c(self):
         c = controller()
@@ -37,10 +47,10 @@ class TestReadMisses:
         outcome = c.fetch(10, 1, False)
         assert outcome.source == DataSource.C2C_DIRTY
         assert outcome.provider_domain == 0
-        entry = c.directory.entry(10)
-        assert entry.state == DirState.OWNED
-        assert entry.owner == 0
-        assert entry.is_sharer(1)
+        e = entry(c, 10)
+        assert e.state == DirState.OWNED
+        assert e.owner == 0
+        assert is_sharer(e, 1)
         assert not outcome.fill_dirty  # requester gets a clean copy
 
 
@@ -50,9 +60,9 @@ class TestWriteMisses:
         outcome = c.fetch(10, 0, True)
         assert outcome.source == DataSource.MEMORY
         assert outcome.fill_dirty
-        entry = c.directory.entry(10)
-        assert entry.state == DirState.MODIFIED
-        assert entry.owner == 0
+        e = entry(c, 10)
+        assert e.state == DirState.MODIFIED
+        assert e.owner == 0
 
     def test_write_invalidates_sharers(self):
         c = controller()
@@ -62,9 +72,9 @@ class TestWriteMisses:
         assert outcome.source == DataSource.C2C_CLEAN
         assert set(outcome.invalidate_domains) == {0, 1}
         assert outcome.fill_dirty
-        entry = c.directory.entry(10)
-        assert entry.state == DirState.MODIFIED
-        assert entry.sharer_list() == [2]
+        e = entry(c, 10)
+        assert e.state == DirState.MODIFIED
+        assert sharer_list(e.sharers) == [2]
 
     def test_write_steals_modified(self):
         c = controller()
@@ -73,9 +83,9 @@ class TestWriteMisses:
         assert outcome.source == DataSource.C2C_DIRTY
         assert outcome.provider_domain == 0
         assert 0 in outcome.invalidate_domains
-        entry = c.directory.entry(10)
-        assert entry.owner == 1
-        assert entry.state == DirState.MODIFIED
+        e = entry(c, 10)
+        assert e.owner == 1
+        assert e.state == DirState.MODIFIED
 
 
 class TestUpgrades:
@@ -85,7 +95,7 @@ class TestUpgrades:
         outcome = c.upgrade(10, 0)
         assert outcome.source == DataSource.NONE
         assert outcome.invalidate_domains == ()
-        assert c.directory.entry(10).state == DirState.MODIFIED
+        assert entry(c, 10).state == DirState.MODIFIED
 
     def test_upgrade_invalidates_other_sharers(self):
         c = controller()
@@ -93,9 +103,9 @@ class TestUpgrades:
         c.fetch(10, 1, False)
         outcome = c.upgrade(10, 1)
         assert outcome.invalidate_domains == (0,)
-        entry = c.directory.entry(10)
-        assert entry.owner == 1
-        assert entry.sharer_list() == [1]
+        e = entry(c, 10)
+        assert e.owner == 1
+        assert sharer_list(e.sharers) == [1]
 
     def test_upgrade_from_owned_state_writes_back(self):
         c = controller()
@@ -126,16 +136,16 @@ class TestEvictionNotifications:
         before = c.stats.writebacks
         c.domain_evicted(10, 0, was_dirty=True)
         assert c.stats.writebacks == before + 1
-        entry = c.directory.entry(10)
-        assert entry.state == DirState.SHARED
-        assert entry.sharer_list() == [1]
+        e = entry(c, 10)
+        assert e.state == DirState.SHARED
+        assert sharer_list(e.sharers) == [1]
 
     def test_eviction_after_directory_invalidation_is_noop(self):
         c = controller()
         c.fetch(10, 0, False)
         c.fetch(10, 1, True)  # invalidates domain 0 at the directory
         c.domain_evicted(10, 0, was_dirty=False)  # late notification
-        assert c.directory.entry(10).owner == 1
+        assert entry(c, 10).owner == 1
 
 
 class TestInvariantChecking:
@@ -187,8 +197,8 @@ class TestProtocolProperties:
         resident = [set() for _ in range(4)]
         for block, domain, is_write in ops:
             if block in resident[domain]:
-                entry = c.directory.entry(block)
-                if is_write and entry.owner != domain:
+                e = entry(c, block)
+                if is_write and e.owner != domain:
                     outcome = c.upgrade(block, domain)
                     for victim in outcome.invalidate_domains:
                         resident[victim].discard(block)

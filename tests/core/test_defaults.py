@@ -72,6 +72,25 @@ class TestResolution:
         with pytest.raises(ConfigurationError, match="_refs must be"):
             resolve_defaults(ExperimentSpec(mix="mixA", seed=1, **fields))
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(l2_replacement="bogus"), "unknown replacement policy"),
+        (dict(rebind="bogus"), "unknown rebinder"),
+        (dict(core_speeds="garbage"), "core-speed spec"),
+        (dict(mix="iso-tpch", vm_schedule="x,y"),
+         "vm_schedule has 2 entries for 1 VMs"),
+        (dict(l2_asym="zz"), "L2-associativity spec"),
+        (dict(num_cores=3), "square mesh"),
+        (dict(scale=-1.0), "scale factor must be positive"),
+        (dict(slots_per_core=0), "slots_per_core must be positive"),
+        (dict(dir_cache_entries=7), "not divisible"),
+    ])
+    def test_unbuildable_machine_fields_rejected(self, fields, message):
+        # what the run would refuse before simulating is refused here
+        fields = {"mix": "mixA", **fields}
+        with pytest.raises(ConfigurationError, match=message):
+            resolve_defaults(ExperimentSpec(measured_refs=100, seed=1,
+                                            **fields))
+
     def test_reference_mode_preserved(self):
         resolved = resolve_defaults(
             ExperimentSpec(mix="mixA", measured_refs=100, seed=1,

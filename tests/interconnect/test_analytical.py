@@ -1,9 +1,12 @@
 """Tests for the analytical (queueing) mesh model."""
 
+from types import SimpleNamespace
+
 from hypothesis import given, strategies as st
 
 from repro.interconnect.analytical import AnalyticalMesh
 from repro.interconnect.topology import MeshTopology
+from repro.sim.server import FifoServer
 
 
 def mesh():
@@ -11,8 +14,13 @@ def mesh():
 
 
 def link(m, src, dst):
-    """The FIFO server of the mesh link ``src -> dst``."""
-    return m._links[list(m.topology.links()).index((src, dst))]
+    """The state of mesh link ``src -> dst``: its two FIFO registers and
+    the requests (messages) and busy cycles (flits) it has served."""
+    link_id = m.topology.link_id(src, dst)
+    requests, busy_cycles = m.link_loads()[link_id]
+    return SimpleNamespace(busy_until=m._busy[link_id],
+                           last_arrival=m._last[link_id],
+                           requests=requests, busy_cycles=busy_cycles)
 
 
 class TestZeroLoad:
@@ -61,10 +69,9 @@ class TestContention:
         # a message reaching the link at 50, before its last arrival,
         # is clamped to arrive at 100 and waits 1 cycle, not 51
         assert m.traverse(0, 1, flits=1, now=50) == m.hop_cycles + 1
-        assert m.total_queueing == 1
+        assert m.total_queueing == 1  # the wait at the route's only link
         server = link(m, 0, 1)
-        assert server.stats.last_arrival == 100
-        assert server.stats.wait_cycles == 1
+        assert server.last_arrival == 100
         assert server.busy_until == 102
 
     def test_hotspot_detection(self):
@@ -85,16 +92,23 @@ class TestInlinedLinkRequests:
     def test_traverse_matches_fifo_requests_per_link(self, messages):
         """Any message order: the inlined link requests of traverse give
         the latency and link state that FifoServer.request gives."""
-        m, twin = mesh(), mesh()
+        m = mesh()
+        twin = [FifoServer(name=f"link/{src}->{dst}", service_time=1)
+                for src, dst in m.topology.links()]
         for src, dst, flits, now in messages:
             head = now
-            for link_id in twin.topology.route_links(src, dst):
-                head += twin._links[link_id].request(head, flits) + twin.hop_cycles
+            for link_id in m.topology.route_links(src, dst):
+                head += twin[link_id].request(head, flits) + m.hop_cycles
             expected = 0 if src == dst else head - now + flits - 1
             assert m.traverse(src, dst, flits, now) == expected
-        for ours, theirs in zip(m._links, twin._links):
+        for pair, theirs in zip(m.topology.links(), twin):
+            ours = link(m, *pair)
             assert ours.busy_until == theirs.busy_until
-            assert ours.stats == theirs.stats
+            assert (ours.last_arrival, ours.requests, ours.busy_cycles) == (
+                theirs.stats.last_arrival, theirs.stats.requests,
+                theirs.stats.busy_cycles)
+        assert m.total_queueing == sum(s.stats.wait_cycles for s in twin)
+        assert m.total_hops == sum(s.stats.requests for s in twin)
 
 
 class TestStatistics:
@@ -125,7 +139,7 @@ class TestStatistics:
         for i in range(20):
             m.traverse(0, 3, flits=5, now=i)  # caches the 0 -> 3 route
         m.reset()
-        assert m.link_utilizations(horizon=10) == [0.0] * len(m._links)
+        assert m.link_utilizations(horizon=10) == [0.0] * m.topology.num_links
         m.traverse(0, 3, flits=5, now=0)  # through the cached route
         row = [(0, 1), (1, 2), (2, 3)]
         utils = dict(zip(m.topology.links(), m.link_utilizations(horizon=10)))
@@ -134,7 +148,7 @@ class TestStatistics:
         assert [depths[pair] for pair in row] == [5.0, 9.0, 13.0]
         assert sum(utils.values()) == 1.5
         assert sum(depths.values()) == 27.0
-        assert [link(m, *pair).stats.requests for pair in row] == [1, 1, 1]
+        assert [link(m, *pair).requests for pair in row] == [1, 1, 1]
 
     def test_route_cache_consistency(self):
         """Cached routes give identical results to fresh computation."""

@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.coherence.directory import decode_entry
 from repro.machine.chip import Chip
 from repro.machine.config import MachineConfig, SharingDegree
 from repro.sim.records import HitLevel
@@ -106,9 +107,9 @@ class TestWriteSemantics:
         chip = build_chip("shared-4")
         chip.access(0, 77, True, 0)
         chip.access(15, 77, True, 1000)
-        entry = chip.directory.peek(77)
+        entry = decode_entry(chip.directory.peek(77))
         assert entry.owner == chip.domain_of_core(15)
-        assert entry.num_sharers == 1
+        assert bin(entry.sharers).count("1") == 1
         chip.check_coherence_invariants()
 
     def test_writeback_traffic_on_dirty_eviction(self):

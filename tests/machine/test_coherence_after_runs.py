@@ -22,6 +22,7 @@ cache-to-cache and intra-domain peer-transfer paths.
 
 import pytest
 
+from repro.caches.hierarchy import decode_line
 from repro.core import experiment
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.machine.chip import Chip
@@ -65,10 +66,10 @@ def check_inclusion(chip):
             l1 = {block for block, _ in stack.l1.contents()}
             assert l0 <= l1, f"core {stack.core_id}: L0 blocks missing from L1"
             for block in l1:
-                line = domain.peek(block)
-                assert line is not None, (
+                code = domain.peek(block)
+                assert code is not None, (
                     f"core {stack.core_id} holds {block:#x} outside its L2")
-                assert line.l1_mask >> slot & 1, (
+                assert decode_line(code).l1_mask >> slot & 1, (
                     f"L2 line {block:#x} does not list core {stack.core_id}")
 
 

@@ -67,11 +67,24 @@ class TestValidation:
         ({"policy": "bogus"}, "unknown scheduling policy"),
         ({"mix": "mix1", "scenario": "diurnal-web"},
          "the scenario's own roster mix"),
+        ({"l2_replacement": "bogus"}, "unknown replacement policy"),
+        ({"rebind": "bogus"}, "unknown rebinder"),
+        ({"core_speeds": "garbage"}, "core-speed spec"),
+        ({"mix": "iso-tpch", "vm_schedule": "x,y"},
+         "vm_schedule has 2 entries for 1 VMs"),
+        ({"l2_asym": "zz"}, "L2-associativity spec"),
+        ({"num_cores": 3}, "square mesh"),
+        ({"scale": -1.0}, "scale factor must be positive"),
+        ({"slots_per_core": 0}, "slots_per_core must be positive"),
+        ({"dir_cache_entries": 7}, "not divisible"),
     ], ids=["unknown-field", "bad-sharing", "bad-engine", "negative-refs",
             "string-refs", "string-seed", "string-cores", "string-scale",
             "float-refs", "bool-refs", "int-flag", "qos-and-vm-quota",
             "sched-and-rebind", "unknown-mix", "unknown-qos-policy",
-            "unknown-placement", "scenario-off-its-mix"])
+            "unknown-placement", "scenario-off-its-mix",
+            "unknown-replacement", "unknown-rebinder", "bad-core-speeds",
+            "vm-schedule-length", "bad-l2-asym", "non-square-cores",
+            "negative-scale", "zero-slots", "bad-dir-cache-size"])
     def test_unknown_spec_field_is_400(self, server, fields, message):
         # a spec the library refuses is the client's error, not a 500
         body = json.dumps({"specs": [{"mix": "mix5", **fields}]}).encode()

@@ -3,9 +3,12 @@
 ``BatchedEngine._replay`` applies an epoch's L2 events in lock-step
 rounds (the r-th event of every set at once) and ``_quota_victims``
 evaluates the way-quota victim rules on the arrays.  Both must equal a
-one-event-at-a-time walk: an ``OrderedDict`` LRU per set, and
-:meth:`WayQuota.victim_selector` on that dict.  The geometry is tiny
-(4 domains x 4 sets x 4 ways) so random streams overflow sets often.
+one-event-at-a-time walk: an ``OrderedDict`` LRU per set of line
+objects, and the way-quota rules over those objects
+(:func:`_object_selector`, the oracle), which
+:meth:`WayQuota.victim_selector` must also match on the same set packed
+into L2 line codes.  The geometry is tiny (4 domains x 4 sets x 4 ways)
+so random streams overflow sets often.
 
 ``_peer_pass`` settles each domain's recent-eviction window in bulk and
 ``_dir_access`` each tile's directory cache; both must equal the walk
@@ -18,6 +21,7 @@ from collections import OrderedDict
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.caches.hierarchy import encode_line
 from repro.caches.partitioning import WayQuota
 from repro.machine import Chip, MachineConfig
 from repro.sim import BatchedEngine, MemoryReference, ThreadContext
@@ -59,6 +63,31 @@ class _Line:
         self.dirty = dirty
 
 
+def _object_selector(quota, vm_id, cache_set):
+    """The way-quota victim rules over a set of line objects (LRU
+    first); counts on ``quota`` like :meth:`WayQuota.victim_selector`."""
+    quotas = quota.quotas
+    my_quota = quotas.get(vm_id)
+    counts = {}
+    for line in cache_set.values():
+        counts[line.vm_id] = counts.get(line.vm_id, 0) + 1
+    if my_quota is not None and counts.get(vm_id, 0) >= my_quota:
+        # rule 1: evict own LRU line
+        for block, line in cache_set.items():
+            if line.vm_id == vm_id:
+                quota.self_evictions += 1
+                return block
+    # rule 2: reclaim from an over-quota neighbour
+    for block, line in cache_set.items():
+        owner = line.vm_id
+        owner_quota = quotas.get(owner)
+        if (owner_quota is not None and owner != vm_id
+                and counts[owner] > owner_quota):
+            quota.reclaims += 1
+            return block
+    return None  # rule 3: fall back to vanilla LRU
+
+
 def _model_access(sets, row, block, write, vm, quota=None):
     """One event on an OrderedDict LRU set: (hit, victim, writeback)."""
     cache_set = sets.setdefault(row, OrderedDict())
@@ -67,7 +96,13 @@ def _model_access(sets, row, block, write, vm, quota=None):
         return True, -1, False
     victim, writeback = -1, False
     if len(cache_set) >= ASSOC:
-        chosen = quota.victim_selector(vm)(cache_set) if quota else None
+        chosen = None
+        if quota:
+            chosen = _object_selector(quota, vm, cache_set)
+            packed = {b: encode_line(line.dirty, line.vm_id)
+                      for b, line in cache_set.items()}
+            twin = _way_quota(quota.quotas)
+            assert twin.victim_selector(vm)(packed) == chosen
         victim = next(iter(cache_set)) if chosen is None else chosen
         writeback = cache_set.pop(victim).dirty
     cache_set[block] = _Line(vm, bool(write))
