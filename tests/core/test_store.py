@@ -55,6 +55,32 @@ class TestSpecKey:
                                warmup_refs=100, seed=2)
         assert spec_key(SPEC) != spec_key(other)
 
+    @pytest.mark.parametrize("fields, digest", [
+        (dict(mix="mix1"),
+         "d4b728dadf601ae9fbade9615613c490efa0d6af98db556b0025a72615ba3c02"),
+        # auto resolves to batched: the key names the kernel that ran
+        (dict(mix="mix1", engine_mode="auto"),
+         "7b695b3b9794dd8d1742f42c8b99a15114c06b6d1a2c5902cd0d073721977a07"),
+        (dict(mix="scn-diurnal-web", scenario="diurnal-web",
+              sched_policy="adaptive", qos_policy="ucp"),
+         "4b2cca0ae745a41412cb62dd4146a037d221001c7631d4030951c55907dc1884"),
+        # an arrival-only schedule under auto stays on the reference
+        (dict(mix="mix4", vm_schedule="0,1000,0,0", engine_mode="auto"),
+         "688541f0cce2553c5352dcea811ea146e2dd1ffd4dab06712df33dfc8be89670"),
+        (dict(mix="mix1", l2_asym="16x2,8x2", core_speeds="1.0x8,0.5x8"),
+         "606032f855317ab312426760ff3e927c6ec3b26f24e8845e68d575b4c6336e91"),
+        (dict(mix="iso-tpch"),
+         "60f5f76836eb3c6eb28f5a4b7d926b21b86aebcb1aa6b699f3ae550de2f1aa0a"),
+        (dict(mix="mix1", slots_per_core=2),
+         "520316f1bd65b2727ea1f69d687924f81e3dc4ecdd2df376b0a551ff4dc0bfac"),
+    ])
+    def test_pinned_digests(self, fields, digest, monkeypatch):
+        # a changed key orphans every stored result: keys move only with
+        # a SPEC_KEY_VERSION bump
+        monkeypatch.delenv("REPRO_REFS", raising=False)
+        monkeypatch.delenv("REPRO_SEED", raising=False)
+        assert spec_key(ExperimentSpec(**fields)) == digest
+
 
 class TestMemoryTier:
     def test_round_trip(self, small_result):
