@@ -9,12 +9,12 @@ over a ``multiprocessing`` pool and funnels results through a
 
 * a cell already present in the store is never re-simulated — not in
   this process, not in another, not in a later session (disk tier);
-* an ``N``-job run is bit-identical to a serial run: specs are
-  normalized *in the parent* before dispatch, so every worker sees the
-  same explicit seed, and :class:`~repro.sim.rng.RngFactory` streams
-  depend only on the spec;
-* a failing cell reports its exception (with traceback) in its
-  :class:`CellOutcome` instead of aborting the rest of the grid.
+* an ``N``-job run is bit-identical to a serial run: each spec is
+  planned (:func:`~repro.core.experiment.plan`) once *in the parent*
+  before dispatch, so every worker sees the same explicit seed, and
+  :class:`~repro.sim.rng.RngFactory` streams depend only on the spec;
+* a refused or failing cell reports its exception (with traceback) in
+  its :class:`CellOutcome` instead of aborting the rest of the grid.
 
 Workers are spawn-safe: the worker function is a module-level callable
 and its payload is a picklable :class:`ExperimentSpec`, so the executor
@@ -27,10 +27,10 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError, ReproError
-from .experiment import ExperimentResult, ExperimentSpec, resolve_defaults
+from .experiment import ExperimentResult, ExperimentSpec, RunPlan, plan
 
 __all__ = ["CellOutcome", "ProgressCallback", "RetryCallback",
            "SweepExecutor"]
@@ -197,10 +197,12 @@ class SweepExecutor:
         self.tracer = tracer
 
     def run(
-        self, cells: Sequence[Tuple[tuple, ExperimentSpec]],
+        self, cells: Sequence[Tuple[tuple, Union[ExperimentSpec, RunPlan]]],
         trace_parent=None,
     ) -> List[CellOutcome]:
-        """Execute every cell; returns outcomes in input order.
+        """Execute every cell (a spec or its plan, see
+        :func:`~repro.core.experiment.plan`); returns outcomes in input
+        order.
 
         The store is consulted first (warm cells cost nothing), then the
         remaining cells run — deduplicated, so two cells whose specs
@@ -217,16 +219,7 @@ class SweepExecutor:
         telemetry = self.telemetry
         tracer = self.tracer
         store = self.store if self.store is not None else get_default_store()
-        # a spec the library refuses skips the store and fails in its
-        # own cell's run, not the whole grid
-        resolved, refused = [], set()
-        for index, (key, spec) in enumerate(cells):
-            try:
-                spec = resolve_defaults(spec)
-            except ReproError:
-                refused.add(index)
-            resolved.append((key, spec))
-        total = len(resolved)
+        total = len(cells)
         outcomes: List[Optional[CellOutcome]] = [None] * total
         done = 0
 
@@ -246,11 +239,21 @@ class SweepExecutor:
         with grid_span:
             grid_ctx = None if tracer is None else grid_span.context
 
-            # tier 1: the store
-            pending: Dict[ExperimentSpec, List[int]] = {}
-            for index, (key, spec) in enumerate(resolved):
+            # tier 1: plan each cell once, then ask the store.  A spec
+            # the library refuses skips the store and fails in its own
+            # cell's run (retries included), not the whole grid.
+            specs: List[ExperimentSpec] = []  # resolved where planned
+            runs: List[Optional[RunPlan]] = []
+            pending: Dict[object, List[int]] = {}
+            for index, (key, spec) in enumerate(cells):
+                try:
+                    run = plan(spec)
+                except ReproError:
+                    run = None
+                specs.append(spec if run is None else run.spec)
+                runs.append(run)
                 get_start = time.perf_counter()
-                cached = None if index in refused else store.get(spec)
+                cached = None if run is None else store.get(run)
                 if cached is not None:
                     telemetry.counter("executor.cache_hits").inc()
                     if grid_ctx is not None:
@@ -258,17 +261,20 @@ class SweepExecutor:
                             "cell.cached", cat="store",
                             duration_s=time.perf_counter() - get_start,
                             parent=grid_ctx, attrs={"key": str(key)})
-                    record(index, CellOutcome(key, spec, result=cached,
+                    record(index, CellOutcome(key, run.spec, result=cached,
                                               from_cache=True))
                 else:
-                    pending.setdefault(spec, []).append(index)
+                    ident = spec if run is None else run.key
+                    pending.setdefault(ident, []).append(index)
+            groups = {indices[0]: indices for indices in pending.values()}
 
             # tier 2: simulate the distinct cold specs.  When the cells
             # fan out over a pool *and* the tracer has a durable log,
             # context rides in the payload and each worker records its
             # own span (real pid lanes); otherwise the parent records
-            # the span from the measured wall time.
-            pooled = self.jobs > 1 and len(pending) > 1
+            # the span from the measured wall time.  Workers receive
+            # the resolved spec: a plain, small, picklable value.
+            pooled = self.jobs > 1 and len(groups) > 1
             trace_payload = None
             if grid_ctx is not None and pooled and tracer.log_dir is not None:
                 trace_payload = {
@@ -277,12 +283,12 @@ class SweepExecutor:
                     "service": f"{tracer.service}-sim",
                 }
             jobs = [
-                (indices[0], spec, self.epoch) if trace_payload is None
-                else (indices[0], spec, self.epoch, trace_payload)
-                for spec, indices in pending.items()
+                (index, specs[index], self.epoch) if trace_payload is None
+                else (index, specs[index], self.epoch, trace_payload)
+                for index in groups
             ]
             for index, result, error, wall in self._execute(jobs):
-                key, spec = resolved[index]
+                key, spec, run = cells[index][0], specs[index], runs[index]
                 result, error, wall, retried = self._maybe_retry(
                     index, spec, key, result, error, wall)
                 telemetry.counter("executor.simulated").inc()
@@ -298,20 +304,19 @@ class SweepExecutor:
                         status="ok" if error is None else "error")
                 if error is None:
                     put_start = time.perf_counter()
-                    store.put(spec, result)
+                    store.put(run, result)
                     if result.series is not None:
-                        store.put_series(spec, result.series)
+                        store.put_series(run, result.series)
                     if grid_ctx is not None:
                         tracer.record_span(
                             "store.put", cat="store",
                             duration_s=time.perf_counter() - put_start,
                             parent=grid_ctx, attrs={"key": str(key)})
-                for cell_index in pending[spec]:
-                    cell_key = resolved[cell_index][0]
+                for cell_index in groups[index]:
                     record(cell_index, CellOutcome(
-                        cell_key, spec, result=result, error=error,
-                        wall_time=wall, from_cache=cell_index != index,
-                        retried=retried,
+                        cells[cell_index][0], spec, result=result,
+                        error=error, wall_time=wall,
+                        from_cache=cell_index != index, retried=retried,
                     ))
         return outcomes  # type: ignore[return-value]
 

@@ -20,8 +20,8 @@ Environment knobs (removed)
 ---------------------------
 The deprecated ``REPRO_REFS`` / ``REPRO_SEED`` environment knobs have
 been retired: a set variable now raises
-:class:`~repro.errors.ConfigurationError` from :func:`resolve_defaults`
-instead of silently steering defaults.  Set
+:class:`~repro.errors.ConfigurationError` from :func:`plan` instead of
+silently steering defaults.  Set
 ``ExperimentSpec.measured_refs`` / ``ExperimentSpec.seed`` explicitly.
 
 Engine selection
@@ -35,13 +35,17 @@ it provides every capability the run needs, see :mod:`repro.control`).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set
+from functools import cached_property, lru_cache
+from typing import (TYPE_CHECKING, Dict, FrozenSet, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ..caches.replacement import make_policy
 from ..coherence.directory import DirectoryCache
-from ..control import ASYM_L2, CORE_SPEEDS, MIGRATE, REQUEUE, RETIRE
+from ..control import RETIRE
 from ..errors import ConfigurationError
 from ..machine.chip import Chip
 from ..machine.config import (
@@ -50,18 +54,27 @@ from ..machine.config import (
     parse_core_speeds,
     parse_domain_assoc,
 )
-from ..sim.factory import EngineRequest, make_engine, resolve_mode
+from ..obs import (NULL_TELEMETRY, EpochProbe, series_from_dict,
+                   series_to_dict)
+from ..sim.factory import (EngineRequest, check_provides, engine_class,
+                           make_engine, resolve_mode, run_needs)
 from ..sim.rng import RngFactory
 from ..vm.hypervisor import Hypervisor
+from ..workloads.profile import WorkloadProfile
 from .metrics import VMMetrics
 from .mixes import Mix, get_mix, isolated_mix
 from .scheduling import assign_overcommitted, make_scheduler
+
+if TYPE_CHECKING:  # lazy at runtime: scenarios import this module
+    from ..scenarios.model import Scenario
 
 __all__ = [
     "DEFAULT_SCALE",
     "DEFAULT_MEASURED_REFS",
     "DEFAULT_SEED",
     "ExperimentSpec",
+    "RunPlan",
+    "plan",
     "ChipSummary",
     "ExperimentResult",
     "resolve_defaults",
@@ -82,7 +95,8 @@ DEFAULT_SEED = 1
 
 
 def _env_default(var: str, fallback: int, field_name: str) -> int:
-    """Resolve one defaulted field, rejecting the removed env path."""
+    """The built-in default of one defaulted field, rejecting the
+    removed environment knob that used to supply it."""
     if os.environ.get(var) is not None:
         raise ConfigurationError(
             f"the {var} environment variable has been removed; set "
@@ -90,24 +104,6 @@ def _env_default(var: str, fallback: int, field_name: str) -> int:
             f"supplied the default for defaulted specs)"
         )
     return fallback
-
-
-def default_measured_refs() -> int:
-    """Built-in per-thread measured references (24000).
-
-    Raises :class:`~repro.errors.ConfigurationError` if the removed
-    ``REPRO_REFS`` environment knob is set.
-    """
-    return _env_default("REPRO_REFS", DEFAULT_MEASURED_REFS, "measured_refs")
-
-
-def default_seed() -> int:
-    """Built-in default experiment seed (1).
-
-    Raises :class:`~repro.errors.ConfigurationError` if the removed
-    ``REPRO_SEED`` environment knob is set.
-    """
-    return _env_default("REPRO_SEED", DEFAULT_SEED, "seed")
 
 
 @dataclass(frozen=True)
@@ -219,8 +215,8 @@ class ExperimentSpec:
         ``"reference"`` (event-driven, the default), ``"batched"``
         (epoch-folded fast kernel), or ``"auto"`` (batched whenever the
         run shape allows it; resolved to a concrete mode by
-        :func:`resolve_defaults`, so cached results are keyed by the
-        kernel that actually ran).
+        :func:`plan`, so cached results are keyed by the kernel that
+        actually ran).
     """
 
     mix: str
@@ -255,99 +251,163 @@ class ExperimentSpec:
         (see :func:`resolve_defaults`)."""
         return resolve_defaults(self)
 
-    def _canonical_sharing(self) -> str:
-        degree = SharingDegree.from_name(self.sharing)
-        return {
-            SharingDegree.PRIVATE: "private",
-            SharingDegree.SHARED_2: "shared-2",
-            SharingDegree.SHARED_4: "shared-4",
-            SharingDegree.SHARED_8: "shared-8",
-            SharingDegree.SHARED_16: "shared",
-        }[degree]
-
-    @property
-    def sharing_degree(self) -> SharingDegree:
-        return SharingDegree.from_name(self.sharing)
-
 
 def resolve_defaults(spec: ExperimentSpec) -> ExperimentSpec:
-    """Resolve every defaulted field of ``spec`` to a concrete value.
+    """Resolve every defaulted field of ``spec`` to a concrete value:
+    ``plan(spec).spec`` (see :func:`plan`).
 
     The removed ``REPRO_REFS`` / ``REPRO_SEED`` environment knobs are
-    rejected here with a :class:`~repro.errors.ConfigurationError`
-    naming the explicit spec field to set instead (they only ever
-    applied to *defaulted* specs, so an explicitly-filled spec never
-    consults the environment).  ``engine_mode="auto"`` resolves to a
-    concrete engine for the run shape.  The returned spec is
-    idempotent under re-resolution and is what the result store hashes
-    (see :func:`repro.core.store.spec_key`).  Only ``None`` run sizes
-    mean "default": a set ``measured_refs`` must be positive and a set
-    ``warmup_refs`` non-negative.  A spec the run would refuse before
-    simulating is refused here, so the library, the CLI and the
-    service's job keying all refuse it in one place.
+    rejected with a :class:`~repro.errors.ConfigurationError` naming
+    the explicit spec field to set instead (they only ever applied to
+    *defaulted* specs, so an explicitly-filled spec never consults the
+    environment).  ``engine_mode="auto"`` resolves to a concrete engine
+    for the run shape.  The returned spec is idempotent under
+    re-resolution and is what the result store hashes.
     """
-    if spec.measured_refs is not None and spec.measured_refs <= 0:
-        raise ConfigurationError(
-            f"measured_refs must be positive, got {spec.measured_refs}")
-    if spec.warmup_refs is not None and spec.warmup_refs < 0:
-        raise ConfigurationError(
-            f"warmup_refs must be non-negative, got {spec.warmup_refs}")
-    _refuse_invalid(spec)
-    measured = spec.measured_refs or default_measured_refs()
-    warmup = spec.warmup_refs if spec.warmup_refs is not None else measured // 2
-    seed = spec.seed or default_seed()
-    return replace(
-        spec,
-        measured_refs=measured,
-        warmup_refs=warmup,
-        seed=seed,
-        sharing=spec._canonical_sharing(),
-        engine_mode=resolve_mode(spec.engine_mode, _spec_needs(spec)),
-    )
+    return plan(spec).spec
 
 
-def _refuse_invalid(spec: ExperimentSpec) -> None:
-    """Raise what the run would raise before simulating: conflicting
-    fields, a machine, replacement policy, rebinder or VM schedule the
-    run cannot build, or a mix, placement, QoS policy, scheduling
-    policy, scenario or phase plan no registry knows.  A registry
-    module is imported only when its field is set."""
-    if spec.qos_policy and spec.l2_vm_quota:
-        raise ConfigurationError(
-            "l2_vm_quota and qos_policy both claim ownership of the way "
-            "quotas; use qos_policy='static-equal' for the static split"
-        )
-    if spec.qos_policy and spec.qos_epoch <= 0:
-        raise ConfigurationError("qos_epoch must be positive")
-    if spec.sched_policy:
-        if spec.sched_epoch <= 0:
-            raise ConfigurationError("sched_epoch must be positive")
-        if spec.rebind:
-            raise ConfigurationError(
-                "sched_policy and rebind both migrate threads; "
-                "pick one migration mechanism"
-            )
-    if spec.vm_schedule:
-        if spec.slots_per_core > 1:
-            raise ConfigurationError(
-                "vm_schedule (VM churn) requires single-slot runs"
-            )
-        if spec.rebind:
-            raise ConfigurationError(
-                "vm_schedule cannot be combined with the rebind phase "
-                "rebinder; use a sched_policy for dynamic placement"
-            )
-        if spec.start_stagger:
-            raise ConfigurationError(
-                "vm_schedule supersedes start_stagger; encode the "
-                "arrival times in the schedule"
-            )
-    if spec.l2_asym and (spec.qos_policy or spec.l2_vm_quota):
-        raise ConfigurationError(
-            "asymmetric L2 domains (l2_asym) are incompatible with the "
-            "way-quota owners (qos_policy / l2_vm_quota), which assume "
-            "uniform domain associativity"
-        )
+SPEC_KEY_VERSION = 1
+"""Version of the spec-key derivation; bump to invalidate all keys."""
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """One spec validated and resolved, ready to run: :func:`plan`
+    builds it once and every layer that runs, keys or admits the spec
+    reads it instead of re-deriving the spec's facts.
+
+    Attributes
+    ----------
+    spec:
+        The resolved spec (every default filled in, ``auto`` pinned).
+    config:
+        The scaled machine the run builds its chip from.
+    mix:
+        The resolved :class:`~repro.core.mixes.Mix`; :attr:`profiles`
+        are its per-VM workload profiles, scaled.
+    scenario:
+        The :class:`~repro.scenarios.model.Scenario`, or ``None``.
+    start_offsets, stop_times:
+        Per-VM start and stop cycles (empty = all start at 0 and run to
+        completion), from ``start_stagger``, ``vm_schedule`` or the
+        scenario's churn.
+    phases, vm_phases:
+        One phase plan for every VM (``phase_plan``), or one per VM
+        (the scenario's roster).
+    needs:
+        Capabilities the run needs (:func:`repro.sim.factory.run_needs`;
+        the epoch probe, a run option, is not among them).
+    key:
+        The result store key (see :func:`repro.core.store.spec_key`).
+    """
+
+    spec: ExperimentSpec
+    config: MachineConfig
+    mix: Mix
+    scenario: Optional[Scenario]
+    start_offsets: Tuple[int, ...]
+    stop_times: Tuple[Optional[int], ...]
+    phases: Optional[tuple]
+    vm_phases: tuple
+    needs: FrozenSet[str]
+    key: str
+
+    @cached_property
+    def profiles(self) -> Tuple[WorkloadProfile, ...]:
+        """Per-VM workload profiles, scaled; built on first use, since
+        keying a plan never reads them."""
+        return tuple(profile.scaled(self.spec.scale)
+                     for profile in self.mix.profiles())
+
+
+def _key_of(resolved: ExperimentSpec) -> str:
+    """SHA-256 of the canonical JSON of a resolved spec (every field is
+    a scalar, so its flat field dict encodes it exactly)."""
+    payload = {"spec_key_version": SPEC_KEY_VERSION, "spec": vars(resolved)}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+@lru_cache(maxsize=256)
+def _scaled_machine(num_cores: int, sharing: SharingDegree,
+                    l2_replacement: str, dir_cache_entries: int,
+                    core_speeds: str, l2_asym: str,
+                    scale: float) -> MachineConfig:
+    """The scaled machine of a spec's machine fields, raising on one the
+    run cannot build (memoized: a config is an immutable value)."""
+    machine = dict(num_cores=num_cores, sharing=sharing,
+                   l2_replacement=l2_replacement)
+    if dir_cache_entries:
+        machine["directory_cache_entries"] = dir_cache_entries
+    if core_speeds:
+        machine["core_speeds"] = parse_core_speeds(core_speeds, num_cores)
+    if l2_asym:
+        machine["l2_domain_assoc"] = parse_domain_assoc(
+            l2_asym, sharing.num_domains(num_cores))
+    config = MachineConfig(**machine).scaled(scale)
+    make_policy(config.l2_replacement)
+    DirectoryCache.geometry(config.directory_cache_entries)
+    return config
+
+
+def plan(spec) -> RunPlan:
+    """Validate and resolve ``spec`` into a :class:`RunPlan`.
+
+    The one place a spec is checked: anything the run would refuse —
+    an invalid run size, conflicting fields, a machine, replacement
+    policy, rebinder or VM schedule it cannot build, a name no registry
+    knows, or an engine mode that lacks a capability the run needs —
+    raises here (a :class:`~repro.errors.ConfigurationError` or another
+    :class:`~repro.errors.ReproError`), so the library, the CLI and the
+    service's admission refuse it alike.  Only ``None`` run sizes mean
+    "default".  A registry module is imported only when its field is
+    set.  A :class:`RunPlan` passes through unchanged.
+    """
+    if isinstance(spec, RunPlan):
+        return spec
+    for clash, message in (
+        (spec.measured_refs is not None and spec.measured_refs <= 0,
+         "measured_refs must be positive, got {spec.measured_refs}"),
+        (spec.warmup_refs is not None and spec.warmup_refs < 0,
+         "warmup_refs must be non-negative, got {spec.warmup_refs}"),
+        (spec.qos_policy and spec.l2_vm_quota,
+         "l2_vm_quota and qos_policy both claim ownership of the way "
+         "quotas; use qos_policy='static-equal' for the static split"),
+        (spec.qos_policy and spec.qos_epoch <= 0,
+         "qos_epoch must be positive"),
+        (spec.sched_policy and spec.sched_epoch <= 0,
+         "sched_epoch must be positive"),
+        (spec.sched_policy and spec.rebind,
+         "sched_policy and rebind both migrate threads; pick one "
+         "migration mechanism"),
+        (spec.vm_schedule and spec.slots_per_core > 1,
+         "vm_schedule (VM churn) requires single-slot runs"),
+        (spec.vm_schedule and spec.rebind,
+         "vm_schedule cannot be combined with the rebind phase rebinder; "
+         "use a sched_policy for dynamic placement"),
+        (spec.vm_schedule and spec.start_stagger,
+         "vm_schedule supersedes start_stagger; encode the arrival times "
+         "in the schedule"),
+        (spec.l2_asym and (spec.qos_policy or spec.l2_vm_quota),
+         "asymmetric L2 domains (l2_asym) are incompatible with the "
+         "way-quota owners (qos_policy / l2_vm_quota), which assume "
+         "uniform domain associativity"),
+        (spec.slots_per_core <= 0, "slots_per_core must be positive"),
+        (not 0 < spec.scale < float("inf"),
+         "scale factor must be positive and finite, got {spec.scale}"),
+        (spec.start_stagger < 0,
+         "start_stagger must be non-negative, got {spec.start_stagger}"),
+        (spec.rebind and spec.rebind_interval <= 0,
+         "rebind_interval must be positive, got {spec.rebind_interval}"),
+        (spec.rebind and spec.rebind.strip().lower()
+         not in ("random", "affinity"),
+         "unknown rebinder {spec.rebind!r}; choose 'random' or "
+         "'affinity'"),
+    ):
+        if clash:
+            raise ConfigurationError(message.format(spec=spec))
+    scenario = None
     if spec.scenario:
         from ..scenarios.registry import get_scenario
 
@@ -356,90 +416,93 @@ def _refuse_invalid(spec: ExperimentSpec) -> None:
             raise ConfigurationError(
                 f"a scenario spec's mix must be the scenario's own "
                 f"roster mix: expected {scenario.mix_name!r}, got "
-                f"{spec.mix!r} (use scenario_spec() to build one)"
-            )
-        for conflicting, label in (
-            (spec.phase_plan, "phase_plan"),
-            (spec.vm_schedule, "vm_schedule"),
-            (spec.start_stagger, "start_stagger"),
-            (spec.rebind, "rebind"),
-        ):
-            if conflicting:
+                f"{spec.mix!r} (use scenario_spec() to build one)")
+        for label in ("phase_plan", "vm_schedule", "start_stagger",
+                      "rebind"):
+            if getattr(spec, label):
                 raise ConfigurationError(
                     f"scenario runs own the {label} axis; encode it in "
-                    f"the scenario instead of setting spec.{label}"
-                )
+                    f"the scenario instead of setting spec.{label}")
         if scenario.has_arrivals and spec.slots_per_core > 1:
             raise ConfigurationError(
                 "scenario arrivals require single-slot runs (the "
                 "over-commit engine honours start times only for run-"
-                "queue heads); departures compose with over-commit"
-            )
-    if spec.slots_per_core <= 0:
-        raise ConfigurationError("slots_per_core must be positive")
-    if spec.rebind and spec.rebind.strip().lower() not in ("random", "affinity"):
-        raise ConfigurationError(
-            f"unknown rebinder {spec.rebind!r}; choose 'random' or 'affinity'")
-    config = _machine_config(spec)
-    make_policy(config.l2_replacement)
-    DirectoryCache.geometry(config.directory_cache_entries)
-    mix = resolve_mix(spec.mix)
-    if spec.vm_schedule:
-        _parse_vm_schedule(spec.vm_schedule, len(mix.profiles()))
+                "queue heads); departures compose with over-commit")
+    sharing = SharingDegree.from_name(spec.sharing)
+    config = _scaled_machine(spec.num_cores, sharing, spec.l2_replacement,
+                             spec.dir_cache_entries, spec.core_speeds,
+                             spec.l2_asym, spec.scale)
     make_scheduler(spec.policy)
-    if spec.qos_policy:
-        from ..qos.controllers import make_controller
-
-        make_controller(spec.qos_policy)
-    if spec.sched_policy:
-        from ..sched.policies import make_sched_policy
-
-        make_sched_policy(spec.sched_policy)
+    mix = resolve_mix(spec.mix)
+    starts: Sequence[int] = [
+        vm * spec.start_stagger for vm in range(mix.num_instances)
+    ] if spec.start_stagger else ()
+    stops: Sequence[Optional[int]] = ()
+    if spec.vm_schedule:
+        starts, stops = _parse_vm_schedule(spec.vm_schedule,
+                                           mix.num_instances)
+    phases, vm_phases = None, ()
     if spec.phase_plan:
         from ..workloads.phases import get_phase_plan
 
-        get_phase_plan(spec.phase_plan)
-
-
-def _machine_config(spec: ExperimentSpec) -> MachineConfig:
-    """The scaled machine a spec runs on (raises on a machine field the
-    run cannot build)."""
-    machine_params = dict(
-        num_cores=spec.num_cores,
-        sharing=spec.sharing_degree,
-        l2_replacement=spec.l2_replacement,
-    )
-    if spec.dir_cache_entries:
-        machine_params["directory_cache_entries"] = spec.dir_cache_entries
-    if spec.core_speeds:
-        machine_params["core_speeds"] = parse_core_speeds(
-            spec.core_speeds, spec.num_cores)
-    if spec.l2_asym:
-        machine_params["l2_domain_assoc"] = parse_domain_assoc(
-            spec.l2_asym, spec.sharing_degree.num_domains(spec.num_cores))
-    return MachineConfig(**machine_params).scaled(spec.scale)
-
-
-def _spec_needs(spec: ExperimentSpec) -> Set[str]:
-    """The spec mirror of :func:`repro.sim.factory.request_needs`; a
-    hook module is imported only when the spec names that hook."""
-    needs = {need for present, need in (
-        (spec.slots_per_core > 1, REQUEUE), (spec.rebind, MIGRATE),
-        (spec.vm_schedule, RETIRE), (spec.core_speeds, CORE_SPEEDS),
-        (spec.l2_asym, ASYM_L2)) if present}
-    if spec.qos_policy:
-        from ..qos.hook import QosHook
-
-        needs |= QosHook.needs
-    if spec.sched_policy:
-        from ..sched.hook import SchedHook
-
-        needs |= SchedHook.needs
-    if spec.scenario:
+        phases = get_phase_plan(spec.phase_plan)
+    hook_needs: Set[str] = set()
+    if scenario is not None:
         from ..scenarios.hook import ScenarioHook
 
-        needs |= ScenarioHook.needs
-    return needs
+        # the scenario owns churn and phase plans: its roster compiles
+        # into the engine-native start/stop and per-VM plan machinery
+        if scenario.has_churn:
+            starts, stops = scenario.start_offsets(), scenario.stop_times()
+        plans = scenario.vm_phase_plans()
+        if any(vm_plan is not None for vm_plan in plans):
+            vm_phases = tuple(plans)
+        hook_needs |= ScenarioHook.needs
+    if spec.qos_policy:
+        from ..qos.controllers import TargetSlowdown, make_controller
+        from ..qos.hook import QosHook
+
+        if (isinstance(make_controller(spec.qos_policy), TargetSlowdown)
+                and spec.qos_target <= 0):
+            raise ConfigurationError(
+                "target-slowdown needs a positive qos_target "
+                "(e.g. 1.3 = at most 30% slower than isolation)")
+        hook_needs |= QosHook.needs
+    if spec.sched_policy:
+        from ..sched.hook import SchedHook
+        from ..sched.policies import make_sched_policy
+
+        make_sched_policy(spec.sched_policy)
+        hook_needs |= SchedHook.needs
+    migrates = bool(spec.rebind)
+    needs = run_needs(config, spec.slots_per_core, migrates=migrates,
+                      departs=any(stop is not None for stop in stops),
+                      control_needs=hook_needs)
+    # auto counts any vm_schedule as churn, so an arrival-only schedule
+    # keeps the reference engine (and the store key) it always had
+    mode = resolve_mode(spec.engine_mode,
+                        (needs | {RETIRE}) if spec.vm_schedule else needs)
+    engine = engine_class(mode, spec.slots_per_core, migrates)
+    if engine is not None:
+        check_provides(engine, needs)
+    measured = spec.measured_refs or _env_default(
+        "REPRO_REFS", DEFAULT_MEASURED_REFS, "measured_refs")
+    resolved = replace(
+        spec,
+        measured_refs=measured,
+        warmup_refs=(spec.warmup_refs if spec.warmup_refs is not None
+                     else measured // 2),
+        seed=spec.seed or _env_default("REPRO_SEED", DEFAULT_SEED, "seed"),
+        sharing={1: "private", 16: "shared"}.get(sharing,
+                                                 f"shared-{int(sharing)}"),
+        engine_mode=mode,
+    )
+    return RunPlan(
+        spec=resolved, config=config, mix=mix,
+        scenario=scenario, start_offsets=tuple(starts),
+        stop_times=tuple(stops), phases=phases, vm_phases=vm_phases,
+        needs=needs, key=_key_of(resolved),
+    )
 
 
 def resolve_mix(name: str) -> Mix:
@@ -547,7 +610,7 @@ class ExperimentResult:
 
 def _make_rebinder(kind: str, chip: Chip, rng_factory: RngFactory):
     """Build a dynamic-rebinding policy by name (checked by
-    :func:`resolve_defaults`)."""
+    :func:`plan`)."""
     from ..sim.dynamic import AffinityRebinder, RandomRebinder
 
     if kind.strip().lower() == "random":
@@ -596,17 +659,95 @@ def _parse_vm_schedule(text: str, num_vms: int):
     return starts, stops
 
 
-def _apply_vm_quotas(chip: Chip, assignments) -> None:
-    """Split each shared domain's ways equally among its resident VMs.
+def _control_hooks(run: RunPlan, chip: Chip, hypervisor, contexts,
+                   assignments, rng_factory: RngFactory, telemetry):
+    """The run's control hooks as ``(result attribute, hook)`` pairs, in
+    the order they act each epoch: the scenario first (load and phase
+    actuation shape the epoch the controllers sense), then QoS, then
+    the scheduler — quota decisions land before the same epoch's
+    migrations."""
+    spec = run.spec
+    hooks = []
+    if run.scenario is not None:
+        from ..scenarios.hook import ScenarioHook
 
-    Delegates to :meth:`repro.qos.controllers.QosController.install`,
-    the single owner of initial quota construction — the legacy
-    ``l2_vm_quota`` flag and every dynamic QoS policy set up their
-    starting split through the same code path.
-    """
-    from ..qos.controllers import QosController
+        hooks.append(("scenario", ScenarioHook(
+            run.scenario, hypervisor.vms, contexts,
+            rng=rng_factory.stream("scenario"), telemetry=telemetry)))
+    if spec.qos_policy:
+        from ..qos.controllers import TargetSlowdown, make_controller
+        from ..qos.hook import QosHook
 
-    QosController.install(chip, assignments)
+        controller = make_controller(spec.qos_policy)
+        baseline_cpr: Dict[int, float] = {}
+        if isinstance(controller, TargetSlowdown):
+            # isolated baselines come memoized from the result store;
+            # isolation_spec strips the qos fields, so this never
+            # recurses into another QoS run
+            from .isolation import run_isolated
+
+            per_thread = spec.warmup_refs + spec.measured_refs
+            for vm_id, profile in enumerate(run.profiles):
+                iso = run_isolated(profile.name, template=spec)
+                baseline_cpr[vm_id] = iso.vm_metrics[0].cycles / per_thread
+        hooks.append(("qos", QosHook(
+            chip, contexts, controller, assignments,
+            epoch=spec.qos_epoch, telemetry=telemetry,
+            hypervisor=hypervisor, baseline_cpr=baseline_cpr,
+            target=spec.qos_target,
+            vm_workloads={vm.vm_id: vm.workload_name
+                          for vm in hypervisor.vms})))
+    if spec.sched_policy:
+        from ..sched import SchedHook, make_sched_policy
+
+        hooks.append(("sched", SchedHook(
+            chip, contexts, make_sched_policy(spec.sched_policy),
+            epoch=spec.sched_epoch, telemetry=telemetry,
+            hypervisor=hypervisor, slots_per_core=spec.slots_per_core,
+            rng=rng_factory.stream("sched"))))
+    return hooks
+
+
+def _compose(hooks):
+    """One :class:`~repro.control.Control` for the engine, or ``None``."""
+    if not hooks:
+        return None
+    if len(hooks) == 1:
+        return hooks[0][1]
+    from ..control import CompositeControl
+
+    return CompositeControl([hook for _name, hook in hooks])
+
+
+def _chip_state(engine, chip: Chip):
+    """``(ChipSummary, L2 occupancy, L2 residency)`` at the end of a run."""
+    if hasattr(engine, "summary_counters"):
+        # batched engines track chip-level effects themselves (the chip
+        # object never saw the references)
+        return (ChipSummary(**engine.summary_counters()),
+                engine.l2_snapshot_by_vm(), engine.l2_resident_sets())
+    coherence = chip.coherence.stats
+    # a tile never looked up has no cache yet: no hits, no misses
+    caches = [c for c in chip.directory.caches if c is not None]
+    dir_accesses = sum(c.hits + c.misses for c in caches)
+    summary = ChipSummary(
+        mesh_mean_latency=chip.mesh.mean_latency,
+        mesh_mean_queueing=chip.mesh.mean_queueing,
+        mesh_mean_hops=chip.mesh.mean_hops,
+        c2c_clean=coherence.c2c_clean,
+        c2c_dirty=coherence.c2c_dirty,
+        memory_fetches=coherence.memory_fetches,
+        coherence_writebacks=coherence.writebacks,
+        invalidations=coherence.invalidations_sent,
+        upgrades=coherence.upgrades,
+        intra_domain_transfers=chip.intra_domain_transfers,
+        directory_cache_hit_rate=(
+            sum(c.hits for c in caches) / dir_accesses
+            if dir_accesses else 0.0),
+        memory_reads=chip.memory.total_reads,
+        memory_writebacks=chip.memory.total_writebacks,
+    )
+    return summary, chip.l2_snapshot_by_vm(), chip.l2_resident_sets()
 
 
 def clear_result_cache() -> None:
@@ -621,203 +762,84 @@ def clear_result_cache() -> None:
 
 
 def run_experiment(
-    spec: ExperimentSpec,
+    spec,
     use_cache: bool = True,
     store=None,
     telemetry=None,
     epoch: int = 0,
 ) -> ExperimentResult:
-    """Run one consolidation experiment.
+    """Run one consolidation experiment: an :class:`ExperimentSpec`, or
+    the :class:`RunPlan` of one (see :func:`plan`).
 
-    Results are cached in a :class:`repro.core.store.ResultStore` keyed
-    by the fully-resolved spec: the benchmark harness re-uses isolation
-    baselines across figures without re-simulating them, and a store
-    with a disk tier carries results across processes and sessions.
-    ``store=None`` uses the process-wide default store; ``use_cache=False``
-    bypasses lookup *and* insertion.
+    Results are cached in a :class:`repro.core.store.ResultStore` under
+    the plan's key; ``store=None`` uses the process-wide default store
+    and ``use_cache=False`` bypasses lookup *and* insertion.
 
-    Telemetry
-    ---------
-    Pass a live :class:`~repro.obs.telemetry.Telemetry` hub to record
-    wall-clock phase spans, and a positive ``epoch`` to additionally
-    sample per-VM time series every ``epoch`` simulated cycles through
-    an :class:`~repro.obs.probes.EpochProbe` (the series land in
-    ``telemetry.series``, on ``result.series``, and — when the store
-    has a disk tier — in a ``<key>.series.json`` sidecar).  Telemetry
-    never changes simulation outcomes; the epoch probe is read-only
-    and the spec (hence the store key) does not include it.  A cache
-    hit cannot replay sampling, so epoch-probed runs resolve the store
-    *series* tier first and re-simulate if no stored series exists.
-    Engines without a probe slot (over-commit, ``rebind``) refuse
-    epoch sampling with :class:`~repro.errors.ConfigurationError`.
+    A live :class:`~repro.obs.telemetry.Telemetry` hub records wall-clock
+    spans; a positive ``epoch`` also samples per-VM time series every
+    ``epoch`` simulated cycles (into ``telemetry.series``,
+    ``result.series`` and the store's series tier).  Telemetry changes
+    neither outcomes nor the key.  A cache hit cannot replay sampling,
+    so an epoch-probed run re-simulates unless the store holds its
+    series; engines without a probe slot (over-commit, ``rebind``)
+    refuse epoch sampling with a
+    :class:`~repro.errors.ConfigurationError`.
     """
     from .store import get_default_store
 
-    if telemetry is None:
-        from ..obs.telemetry import NULL_TELEMETRY
-
-        telemetry = NULL_TELEMETRY
+    telemetry = NULL_TELEMETRY if telemetry is None else telemetry
     want_series = telemetry.enabled and epoch > 0
-
-    spec = spec.normalized()
-    scenario = None
-    if spec.scenario:
-        from ..scenarios.registry import get_scenario
-
-        scenario = get_scenario(spec.scenario)
-    if store is None:
-        store = get_default_store()
+    run = plan(spec)
+    spec = run.spec
+    store = get_default_store() if store is None else store
     if use_cache:
-        cached = store.get(spec)
+        cached = store.get(run)
         if cached is not None:
             if not want_series:
                 return cached
-            stored_series = store.get_series(spec)
+            stored_series = store.get_series(run)
             if stored_series is not None:
                 # replay the stored series into the hub and reuse the
                 # cached result — nothing to re-simulate
-                from ..obs.series import series_from_dict
-
                 for name, series in series_from_dict(stored_series).items():
                     telemetry.series_for(name).points.extend(series.points)
                 cached.series = stored_series
                 return cached
-            # cached result but no sampled series: fall through and
-            # re-simulate (results are deterministic, so this only
-            # costs time, never correctness)
 
-    mix = resolve_mix(spec.mix)
-    profiles = [profile.scaled(spec.scale) for profile in mix.profiles()]
-
-    config = _machine_config(spec)
-    chip = Chip(config)
+    chip = Chip(run.config)
     rng_factory = RngFactory(spec.seed)
-    thread_counts = [profile.threads for profile in profiles]
+    thread_counts = [profile.threads for profile in run.profiles]
     scheduler_rng = rng_factory.stream("scheduler")
     if spec.slots_per_core > 1:
         assignments = assign_overcommitted(
             spec.policy, thread_counts, chip.placement,
-            slots_per_core=spec.slots_per_core, rng=scheduler_rng,
-        )
+            slots_per_core=spec.slots_per_core, rng=scheduler_rng)
     else:
         assignments = make_scheduler(spec.policy).assign(
-            thread_counts, chip.placement, rng=scheduler_rng,
-        )
+            thread_counts, chip.placement, rng=scheduler_rng)
     hypervisor = Hypervisor(chip, rng_factory)
-    start_offsets = (
-        [i * spec.start_stagger for i in range(len(profiles))]
-        if spec.start_stagger else ()
-    )
-    stop_times = ()
-    if spec.vm_schedule:
-        start_offsets, stop_times = _parse_vm_schedule(
-            spec.vm_schedule, len(profiles))
-    phases = None
-    if spec.phase_plan:
-        from ..workloads.phases import get_phase_plan
-
-        phases = get_phase_plan(spec.phase_plan)
-    vm_phases = ()
-    if scenario is not None:
-        # the scenario owns churn and phase plans: compile its roster
-        # into the engine-native start/stop and per-VM plan machinery
-        if scenario.has_churn:
-            start_offsets = scenario.start_offsets()
-            stop_times = scenario.stop_times()
-        plans = scenario.vm_phase_plans()
-        if any(plan is not None for plan in plans):
-            vm_phases = plans
     contexts = hypervisor.launch(
-        profiles,
-        assignments,
-        measured_refs=spec.measured_refs,
-        warmup_refs=spec.warmup_refs,
-        slots_per_core=spec.slots_per_core,
-        start_offsets=start_offsets,
-        stop_times=stop_times,
-        phases=phases,
-        vm_phases=vm_phases,
-    )
+        run.profiles, assignments, measured_refs=spec.measured_refs,
+        warmup_refs=spec.warmup_refs, slots_per_core=spec.slots_per_core,
+        start_offsets=run.start_offsets, stop_times=run.stop_times,
+        phases=run.phases, vm_phases=run.vm_phases)
     hypervisor.check_isolation()
     if spec.l2_vm_quota:
-        _apply_vm_quotas(chip, assignments)
-    qos_hook = None
-    if spec.qos_policy:
-        from ..qos.controllers import TargetSlowdown, make_controller
-        from ..qos.hook import QosHook
+        from ..qos.controllers import QosController
 
-        controller = make_controller(spec.qos_policy)
-        baseline_cpr: Dict[int, float] = {}
-        if isinstance(controller, TargetSlowdown):
-            # isolated baselines come memoized from the result store;
-            # isolation_spec strips the qos fields, so this never
-            # recurses into another QoS run
-            from .isolation import run_isolated
-
-            per_thread = spec.warmup_refs + spec.measured_refs
-            for vm_id, profile in enumerate(profiles):
-                iso = run_isolated(profile.name, template=spec)
-                baseline_cpr[vm_id] = iso.vm_metrics[0].cycles / per_thread
-        qos_hook = QosHook(
-            chip, contexts, controller, assignments,
-            epoch=spec.qos_epoch, telemetry=telemetry,
-            hypervisor=hypervisor, baseline_cpr=baseline_cpr,
-            target=spec.qos_target,
-            vm_workloads={vm.vm_id: vm.workload_name
-                          for vm in hypervisor.vms},
-        )
-    sched_hook = None
-    if spec.sched_policy:
-        from ..sched import SchedHook, make_sched_policy
-
-        sched_hook = SchedHook(
-            chip, contexts, make_sched_policy(spec.sched_policy),
-            epoch=spec.sched_epoch, telemetry=telemetry,
-            hypervisor=hypervisor,
-            slots_per_core=spec.slots_per_core,
-            rng=rng_factory.stream("sched"),
-        )
-    scenario_hook = None
-    if scenario is not None:
-        from ..scenarios.hook import ScenarioHook
-
-        scenario_hook = ScenarioHook(
-            scenario, hypervisor.vms, contexts,
-            rng=rng_factory.stream("scenario"), telemetry=telemetry,
-        )
-    hooks = [hook for hook in (scenario_hook, qos_hook, sched_hook)
-             if hook is not None]
-    if not hooks:
-        control = None
-    elif len(hooks) == 1:
-        control = hooks[0]
-    else:
-        from ..control import CompositeControl
-
-        # scenario first (load/phase actuation shapes the epoch the
-        # controllers sense), then QoS, then the scheduler — quota
-        # decisions land before the same epoch's migrations
-        control = CompositeControl(hooks)
-    rebinder = (
-        _make_rebinder(spec.rebind, chip, rng_factory) if spec.rebind else None
-    )
-    probe = None
-    if want_series:
-        from ..obs.probes import EpochProbe
-
-        probe = EpochProbe(chip, contexts, epoch, telemetry)
+        QosController.install(chip, assignments)
+    hooks = _control_hooks(run, chip, hypervisor, contexts, assignments,
+                           rng_factory, telemetry)
+    probe = (EpochProbe(chip, contexts, epoch, telemetry)
+             if want_series else None)
     engine = make_engine(
         EngineRequest(
-            machine=chip,
-            threads=contexts,
-            control=control,
-            probe=probe,
-            slots_per_core=spec.slots_per_core,
-            rebinder=rebinder,
-            rebind_interval=spec.rebind_interval,
-        ),
-        mode=spec.engine_mode,
-    )
+            machine=chip, threads=contexts, control=_compose(hooks),
+            probe=probe, slots_per_core=spec.slots_per_core,
+            rebinder=(_make_rebinder(spec.rebind, chip, rng_factory)
+                      if spec.rebind else None),
+            rebind_interval=spec.rebind_interval),
+        mode=spec.engine_mode)
     if probe is not None and hasattr(engine, "l2_occupancy_share"):
         # batched engines expose the inspection surface themselves
         probe.observe(engine)
@@ -825,80 +847,31 @@ def run_experiment(
                         cat="experiment"):
         engine_result = engine.run()
 
-    vm_metrics: List[VMMetrics] = []
-    for vm in hypervisor.vms:
-        threads = [
-            context.stats for context in contexts if context.vm_id == vm.vm_id
-        ]
-        vm_metrics.append(
-            VMMetrics.from_threads(
-                vm.vm_id,
-                vm.workload_name,
-                threads,
-                completion_time=engine_result.vm_completion_times[vm.vm_id],
-            )
-        )
-
-    if hasattr(engine, "summary_counters"):
-        # batched engines track chip-level effects themselves (the chip
-        # object never saw the references)
-        summary = ChipSummary(**engine.summary_counters())
-        occupancy = engine.l2_snapshot_by_vm()
-        residency = engine.l2_resident_sets()
-    else:
-        coherence = chip.coherence.stats
-        # a tile never looked up has no cache yet: no hits, no misses
-        caches = [c for c in chip.directory.caches if c is not None]
-        total_dir_accesses = sum(c.hits + c.misses for c in caches)
-        total_dir_hits = sum(c.hits for c in caches)
-        summary = ChipSummary(
-            mesh_mean_latency=chip.mesh.mean_latency,
-            mesh_mean_queueing=chip.mesh.mean_queueing,
-            mesh_mean_hops=chip.mesh.mean_hops,
-            c2c_clean=coherence.c2c_clean,
-            c2c_dirty=coherence.c2c_dirty,
-            memory_fetches=coherence.memory_fetches,
-            coherence_writebacks=coherence.writebacks,
-            invalidations=coherence.invalidations_sent,
-            upgrades=coherence.upgrades,
-            intra_domain_transfers=chip.intra_domain_transfers,
-            directory_cache_hit_rate=(
-                total_dir_hits / total_dir_accesses
-                if total_dir_accesses else 0.0
-            ),
-            memory_reads=chip.memory.total_reads,
-            memory_writebacks=chip.memory.total_writebacks,
-        )
-        occupancy = chip.l2_snapshot_by_vm()
-        residency = chip.l2_resident_sets()
-
+    vm_metrics = [
+        VMMetrics.from_threads(
+            vm.vm_id, vm.workload_name,
+            [context.stats for context in contexts
+             if context.vm_id == vm.vm_id],
+            completion_time=engine_result.vm_completion_times[vm.vm_id])
+        for vm in hypervisor.vms
+    ]
+    summary, occupancy, residency = _chip_state(engine, chip)
     result = ExperimentResult(
-        spec=spec,
-        mix=mix,
-        vm_metrics=vm_metrics,
-        final_time=engine_result.final_time,
-        chip_summary=summary,
-        occupancy=occupancy,
-        residency=residency,
-        domain_lines=config.l2_geometry().num_lines,
-        assignments=assignments,
-    )
+        spec=spec, mix=run.mix, vm_metrics=vm_metrics,
+        final_time=engine_result.final_time, chip_summary=summary,
+        occupancy=occupancy, residency=residency,
+        domain_lines=run.config.l2_geometry().num_lines,
+        assignments=assignments)
     if probe is not None:
-        from ..obs.series import series_to_dict
-
         result.series = series_to_dict(telemetry.series)
-    if qos_hook is not None:
-        result.qos = qos_hook.summary()
-    if sched_hook is not None:
-        result.sched = sched_hook.summary()
-    if scenario_hook is not None:
-        result.scenario = scenario_hook.summary()
+    for name, hook in hooks:
+        setattr(result, name, hook.summary())
     # break the engine <-> hook/probe and chip cycles: reference
     # counting then frees the finished cell, not a full collection
     engine.control = engine.probe = None
     chip.release()
     if use_cache:
-        store.put(spec, result)
+        store.put(run, result)
         if result.series is not None:
-            store.put_series(spec, result.series)
+            store.put_series(run, result.series)
     return result

@@ -108,6 +108,8 @@ HOMOGENEOUS_MIXES: Dict[str, Mix] = {
 MIXES: Dict[str, Mix] = {**HETEROGENEOUS_MIXES, **HOMOGENEOUS_MIXES}
 """All of Table IV, keyed by mix name."""
 
+_MIXES_BY_KEY = {name.lower(): mix for name, mix in MIXES.items()}
+
 
 _CUSTOM_MIXES: Dict[str, Mix] = {}
 
@@ -120,7 +122,7 @@ def register_mix(mix: Mix, overwrite: bool = False) -> Mix:
     define their combinations without touching the paper's matrix.
     """
     key = mix.name.lower()
-    if key in {k.lower() for k in MIXES}:
+    if key in _MIXES_BY_KEY:
         raise ConfigurationError(
             f"mix name {mix.name!r} collides with a Table IV mix"
         )
@@ -136,11 +138,9 @@ def register_mix(mix: Mix, overwrite: bool = False) -> Mix:
 def get_mix(name: str) -> Mix:
     """Look up a Table IV or registered custom mix (case-insensitive)."""
     key = name.strip().lower()
-    lowered = {k.lower(): k for k in MIXES}
-    if key in lowered:
-        return MIXES[lowered[key]]
-    if key in _CUSTOM_MIXES:
-        return _CUSTOM_MIXES[key]
+    mix = _MIXES_BY_KEY.get(key) or _CUSTOM_MIXES.get(key)
+    if mix is not None:
+        return mix
     raise ConfigurationError(
         f"unknown mix {name!r}; available: "
         f"{sorted(MIXES) + sorted(_CUSTOM_MIXES)}"

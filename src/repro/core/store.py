@@ -26,7 +26,6 @@ The store also owns the result<->dict codecs
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import json
 import os
@@ -34,7 +33,8 @@ from pathlib import Path
 from typing import Dict, Iterator, Optional, Union
 
 from ..errors import ConfigurationError, ReproError
-from .experiment import ChipSummary, ExperimentResult, ExperimentSpec
+from .experiment import (SPEC_KEY_VERSION, ChipSummary, ExperimentResult,
+                         ExperimentSpec, plan)
 from .metrics import VMMetrics
 from .mixes import Mix
 
@@ -57,28 +57,16 @@ RESULT_FORMAT_VERSION = 1
 STORE_SCHEMA_VERSION = 1
 """Version of the on-disk store record envelope."""
 
-SPEC_KEY_VERSION = 1
-"""Version of the spec-key derivation; bump to invalidate all keys."""
-
-
 # ----------------------------------------------------------------------
 # spec keying
 # ----------------------------------------------------------------------
 
-def spec_key(spec: ExperimentSpec) -> str:
-    """Stable content key of one experiment.
-
-    The spec is normalized first (every defaulted field resolved), so a
-    spec written with explicit values and one written with environment
-    defaults hash identically when they describe the same run.
-    """
-    resolved = spec.normalized()
-    payload = {
-        "spec_key_version": SPEC_KEY_VERSION,
-        "spec": dataclasses.asdict(resolved),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def spec_key(spec) -> str:
+    """Stable content key of one experiment (an :class:`ExperimentSpec`
+    or its :class:`~repro.core.experiment.RunPlan`, which computed the
+    key once): a digest of ``SPEC_KEY_VERSION`` and the resolved spec,
+    so specs that resolve to the same run key identically."""
+    return plan(spec).key
 
 
 # ----------------------------------------------------------------------

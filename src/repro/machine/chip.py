@@ -267,7 +267,7 @@ class Chip:
             controller = self.memory.controller_for(block)
             net += mesh.traverse(dir_home, controller.tile, control_flits, t)
             t = now + cache + net + dir_cycles
-            mem_cycles = controller.access(t, block).latency
+            mem_cycles = controller.access(t, block)
             t += mem_cycles
             net += mesh.traverse(controller.tile, core_id, self._data_flits, t)
             level = _MEMORY

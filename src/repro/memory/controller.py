@@ -18,7 +18,6 @@ way a real physical address map would spread it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from ..errors import ConfigurationError
@@ -42,18 +41,6 @@ DEFAULT_BANK_OCCUPANCY = 36
 
 #: cycles the channel is occupied per 64-byte burst
 DEFAULT_CHANNEL_OCCUPANCY = 8
-
-
-@dataclass
-class MemoryAccessResult:
-    """Latency decomposition of one memory access."""
-
-    latency: int
-    queueing: int
-
-    @property
-    def base(self) -> int:
-        return self.latency - self.queueing
 
 
 class MemoryController:
@@ -90,14 +77,13 @@ class MemoryController:
     def _bank_for(self, block: int) -> FifoServer:
         return self.banks[(block >> 4) % self.num_banks]
 
-    def access(self, now: int, block: int = 0) -> MemoryAccessResult:
-        """A demand read/fetch: pays bank + channel queueing + latency."""
+    def access(self, now: int, block: int = 0) -> int:
+        """A demand read/fetch: returns its latency in cycles, the bank
+        and channel queueing plus :attr:`base_latency`."""
         bank_wait = self._bank_for(block).request(now)
         channel_wait = self.channel.request(now + bank_wait)
-        wait = bank_wait + channel_wait
         self.reads += 1
-        return MemoryAccessResult(latency=wait + self.base_latency,
-                                  queueing=wait)
+        return bank_wait + channel_wait + self.base_latency
 
     def writeback(self, now: int, block: int = 0) -> None:
         """A dirty eviction: consumes bank and channel bandwidth, off

@@ -118,9 +118,9 @@ class QosController:
         multi-VM shared domain — the single owner of quota setup.
 
         Returns ``domain_id -> WayQuota`` for the domains that got one
-        (single-VM domains need no partition).  Identical to the
-        historical inline ``_apply_vm_quotas`` behaviour, byte for
-        byte: equal split, sorted VM ids, quota only where VMs share.
+        (single-VM domains need no partition).  The ``l2_vm_quota``
+        spec field calls this directly: equal split, sorted VM ids,
+        quota only where VMs share.
         """
         domain_vms: Dict[int, set] = {}
         for vm_id, cores in enumerate(assignments):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..core.experiment import ExperimentSpec
+from ..core.experiment import ExperimentSpec, RunPlan, plan
 from ..core.store import spec_key
 from ..errors import ServiceError
 
@@ -61,8 +61,9 @@ class JobState:
     TERMINAL = frozenset({DONE, QUARANTINED})
 
 
-def job_key_of(cells: List[Tuple[tuple, ExperimentSpec]]) -> str:
-    """Content identity of a job: a digest over its cells' spec keys.
+def job_key_of(cells: list) -> str:
+    """Content identity of a job: a digest over its cells' spec keys
+    (each cell holds a spec or its plan).
 
     Two jobs that request the same set of experiments (in any order,
     under any cell labels) hash identically — this is what the
@@ -96,12 +97,22 @@ class Job:
     cells_simulated: int = 0
     trace: Optional[str] = None
     """Incoming ``traceparent`` context of the submit, if traced."""
+    _plans: Optional[List[Tuple[tuple, RunPlan]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.cells:
             raise ServiceError("a job needs at least one cell")
         if not self.job_key:
-            self.job_key = job_key_of(self.cells)
+            self.job_key = job_key_of(self.planned_cells())
+
+    def planned_cells(self) -> List[Tuple[tuple, RunPlan]]:
+        """The cells with each spec planned, and so keyed, once: a new
+        job plans at creation (refusing a spec the library refuses); a
+        journal-replayed one on first use."""
+        if self._plans is None:
+            self._plans = [(key, plan(spec)) for key, spec in self.cells]
+        return self._plans
 
     @classmethod
     def create(

@@ -41,7 +41,7 @@ import time
 from typing import Dict, List, Optional
 
 from ..core.executor import SweepExecutor
-from ..core.store import ResultStore, spec_key
+from ..core.store import ResultStore
 from ..errors import ConfigurationError
 from ..obs.tracing import SpanContext
 from .jobs import Job, JobQueue, JobState
@@ -177,11 +177,10 @@ class JobScheduler:
 
     def _warm_keys(self, job: Job) -> Optional[List[str]]:
         """Result keys if *every* cell is already stored, else None."""
-        keys = []
-        for _key, spec in job.cells:
-            if self.store.get(spec) is None:
+        keys = [run.key for _key, run in job.planned_cells()]
+        for key in keys:
+            if self.store.get_by_key(key) is None:
                 return None
-            keys.append(spec_key(spec))
         return keys
 
     # -- latency accounting --------------------------------------------
@@ -290,9 +289,9 @@ class JobScheduler:
         if outcomes is not None:
             failures = [o for o in outcomes if not o.ok]
             if not failures:
-                keys = [spec_key(spec) for _key, spec in job.cells]
                 done = self.queue.mark_done(
-                    job.job_id, keys,
+                    job.job_id,
+                    [run.key for _key, run in job.planned_cells()],
                     cells_cached=sum(1 for o in outcomes if o.from_cache),
                     cells_simulated=sum(
                         1 for o in outcomes
@@ -325,7 +324,7 @@ class JobScheduler:
             retries=self.executor_retries,
             tracer=self.tracer,
         )
-        return executor.run(job.cells, trace_parent=run_ctx)
+        return executor.run(job.planned_cells(), trace_parent=run_ctx)
 
     def _requeue(self, job_id: str) -> None:
         job = self.queue.get(job_id)

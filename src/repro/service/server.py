@@ -142,7 +142,7 @@ def parse_job_body(body: Optional[bytes], client: str) -> Job:
     if not isinstance(priority, int):
         raise BadRequest("'priority' must be an integer")
     try:
-        # keying the cells resolves each spec, which refuses bad fields
+        # planning each cell (to key it) refuses a spec the library refuses
         job = Job.create(cells, priority=priority, client=client)
     except ReproError as exc:
         raise BadRequest(f"invalid spec: {exc}") from None

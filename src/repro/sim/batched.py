@@ -30,9 +30,9 @@ time:
 The result is an :class:`~repro.sim.engine.EngineResult` shaped exactly
 like the reference engine's, with per-thread :class:`ThreadStats` and
 per-VM completion times, at a fraction of the cost.  Fidelity is
-*statistical*, not bit-exact: the cross-validation harness
-(:mod:`repro.sim.validate`) bounds the divergence on the paper's
-Table-IV mixes, and ``docs/engines.md`` states the tolerance contract.
+*statistical*, not bit-exact: ``tests/sim/test_equivalence.py`` bounds
+the divergence from the reference engine, and ``docs/engines.md``
+states the tolerance contract.
 
 Known modelling simplifications (all reconciled at epoch granularity):
 

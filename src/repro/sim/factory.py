@@ -43,6 +43,9 @@ __all__ = [
     "register_engine",
     "resolve_mode",
     "request_needs",
+    "run_needs",
+    "engine_class",
+    "check_provides",
     "engine_modes",
 ]
 
@@ -83,33 +86,48 @@ class EngineRequest:
     epoch_refs: int = DEFAULT_EPOCH_REFS
 
 
-def request_needs(request: EngineRequest) -> FrozenSet[str]:
-    """Capabilities (see :mod:`repro.control`) a request needs: its
-    control hook's declared ``needs`` plus those of its shape."""
-    config = getattr(request.machine, "config", None)
+def run_needs(config, slots_per_core: int = 1, migrates: bool = False,
+              departs: bool = False, probe: bool = False,
+              control_needs: AbstractSet[str] = frozenset()) -> FrozenSet[str]:
+    """Capabilities (see :mod:`repro.control`) a run needs: those of its
+    shape on ``config`` (``None`` for a machine stand-in) plus its
+    control hooks' declared ``needs``.  The one derivation behind both
+    :func:`repro.core.experiment.plan` and :func:`make_engine`."""
     needs = {need for present, need in (
-        (request.slots_per_core > 1, REQUEUE),
-        (request.rebinder is not None, MIGRATE),
-        (request.probe is not None, EPOCH_PROBE),
-        (any(getattr(t, "stop_time", None) is not None
-             for t in request.threads), RETIRE),
-        (config is not None and config.inverse_core_speeds(), CORE_SPEEDS),
+        (slots_per_core > 1, REQUEUE), (migrates, MIGRATE),
+        (probe, EPOCH_PROBE), (departs, RETIRE),
+        (config is not None and config.core_speeds, CORE_SPEEDS),
         (config is not None and config.l2_domain_assoc, ASYM_L2)) if present}
-    if request.control is not None:
-        needs |= request.control.needs
-    return frozenset(needs)
+    return frozenset(needs.union(control_needs))
 
 
-def _construct(cls, request: EngineRequest, **kwargs):
-    """Build ``cls`` for ``request`` after the one capability check:
-    the engine must provide every capability the request needs."""
-    missing = request_needs(request) - cls.provides
+def request_needs(request: EngineRequest) -> FrozenSet[str]:
+    """:func:`run_needs` of a built request."""
+    return run_needs(
+        getattr(request.machine, "config", None), request.slots_per_core,
+        migrates=request.rebinder is not None,
+        departs=any(getattr(t, "stop_time", None) is not None
+                    for t in request.threads),
+        probe=request.probe is not None,
+        control_needs=(request.control.needs
+                       if request.control is not None else frozenset()))
+
+
+def check_provides(cls, needs: AbstractSet[str]) -> None:
+    """Refuse ``needs`` that engine class ``cls`` does not provide."""
+    missing = needs - cls.provides
     if missing:
         raise ConfigurationError(
             f"engine {cls.__name__} does not provide "
             f"{', '.join(sorted(missing))}, which this run needs; pick an "
             "engine_mode that does (docs/engines.md) or drop those inputs"
         )
+
+
+def _construct(cls, request: EngineRequest, **kwargs):
+    """Build ``cls`` for ``request`` after the one capability check:
+    the engine must provide every capability the request needs."""
+    check_provides(cls, request_needs(request))
     engine = cls(request.machine, request.threads, control=request.control,
                  **kwargs)
     if request.control is not None:
@@ -117,14 +135,21 @@ def _construct(cls, request: EngineRequest, **kwargs):
     return engine
 
 
+def _reference_class(slots_per_core: int, migrates: bool):
+    if migrates:
+        return MigratingEngine
+    return OvercommitEngine if slots_per_core > 1 else Engine
+
+
 def _build_reference(request: EngineRequest):
-    if request.rebinder is not None:
-        return _construct(MigratingEngine, request,
-                          rebinder=request.rebinder,
+    cls = _reference_class(request.slots_per_core,
+                           request.rebinder is not None)
+    if cls is MigratingEngine:
+        return _construct(cls, request, rebinder=request.rebinder,
                           interval=request.rebind_interval)
-    if request.slots_per_core > 1:
-        return _construct(OvercommitEngine, request)
-    return _construct(Engine, request, probe=request.probe)
+    if cls is OvercommitEngine:
+        return _construct(cls, request)
+    return _construct(cls, request, probe=request.probe)
 
 
 def _build_batched(request: EngineRequest):
@@ -169,6 +194,17 @@ def resolve_mode(mode: str, needs: AbstractSet[str] = frozenset()) -> str:
             f"choose one of {', '.join(engine_modes())}"
         )
     return mode
+
+
+def engine_class(mode: str, slots_per_core: int = 1, migrates: bool = False):
+    """The built-in engine class a concrete ``mode`` builds for a run
+    shape, or ``None`` for an engine registered by third-party code."""
+    builder = _REGISTRY[mode]
+    if builder is _build_batched:
+        return BatchedEngine
+    if builder is _build_reference:
+        return _reference_class(slots_per_core, migrates)
+    return None
 
 
 def make_engine(request: EngineRequest, mode: str = "auto"):

@@ -1,6 +1,7 @@
 """Tests for resolve_defaults and the retired environment knobs."""
 
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -83,6 +84,15 @@ class TestResolution:
         (dict(scale=-1.0), "scale factor must be positive"),
         (dict(slots_per_core=0), "slots_per_core must be positive"),
         (dict(dir_cache_entries=7), "not divisible"),
+        # each of these used to pass resolution and fail only in the run
+        (dict(rebind="random", rebind_interval=0),
+         "rebind_interval must be positive"),
+        (dict(qos_policy="target-slowdown", qos_target=0.0),
+         "needs a positive qos_target"),
+        (dict(start_stagger=-100), "start_stagger must be non-negative"),
+        (dict(scale=float("nan")), "scale factor must be positive"),
+        (dict(engine_mode="batched", slots_per_core=2),
+         "engine BatchedEngine does not provide run-queue requeue"),
     ])
     def test_unbuildable_machine_fields_rejected(self, fields, message):
         # what the run would refuse before simulating is refused here
@@ -90,6 +100,21 @@ class TestResolution:
         with pytest.raises(ConfigurationError, match=message):
             resolve_defaults(ExperimentSpec(measured_refs=100, seed=1,
                                             **fields))
+
+    def test_arrival_only_schedule_runs_on_explicit_batched(self):
+        # batched honours start times (a 5000-cycle arrival adds exactly
+        # 5000 cycles to that VM); only departures need the reference
+        from repro.core.experiment import run_experiment
+
+        base = ExperimentSpec(mix="mix4", engine_mode="batched",
+                              measured_refs=300, seed=1)
+        late = replace(base, vm_schedule="0,5000,0,0")
+        assert resolve_defaults(late).engine_mode == "batched"
+        steady, arrived = (
+            [vm.cycles for vm in run_experiment(spec, use_cache=False)
+             .vm_metrics] for spec in (base, late))
+        assert arrived == [c + (5000 if vm == 1 else 0)
+                           for vm, c in enumerate(steady)]
 
     def test_reference_mode_preserved(self):
         resolved = resolve_defaults(

@@ -40,6 +40,77 @@ class TestSpec:
         assert resolve_mix("mix4").name == "mix4"
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Count :class:`RunPlan` and :class:`MachineConfig` constructions,
+    starting from a cold machine memo."""
+    from repro.core import experiment
+    from repro.machine.config import MachineConfig
+
+    counts = {"plans": 0, "configs": 0}
+
+    def count(cls, name):
+        real = cls.__init__
+
+        def init(self, *args, **kwargs):
+            counts[name] += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+    count(experiment.RunPlan, "plans")
+    count(MachineConfig, "configs")
+    experiment._scaled_machine.cache_clear()
+    return counts
+
+
+class TestOneResolution:
+    """A run plans its spec once: no layer re-derives a spec's facts on
+    the way to the engine or the store."""
+
+    SPEC = ExperimentSpec(mix="mix5", measured_refs=300, seed=1)
+
+    def test_cold_run_plans_once(self, builds):
+        from repro.core.store import ResultStore
+
+        run_experiment(self.SPEC, store=ResultStore())
+        assert builds["plans"] == 1
+        assert builds["configs"] <= 2  # the machine and its scaled copy
+
+    def test_store_hit_plans_once(self, builds):
+        from repro.core.store import ResultStore
+
+        store = ResultStore()
+        first = run_experiment(self.SPEC, store=store)
+        builds["plans"] = 0
+        assert run_experiment(self.SPEC, store=store) is first
+        assert builds["plans"] == 1
+
+    def test_a_plan_runs_without_replanning(self, builds):
+        from repro.core.experiment import plan
+        from repro.core.store import ResultStore, spec_key
+
+        run = plan(self.SPEC)
+        store = ResultStore()
+        assert spec_key(run) == run.key
+        run_experiment(run, store=store)
+        assert store.get_by_key(run.key) is not None
+        assert builds["plans"] == 1
+
+    def test_executor_plans_each_cell_once(self, builds):
+        from repro.core.executor import SweepExecutor
+        from repro.core.store import ResultStore
+
+        store = ResultStore()
+        cells = [(("cell",), self.SPEC)]
+        SweepExecutor(store=store).run(cells)
+        # one plan in the parent, one where the cell runs
+        assert builds["plans"] == 2
+        builds["plans"] = 0
+        assert SweepExecutor(store=store).run(cells)[0].from_cache
+        assert builds["plans"] == 1
+
+
 class TestRunExperiment:
     def test_isolation_run_shape(self):
         result = run_experiment(

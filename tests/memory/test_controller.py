@@ -13,26 +13,26 @@ from repro.memory.controller import (
 class TestMemoryController:
     def test_uncontended_latency_is_table3(self):
         mc = MemoryController(0, tile=0)
-        result = mc.access(now=0, block=0)
-        assert result.latency == DEFAULT_MEMORY_LATENCY == 150
-        assert result.queueing == 0
+        latency = mc.access(now=0, block=0)
+        assert latency == DEFAULT_MEMORY_LATENCY == 150
+        assert latency - mc.base_latency == 0
 
     def test_same_bank_serializes(self):
         mc = MemoryController(0, tile=0, bank_occupancy=36,
                               channel_occupancy=8)
         mc.access(now=0, block=0)
-        result = mc.access(now=0, block=0)  # same bank
+        latency = mc.access(now=0, block=0)  # same bank
         # the 36-cycle bank wait covers the channel's 8-cycle burst
-        assert result.queueing == 36
-        assert result.latency == 36 + 150
+        assert latency - mc.base_latency == 36
+        assert latency == 36 + 150
 
     def test_different_banks_overlap(self):
         """Bank-level parallelism: only the channel serializes."""
         mc = MemoryController(0, tile=0, num_banks=8,
                               bank_occupancy=36, channel_occupancy=8)
         mc.access(now=0, block=0)
-        result = mc.access(now=0, block=16)  # next bank (block>>4 differs)
-        assert result.queueing == 8  # channel only
+        latency = mc.access(now=0, block=16)  # next bank (block>>4 differs)
+        assert latency - mc.base_latency == 8  # channel only
 
     def test_bank_mapping_interleaves(self):
         mc = MemoryController(0, tile=0, num_banks=4)
@@ -43,8 +43,8 @@ class TestMemoryController:
         mc = MemoryController(0, tile=0, bank_occupancy=36,
                               channel_occupancy=8)
         mc.writeback(now=0, block=0)
-        result = mc.access(now=0, block=0)
-        assert result.queueing == 36
+        latency = mc.access(now=0, block=0)
+        assert latency - mc.base_latency == 36
         assert mc.writebacks == 1 and mc.reads == 1
         assert mc.accesses == 2
 

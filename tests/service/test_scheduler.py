@@ -97,6 +97,27 @@ class TestHappyPath:
         assert telemetry.counters["service.dedup_hits"].value == 1
         assert scheduler.queue.pending_count == 0
 
+    def test_jobs_plan_each_cell_at_most_twice(self, monkeypatch):
+        # admission plans (and keys) each cell once; a cold cell plans
+        # once more where it runs; dedup and completion reuse the keys
+        from repro.core.experiment import RunPlan
+
+        plans = []
+        real = RunPlan.__init__
+
+        def init(self, *args, **kwargs):
+            plans.append(1)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(RunPlan, "__init__", init)
+        store = ResultStore()
+        cells = tiny_cells(sharings=("private",), policies=("rr",))
+        fresh, = run_jobs(make_scheduler(store), [Job.create(cells)])
+        assert fresh.state == JobState.DONE and len(plans) == 2
+        plans.clear()
+        warm = scheduler_submit_sync(make_scheduler(store), Job.create(cells))
+        assert warm.state == JobState.DONE and len(plans) == 1
+
     def test_priority_order_of_execution(self):
         order = []
         scheduler = make_scheduler()

@@ -77,6 +77,14 @@ class TestValidation:
         ({"scale": -1.0}, "scale factor must be positive"),
         ({"slots_per_core": 0}, "slots_per_core must be positive"),
         ({"dir_cache_entries": 7}, "not divisible"),
+        ({"rebind": "random", "rebind_interval": 0},
+         "rebind_interval must be positive"),
+        ({"qos_policy": "target-slowdown", "qos_target": 0.0},
+         "needs a positive qos_target"),
+        ({"start_stagger": -100}, "start_stagger must be non-negative"),
+        ({"scale": float("inf")}, "scale factor must be positive"),
+        ({"engine_mode": "batched", "slots_per_core": 2},
+         "engine BatchedEngine does not provide run-queue requeue"),
     ], ids=["unknown-field", "bad-sharing", "bad-engine", "negative-refs",
             "string-refs", "string-seed", "string-cores", "string-scale",
             "float-refs", "bool-refs", "int-flag", "qos-and-vm-quota",
@@ -84,7 +92,9 @@ class TestValidation:
             "unknown-placement", "scenario-off-its-mix",
             "unknown-replacement", "unknown-rebinder", "bad-core-speeds",
             "vm-schedule-length", "bad-l2-asym", "non-square-cores",
-            "negative-scale", "zero-slots", "bad-dir-cache-size"])
+            "negative-scale", "zero-slots", "bad-dir-cache-size",
+            "zero-rebind-interval", "target-slowdown-without-target",
+            "negative-stagger", "infinite-scale", "batched-over-commit"])
     def test_unknown_spec_field_is_400(self, server, fields, message):
         # a spec the library refuses is the client's error, not a 500
         body = json.dumps({"specs": [{"mix": "mix5", **fields}]}).encode()
