@@ -75,7 +75,9 @@ def _run_cell(payload: Tuple):
     back to the parent on ``result.series`` (plain JSON, picklable).
 
     The payload is ``(index, spec, epoch)`` or, when the parent traces,
-    ``(index, spec, epoch, trace)`` with ``trace`` a plain dict
+    ``(index, spec, epoch, trace)`` with ``spec`` an
+    :class:`ExperimentSpec` or, for a cell run inline, its
+    :class:`RunPlan`, and ``trace`` a plain dict
     (``traceparent``/``log_dir``/``service``) — strings survive the
     pickle boundary, so the worker joins the parent's trace and appends
     a ``cell.simulate`` span to its own per-process span log.
@@ -272,8 +274,9 @@ class SweepExecutor:
             # fan out over a pool *and* the tracer has a durable log,
             # context rides in the payload and each worker records its
             # own span (real pid lanes); otherwise the parent records
-            # the span from the measured wall time.  Workers receive
-            # the resolved spec: a plain, small, picklable value.
+            # the span from the measured wall time.  Pool workers
+            # receive the resolved spec, a plain, small, picklable
+            # value; an inline cell runs the parent's plan as it is.
             pooled = self.jobs > 1 and len(groups) > 1
             trace_payload = None
             if grid_ctx is not None and pooled and tracer.log_dir is not None:
@@ -282,15 +285,20 @@ class SweepExecutor:
                     "log_dir": str(tracer.log_dir),
                     "service": f"{tracer.service}-sim",
                 }
+            payloads = {
+                index: runs[index] if not pooled and runs[index] is not None
+                else specs[index]
+                for index in groups
+            }
             jobs = [
-                (index, specs[index], self.epoch) if trace_payload is None
-                else (index, specs[index], self.epoch, trace_payload)
+                (index, payloads[index], self.epoch) if trace_payload is None
+                else (index, payloads[index], self.epoch, trace_payload)
                 for index in groups
             ]
             for index, result, error, wall in self._execute(jobs):
                 key, spec, run = cells[index][0], specs[index], runs[index]
                 result, error, wall, retried = self._maybe_retry(
-                    index, spec, key, result, error, wall)
+                    index, payloads[index], spec, key, result, error, wall)
                 telemetry.counter("executor.simulated").inc()
                 telemetry.histogram(
                     "executor.cell_seconds",
@@ -320,9 +328,10 @@ class SweepExecutor:
                     ))
         return outcomes  # type: ignore[return-value]
 
-    def _maybe_retry(self, index: int, spec: ExperimentSpec, key: tuple,
-                     result, error, wall: float):
-        """Re-run a failed cold cell up to ``self.retries`` times.
+    def _maybe_retry(self, index: int, payload, spec: ExperimentSpec,
+                     key: tuple, result, error, wall: float):
+        """Re-run a failed cold cell (``payload``, its spec or plan) up
+        to ``self.retries`` times.
 
         Retries run serially in the parent — by then the original
         worker (possibly a crashed process) is gone, and a transient
@@ -337,7 +346,7 @@ class SweepExecutor:
             if self.retry_backoff > 0:
                 time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
             _index, result, error, retry_wall = _run_cell(
-                (index, spec, self.epoch))
+                (index, payload, self.epoch))
             wall += retry_wall
         return result, error, wall, attempt
 

@@ -20,7 +20,12 @@ disk tier (optional)
 
 The store also owns the result<->dict codecs
 (:func:`result_to_dict` / :func:`result_from_dict`);
-:mod:`repro.analysis.persist` re-exports them for archival files.
+:mod:`repro.analysis.persist` re-exports them for archival files.  It
+owns the wire encoding of a stored result too: the compact JSON bytes
+of :func:`result_to_dict` are built at most once per key
+(:meth:`ResultStore.encoded_by_key`), kept beside the memory-tier
+entry, and reused both for the disk record and for every ``GET
+/results/<key>`` the service answers.
 """
 
 from __future__ import annotations
@@ -126,6 +131,11 @@ def result_from_dict(payload: dict) -> ExperimentResult:
     )
 
 
+def _encode(result: ExperimentResult) -> bytes:
+    """The compact JSON bytes of one result (the C encoder: no indent)."""
+    return json.dumps(result_to_dict(result)).encode("utf-8")
+
+
 # ----------------------------------------------------------------------
 # atomic multi-process-safe publication
 # ----------------------------------------------------------------------
@@ -133,7 +143,7 @@ def result_from_dict(payload: dict) -> ExperimentResult:
 _TMP_COUNTER = itertools.count()
 
 
-def _atomic_write(final_path: Path, payload: str) -> None:
+def _atomic_write(final_path: Path, payload: Union[str, bytes]) -> None:
     """Publish ``payload`` at ``final_path`` atomically.
 
     The temp name embeds the writer's pid and a process-local counter,
@@ -146,7 +156,8 @@ def _atomic_write(final_path: Path, payload: str) -> None:
     tmp_path = final_path.with_name(
         f".{final_path.name}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp")
     try:
-        with open(tmp_path, "w") as handle:
+        with open(tmp_path, "wb" if isinstance(payload, bytes) else "w") \
+                as handle:
             handle.write(payload)
         os.replace(tmp_path, final_path)
     except BaseException:
@@ -180,6 +191,11 @@ class StoreStats:
 class ResultStore:
     """Two-tier (memory + optional disk) experiment-result cache.
 
+    The store is the one owner of a stored result's encoding: beside
+    each memory-tier entry it keeps the result's compact JSON bytes
+    once they are built (:meth:`encoded_by_key`), and a disk-backed
+    store writes its records from those same bytes.
+
     Parameters
     ----------
     path:
@@ -205,6 +221,7 @@ class ResultStore:
 
             telemetry = NULL_TELEMETRY
         self._memory: Dict[str, ExperimentResult] = {}
+        self._encoded: Dict[str, bytes] = {}
         self._memory_series: Dict[str, dict] = {}
         self.stats = StoreStats()
         self.telemetry = telemetry
@@ -245,6 +262,24 @@ class ResultStore:
         self.telemetry.counter("store.misses").inc()
         return None
 
+    def encoded_by_key(self, key: str) -> Optional[bytes]:
+        """The stored result for a raw spec key as compact JSON bytes
+        (``json.dumps(result_to_dict(result))``), or ``None``.
+
+        What ``GET /results/<key>`` sends.  The bytes are built at most
+        once per key and kept beside the memory-tier entry — safe
+        because a key's result is deterministic — until
+        :meth:`clear_memory` or a later :meth:`put` of the key.  Hit
+        and miss accounting matches :meth:`get_by_key`.
+        """
+        result = self.get_by_key(key)
+        if result is None:
+            return None
+        encoded = self._encoded.get(key)
+        if encoded is None:
+            encoded = self._encoded[key] = _encode(result)
+        return encoded
+
     def __contains__(self, spec: ExperimentSpec) -> bool:
         key = spec_key(spec)
         if key in self._memory:
@@ -258,11 +293,19 @@ class ResultStore:
     # -- insertion -----------------------------------------------------
 
     def put(self, spec: ExperimentSpec, result: ExperimentResult) -> str:
-        """Store ``result`` under ``spec``'s key; returns the key."""
+        """Store ``result`` under ``spec``'s key; returns the key.
+
+        A disk-backed store encodes the result once, for its record and
+        for :meth:`encoded_by_key`; a memory-only store leaves the
+        encoding until the result is first asked for as bytes.
+        """
         key = spec_key(spec)
         self._memory[key] = result
-        if self.path is not None:
-            self._write_record(key, result)
+        if self.path is None:
+            self._encoded.pop(key, None)
+        else:
+            encoded = self._encoded[key] = _encode(result)
+            self._write_record(key, encoded)
         self.stats.writes += 1
         self.telemetry.counter("store.writes").inc()
         return key
@@ -333,8 +376,10 @@ class ResultStore:
     # -- maintenance ---------------------------------------------------
 
     def clear_memory(self) -> None:
-        """Drop the memory tier (the disk tier is untouched)."""
+        """Drop the memory tier and its encoded bytes (the disk tier is
+        untouched)."""
         self._memory.clear()
+        self._encoded.clear()
         self._memory_series.clear()
 
     def disk_keys(self) -> Iterator[str]:
@@ -385,16 +430,15 @@ class ResultStore:
         self.stats.corrupt += 1
         self.telemetry.counter("store.corrupt").inc()
 
-    def _write_record(self, key: str, result: ExperimentResult) -> None:
+    def _write_record(self, key: str, encoded: bytes) -> None:
+        """Write the record ``{"store_schema", "spec_key", "result"}``
+        around an already encoded result."""
         assert self.path is not None
         self.path.mkdir(parents=True, exist_ok=True)
-        record = {
-            "store_schema": STORE_SCHEMA_VERSION,
-            "spec_key": key,
-            "result": result_to_dict(result),
-        }
-        payload = json.dumps(record, indent=2)
-        _atomic_write(self._record_path(key), payload)
+        head = (f'{{"store_schema": {STORE_SCHEMA_VERSION}, '
+                f'"spec_key": {json.dumps(key)}, "result": ')
+        _atomic_write(self._record_path(key),
+                      head.encode("utf-8") + encoded + b"}")
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,6 @@ import time
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
-from ..core.store import result_to_dict
 from ..errors import ServiceError
 from ..obs.slo import SloTracker
 from ..obs.telemetry import Telemetry
@@ -100,16 +99,20 @@ async def respond(writer: asyncio.StreamWriter, status: int, payload,
                   extra: Optional[dict] = None) -> None:
     """Write one framed response and drain.
 
-    ``payload`` may be a ``str`` (sent as-is, e.g. Prometheus text) or
-    any JSON-serializable object.  ``extra`` carries ``content_type``
-    and ``retry_after`` overrides.
+    ``payload`` may be ``bytes`` (sent as they are, e.g. a stored
+    result's encoding), a ``str`` (sent as-is, e.g. Prometheus text) or
+    any JSON-serializable object, sent as one line of JSON with the
+    default ``", "``/``": "`` separators.  ``extra`` carries
+    ``content_type`` and ``retry_after`` overrides.
     """
     extra = extra or {}
     content_type = extra.get("content_type", "application/json")
-    if isinstance(payload, str):
+    if isinstance(payload, bytes):
+        body = payload
+    elif isinstance(payload, str):
         body = payload.encode("utf-8")
     else:
-        body = (json.dumps(payload, indent=1) + "\n").encode("utf-8")
+        body = (json.dumps(payload) + "\n").encode("utf-8")
     head = [
         f"HTTP/1.1 {status} {STATUS_TEXT.get(status, 'Unknown')}",
         f"Content-Type: {content_type}",
@@ -402,14 +405,19 @@ class HttpService:
                 pass
 
     def _shared_route(self, method: str, path: str):
-        """``GET /results/<key>`` and the 405/404 fallbacks."""
+        """``GET /results/<key>`` and the 405/404 fallbacks.
+
+        A result's body splices the store's encoding of it
+        (:meth:`~repro.core.store.ResultStore.encoded_by_key`), built
+        once per stored result, into ``{"spec_key", "result"}``.
+        """
         if path.startswith("/results/") and method == "GET":
             key = path[len("/results/"):]
-            result = self.store.get_by_key(key)
-            if result is None:
+            encoded = self.store.encoded_by_key(key)
+            if encoded is None:
                 return 404, {"error": "unknown result key"}, {}
-            return 200, {"spec_key": key,
-                         "result": result_to_dict(result)}, {}
+            head = f'{{"spec_key": {json.dumps(key)}, "result": '
+            return 200, head.encode("utf-8") + encoded + b"}\n", {}
         if path in ("/healthz", "/metrics", "/jobs") or \
                 path.startswith(("/jobs/", "/results/")):
             return 405, {"error": f"{method} not allowed on {path}"}, {}

@@ -104,8 +104,8 @@ class TestOneResolution:
         store = ResultStore()
         cells = [(("cell",), self.SPEC)]
         SweepExecutor(store=store).run(cells)
-        # one plan in the parent, one where the cell runs
-        assert builds["plans"] == 2
+        # one plan in the parent; the inline cell runs that plan
+        assert builds["plans"] == 1
         builds["plans"] = 0
         assert SweepExecutor(store=store).run(cells)[0].from_cache
         assert builds["plans"] == 1

@@ -118,6 +118,29 @@ class TestDiskTier:
         key = store.put(SPEC, small_result)
         assert list(store.disk_keys()) == [key]
 
+    def test_compact_record_reads_back_equal(self, small_result, tmp_path):
+        key = ResultStore(tmp_path).put(SPEC, small_result)
+        raw = (tmp_path / f"{key}.json").read_text()
+        assert "\n" not in raw
+        assert json.loads(raw)["spec_key"] == key
+        loaded = ResultStore(tmp_path).get(SPEC)
+        assert result_to_dict(loaded) == result_to_dict(small_result)
+
+    def test_indented_record_still_reads(self, small_result, tmp_path):
+        # stores written with an indented envelope stay valid
+        key = spec_key(SPEC)
+        (tmp_path / f"{key}.json").write_text(json.dumps({
+            "store_schema": STORE_SCHEMA_VERSION,
+            "spec_key": key,
+            "result": result_to_dict(small_result),
+        }, indent=2))
+        fresh = ResultStore(tmp_path)
+        loaded = fresh.get(SPEC)
+        assert fresh.stats.disk_hits == 1
+        assert result_to_dict(loaded) == result_to_dict(small_result)
+        assert json.loads(fresh.encoded_by_key(key)) \
+            == result_to_dict(small_result)
+
     def test_schema_version_mismatch_rejected(self, small_result, tmp_path):
         store = ResultStore(tmp_path)
         key = store.put(SPEC, small_result)
@@ -339,6 +362,86 @@ class TestGetByKey:
         assert warm.stats.disk_hits == 1
         assert warm.get_by_key(key) is not None
         assert warm.stats.memory_hits == 1
+
+
+@pytest.fixture
+def encodings(monkeypatch):
+    """Count the store's ``result_to_dict`` calls."""
+    import repro.core.store as store_mod
+
+    calls = []
+    real = store_mod.result_to_dict
+
+    def counted(result):
+        calls.append(result)
+        return real(result)
+
+    monkeypatch.setattr(store_mod, "result_to_dict", counted)
+    return calls
+
+
+class TestEncodedByKey:
+    def test_bytes_are_the_compact_encoding(self, small_result):
+        store = ResultStore()
+        key = store.put(SPEC, small_result)
+        assert store.encoded_by_key(key) == \
+            json.dumps(result_to_dict(small_result)).encode("utf-8")
+
+    def test_memory_only_encodes_once_on_first_read(self, small_result,
+                                                    encodings):
+        store = ResultStore()
+        key = store.put(SPEC, small_result)
+        assert encodings == []  # a memory-only put does not encode
+        first = store.encoded_by_key(key)
+        assert store.encoded_by_key(key) is first
+        assert len(encodings) == 1
+        assert store.stats.memory_hits == 2
+
+    def test_disk_put_encodes_once_for_record_and_reads(
+            self, small_result, tmp_path, encodings):
+        store = ResultStore(tmp_path)
+        key = store.put(SPEC, small_result)
+        encoded = store.encoded_by_key(key)
+        assert len(encodings) == 1
+        record = json.loads((tmp_path / f"{key}.json").read_bytes())
+        assert record == {"store_schema": STORE_SCHEMA_VERSION,
+                          "spec_key": key, "result": json.loads(encoded)}
+
+    def test_clear_memory_drops_the_bytes(self, small_result, tmp_path,
+                                          encodings):
+        memory_only = ResultStore()
+        key = memory_only.put(SPEC, small_result)
+        memory_only.encoded_by_key(key)
+        memory_only.clear_memory()
+        assert memory_only.encoded_by_key(key) is None
+        assert memory_only.stats.misses == 1
+        on_disk = ResultStore(tmp_path)
+        on_disk.put(SPEC, small_result)
+        on_disk.clear_memory()
+        encodings.clear()
+        assert json.loads(on_disk.encoded_by_key(key)) \
+            == result_to_dict(small_result)
+        assert len(encodings) == 1
+        assert on_disk.stats.disk_hits == 1
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_later_put_replaces_the_bytes(self, small_result, tmp_path,
+                                          on_disk):
+        import dataclasses
+
+        store = ResultStore(tmp_path if on_disk else None)
+        key = store.put(SPEC, small_result)
+        store.encoded_by_key(key)
+        later = dataclasses.replace(small_result,
+                                    final_time=small_result.final_time + 1)
+        store.put(SPEC, later)
+        assert json.loads(store.encoded_by_key(key))["final_time"] \
+            == small_result.final_time + 1
+
+    def test_unknown_key_is_a_counted_miss(self):
+        store = ResultStore()
+        assert store.encoded_by_key("0" * 64) is None
+        assert store.stats.misses == 1
 
 
 class TestAtomicWriteHygiene:

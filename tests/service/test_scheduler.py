@@ -40,7 +40,8 @@ def poison_spec(monkeypatch):
     real = experiment.run_experiment
 
     def run(run_spec, *args, **kwargs):
-        if run_spec.mix == spec.mix:
+        # an inline cell hands over its RunPlan, a pool worker its spec
+        if getattr(run_spec, "spec", run_spec).mix == spec.mix:
             raise SimulationError("poisoned cell")
         return real(run_spec, *args, **kwargs)
 
@@ -97,9 +98,9 @@ class TestHappyPath:
         assert telemetry.counters["service.dedup_hits"].value == 1
         assert scheduler.queue.pending_count == 0
 
-    def test_jobs_plan_each_cell_at_most_twice(self, monkeypatch):
-        # admission plans (and keys) each cell once; a cold cell plans
-        # once more where it runs; dedup and completion reuse the keys
+    def test_jobs_plan_each_cell_once(self, monkeypatch):
+        # admission plans (and keys) each cell once; an inline cold cell
+        # runs that plan, and dedup and completion reuse its key
         from repro.core.experiment import RunPlan
 
         plans = []
@@ -113,7 +114,7 @@ class TestHappyPath:
         store = ResultStore()
         cells = tiny_cells(sharings=("private",), policies=("rr",))
         fresh, = run_jobs(make_scheduler(store), [Job.create(cells)])
-        assert fresh.state == JobState.DONE and len(plans) == 2
+        assert fresh.state == JobState.DONE and len(plans) == 1
         plans.clear()
         warm = scheduler_submit_sync(make_scheduler(store), Job.create(cells))
         assert warm.state == JobState.DONE and len(plans) == 1

@@ -275,6 +275,64 @@ class TestEndpoints:
             == TINY["measured_refs"]
 
 
+class TestResultBodies:
+    """``GET /results/<key>`` sends the store's once-built encoding."""
+
+    @pytest.fixture
+    def stored(self, make_server):
+        from repro.core.experiment import run_experiment
+        from repro.core.store import ResultStore
+
+        spec = tiny_spec()
+        result = run_experiment(spec, use_cache=False)
+        store = ResultStore()
+        key = store.put(spec, result)
+        return make_server(store=store), key, result
+
+    def test_repeat_gets_send_one_encoding(self, stored, monkeypatch):
+        import repro.core.store as store_mod
+        import repro.service.httpcommon as httpcommon
+        from repro.core.store import result_from_dict, result_to_dict
+
+        server, key, result = stored
+        calls = []
+
+        def counted(stored_result):
+            calls.append(stored_result)
+            return result_to_dict(stored_result)
+
+        # count the codec wherever the serve path reaches it
+        monkeypatch.setattr(store_mod, "result_to_dict", counted)
+        monkeypatch.setattr(httpcommon, "result_to_dict", counted,
+                            raising=False)
+        status, headers, first = raw_request(server.port, "GET",
+                                             f"/results/{key}")
+        assert status == 200 and len(calls) == 1
+        status, _h, second = raw_request(server.port, "GET",
+                                         f"/results/{key}")
+        assert status == 200 and len(calls) == 1
+        assert second == first
+        assert int(headers["content-length"]) == len(first.encode("utf-8"))
+        body = json.loads(first)
+        assert body["spec_key"] == key
+        assert body["result"] == result_to_dict(result)
+        assert result_from_dict(body["result"]).final_time \
+            == result.final_time
+        assert server.store.stats.memory_hits == 2
+
+    def test_cleared_store_answers_404(self, stored):
+        server, key, _result = stored
+        assert raw_request(server.port, "GET", f"/results/{key}")[0] == 200
+        server.store.clear_memory()
+        assert raw_request(server.port, "GET", f"/results/{key}")[0] == 404
+
+    def test_responses_are_single_line_json(self, server):
+        status, _h, text = raw_request(server.port, "GET", "/healthz")
+        assert status == 200
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert '"status": "ok"' in text
+
+
 class TestDrain:
     def test_draining_server_rejects_submissions_with_503(
             self, make_server):

@@ -254,9 +254,11 @@ def _shape_grid():
 
 
 class TestAutoAgreesWithFactory:
-    """``resolve_defaults`` (spec level) and ``make_engine`` (request
-    level) derive a run's needs separately; under ``auto`` they must
-    pick the same engine class for every accepted spec shape."""
+    """``plan`` (spec level) and ``make_engine`` (request level) both
+    derive a run's needs through :func:`repro.sim.factory.run_needs`;
+    under ``auto`` they must pick the same engine class for every
+    accepted spec shape.  ``plan`` refuses the other shapes before
+    ``make_engine`` is called, so 51 of the grid's 256 are compared."""
 
     def test_spec_and_request_resolution_agree(self, monkeypatch):
         from repro.core import experiment
