@@ -22,22 +22,22 @@ from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.store import result_to_dict
 
 _CELLS = {
-    "mix1": "79ddd26b20ec32cb9d3b57af283fc65702bcdef7ca2689e2a7bdfba51628f0de",
-    "mix2": "cb1982a04d6dac1a1f3cdb6133953238d10914d7945694065d02467a1c265320",
-    "mix3": "27736371e18ab8c71b209d7da92355f60d49e89e634412fe6388ee83326f1767",
-    "mix4": "5efef66f3df5fae3133458ccb0057fdf52351e35c025c7c33a9c5686039c96de",
-    "mix5": "d0db5baf9bfb846582998e30de05cac35e9383b9338e1f95f484535e65b9ae12",
-    "mix6": "7863234b7db047ed24512ce44fe98b0d2cf054e55482a242ae2c8ef5d0a02ff0",
-    "mix7": "829c64cb63e6cfcee4e606739db9ae4dd59b9944f047f8d8564d79727a98782b",
-    "mix8": "488c8850f519896c0bf97338ec547eb02fb3d09dc4570d7c3c66402062f74efa",
-    "mix9": "d35534ddecf23b58a8e32d8b5f8f3810b141ae29a1a0bab21caeb8e46c3024a6",
-    "mixA": "f617e00aaf13df037b4b8afa63f7662dfe6136f2bcba1bdde15241aa2155ab37",
-    "mixB": "b8f3885cdbd013bdf8f2230ed5d5c9f64d4e04743a791f648168be4c56105555",
-    "mixC": "160e09c3369fefc3195cf71d316efb98e3559c978884224ae0b378ed2dcb08c7",
-    "mixD": "1dcccb37f62888b7a1fc2562b216fb2d4d28d698336e9d280924f65c9741c6aa",
-    "mix7/qos": "60747917627a805be6ca41653fa4c234b1dc88a2437e26163be8b26131f4755f",
-    "mix1/private": "50fa8fa181f2611daed12fc7690d9613f8f37a2839ece374d906037846989ee4",
-    "mix1/smalldir": "22b505c8d328e55319d4b8a5880261728af7cc6217842e35b5205bf0a61af857",
+    "mix1": "c0b91de4e60c2fa07e51c37916daf604ff57857a5c41e5be6756b6b6fa02f557",
+    "mix2": "df399e65af792f309c174d6726855c1d8948caa753ea42ccf8e1320ce5246d7e",
+    "mix3": "881bdb1d4851f622af6d7982b9c98e9b75b94fe8479d14c7e47ffd03833f26e3",
+    "mix4": "42f8d595423907e1b6602554d36e83c90be9d66575619e6493f0e7ce2c9513af",
+    "mix5": "5881dad3f29b440b9b6fae7c0a0ed3c1b58c00bf0e636fa37c10125f3740e925",
+    "mix6": "223ef7a46c3bc5ace7de2eeed1f69fe5058743f283348ecb01ed1affac44defc",
+    "mix7": "afbec65ca17a90047fbb1b799cb386ec3ecc36f121547d86fcf508e08285ea39",
+    "mix8": "35728f53f0a2e2bfd0bfa6ec6493baf9fec352131d3bff9cca8d7e5ac8525568",
+    "mix9": "55b9a370b335897ff90ccb2ca7d2ae677e98527f104eedc05af98e9175bffbc7",
+    "mixA": "8ed0352ca8149b8331afc711effebecc9e35e0e76593b2e2abff488f5f79eac1",
+    "mixB": "bd5a1cff0f4db66023a8f9d2391f1b334c772b3b11ef7d4593b58c26e68cc225",
+    "mixC": "833ab177ee013a6322a9cac1eac103cadac104004a06e48a7718fe1e9cf7d040",
+    "mixD": "a2d1c2469726412f23769380ecd3853b2450b230589672a49c90e9f9ce66aef2",
+    "mix7/qos": "e2fcbe7d604cd6eccf6430f044d2f4c2cd0b6d3e2fd064124d45540391b40c4f",
+    "mix1/private": "45fef75ab09758d0c6947e5e8c5db8949ccbce06fd415e9a723d04e03fe6f3a8",
+    "mix1/smalldir": "6e135c215880af2505d406d0207e787ebbf1eb3bb665a575fffa7704cc006dc6",
 }
 
 
@@ -56,8 +56,11 @@ def _spec(cell):
 
 def _digest(cell):
     result = run_experiment(_spec(cell), use_cache=False)
-    payload = json.dumps(result_to_dict(result), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    payload = result_to_dict(result)
+    for retired in ("l2_vm_quota", "start_stagger"):
+        payload["spec"].pop(retired, None)
+    encoded = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(encoded.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("cell", sorted(_CELLS))

@@ -12,8 +12,9 @@ Cells: one per Table IV mix, plus an over-committed cell (two threads
 per core, the over-commit engine), a diurnal-web scenario cell under
 the adaptive scheduler, a heterogeneous-core cell, and one cell each
 for the non-promoting L2 replacement policies (FIFO and random), a
-static way-quota cell, a live UCP cache-QoS cell, a cell with 64-entry
-directory caches and an asymmetric-L2 cell.  The two quota cells place
+static way-quota cell (the ``static-equal`` QoS controller), a live
+UCP cache-QoS cell, a cell with 64-entry directory caches and an
+asymmetric-L2 cell.  The two quota cells place
 threads round robin, so every shared domain holds several VMs and gets
 quotas; mix3 fills L2 sets within 600 refs, so its quota cell also
 runs the quota victim selector.
@@ -31,28 +32,28 @@ from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.store import result_to_dict
 
 _CELLS = {
-    "mix1": "759b1e586f5dfe7e79561b5fa7ed1cd340953a6df2c980c49d23a4453a6e696b",
-    "mix2": "34ae00d1c14744e0231cba797d43c19d46bc0427ea5a68dee88fc8557af3c885",
-    "mix3": "7de5fac910cee0f79612e14f6f46bf2675d1a78ef6cb8a36cc587e781ada7492",
-    "mix4": "33edea8a9a21d4420660c6be64e943c296ff7acb89fd18029135f2e6ee34fe13",
-    "mix5": "54fbf7c72290dd8419d0d18881160c0b18ce1419dd560f07f27b7ef27c7c043a",
-    "mix6": "55a65276b8ec3d5418a6640a05c9b5cc27ce32900f66a37a7c06145b3f235315",
-    "mix7": "8fd847071140e63e92a12a97ab596fe8fc321d0ff4d6d5c9b5618fc85c7b5298",
-    "mix8": "0508c79686003cc82acd669ac2de4d7a51bfd5ba7a6aca182a4176018ada2cef",
-    "mix9": "3f3e642117ed12defeed372de2d955ca00357b215e17445317a95eb483655cf8",
-    "mixA": "c1850e052cf723d95b0c431a4330b963a5ed459fea0a9dbe4b1caf345c037da8",
-    "mixB": "e5c842e86c3765cd4d2f3410837d4437fd87b5163bed63af07b3d85efe66209f",
-    "mixC": "62c236155bceed2906d980cbd65b60e29df9ff5372650d68396b2c3e3cfbbebe",
-    "mixD": "45cf54db0347f2147dabe6889f06c30d2200797536231a8f7b7064972a3e871b",
-    "mix1/overcommit": "38c0ad2d57d99bfcd8839956e6b49cc93e41dfae855480532f674085ffb7c7d6",
-    "diurnal-web/adaptive": "236d5ed3e7edd9e402033f464074d741d7a2aab21ef69b38a2ee07d80d994aec",
-    "mix5/speeds": "08bb9fc2c84c2829c7a39d599b5f80097f354da6ae0e618d041b410b983f7bc7",
-    "mix2/fifo": "bd6003b9e62c2801df98a9893b104fb2cfb48360e1a5705bc890c9004aed862e",
-    "mix2/random": "53284b7ba3284670018bcb34bcc6f9a42aadd574606f20335d8c30499b47583b",
-    "mix3/quota": "5744b7dccabd75344d0ad64a08b11cbb0a11cf13e1fc7e30ae82f88f234b3cfd",
-    "mix5/ucp": "6d367e3fb4fa700648b3b75e4aa240ff1b01a76ce9116c075acec86608a58487",
-    "mix1/dircache": "4852998a4dc6105745d87f0a6400cd601eced51fdd0456cd97b7ab013c9693c0",
-    "mix1/asym": "7f73ed7538e5e410b1549cabcf047a62eea42953245a9cbc1fe8bbaa8ae969df",
+    "mix1": "264a03ff3c6cd34a46fdb24b49e8a2f9d5198e8cf2f4d851660b1a6c2d1e1d35",
+    "mix2": "2d996a158a0ec5fabcaeeaf2395d3bebc1b66899a7def749beaed284e7546479",
+    "mix3": "90487ac14a4a62419c5e51cea0b56c1c141f43d15ae8b4f798f698df28bd269e",
+    "mix4": "fe7be85d7e8e3f96cb4ee70a9fd4237ce580c611a78dc73cb6a21d536ad8536d",
+    "mix5": "313a9ff1be50994eec28f0df4d77b7b15b0b413d4ac070e4fad4418727d9f5ea",
+    "mix6": "7efaeecde7d4b7b4bb9ba72330d467ed6d4ee564790da8dabde2755ed1e08882",
+    "mix7": "1fc41cb61d28a6eb5ea219c4b8d97ef955de248fffba8cf15ea7af1c13d9acb7",
+    "mix8": "98ebb3519720703699893224d9f5e0479c29304f75215184c8265ae504a20d95",
+    "mix9": "40ae3fc69d6575398f8b9065f31eb5c471844c05f14deeec0a43b0aecd19dd61",
+    "mixA": "6f0162752df4722ff0d094b8e46a82c99d5b4e3038175c6ade7125a135a074f5",
+    "mixB": "8737a95a13afa77a20936393698cfb487b16e3d4203cb6222407d2af02695c22",
+    "mixC": "06c7bde0b8cc7643c574ed14cf0d3174cfb88e1ad6c70dc5c9b7b04c34afe1f7",
+    "mixD": "03fe57f3e5c42425139d0ff7fe8ee1c6d95e40ecc3d3a7ab62668215b2a14fd2",
+    "mix1/overcommit": "1e00de6e2b7b46bb43b797a43dbfdd0b1dd2a28935099d250495b3c26574552b",
+    "diurnal-web/adaptive": "a1f45633ad386a7f3a43b6f2ac3ea819470179a9cab8c9c6441496305b99554f",
+    "mix5/speeds": "5efd3ff7a9847d8c40e0ac8dfbab6de657b2bcab76f1376ae89d6ee3e34373d5",
+    "mix2/fifo": "1ce8c82374c5ab02ddcd9f4dbbc2efea79252e8fd0d0c63b55d33e6dcf4a4acf",
+    "mix2/random": "a493b2511bd923d2c97f574d5a8b9efd1f03f776c9a56d32909f398628db0629",
+    "mix3/quota": "ead6e3c2577ba785d7ea98eb08bd0be69897f73970eb44eaa07748ceb000a5b0",
+    "mix5/ucp": "eb32cdb9322b750efcb6a9b40c7fe298cd8fe3e0e64ec248a11d6181341e7356",
+    "mix1/dircache": "8cf5ede12365827f2220aca98137ea8644fe2e79e67d563d4463f7a44be7e890",
+    "mix1/asym": "d9d1d05f6ce5e9d434896e86f9f6b6a555f94284b9ecab09c3dcdc3fc2e7bee3",
 }
 
 _BASE = dict(measured_refs=600, warmup_refs=200, seed=7,
@@ -73,7 +74,7 @@ def _spec(cell):
     elif variant in ("fifo", "random"):
         params.update(l2_replacement=variant)
     elif variant == "quota":
-        params.update(policy="rr", l2_vm_quota=True)
+        params.update(policy="rr", qos_policy="static-equal")
     elif variant == "ucp":
         params.update(policy="rr", qos_policy="ucp")
     elif variant == "dircache":
@@ -85,8 +86,11 @@ def _spec(cell):
 
 def _digest(cell):
     result = run_experiment(_spec(cell), use_cache=False)
-    payload = json.dumps(result_to_dict(result), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    payload = result_to_dict(result)
+    for retired in ("l2_vm_quota", "start_stagger"):
+        payload["spec"].pop(retired, None)
+    encoded = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(encoded.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("cell", sorted(_CELLS))
