@@ -28,7 +28,8 @@ from pathlib import Path
 from typing import Dict, List
 
 from repro.core.executor import SweepExecutor
-from repro.core.experiment import ExperimentResult, ExperimentSpec, run_experiment
+from repro.core.experiment import (ExperimentResult, ExperimentSpec,
+                                   resolve_mix, run_experiment)
 from repro.core.metrics import VMMetrics
 from repro.core.store import ResultStore, set_default_store
 
@@ -95,6 +96,15 @@ def isolation_baseline(workload: str, sharing: str = "shared",
     """The paper's normalization run: one instance, 16 MB fully shared
     (or the stated sharing), affinity."""
     return run(f"iso-{workload}", sharing=sharing, policy=policy).vm_metrics[0]
+
+
+def staggered(mix: str, cycles: int) -> str:
+    """The ``vm_schedule`` that starts VM ``i`` of ``mix`` at cycle
+    ``i * cycles`` (empty for 0: every VM starts together)."""
+    if not cycles:
+        return ""
+    vms = resolve_mix(mix).num_instances
+    return ",".join(str(vm * cycles) for vm in range(vms))
 
 
 def mean(values: List[float]) -> float:

@@ -4,9 +4,9 @@ The paper closes: "perhaps a guarantee of apparent workload isolation
 ... should feasibly extend from functional isolation into performance
 isolation."  This bench implements that proposal — per-VM way quotas in
 each shared L2 (fair cache partitioning, as in the paper's related
-work) — and measures it on the worst interference case the paper
-identifies: SPECjbb sharing caches with TPC-W under round robin
-(Mixes 7-9).
+work, the ``static-equal`` QoS policy) — and measures it on the worst
+interference case the paper identifies: SPECjbb sharing caches with
+TPC-W under round robin (Mixes 7-9).
 """
 
 import pytest
@@ -22,7 +22,8 @@ def data():
     out = {}
     for mix in MIXES:
         out[(mix, "shared-lru")] = run(mix, policy="rr")
-        out[(mix, "vm-quota")] = run(mix, policy="rr", l2_vm_quota=True)
+        out[(mix, "vm-quota")] = run(mix, policy="rr",
+                                     qos_policy="static-equal")
     return out
 
 

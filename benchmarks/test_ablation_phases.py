@@ -6,7 +6,8 @@ study the interactions in more depth.  Such an analysis would give ...
 an indication of the range of interference."
 
 Every VM runs the built-in 'burst' plan (alternating compute-heavy and
-communication-heavy phases).  Sweeping the per-VM start stagger slides
+communication-heavy phases).  Sweeping the per-VM start stagger (VM
+``i`` arrives at ``i * stagger`` through ``vm_schedule``) slides
 the phases against each other: aligned starts put every VM's
 communication burst on the chip simultaneously; a half-phase stagger
 interleaves compute with communication.  The spread of miss rates
@@ -15,7 +16,7 @@ across alignments *is* the paper's "range of interference".
 
 import pytest
 
-from _common import emit, mean, once, run
+from _common import emit, mean, once, run, staggered
 from repro.analysis.report import format_table
 
 # phase length is 4000 refs; with ~tens of cycles per ref a half-phase
@@ -28,7 +29,7 @@ def data():
     out = {}
     for stagger in STAGGERS:
         out[stagger] = run("mixC", policy="rr", phase_plan="burst",
-                           start_stagger=stagger)
+                           vm_schedule=staggered("mixC", stagger))
     out["steady"] = run("mixC", policy="rr")
     return out
 

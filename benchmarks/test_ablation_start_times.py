@@ -2,14 +2,15 @@
 
 Section VIII: "Other methodological considerations, such as workload
 start times deserve further exploration."  This bench staggers VM
-start times within a homogeneous mix and measures how much the paper's
+start times within a homogeneous mix (VM ``i`` arrives at ``i *
+stagger`` through ``vm_schedule``) and measures how much the paper's
 aligned-start metrics shift — an estimate of the phase-alignment error
 bar on the consolidated measurements.
 """
 
 import pytest
 
-from _common import emit, mean, once, run
+from _common import emit, mean, once, run, staggered
 from repro.analysis.report import format_table
 
 STAGGERS = (0, 20_000, 80_000)
@@ -18,7 +19,8 @@ STAGGERS = (0, 20_000, 80_000)
 @pytest.fixture(scope="module")
 def data():
     return {
-        stagger: run("mixC", policy="rr", start_stagger=stagger)
+        stagger: run("mixC", policy="rr",
+                     vm_schedule=staggered("mixC", stagger))
         for stagger in STAGGERS
     }
 

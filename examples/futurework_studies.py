@@ -9,9 +9,9 @@ runnable here:
 2. **Dynamic scheduling** — threads migrated at runtime: random churn
    versus an affinity-healing policy.
 3. **Performance isolation** — per-VM way quotas in the shared caches
-   (the conclusion's proposal).
+   (the conclusion's proposal: the ``static-equal`` QoS policy).
 4. **Phase alignment** — bursty phased workloads slid against each
-   other via start-time staggering.
+   other via staggered start times (a ``vm_schedule`` of arrivals).
 
 Run:
     python examples/futurework_studies.py
@@ -63,15 +63,17 @@ def main() -> None:
 
     print("3/4 performance isolation (mix7: SPECjbb + TPC-W) ...")
     free = run_experiment(spec(mix="mix7", policy="rr"))
-    fair = run_experiment(spec(mix="mix7", policy="rr", l2_vm_quota=True))
+    fair = run_experiment(spec(mix="mix7", policy="rr",
+                               qos_policy="static-equal"))
     jbb = lambda r: sum(vm.miss_rate for vm in r.metrics_for("specjbb")) / 3
     rows.append(["mix7 RR, shared LRU (jbb miss rate)", "-", jbb(free)])
     rows.append(["mix7 RR, way quotas (jbb miss rate)", "-", jbb(fair)])
 
     print("4/4 phase alignment ...")
     aligned = run_experiment(spec(policy="rr", phase_plan="burst"))
+    # mixC's four VMs start 120k cycles apart
     slid = run_experiment(spec(policy="rr", phase_plan="burst",
-                               start_stagger=120_000))
+                               vm_schedule="0,120000,240000,360000"))
     rows.append(["phased, aligned starts", mean_cycles(aligned),
                  mean_missrate(aligned)])
     rows.append(["phased, staggered starts", mean_cycles(slid),

@@ -114,12 +114,23 @@ def load_bench_file(path: Union[str, Path]) -> dict:
     return payload
 
 
+def _indent_of(path: Path) -> int:
+    """The indent width an existing bench file uses (2 for a new or
+    single-line one), so an append rewrites only the lines it adds."""
+    try:
+        second = path.read_text().split("\n", 2)[1]
+    except (OSError, IndexError):
+        return 2
+    return len(second) - len(second.lstrip(" ")) or 2
+
+
 def append_records(out_dir: Union[str, Path],
                    records: List[BenchRecord]) -> List[Path]:
     """Append records to their target files under ``out_dir``.
 
-    Returns the paths written.  Existing history is preserved; a
-    corrupt existing file raises rather than being overwritten.
+    Returns the paths written.  Existing history is preserved, at the
+    file's own indent; a corrupt existing file raises rather than
+    being overwritten.
     """
     out_dir = Path(out_dir)
     by_target: Dict[str, List[BenchRecord]] = {}
@@ -135,6 +146,6 @@ def append_records(out_dir: Union[str, Path],
         path = out_dir / f"BENCH_{target}.json"
         payload = load_bench_file(path)
         payload["records"].extend(r.to_dict() for r in group)
-        path.write_text(json.dumps(payload, indent=1) + "\n")
+        path.write_text(json.dumps(payload, indent=_indent_of(path)) + "\n")
         written.append(path)
     return written

@@ -139,10 +139,6 @@ _SPEC_FLAGS = {
         type=int, default=1,
         help="run-queue slots per core (default: %(default)s); >1 "
              "over-commits cores (Section VII study)")),
-    "--stagger": ("start_stagger", dict(
-        type=int, default=0, help="per-VM start-time stagger in cycles")),
-    "--vm-quota": ("l2_vm_quota", dict(
-        action="store_true", help="enable per-VM way-quota partitioning")),
     "--rebind": ("rebind", dict(
         default="", choices=("", "random", "affinity"),
         help="dynamic thread rebinding policy")),

@@ -73,6 +73,7 @@ __all__ = [
     "DEFAULT_MEASURED_REFS",
     "DEFAULT_SEED",
     "ExperimentSpec",
+    "spec_from_dict",
     "RunPlan",
     "plan",
     "ChipSummary",
@@ -138,24 +139,16 @@ class ExperimentSpec:
         over-committed); >1 enables the Section VII over-commit study —
         cores time-multiplex their run queues with a reference quantum
         and context-switch penalty.
-    start_stagger:
-        Per-VM start-time stagger in cycles (VM ``i`` starts at
-        ``i * start_stagger``); the paper's workload-start-time
-        methodological variable.
     num_cores:
         Machine size; 16 is the paper's chip, larger squares (e.g. 64)
         serve the scaling study of Section VII.
-    l2_vm_quota:
-        Enable per-VM way-quota partitioning of shared L2 domains —
-        the performance-isolation mechanism the paper's conclusion
-        argues for.  Each domain's ways are split equally among the
-        VMs scheduled onto it.
     qos_policy:
-        Dynamic cache-QoS controller (see :mod:`repro.qos`):
+        Cache-QoS controller (see :mod:`repro.qos`):
         ``"static-equal"``, ``"missrate-prop"``, ``"ucp"``, or
         ``"target-slowdown"``.  Empty (default) disables the QoS layer
-        entirely.  Mutually exclusive with ``l2_vm_quota`` — both claim
-        ownership of the way quotas.
+        entirely.  ``"static-equal"`` is the conclusion's performance
+        isolation: each shared domain's ways split equally among its
+        VMs for the whole run.
     qos_target:
         Per-VM slowdown ceiling for the ``target-slowdown`` feedback
         controller (e.g. ``1.3`` = at most 30% slower than isolation);
@@ -190,15 +183,16 @@ class ExperimentSpec:
     l2_asym:
         Asymmetric L2 domains as per-domain associativities (e.g.
         ``"16x2,8x2"`` at shared-4: two 16-way and two 8-way domains);
-        empty = the uniform Table III geometry.  Incompatible with the
-        way-quota owners (``l2_vm_quota`` / ``qos_policy``), which
-        assume uniform domain associativity.
+        empty = the uniform Table III geometry.  Incompatible with
+        ``qos_policy``, whose way quotas assume uniform domain
+        associativity.
     vm_schedule:
         Per-VM arrival/departure times, comma-separated
         ``start[:stop]`` cycles (e.g. ``"0,0:120000,40000"``): VM
-        churn for the scheduling layer.  Empty = every VM runs start
-        to finish (the paper's methodology).  Requires single-slot,
-        statically-bound runs and replaces ``start_stagger``.
+        churn for the scheduling layer, or staggered starts (the
+        paper's workload-start-time variable: ``"0,k,2k,..."``).  Empty
+        = every VM starts at cycle 0 and runs to completion (the paper's
+        methodology).  Requires single-slot, statically-bound runs.
     scenario:
         Name of a time-varying consolidation scenario (see
         :mod:`repro.scenarios`).  The scenario supplies the roster
@@ -207,9 +201,9 @@ class ExperimentSpec:
         curve actuated by a
         :class:`~repro.scenarios.hook.ScenarioHook` at the scenario's
         epoch.  Empty = a static run (the paper's methodology).
-        Mutually exclusive with ``phase_plan``, ``vm_schedule``,
-        ``start_stagger``, and ``rebind`` — the scenario owns all of
-        those axes; composes with ``qos_policy`` and ``sched_policy``.
+        Mutually exclusive with ``phase_plan``, ``vm_schedule`` and
+        ``rebind`` — the scenario owns all of those axes; composes with
+        ``qos_policy`` and ``sched_policy``.
     engine_mode:
         Execution kernel (see :mod:`repro.sim.factory`):
         ``"reference"`` (event-driven, the default), ``"batched"``
@@ -228,9 +222,7 @@ class ExperimentSpec:
     scale: float = DEFAULT_SCALE
     l2_replacement: str = "lru"
     slots_per_core: int = 1
-    start_stagger: int = 0
     num_cores: int = 16
-    l2_vm_quota: bool = False
     qos_policy: str = ""
     qos_target: float = 0.0
     qos_epoch: int = 10_000
@@ -250,6 +242,33 @@ class ExperimentSpec:
         """Resolve every defaulted field to a concrete value
         (see :func:`resolve_defaults`)."""
         return resolve_defaults(self)
+
+
+#: retired spec fields: name -> (the default they held, what replaces them)
+_RETIRED_FIELDS = {
+    "l2_vm_quota": (False, "qos_policy='static-equal'"),
+    "start_stagger": (0, "vm_schedule='0,k,2k,...' (VM i starts at i*k)"),
+}
+
+
+def spec_from_dict(fields: dict) -> ExperimentSpec:
+    """The spec a field dict from outside the program describes: a
+    ``POST /jobs`` body, a journaled job or a stored result.
+
+    A retired field that still holds its old default is dropped, so
+    records written before it retired still load; any other value
+    raises a :class:`~repro.errors.ConfigurationError` naming the field
+    that replaces it.  An unknown field raises :class:`TypeError`, as
+    the constructor does.
+    """
+    fields = dict(fields)
+    for name, (default, replacement) in _RETIRED_FIELDS.items():
+        value = fields.pop(name, default)
+        if type(value) is not type(default) or value != default:
+            raise ConfigurationError(
+                f"spec field {name!r} has been retired (got "
+                f"{value!r}); use {replacement} instead")
+    return ExperimentSpec(**fields)
 
 
 def resolve_defaults(spec: ExperimentSpec) -> ExperimentSpec:
@@ -290,11 +309,10 @@ class RunPlan:
         The :class:`~repro.scenarios.model.Scenario`, or ``None``.
     start_offsets, stop_times:
         Per-VM start and stop cycles (empty = all start at 0 and run to
-        completion), from ``start_stagger``, ``vm_schedule`` or the
-        scenario's churn.
-    phases, vm_phases:
-        One phase plan for every VM (``phase_plan``), or one per VM
-        (the scenario's roster).
+        completion), from ``vm_schedule`` or the scenario's churn.
+    vm_phases:
+        One phase plan per VM (empty = all steady): ``phase_plan``
+        repeated for every VM, or the scenario roster's plans.
     needs:
         Capabilities the run needs (:func:`repro.sim.factory.run_needs`;
         the epoch probe, a run option, is not among them).
@@ -308,7 +326,6 @@ class RunPlan:
     scenario: Optional[Scenario]
     start_offsets: Tuple[int, ...]
     stop_times: Tuple[Optional[int], ...]
-    phases: Optional[tuple]
     vm_phases: tuple
     needs: FrozenSet[str]
     key: str
@@ -371,9 +388,6 @@ def plan(spec) -> RunPlan:
          "measured_refs must be positive, got {spec.measured_refs}"),
         (spec.warmup_refs is not None and spec.warmup_refs < 0,
          "warmup_refs must be non-negative, got {spec.warmup_refs}"),
-        (spec.qos_policy and spec.l2_vm_quota,
-         "l2_vm_quota and qos_policy both claim ownership of the way "
-         "quotas; use qos_policy='static-equal' for the static split"),
         (spec.qos_policy and spec.qos_epoch <= 0,
          "qos_epoch must be positive"),
         (spec.sched_policy and spec.sched_epoch <= 0,
@@ -386,18 +400,13 @@ def plan(spec) -> RunPlan:
         (spec.vm_schedule and spec.rebind,
          "vm_schedule cannot be combined with the rebind phase rebinder; "
          "use a sched_policy for dynamic placement"),
-        (spec.vm_schedule and spec.start_stagger,
-         "vm_schedule supersedes start_stagger; encode the arrival times "
-         "in the schedule"),
-        (spec.l2_asym and (spec.qos_policy or spec.l2_vm_quota),
-         "asymmetric L2 domains (l2_asym) are incompatible with the "
-         "way-quota owners (qos_policy / l2_vm_quota), which assume "
-         "uniform domain associativity"),
+        (spec.l2_asym and spec.qos_policy,
+         "asymmetric L2 domains (l2_asym) are incompatible with "
+         "qos_policy, whose way quotas assume uniform domain "
+         "associativity"),
         (spec.slots_per_core <= 0, "slots_per_core must be positive"),
         (not 0 < spec.scale < float("inf"),
          "scale factor must be positive and finite, got {spec.scale}"),
-        (spec.start_stagger < 0,
-         "start_stagger must be non-negative, got {spec.start_stagger}"),
         (spec.rebind and spec.rebind_interval <= 0,
          "rebind_interval must be positive, got {spec.rebind_interval}"),
         (spec.rebind and spec.rebind.strip().lower()
@@ -417,8 +426,7 @@ def plan(spec) -> RunPlan:
                 f"a scenario spec's mix must be the scenario's own "
                 f"roster mix: expected {scenario.mix_name!r}, got "
                 f"{spec.mix!r} (use scenario_spec() to build one)")
-        for label in ("phase_plan", "vm_schedule", "start_stagger",
-                      "rebind"):
+        for label in ("phase_plan", "vm_schedule", "rebind"):
             if getattr(spec, label):
                 raise ConfigurationError(
                     f"scenario runs own the {label} axis; encode it in "
@@ -434,18 +442,16 @@ def plan(spec) -> RunPlan:
                              spec.l2_asym, spec.scale)
     make_scheduler(spec.policy)
     mix = resolve_mix(spec.mix)
-    starts: Sequence[int] = [
-        vm * spec.start_stagger for vm in range(mix.num_instances)
-    ] if spec.start_stagger else ()
+    starts: Sequence[int] = ()
     stops: Sequence[Optional[int]] = ()
     if spec.vm_schedule:
         starts, stops = _parse_vm_schedule(spec.vm_schedule,
                                            mix.num_instances)
-    phases, vm_phases = None, ()
+    vm_phases: tuple = ()
     if spec.phase_plan:
         from ..workloads.phases import get_phase_plan
 
-        phases = get_phase_plan(spec.phase_plan)
+        vm_phases = (get_phase_plan(spec.phase_plan),) * mix.num_instances
     hook_needs: Set[str] = set()
     if scenario is not None:
         from ..scenarios.hook import ScenarioHook
@@ -500,7 +506,7 @@ def plan(spec) -> RunPlan:
     return RunPlan(
         spec=resolved, config=config, mix=mix,
         scenario=scenario, start_offsets=tuple(starts),
-        stop_times=tuple(stops), phases=phases, vm_phases=vm_phases,
+        stop_times=tuple(stops), vm_phases=vm_phases,
         needs=needs, key=_key_of(resolved),
     )
 
@@ -553,7 +559,7 @@ class ExperimentResult:
     epochs, quota adjustments, re-binds, final quotas, violations) for
     runs with ``spec.qos_policy`` set.  Like ``series`` it is excluded
     from the result codec, so a ``static-equal`` run serializes
-    byte-identically to the legacy static-quota path.
+    byte-identically whatever its control epoch.
 
     ``sched`` holds the scheduling hook's end-of-run account (the
     :meth:`repro.sched.hook.SchedHook.summary` dict: policy, control
@@ -822,12 +828,8 @@ def run_experiment(
         run.profiles, assignments, measured_refs=spec.measured_refs,
         warmup_refs=spec.warmup_refs, slots_per_core=spec.slots_per_core,
         start_offsets=run.start_offsets, stop_times=run.stop_times,
-        phases=run.phases, vm_phases=run.vm_phases)
+        vm_phases=run.vm_phases)
     hypervisor.check_isolation()
-    if spec.l2_vm_quota:
-        from ..qos.controllers import QosController
-
-        QosController.install(chip, assignments)
     hooks = _control_hooks(run, chip, hypervisor, contexts, assignments,
                            rng_factory, telemetry)
     probe = (EpochProbe(chip, contexts, epoch, telemetry)

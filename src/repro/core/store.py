@@ -39,7 +39,7 @@ from typing import Dict, Iterator, Optional, Union
 
 from ..errors import ConfigurationError, ReproError
 from .experiment import (SPEC_KEY_VERSION, ChipSummary, ExperimentResult,
-                         ExperimentSpec, plan)
+                         ExperimentSpec, plan, spec_from_dict)
 from .metrics import VMMetrics
 from .mixes import Mix
 
@@ -109,7 +109,7 @@ def result_from_dict(payload: dict) -> ExperimentResult:
             f"unsupported result format version {version!r} "
             f"(expected {RESULT_FORMAT_VERSION})"
         )
-    spec = ExperimentSpec(**payload["spec"])
+    spec = spec_from_dict(payload["spec"])
     mix_payload = payload["mix"]
     mix = Mix(
         mix_payload["name"],

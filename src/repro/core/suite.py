@@ -256,7 +256,7 @@ def qos_suite(
     # a fully shared L2 puts every VM in one domain, so the policies
     # have capacity to arbitrate; shared-4 + affinity would give each
     # VM a private domain and reduce every policy to a no-op
-    base = replace(base, mix=mix, sharing="shared", l2_vm_quota=False)
+    base = replace(base, mix=mix, sharing="shared")
     return ExperimentSuite.build(
         f"qos/{mix}", base,
         description=(

@@ -1,8 +1,8 @@
 """Dynamic cache QoS: sensors, controllers, actuation, scorecards.
 
 The consolidation paper's conclusion asks for performance isolation
-between co-scheduled VMs; the seed repo answered with a *static* equal
-way split (``l2_vm_quota``).  This package closes the loop: UMON-style
+between co-scheduled VMs.  This package answers with a static equal way
+split (``static-equal``) and closes the loop beyond it: UMON-style
 shadow-tag sensing (:mod:`~repro.qos.sensors`), pluggable partitioning
 policies (:mod:`~repro.qos.controllers`), epoch-boundary actuation
 inside the engines (:mod:`~repro.qos.hook`), and QoS scorecards

@@ -12,11 +12,10 @@ re-bind actuator.
 Four policies ship:
 
 ``static-equal`` — :class:`StaticEqual`
-    The equal split today's ``l2_vm_quota`` spec flag freezes at setup,
-    now expressed as a (do-nothing) controller.  Its
-    :meth:`StaticEqual.install` classmethod is the single owner of
-    initial quota construction for *every* policy and for the legacy
-    static path, so quota setup has exactly one code path.
+    The equal split every policy starts from, frozen for the whole run
+    (a do-nothing controller).  :class:`~repro.qos.hook.QosHook`
+    installs that split for every policy, so quota setup has exactly
+    one code path.
 ``missrate-prop`` — :class:`MissRateProportional`
     Ways proportional to each VM's share of the epoch's L2 misses:
     capacity flows to whoever is missing, a simple demand-follows-need
@@ -41,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..caches.partitioning import WayQuota, equal_quotas
+from ..caches.partitioning import equal_quotas
 from ..errors import ConfigurationError
 from .sensors import QosWindow, UtilityMonitor
 
@@ -109,47 +108,6 @@ class QosController:
 
     def decide(self, window: QosWindow) -> QosDecision:
         raise NotImplementedError
-
-    # -- shared helpers -------------------------------------------------
-
-    @staticmethod
-    def install(chip, assignments) -> Dict[int, WayQuota]:
-        """Create the initial equal-split :class:`WayQuota` on every
-        multi-VM shared domain — the single owner of quota setup.
-
-        Returns ``domain_id -> WayQuota`` for the domains that got one
-        (single-VM domains need no partition).  The ``l2_vm_quota``
-        spec field calls this directly: equal split, sorted VM ids,
-        quota only where VMs share.
-        """
-        domain_vms: Dict[int, set] = {}
-        for vm_id, cores in enumerate(assignments):
-            for core in cores:
-                domain_vms.setdefault(
-                    chip.domain_of_core(core), set()).add(vm_id)
-        assoc = chip.config.l2_assoc
-        quotas: Dict[int, WayQuota] = {}
-        for domain_id, vms in sorted(domain_vms.items()):
-            if len(vms) > 1:
-                quota = WayQuota(equal_quotas(sorted(vms), assoc), assoc)
-                chip.domains[domain_id].set_quota(quota)
-                quotas[domain_id] = quota
-        return quotas
-
-    @staticmethod
-    def shared_view(chip, assignments, **extra) -> QosView:
-        """Build the :class:`QosView` for a chip + VM assignment."""
-        domain_vms: Dict[int, set] = {}
-        for vm_id, cores in enumerate(assignments):
-            for core in cores:
-                domain_vms.setdefault(
-                    chip.domain_of_core(core), set()).add(vm_id)
-        return QosView(
-            assoc=chip.config.l2_assoc,
-            domain_vms={d: sorted(vms) for d, vms in sorted(domain_vms.items())
-                        if len(vms) > 1},
-            **extra,
-        )
 
 
 class StaticEqual(QosController):

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..caches.partitioning import WayQuota
+from ..caches.partitioning import WayQuota, equal_quotas
 from ..control import QUOTA, REQUEUE, requeue
-from .controllers import QosController, TargetSlowdown
+from .controllers import QosController, QosView, TargetSlowdown
 from .sensors import EpochSensor
 
 __all__ = ["QosHook"]
@@ -85,12 +85,24 @@ class QosHook:
         self._actuator = None
         self._seen_violations = 0
 
-        # single-owner quota setup (identical to the static path)
-        self.quotas: Dict[int, WayQuota] = QosController.install(
-            chip, assignments
-        )
-        view = QosController.shared_view(
-            chip, assignments,
+        # the one quota setup: an equal split, in sorted VM order, on
+        # every domain several VMs share (others need no partition)
+        domain_vms: Dict[int, set] = {}
+        for vm_id, cores in enumerate(assignments):
+            for core in cores:
+                domain_vms.setdefault(
+                    chip.domain_of_core(core), set()).add(vm_id)
+        shared = {domain: sorted(vms)
+                  for domain, vms in sorted(domain_vms.items())
+                  if len(vms) > 1}
+        assoc = chip.config.l2_assoc
+        self.quotas: Dict[int, WayQuota] = {}
+        for domain_id, vms in shared.items():
+            quota = WayQuota(equal_quotas(vms, assoc), assoc)
+            chip.domains[domain_id].set_quota(quota)
+            self.quotas[domain_id] = quota
+        view = QosView(
+            assoc=assoc, domain_vms=shared,
             vm_workloads=dict(
                 vm_workloads
                 if vm_workloads is not None

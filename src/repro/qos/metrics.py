@@ -151,9 +151,7 @@ def qos_report(result: ExperimentResult,
         control["switches_applied"] = scenario.get("switches_applied")
         # rides along for JSON scorecards and scenario_window_rows
         control["windows"] = scenario.get("windows", [])
-    policy = str(control.get("policy", "")) or (
-        "static-equal" if result.spec.l2_vm_quota else "none"
-    )
+    policy = str(control.get("policy", "")) or "none"
     if target is None:
         target = float(control.get("target", 0.0) or
                        getattr(result.spec, "qos_target", 0.0))

@@ -14,7 +14,8 @@ queue on restart:
   deterministic and store-deduplicated, so a re-run of a half-finished
   job re-simulates only the cells that never reached the store);
 * a torn trailing line (the write the crash interrupted) is skipped
-  and counted, never fatal.
+  and counted, never fatal; so is a job whose spec no longer loads (a
+  retired spec field set away from its old default).
 
 The queue is synchronous and not thread-safe by itself; the service
 confines it to the scheduler's event loop.
@@ -32,9 +33,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..core.experiment import ExperimentSpec, RunPlan, plan
+from ..core.experiment import ExperimentSpec, RunPlan, plan, spec_from_dict
 from ..core.store import spec_key
-from ..errors import ServiceError
+from ..errors import ConfigurationError, ServiceError
 
 __all__ = ["JOURNAL_SCHEMA_VERSION", "JobState", "Job", "JobQueue",
            "job_key_of"]
@@ -161,7 +162,7 @@ class Job:
     @classmethod
     def from_dict(cls, payload: dict) -> "Job":
         cells = [
-            (tuple(cell["key"]), ExperimentSpec(**cell["spec"]))
+            (tuple(cell["key"]), spec_from_dict(cell["spec"]))
             for cell in payload["cells"]
         ]
         return cls(
@@ -362,7 +363,8 @@ class JobQueue:
                     job = self._jobs[record["job_id"]]
                 else:
                     raise ValueError(f"unknown event {event!r}")
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                    ConfigurationError):
                 self.torn_lines += 1
                 continue
             if event == "submit":

@@ -37,7 +37,7 @@ import time
 from pathlib import Path
 from typing import Optional, Union
 
-from ..core.experiment import ExperimentSpec
+from ..core.experiment import ExperimentSpec, spec_from_dict
 from ..core.store import ResultStore
 from ..errors import ReproError
 from ..obs.telemetry import Telemetry, render_prometheus
@@ -78,15 +78,14 @@ def client_key_of(headers: dict, writer,
     return peer[0] if peer else "anon"
 
 
-#: JSON value types each declared spec field type admits; a bool is
-#: accepted only where the field is a bool (JSON true/false are not
+#: JSON value types each declared spec field type admits; no field is
+#: a bool, so JSON true/false are refused everywhere (they are not
 #: integers here, although Python's bool subclasses int)
 _JSON_TYPES = {
     "str": ((str,), "a string"),
     "int": ((int,), "an integer"),
     "Optional[int]": ((int, type(None)), "an integer or null"),
     "float": ((int, float), "a number"),
-    "bool": ((bool,), "true or false"),
 }
 _SPEC_FIELD_TYPES = {
     f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(ExperimentSpec)
@@ -97,10 +96,9 @@ def _check_spec_types(index: int, entry: dict) -> None:
     """Refuse a spec value whose JSON type its field does not declare."""
     for name, value in entry.items():
         if name not in _SPEC_FIELD_TYPES:
-            continue  # unknown fields are refused by the constructor
+            continue  # spec_from_dict refuses unknown and retired fields
         types, wanted = _SPEC_FIELD_TYPES[name]
-        bad_bool = isinstance(value, bool) and bool not in types
-        if bad_bool or not isinstance(value, types):
+        if isinstance(value, bool) or not isinstance(value, types):
             raise BadRequest(
                 f"spec #{index}: field {name!r} must be {wanted}, "
                 f"got {json.dumps(value)}")
@@ -134,8 +132,8 @@ def parse_job_body(body: Optional[bytes], client: str) -> Job:
         key = tuple(key) if isinstance(key, list) else (index,)
         _check_spec_types(index, entry)
         try:
-            spec = ExperimentSpec(**entry)
-        except TypeError as exc:
+            spec = spec_from_dict(entry)
+        except (TypeError, ReproError) as exc:
             raise BadRequest(f"spec #{index}: {exc}") from None
         cells.append((key, spec))
     priority = payload.get("priority", 10)

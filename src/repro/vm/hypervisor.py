@@ -79,7 +79,6 @@ class Hypervisor:
         slots_per_core: int = 1,
         start_offsets: Sequence[int] = (),
         stop_times: Sequence = (),
-        phases=None,
         vm_phases: Sequence = (),
     ) -> List[ThreadContext]:
         """Create one VM per profile and return all thread contexts.
@@ -106,16 +105,10 @@ class Hypervisor:
         stop_times:
             Optional per-VM departure times in cycles (``None`` for
             "runs to completion"): VM churn for the scheduling layer.
-        phases, vm_phases:
-            Cyclic phase plans for the generators — ``phases`` applies
-            one plan to every VM; ``vm_phases`` gives each VM its own
-            plan (``None`` entries stay steady).  Scenario rosters use
-            the latter; the two are mutually exclusive.
+        vm_phases:
+            Optional cyclic phase plans for the generators, one per VM
+            (``None`` entries stay steady).
         """
-        if phases is not None and vm_phases:
-            raise ConfigurationError(
-                "pass either a global phase plan or per-VM plans, not both"
-            )
         if vm_phases and len(vm_phases) != len(profiles):
             raise ConfigurationError(
                 f"{len(vm_phases)} per-VM phase plans for "
@@ -162,14 +155,13 @@ class Hypervisor:
                 )
             vm_id = len(self.vms)
             base = self._next_block
-            vm_plan = vm_phases[vm_index] if vm_phases else phases
             instance = WorkloadInstance(
                 profile,
                 instance_id=vm_id,
                 base_block=base,
                 rng_stream=self.rng_factory.stream,
                 batch_size=batch_size,
-                phases=vm_plan,
+                phases=vm_phases[vm_index] if vm_phases else None,
             )
             vm = VirtualMachine(
                 vm_id=vm_id,

@@ -24,8 +24,8 @@ def fresh_cache():
     dict(slots_per_core=2, policy="random"),
     dict(rebind="random", rebind_interval=20_000),
     dict(phase_plan="burst"),
-    dict(l2_vm_quota=True, mix="mix7", policy="rr"),
-    dict(start_stagger=10_000, mix="mixB"),
+    dict(qos_policy="static-equal", mix="mix7", policy="rr"),
+    dict(vm_schedule="0,10000,20000,30000", mix="mixB"),
     dict(num_cores=64),
 ], ids=["overcommit", "rebind", "phases", "quota", "stagger", "bigmesh"])
 def test_extension_round_trip(tmp_path, overrides):

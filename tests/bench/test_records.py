@@ -47,6 +47,30 @@ class TestTargets:
             "qos-overhead", "service-loadgen"]
 
 
+    @pytest.mark.parametrize("indent", [1, 2])
+    def test_append_changes_only_the_appended_lines(self, tmp_path,
+                                                    indent):
+        # the checked-in bench files use 1- and 2-space indents; an
+        # append keeps the file's own, so its diff is the new record
+        path = tmp_path / "BENCH_service.json"
+        path.write_text(json.dumps({"schema": 1, "records": [
+            record("service").to_dict()]}, indent=indent) + "\n")
+        old = path.read_text().splitlines()
+        append_records(tmp_path, [record("service", "service-loadgen")])
+        new = path.read_text().splitlines()
+        # all old lines survive; the old last record's closing brace
+        # only gains the comma that separates it from the new one
+        assert new[:len(old) - 3] == old[:-3]
+        assert new[len(old) - 3] == old[-3] + ","
+        assert new[-2:] == old[-2:]
+        assert len(new) > len(old)
+
+    def test_new_file_uses_two_space_indent(self, tmp_path):
+        append_records(tmp_path, [record("service")])
+        assert (tmp_path / "BENCH_service.json").read_text().startswith(
+            '{\n  "schema": 1')
+
+
 class TestValidation:
     def test_corrupt_file_raises_instead_of_truncating(self, tmp_path):
         path = tmp_path / "BENCH_service.json"

@@ -163,8 +163,8 @@ class TestExperimentIntegration:
         clear_result_cache()
         kw = dict(measured_refs=2500, warmup_refs=1000, seed=1, policy="rr")
         free = run_experiment(ExperimentSpec(mix="mix7", **kw))
-        fair = run_experiment(ExperimentSpec(mix="mix7", l2_vm_quota=True,
-                                             **kw))
+        fair = run_experiment(ExperimentSpec(
+            mix="mix7", qos_policy="static-equal", **kw))
         jbb_free = sum(vm.miss_rate for vm in free.metrics_for("specjbb")) / 3
         jbb_fair = sum(vm.miss_rate for vm in fair.metrics_for("specjbb")) / 3
         assert jbb_fair <= jbb_free * 1.02

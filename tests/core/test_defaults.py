@@ -1,5 +1,7 @@
-"""Tests for resolve_defaults and the retired environment knobs."""
+"""Tests for resolve_defaults, the retired environment knobs and the
+retired spec fields."""
 
+import dataclasses
 import warnings
 from dataclasses import replace
 
@@ -9,7 +11,9 @@ from repro.core.experiment import (
     DEFAULT_MEASURED_REFS,
     DEFAULT_SEED,
     ExperimentSpec,
+    plan,
     resolve_defaults,
+    spec_from_dict,
 )
 from repro.errors import ConfigurationError
 
@@ -89,7 +93,8 @@ class TestResolution:
          "rebind_interval must be positive"),
         (dict(qos_policy="target-slowdown", qos_target=0.0),
          "needs a positive qos_target"),
-        (dict(start_stagger=-100), "start_stagger must be non-negative"),
+        (dict(mix="mix4", vm_schedule="0,-5,0,0"),
+         "vm_schedule start -5 for VM 1 is negative"),
         (dict(scale=float("nan")), "scale factor must be positive"),
         (dict(engine_mode="batched", slots_per_core=2),
          "engine BatchedEngine does not provide run-queue requeue"),
@@ -143,3 +148,39 @@ class TestRetiredEnvKnobs:
         with pytest.raises(ConfigurationError,
                            match="ExperimentSpec.measured_refs"):
             resolve_defaults(ExperimentSpec(mix="mixA", seed=1))
+
+
+class TestRetiredFields:
+    """``l2_vm_quota`` and ``start_stagger`` restated other fields and
+    are gone; a dict from outside the program that names one loads only
+    while it holds the old default."""
+
+    def test_spec_has_24_fields_without_the_retired_ones(self):
+        names = {f.name for f in dataclasses.fields(ExperimentSpec)}
+        assert len(names) == 24
+        assert not names & {"l2_vm_quota", "start_stagger"}
+
+    def test_old_defaults_are_dropped(self):
+        spec = spec_from_dict({"mix": "mix1", "l2_vm_quota": False,
+                               "start_stagger": 0})
+        assert spec == ExperimentSpec(mix="mix1")
+
+    @pytest.mark.parametrize("fields, replacement", [
+        ({"l2_vm_quota": True}, "qos_policy='static-equal'"),
+        ({"l2_vm_quota": 0}, "qos_policy='static-equal'"),
+        ({"start_stagger": 20000}, "vm_schedule="),
+        ({"start_stagger": -100}, "vm_schedule="),
+        ({"start_stagger": False}, "vm_schedule="),
+    ])
+    def test_other_values_name_the_replacement(self, fields, replacement):
+        with pytest.raises(ConfigurationError, match="retired") as exc:
+            spec_from_dict({"mix": "mix1", **fields})
+        assert replacement in str(exc.value)
+
+
+def test_phase_plan_is_one_plan_per_vm():
+    # the hypervisor has one phase path: per-VM plans
+    run = plan(ExperimentSpec(mix="mix5", measured_refs=100, seed=1,
+                              phase_plan="burst"))
+    assert len(run.vm_phases) == 4
+    assert len({id(vm_plan) for vm_plan in run.vm_phases}) == 1

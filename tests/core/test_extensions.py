@@ -73,16 +73,19 @@ class TestOvercommitExperiments:
 
 
 class TestStartStagger:
+    """Staggered starts are a ``vm_schedule`` of arrivals."""
+
     def test_staggered_vms_finish_in_order(self):
         result = run_experiment(ExperimentSpec(
-            mix="mixB", start_stagger=50_000, seed=1, **REFS))
+            mix="mixB", vm_schedule="0,50000,100000,150000", seed=1,
+            **REFS))
         cycles = [vm.cycles for vm in result.vm_metrics]
         assert cycles == sorted(cycles)
         assert cycles[-1] - cycles[0] > 100_000
 
     def test_zero_stagger_unchanged(self):
         a = run_experiment(ExperimentSpec(mix="mixB", seed=1, **REFS))
-        b = run_experiment(ExperimentSpec(mix="mixB", start_stagger=0,
+        b = run_experiment(ExperimentSpec(mix="mixB", vm_schedule="0,0,0,0",
                                           seed=1, **REFS), use_cache=False)
         assert [vm.cycles for vm in a.vm_metrics] == [
             vm.cycles for vm in b.vm_metrics]

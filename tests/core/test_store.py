@@ -57,26 +57,26 @@ class TestSpecKey:
 
     @pytest.mark.parametrize("fields, digest", [
         (dict(mix="mix1"),
-         "d4b728dadf601ae9fbade9615613c490efa0d6af98db556b0025a72615ba3c02"),
+         "b70fcf771549601bc63035191cc2d66ed9f6bc0f05151b95d955521d4f3c3226"),
         # auto resolves to batched: the key names the kernel that ran
         (dict(mix="mix1", engine_mode="auto"),
-         "7b695b3b9794dd8d1742f42c8b99a15114c06b6d1a2c5902cd0d073721977a07"),
+         "0dabbf2476322273d49ba4ebd7b2b0ab50fea863bdf4d3a0eb725358ce79e8fa"),
         (dict(mix="scn-diurnal-web", scenario="diurnal-web",
               sched_policy="adaptive", qos_policy="ucp"),
-         "4b2cca0ae745a41412cb62dd4146a037d221001c7631d4030951c55907dc1884"),
+         "a59d92c90d6b160165dcc9e17d9c598c75897f25b23d082e38c313c77cb810d1"),
         # an arrival-only schedule under auto stays on the reference
         (dict(mix="mix4", vm_schedule="0,1000,0,0", engine_mode="auto"),
-         "688541f0cce2553c5352dcea811ea146e2dd1ffd4dab06712df33dfc8be89670"),
+         "a7213974331457a16ac16f5e594747b5ea6eaf895e7c04eb60cd692181cd4108"),
         (dict(mix="mix1", l2_asym="16x2,8x2", core_speeds="1.0x8,0.5x8"),
-         "606032f855317ab312426760ff3e927c6ec3b26f24e8845e68d575b4c6336e91"),
+         "968c0e3de0394919e5f1d6af7edc9680302dbdc1bed6beee4b10bac502b4dbef"),
         (dict(mix="iso-tpch"),
-         "60f5f76836eb3c6eb28f5a4b7d926b21b86aebcb1aa6b699f3ae550de2f1aa0a"),
+         "458f68a8f6c1f4b8ebc0e5672199971aea86420d5a2d754b05addc0cefb7ea73"),
         (dict(mix="mix1", slots_per_core=2),
-         "520316f1bd65b2727ea1f69d687924f81e3dc4ecdd2df376b0a551ff4dc0bfac"),
+         "9f0c60ae0aa5c45ab7b6a80987bc35ad2a30160197d16e1e097e0b9109e592ea"),
     ])
     def test_pinned_digests(self, fields, digest, monkeypatch):
         # a changed key orphans every stored result: keys move only with
-        # a SPEC_KEY_VERSION bump
+        # a SPEC_KEY_VERSION bump or a change to the spec's field set
         monkeypatch.delenv("REPRO_REFS", raising=False)
         monkeypatch.delenv("REPRO_SEED", raising=False)
         assert spec_key(ExperimentSpec(**fields)) == digest
@@ -140,6 +140,24 @@ class TestDiskTier:
         assert result_to_dict(loaded) == result_to_dict(small_result)
         assert json.loads(fresh.encoded_by_key(key)) \
             == result_to_dict(small_result)
+
+    @pytest.mark.parametrize("value, reads", [(False, True), (True, False)])
+    def test_record_naming_a_retired_spec_field(self, small_result, tmp_path,
+                                                value, reads):
+        # a record written while l2_vm_quota was a spec field reads only
+        # if the field holds its old default; otherwise it is a miss
+        key = spec_key(SPEC)
+        payload = result_to_dict(small_result)
+        payload["spec"]["l2_vm_quota"] = value
+        (tmp_path / f"{key}.json").write_text(json.dumps({
+            "store_schema": STORE_SCHEMA_VERSION, "spec_key": key,
+            "result": payload}))
+        fresh = ResultStore(tmp_path)
+        loaded = fresh.get(SPEC)
+        assert (loaded is not None) == reads
+        assert fresh.stats.corrupt == (0 if reads else 1)
+        if reads:
+            assert loaded.spec == small_result.spec
 
     def test_schema_version_mismatch_rejected(self, small_result, tmp_path):
         store = ResultStore(tmp_path)

@@ -15,6 +15,7 @@ from repro.core.experiment import (
     ExperimentSpec,
     clear_result_cache,
     run_experiment,
+    spec_from_dict,
 )
 from repro.errors import ConfigurationError
 from repro.qos.metrics import per_vm_slowdowns, qos_report
@@ -81,10 +82,11 @@ class TestUcpEndToEnd:
 
 class TestSpecValidation:
     def test_quota_flag_and_policy_are_mutually_exclusive(self):
-        spec = replace(BASE, l2_vm_quota=True, qos_policy="ucp",
-                       measured_refs=200)
-        with pytest.raises(ConfigurationError, match="way quotas"):
-            run_experiment(spec, use_cache=False)
+        # the retired static-quota flag is refused outright, naming the
+        # policy that replaces it
+        fields = dict(vars(BASE), l2_vm_quota=True, qos_policy="ucp")
+        with pytest.raises(ConfigurationError, match="static-equal"):
+            spec_from_dict(fields)
 
     def test_non_positive_epoch_rejected(self):
         spec = replace(BASE, qos_policy="ucp", qos_epoch=0,

@@ -98,8 +98,9 @@ class TestQosReportFromResults:
         assert all(s > 0 for s in report.slowdowns.values())
         assert report.control == {}
 
-    def test_legacy_static_quota_run_scores_as_static_equal(self):
-        result = run_experiment(ExperimentSpec(l2_vm_quota=True, **self.KW))
+    def test_static_equal_run_scores_as_static_equal(self):
+        result = run_experiment(
+            ExperimentSpec(qos_policy="static-equal", **self.KW))
         assert qos_report(result).policy == "static-equal"
 
     def test_qos_run_carries_its_controller_account(self):

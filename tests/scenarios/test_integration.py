@@ -140,7 +140,6 @@ class TestValidation:
     @pytest.mark.parametrize("field, value", [
         ("phase_plan", "burst"),
         ("vm_schedule", "0,0:5000,0,0"),
-        ("start_stagger", 1_000),
         ("rebind", "random"),
     ])
     def test_scenario_owns_the_time_varying_axes(self, field, value):

@@ -80,7 +80,6 @@ def test_unknown_sched_policy_raises():
 @pytest.mark.parametrize("overrides,match", [
     (dict(slots_per_core=2), "single-slot"),
     (dict(rebind="random"), "rebind"),
-    (dict(start_stagger=1000), "start_stagger"),
 ])
 def test_vm_schedule_shape_restrictions(overrides, match):
     spec = ExperimentSpec(mix="mix1", vm_schedule="0,0,0,0",
@@ -102,9 +101,10 @@ def test_vm_schedule_parse_errors(schedule, match):
 
 
 def test_l2_asym_excludes_quota_owners():
-    for overrides in (dict(qos_policy="ucp"), dict(l2_vm_quota=True)):
+    for policy in ("ucp", "static-equal"):
         spec = ExperimentSpec(mix="mix1", sharing="shared-4",
-                              l2_asym="16x2,8x2", **_FAST, **overrides)
+                              l2_asym="16x2,8x2", qos_policy=policy,
+                              **_FAST)
         with pytest.raises(ConfigurationError, match="asym"):
             run_experiment(spec, use_cache=False)
 

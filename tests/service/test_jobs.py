@@ -162,6 +162,34 @@ class TestJournalReplay:
         assert replayed.torn_lines == 1
         assert replayed.jobs() == []
 
+    @pytest.mark.parametrize("field, value, replays", [
+        ("l2_vm_quota", False, True),
+        ("start_stagger", 0, True),
+        ("l2_vm_quota", True, False),
+        ("start_stagger", 20000, False),
+    ])
+    def test_retired_spec_field_in_journal(self, tmp_path, field, value,
+                                           replays):
+        # a journal written before the field retired: the old default
+        # replays the job, any other value counts as a torn line
+        journal = tmp_path / "journal.jsonl"
+        queue = JobQueue(journal)
+        job = queue.submit(make_job())
+        queue.close()
+        record = json.loads(journal.read_text())
+        for cell in record["job"]["cells"]:
+            cell["spec"][field] = value
+        journal.write_text(json.dumps(record) + "\n")
+
+        replayed = JobQueue(journal)
+        if replays:
+            assert replayed.torn_lines == 0
+            assert replayed.get(job.job_id).cells == job.cells
+            assert replayed.claim().job_id == job.job_id
+        else:
+            assert replayed.torn_lines == 1
+            assert replayed.jobs() == []
+
     def test_seq_continues_after_replay(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
         queue = JobQueue(journal)

@@ -57,9 +57,9 @@ class TestValidation:
         ({"scale": "big"}, "spec #0: field 'scale'"),
         ({"measured_refs": 1.5}, "spec #0: field 'measured_refs'"),
         ({"measured_refs": True}, "spec #0: field 'measured_refs'"),
-        ({"l2_vm_quota": 1}, "spec #0: field 'l2_vm_quota'"),
+        ({"l2_vm_quota": 1}, "spec #0: spec field 'l2_vm_quota'"),
         ({"qos_policy": "ucp", "l2_vm_quota": True},
-         "both claim ownership of the way quotas"),
+         "use qos_policy='static-equal'"),
         ({"sched_policy": "contention", "rebind": "random"},
          "both migrate threads"),
         ({"mix": "nope"}, "unknown mix"),
@@ -81,10 +81,16 @@ class TestValidation:
          "rebind_interval must be positive"),
         ({"qos_policy": "target-slowdown", "qos_target": 0.0},
          "needs a positive qos_target"),
-        ({"start_stagger": -100}, "start_stagger must be non-negative"),
+        ({"start_stagger": -100}, "use vm_schedule="),
         ({"scale": float("inf")}, "scale factor must be positive"),
         ({"engine_mode": "batched", "slots_per_core": 2},
          "engine BatchedEngine does not provide run-queue requeue"),
+        ({"start_stagger": 20000},
+         "field 'start_stagger' has been retired (got 20000); use "
+         "vm_schedule="),
+        ({"l2_vm_quota": True},
+         "field 'l2_vm_quota' has been retired (got True); use "
+         "qos_policy='static-equal'"),
     ], ids=["unknown-field", "bad-sharing", "bad-engine", "negative-refs",
             "string-refs", "string-seed", "string-cores", "string-scale",
             "float-refs", "bool-refs", "int-flag", "qos-and-vm-quota",
@@ -94,7 +100,8 @@ class TestValidation:
             "vm-schedule-length", "bad-l2-asym", "non-square-cores",
             "negative-scale", "zero-slots", "bad-dir-cache-size",
             "zero-rebind-interval", "target-slowdown-without-target",
-            "negative-stagger", "infinite-scale", "batched-over-commit"])
+            "negative-stagger", "infinite-scale", "batched-over-commit",
+            "retired-stagger", "retired-quota"])
     def test_unknown_spec_field_is_400(self, server, fields, message):
         # a spec the library refuses is the client's error, not a 500
         body = json.dumps({"specs": [{"mix": "mix5", **fields}]}).encode()
@@ -102,6 +109,16 @@ class TestValidation:
                                        body=body)
         assert status == 400
         assert message in text
+
+    def test_retired_spec_fields_at_old_defaults_admitted(self, server):
+        # a client written before the fields retired still submits
+        spec = {"mix": "iso-tpch", "sharing": "private", "policy": "rr",
+                "l2_vm_quota": False, "start_stagger": 0, **TINY}
+        body = json.dumps({"specs": [spec]}).encode()
+        status, _h, text = raw_request(server.port, "POST", "/jobs",
+                                       body=body)
+        assert status == 202, text
+        assert json.loads(text)["job"]["job_id"]
 
     def test_non_integer_priority_is_400(self, server):
         body = json.dumps({"specs": [{"mix": "mix5"}],
@@ -154,6 +171,25 @@ class TestFleetValidation(TestValidation):
                             journal_dir=root / "journals").start_in_thread()
         yield fleet
         fleet.shutdown()
+
+
+def test_service_starts_past_a_retired_spec_field_in_its_journal(
+        make_server, tmp_path):
+    from repro.service.jobs import Job, JobQueue
+
+    journal = tmp_path / "journal.jsonl"
+    queue = JobQueue(journal)
+    queue.submit(Job.create([((0,), tiny_spec())]))
+    queue.close()
+    record = json.loads(journal.read_text())
+    record["job"]["cells"][0]["spec"]["start_stagger"] = 500
+    journal.write_text(json.dumps(record) + "\n")
+
+    server = make_server(journal=journal)
+    status, _h, text = raw_request(server.port, "GET", "/healthz")
+    assert status == 200, text
+    assert server.queue.torn_lines == 1
+    assert server.queue.jobs() == []
 
 
 @pytest.mark.parametrize("kind", ["service", "fleet"])

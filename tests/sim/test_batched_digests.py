@@ -56,11 +56,8 @@ def _spec(cell):
 
 def _digest(cell):
     result = run_experiment(_spec(cell), use_cache=False)
-    payload = result_to_dict(result)
-    for retired in ("l2_vm_quota", "start_stagger"):
-        payload["spec"].pop(retired, None)
-    encoded = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(encoded.encode()).hexdigest()
+    payload = json.dumps(result_to_dict(result), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("cell", sorted(_CELLS))

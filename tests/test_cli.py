@@ -79,7 +79,7 @@ class TestSpecAssembly:
         (["run", "--mix", "mix1", "--sharing", "private", "--policy", "rr",
           "--refs", "300", "--warmup", "100", "--seed", "3",
           "--scale", "0.125", "--cores", "64", "--slots-per-core", "2",
-          "--stagger", "500", "--vm-quota", "--qos-policy", "ucp",
+          "--qos-policy", "ucp",
           "--qos-target", "1.3", "--qos-epoch", "2000",
           "--sched-policy", "contention", "--sched-epoch", "3000",
           "--core-speeds", "1.0x8,0.5x8", "--l2-asym", "16x2,8x2",
@@ -88,8 +88,8 @@ class TestSpecAssembly:
           "--phase-plan", "burst"],
          [S(mix="mix1", sharing="private", policy="rr", seed=3,
             measured_refs=300, warmup_refs=100, scale=0.125,
-            slots_per_core=2, start_stagger=500, num_cores=64,
-            l2_vm_quota=True, qos_policy="ucp", qos_target=1.3,
+            slots_per_core=2, num_cores=64,
+            qos_policy="ucp", qos_target=1.3,
             qos_epoch=2000, phase_plan="burst", rebind="random",
             rebind_interval=5000, sched_policy="contention",
             sched_epoch=3000, core_speeds="1.0x8,0.5x8",
@@ -228,8 +228,17 @@ class TestCommands:
     def test_run_quota_flag(self, capsys):
         code, _out, _err = run_cli(
             capsys, "run", "--mix", "mix7", "--refs", "300", "--seed", "1",
-            "--policy", "rr", "--vm-quota")
+            "--policy", "rr", "--qos-policy", "static-equal")
         assert code == 0
+
+    @pytest.mark.parametrize("flags", [["--stagger", "5"], ["--vm-quota"]])
+    def test_retired_spec_flags_exit_2(self, capsys, flags):
+        # the retired spec axes are gone: --vm-schedule and
+        # --qos-policy static-equal express them
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--mix", "mix5", "--refs", "300", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_phase_plan_is_clean_error(self, capsys):
         code, _out, err = run_cli(
