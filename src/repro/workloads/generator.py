@@ -2,9 +2,12 @@
 
 :class:`ThreadTrace` turns a :class:`~repro.workloads.profile.WorkloadProfile`
 into an infinite, deterministic stream of ``(block, is_write, think)``
-tuples for one thread.  Generation is vectorized in batches so the
-generator never becomes the simulation bottleneck: each refill is kept
-as three int64 columns plus a cursor, sliced by the batched engine
+tuples for one thread.  Random numbers are drawn vectorized, a refill
+(``batch_size`` references) at a time, but turned into references only
+as far as they are consumed: a short run that takes a fraction of a
+refill skips the block arithmetic and think-time draws of the rest.
+Each refill keeps its raw draws plus three int64 columns filled up to
+the consumed cursor, sliced by the batched engine
 (:meth:`ThreadTrace.take_batch`) and read as tuples by ``__next__``.
 
 The pipelined-scan model of the shared-read pool (see the profile
@@ -29,6 +32,9 @@ Ref = Tuple[int, int, int]
 Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 _NO_REFS: Columns = tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+
+# reference categories, in the order their draws are made
+_HOT, _SHARED, _MIG, _PRIV = range(4)
 
 
 class ThreadTrace:
@@ -150,6 +156,7 @@ class ThreadTrace:
                 self._refill()
             pos = self._pos
             self._pos = end = min(pos + n, len(self._cols[0]))
+            self._fill(end)
             n -= end - pos
             parts.append([col[pos:end] for col in self._cols])
         blocks, writes, thinks = (
@@ -202,18 +209,22 @@ class ThreadTrace:
         self._phase_profiles = tuple(
             phase.apply_to(variant) for phase in self._phases
         )
+        self._fill(len(self._cols[0]))  # finish the deferred draw
         self._set_buffer(_NO_REFS)
 
-    # the trace buffer: one refill's columns, a cursor, and the rest
-    # handed to the iterator as tuples in pop order (last first)
+    # the trace buffer: one refill's columns (filled up to ``_filled``),
+    # a cursor, and the rest handed to the iterator as tuples in pop
+    # order (last first)
 
     def _set_buffer(self, cols: Columns) -> None:
         self._cols = cols
+        self._filled = len(cols[0])
         self._pos = 0
         self._pending = []
 
     def _pop_order(self) -> List[Ref]:
         pos = self._pos
+        self._fill(len(self._cols[0]))
         return list(zip(*(col[pos:][::-1].tolist() for col in self._cols)))
 
     # ------------------------------------------------------------------
@@ -230,6 +241,16 @@ class ThreadTrace:
         raise AssertionError("phase schedule exhausted")  # pragma: no cover
 
     def _refill(self) -> None:
+        """Make the next refill's random draws, in the stream's order.
+
+        Each reference gets a category code (hot, shared-read scan,
+        migratory, private) and the raw draws its block and write flag
+        are made from; :meth:`_fill` turns them into references only as
+        far as they are consumed.  The think-time draw comes last in a
+        refill, so it alone is deferred: ``_fill`` makes it in chunks,
+        and the buffer is filled to its end before anything else draws
+        from the stream (the next refill, a retarget, ``state()``).
+        """
         profile, phase_left = self._current_phase()
         n = min(self.batch_size, phase_left)
         rng = self._rng
@@ -238,64 +259,67 @@ class ThreadTrace:
         p_h = profile.p_hot
         p_s = p_h + profile.p_shared_read
         p_m = p_s + profile.p_migratory
-        is_hot = u < p_h
-        is_shared = (u >= p_h) & (u < p_s)
-        is_mig = (u >= p_s) & (u < p_m)
-        is_priv = u >= p_m
-
-        blocks = np.empty(n, dtype=np.int64)
-
-        if is_hot.any():
-            hot = self._priv_base + rng.integers(
-                0, max(1, profile.hot_blocks_per_thread), n
-            )
-            blocks[is_hot] = hot[is_hot]
-
-        if self._shared_size and is_shared.any():
-            counts = self._count + np.arange(n, dtype=np.int64)
-            pos = self._scan_start + (counts * profile.scan_slide).astype(np.int64)
-            offs = rng.integers(0, profile.scan_window, n)
-            shared_blocks = self._shared_base + (pos + offs) % self._shared_size
-            blocks[is_shared] = shared_blocks[is_shared]
-        elif is_shared.any():
+        kind = (u >= p_h).astype(np.int8) + (u >= p_s) + (u >= p_m)
+        present = np.bincount(kind, minlength=4) > 0
+        draws = [None] * 4  # per category, the draw its blocks come from
+        if present[_HOT]:
+            draws[_HOT] = rng.integers(
+                0, max(1, profile.hot_blocks_per_thread), n)
+        if present[_SHARED] and self._shared_size:
+            draws[_SHARED] = rng.integers(0, profile.scan_window, n)
+        elif present[_SHARED]:
             # no shared pool configured: fold into private
-            is_priv |= is_shared
-            is_shared[:] = False
-
-        if is_mig.any():
-            mig = self._mig_base + self._sample_powerlaw(
-                rng, n, self._mig_size, profile.skew_migratory
-            )
-            blocks[is_mig] = mig[is_mig]
-
-        if is_priv.any():
-            priv = self._priv_base + self._sample_powerlaw(
-                rng, n, self._priv_size, profile.skew_private
-            )
-            blocks[is_priv] = priv[is_priv]
-
-        write_prob = np.where(
-            is_shared,
-            profile.write_prob_shared,
-            np.where(is_mig, profile.write_prob_migratory, profile.write_prob_private),
-        )
-        writes = (rng.random(n) < write_prob).astype(np.int64)
-
-        if profile.think_mean > 0:
-            p_think = 1.0 / (1.0 + profile.think_mean)
-            thinks = rng.geometric(p_think, n) - 1
-        else:
-            thinks = np.zeros(n, dtype=np.int64)
+            kind[kind == _SHARED] = _PRIV
+            present[_PRIV] = True
+        if present[_MIG]:
+            draws[_MIG] = rng.random(n)
+        if present[_PRIV]:
+            draws[_PRIV] = rng.random(n)
+        self._raw = (profile, self._count, kind, draws, rng.random(n))
 
         self._count += n
-        self._set_buffer((blocks, writes, thinks))
+        self._set_buffer(tuple(np.empty(n, dtype=np.int64) for _ in range(3)))
+        self._filled = 0
 
-    @staticmethod
-    def _sample_powerlaw(
-        rng: np.random.Generator, size: int, n: int, skew: float
-    ) -> np.ndarray:
-        u = rng.random(size)
-        return (n * u**skew).astype(np.int64)
+    def _fill(self, end: int) -> None:
+        """Turn the buffer's raw draws into references up to ``end``."""
+        start = self._filled
+        if end <= start:
+            return
+        self._filled = end
+        profile, count, kind, draws, write_u = self._raw
+        blocks, writes, thinks = (col[start:end] for col in self._cols)
+        kinds = kind[start:end]
+        for code, raw in enumerate(draws):
+            if raw is None:
+                continue
+            index = np.flatnonzero(kinds == code)
+            picked = raw[start:end].take(index)
+            if code == _HOT:
+                picked = self._priv_base + picked
+            elif code == _SHARED:
+                pos = self._scan_start + (
+                    (count + start + index) * profile.scan_slide
+                ).astype(np.int64)
+                picked = self._shared_base + (pos + picked) % self._shared_size
+            elif code == _MIG:
+                picked = self._mig_base + (
+                    self._mig_size * picked**profile.skew_migratory
+                ).astype(np.int64)
+            else:  # power-law private block
+                picked = self._priv_base + (
+                    self._priv_size * picked**profile.skew_private
+                ).astype(np.int64)
+            blocks[index] = picked
+        write_prob = np.array([
+            profile.write_prob_private, profile.write_prob_shared,
+            profile.write_prob_migratory, profile.write_prob_private])
+        writes[:] = write_u[start:end] < write_prob.take(kinds)
+        if profile.think_mean > 0:
+            p_think = 1.0 / (1.0 + profile.think_mean)
+            thinks[:] = self._rng.geometric(p_think, end - start) - 1
+        else:
+            thinks[:] = 0
 
     # ------------------------------------------------------------------
     # checkpoint support
@@ -304,12 +328,13 @@ class ThreadTrace:
     def state(self) -> dict:
         """Serializable generator state (see :mod:`.checkpoint`);
         ``pending`` lists the unconsumed buffer in pop order."""
+        pending = list(self._pending) or self._pop_order()  # fills it
         return {
             "thread_index": self.thread_index,
             "base_block": self.base_block,
             "batch_size": self.batch_size,
             "count": self._count,
-            "pending": list(self._pending) or self._pop_order(),
+            "pending": pending,
             "rng_state": self._rng.bit_generator.state,
             "load_scale": self._load_scale,
         }
