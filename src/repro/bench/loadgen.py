@@ -14,11 +14,12 @@ One run (:func:`run_loadgen`) submits jobs with exponential
 inter-arrival times for a fixed window, mixing *warm* submissions
 (drawn from a small pool of pre-primed specs — pure dedup round-trips)
 with *cold* ones (unique seeds — every job simulates), then polls each
-job to completion and reports exact p50/p95/p99 end-to-end latency and
-achieved throughput.  :func:`saturation_sweep` steps the offered rate
-upward and flags the last rate the service *sustained* (achieved
-within 10% of offered), which is the capacity number the fleet
-acceptance criteria compare across worker counts.
+job to completion, fetches its stored results (``GET /results/<key>``)
+and reports exact p50/p95/p99 end-to-end latency — submit to the last
+result in hand — and achieved throughput.  :func:`saturation_sweep`
+steps the offered rate upward and flags the last rate the service
+*sustained* (achieved within 10% of offered), which is the capacity
+number the fleet acceptance criteria compare across worker counts.
 
 Everything is seeded (:class:`random.Random`) so two runs against
 equally-warm services offer byte-identical workloads.
@@ -117,7 +118,7 @@ class _Outcome:
 
     warm: bool
     status: str          # done | quarantined | shed | error | timeout
-    latency: float = 0.0  # submit -> terminal, seconds (when done)
+    latency: float = 0.0  # submit -> results fetched, seconds (when done)
     finished_at: float = 0.0
 
 
@@ -128,7 +129,7 @@ class LoadgenReport:
     config: LoadgenConfig
     submitted: int = 0
     completed: int = 0
-    failed: int = 0      # quarantined / transport errors / timeouts
+    failed: int = 0      # quarantined / transport or fetch errors / timeouts
     shed: int = 0        # 429/503 at admission (backpressure working)
     elapsed: float = 0.0  # first arrival -> last completion, seconds
     latencies: List[float] = field(default_factory=list)
@@ -199,6 +200,21 @@ def _spec_entry(seed: int, refs: int) -> dict:
     }
 
 
+async def _fetch_results(host: str, port: int, keys: List[str],
+                         config: LoadgenConfig) -> bool:
+    """GET every stored result of a finished job; False if one fails."""
+    for key in keys:
+        try:
+            status, _h, _payload = await fetch(
+                host, port, "GET", f"/results/{key}",
+                timeout=config.timeout)
+        except ServiceError:
+            return False
+        if status != 200:
+            return False
+    return True
+
+
 async def _submit_and_wait(host: str, port: int, body: dict,
                            config: LoadgenConfig, warm: bool,
                            sem: asyncio.Semaphore) -> _Outcome:
@@ -230,9 +246,13 @@ async def _submit_and_wait(host: str, port: int, body: dict,
             except ServiceError:
                 await asyncio.sleep(config.poll_interval)
                 continue
-            state = payload.get("job", {}).get("state") \
-                if status == 200 else None
+            job = payload.get("job", {}) if status == 200 else {}
+            state = job.get("state")
             if state == "done":
+                if not await _fetch_results(
+                        host, port, job.get("result_keys", []), config):
+                    return _Outcome(warm=warm, status="error",
+                                    finished_at=time.monotonic())
                 end = time.monotonic()
                 return _Outcome(warm=warm, status="done",
                                 latency=end - start, finished_at=end)

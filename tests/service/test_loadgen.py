@@ -125,6 +125,39 @@ class TestLiveRuns:
         # priming happened once: the sweep's later runs reuse the pool
         assert reports[0].config.prime and not reports[1].config.prime
 
+    def test_job_latency_includes_the_result_fetch(self, server,
+                                                   monkeypatch):
+        served = []
+        encoded_by_key = server.store.encoded_by_key
+
+        def counting(key):
+            served.append(key)
+            return encoded_by_key(key)
+
+        monkeypatch.setattr(server.store, "encoded_by_key", counting)
+        config = LoadgenConfig(
+            url=f"http://{server.host}:{server.port}",
+            rate=10.0, duration=0.5, warm_fraction=1.0, pool=1,
+            refs=300, seed=6, timeout=60.0)
+        report = run_loadgen(config)
+        assert report.completed == report.submitted > 0
+        # one fetch for the priming job, one per timed job
+        assert len(served) == report.submitted + 1
+
+    def test_failed_result_fetch_counts_as_error(self, server,
+                                                  monkeypatch):
+        base = dict(url=f"http://{server.host}:{server.port}",
+                    rate=10.0, duration=0.5, warm_fraction=1.0, pool=1,
+                    refs=300, seed=7, timeout=60.0)
+        run_loadgen(LoadgenConfig(**base))  # prime the pool
+        # the job still reports done, but its stored result is gone
+        monkeypatch.setattr(server.store, "encoded_by_key",
+                            lambda key: None)
+        report = run_loadgen(LoadgenConfig(**base, prime=False))
+        assert report.submitted > 0
+        assert report.failed == report.submitted
+        assert report.completed == 0 and not report.latencies
+
     def test_sweep_requires_rates(self, server):
         with pytest.raises(ReproError):
             saturation_sweep(f"http://{server.host}:{server.port}", [])
