@@ -175,16 +175,16 @@ def _bench_obs_tracing(ctx: BenchContext) -> List[BenchRecord]:
         server = ServiceServer(port=0, trace_dir=trace_dir)
         server.start_in_thread()
         try:
-            client = ServiceClient(
-                f"http://{server.host}:{server.port}")
-            job = client.submit([rt_spec])  # warm the store
-            client.wait(job["job_id"], timeout=120.0)
+            with ServiceClient(
+                    f"http://{server.host}:{server.port}") as client:
+                job = client.submit([rt_spec])  # warm the store
+                client.wait(job["job_id"], timeout=120.0)
 
-            def once():
-                handle = client.submit([rt_spec])
-                client.wait(handle["job_id"], timeout=120.0)
+                def once():
+                    handle = client.submit([rt_spec])
+                    client.wait(handle["job_id"], timeout=120.0)
 
-            times = sorted(_timed(once) for _ in range(repeats))
+                times = sorted(_timed(once) for _ in range(repeats))
             return 1000.0 * times[len(times) // 2]  # median
         finally:
             server.shutdown()

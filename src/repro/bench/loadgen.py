@@ -13,11 +13,12 @@ Versus Closed").
 One run (:func:`run_loadgen`) submits jobs with exponential
 inter-arrival times for a fixed window, mixing *warm* submissions
 (drawn from a small pool of pre-primed specs — pure dedup round-trips)
-with *cold* ones (unique seeds — every job simulates), then polls each
-job to completion, fetches its stored results (``GET /results/<key>``)
-and reports exact p50/p95/p99 end-to-end latency — submit to the last
-result in hand — and achieved throughput.  :func:`saturation_sweep`
-steps the offered rate upward and flags the last rate the service
+with *cold* ones (unique seeds — every job simulates), then long-polls
+each job to completion (``GET /jobs/<id>?wait=S``, so a latency is not
+rounded up to a poll interval), fetches its stored results (``GET
+/results/<key>``) and reports exact p50/p95/p99 end-to-end latency —
+submit to the last result in hand — and achieved throughput.
+:func:`saturation_sweep` steps the offered rate upward and flags the last rate the service
 *sustained* (achieved within 10% of offered), which is the capacity
 number the fleet acceptance criteria compare across worker counts.
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError, ServiceError
-from ..service.httpcommon import fetch
+from ..service.httpcommon import MAX_JOB_WAIT, RETRY_PAUSE, fetch, job_path
 from .records import BenchRecord
 
 __all__ = [
@@ -93,7 +94,6 @@ class LoadgenConfig:
     refs: int = 300             # measured_refs of every generated spec
     seed: int = 1
     priority: int = 10
-    poll_interval: float = 0.02
     timeout: float = 120.0      # per-job completion timeout
     max_inflight: int = 512     # open-loop memory bound, not pacing
     prime: bool = True          # pre-run the warm pool before timing
@@ -239,13 +239,14 @@ async def _submit_and_wait(host: str, port: int, body: dict,
                             finished_at=time.monotonic())
         deadline = start + config.timeout
         while time.monotonic() < deadline:
+            asked = time.monotonic()
+            hold = min(deadline - asked, MAX_JOB_WAIT)
             try:
                 status, _h, payload = await fetch(
-                    host, port, "GET", f"/jobs/{job_id}",
-                    timeout=config.timeout)
+                    host, port, "GET", job_path(job_id, hold),
+                    timeout=hold + config.timeout)
             except ServiceError:
-                await asyncio.sleep(config.poll_interval)
-                continue
+                status, payload = None, {}
             job = payload.get("job", {}) if status == 200 else {}
             state = job.get("state")
             if state == "done":
@@ -259,7 +260,8 @@ async def _submit_and_wait(host: str, port: int, body: dict,
             if state == "quarantined":
                 return _Outcome(warm=warm, status="quarantined",
                                 finished_at=time.monotonic())
-            await asyncio.sleep(config.poll_interval)
+            if time.monotonic() - asked < hold:
+                await asyncio.sleep(RETRY_PAUSE)
         return _Outcome(warm=warm, status="timeout",
                         finished_at=time.monotonic())
 

@@ -1107,31 +1107,31 @@ def _cmd_top(args) -> int:
     from .analysis.top import render_dashboard
     from .service import ServiceClient
 
-    client = ServiceClient(args.url)
-    previous = None
-    frame = 0
-    while True:
-        payload = client.metrics()
-        try:
-            healthz = client.healthz()
-        except Exception:
-            healthz = None
-        aggregate = payload.get("aggregate", payload)
-        text = render_dashboard(
-            payload, healthz=healthz, previous=previous,
-            interval=args.interval if previous is not None else None)
-        if not args.no_clear:
-            print("\x1b[2J\x1b[H", end="")
-        stamp = _time.strftime("%H:%M:%S")
-        print(f"repro top — {args.url} — {stamp} "
-              f"(refresh {args.interval:g}s)")
-        print()
-        print(text, flush=True)
-        previous = aggregate
-        frame += 1
-        if args.count and frame >= args.count:
-            return EXIT_OK
-        _time.sleep(args.interval)
+    with ServiceClient(args.url) as client:
+        previous = None
+        frame = 0
+        while True:
+            payload = client.metrics()
+            try:
+                healthz = client.healthz()
+            except Exception:
+                healthz = None
+            aggregate = payload.get("aggregate", payload)
+            text = render_dashboard(
+                payload, healthz=healthz, previous=previous,
+                interval=args.interval if previous is not None else None)
+            if not args.no_clear:
+                print("\x1b[2J\x1b[H", end="")
+            stamp = _time.strftime("%H:%M:%S")
+            print(f"repro top — {args.url} — {stamp} "
+                  f"(refresh {args.interval:g}s)")
+            print()
+            print(text, flush=True)
+            previous = aggregate
+            frame += 1
+            if args.count and frame >= args.count:
+                return EXIT_OK
+            _time.sleep(args.interval)
 
 
 def _cmd_loadgen(args) -> int:
@@ -1197,15 +1197,15 @@ def _submit_cells(args):
 def _cmd_submit(args) -> int:
     from .service import JobState, ServiceClient
 
-    client = ServiceClient(args.url, client_id=args.client_id,
-                           busy_timeout=args.busy_timeout)
-    keys, specs = _submit_cells(args)
-    job = client.submit(specs, priority=args.priority, keys=keys)
-    print(f"job {job['job_id']}: {job['state']} "
-          f"({job['cells']} cells, priority {job['priority']})")
-    if not args.wait:
-        return EXIT_OK
-    job = client.wait(job["job_id"], timeout=args.timeout)
+    with ServiceClient(args.url, client_id=args.client_id,
+                       busy_timeout=args.busy_timeout) as client:
+        keys, specs = _submit_cells(args)
+        job = client.submit(specs, priority=args.priority, keys=keys)
+        print(f"job {job['job_id']}: {job['state']} "
+              f"({job['cells']} cells, priority {job['priority']})")
+        if not args.wait:
+            return EXIT_OK
+        job = client.wait(job["job_id"], timeout=args.timeout)
     if job["state"] != JobState.DONE:
         print(f"job {job['job_id']} {job['state']}: {job.get('error')}",
               file=sys.stderr)
@@ -1224,9 +1224,12 @@ def _cmd_submit(args) -> int:
 def _cmd_jobs(args) -> int:
     from .service import ServiceClient
 
-    client = ServiceClient(args.url)
+    with ServiceClient(args.url) as client:
+        if args.job_id:
+            job = client.job(args.job_id)
+        else:
+            jobs = client.jobs()
     if args.job_id:
-        job = client.job(args.job_id)
         print(format_kv(f"Job {job['job_id']}", {
             "state": job["state"],
             "client": job["client"],
@@ -1241,7 +1244,7 @@ def _cmd_jobs(args) -> int:
     rows = [
         [job["job_id"], job["state"], job["cells"], job["attempts"],
          job["client"]]
-        for job in client.jobs()
+        for job in jobs
     ]
     print(format_table(["Job", "State", "Cells", "Attempts", "Client"],
                        rows, title=f"Jobs at {args.url}"))

@@ -2,10 +2,16 @@
 
 Speaks the ``repro serve`` HTTP API with nothing but ``http.client``:
 
->>> client = ServiceClient("http://127.0.0.1:8765")     # doctest: +SKIP
->>> job = client.submit([ExperimentSpec(mix="mix5")])   # doctest: +SKIP
->>> job = client.wait(job["job_id"])                    # doctest: +SKIP
->>> result = client.result(job["result_keys"][0])       # doctest: +SKIP
+>>> with ServiceClient("http://127.0.0.1:8765") as client:  # doctest: +SKIP
+...     job = client.submit([ExperimentSpec(mix="mix5")])
+...     job = client.wait(job["job_id"])
+...     result = client.result(job["result_keys"][0])
+
+Each thread using a client keeps one persistent HTTP/1.1 connection,
+reopened when the server has closed it: that is checked before each
+request, a failed GET on a reused connection is sent once more on a
+fresh one, and a ``POST /jobs`` is never sent twice.  :meth:`close`
+(or leaving the ``with`` block) closes them all.
 
 ``submit`` transparently honours ``429`` backpressure: it sleeps the
 server's ``Retry-After`` hint and retries until ``busy_timeout`` is
@@ -18,18 +24,30 @@ from __future__ import annotations
 import dataclasses
 import http.client
 import json
+import select
+import socket
+import threading
 import time
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 from urllib.parse import urlsplit
 
 from ..core.experiment import ExperimentSpec
 from ..core.store import result_from_dict
 from ..errors import ServiceError
+from .httpcommon import MAX_JOB_WAIT, RETRY_PAUSE, job_path
 from .jobs import JobState
 
 __all__ = ["ServiceClient"]
 
 SpecLike = Union[ExperimentSpec, dict]
+
+
+def _readable(sock: socket.socket) -> bool:
+    """Has an idle socket data or EOF waiting (never, on a live one)?"""
+    try:
+        return bool(select.select([sock], [], [], 0)[0])
+    except (OSError, ValueError):  # closed, or past select's fd range
+        return False
 
 
 class ServiceClient:
@@ -42,7 +60,8 @@ class ServiceClient:
     client_id:
         Sent as ``X-Client-Id``; the server rate-limits per client.
     timeout:
-        Socket timeout per request, seconds.
+        Socket timeout per request, seconds (a long-poll adds its
+        hold).
     busy_timeout:
         Total time :meth:`submit` keeps retrying through ``429``
         responses before giving up (0 = fail on the first 429).
@@ -67,6 +86,25 @@ class ServiceClient:
         self.timeout = timeout
         self.busy_timeout = busy_timeout
         self.tracer = tracer
+        # one connection per thread; a new thread's first call closes
+        # those of threads that have ended
+        self._connections: Dict[threading.Thread,
+                                http.client.HTTPConnection] = {}
+        self._connections_lock = threading.Lock()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every thread's connection; a later call reopens one."""
+        with self._connections_lock:
+            connections = list(self._connections.values())
+            self._connections.clear()
+        for connection in connections:
+            connection.close()
 
     # -- API calls -----------------------------------------------------
 
@@ -117,9 +155,12 @@ class ServiceClient:
             if span is not None:
                 span.finish()
 
-    def job(self, job_id: str) -> dict:
+    def job(self, job_id: str, wait: float = 0.0) -> dict:
+        """One job's record; with ``wait`` the server holds the answer
+        until the job is terminal or ``wait`` seconds pass (at most
+        :data:`~repro.service.httpcommon.MAX_JOB_WAIT`)."""
         status, _headers, payload = self._request(
-            "GET", f"/jobs/{job_id}")
+            "GET", job_path(job_id, wait), timeout=self.timeout + wait)
         self._check(status, payload)
         return payload["job"]
 
@@ -128,9 +169,8 @@ class ServiceClient:
         self._check(status, payload)
         return payload["jobs"]
 
-    def wait(self, job_id: str, timeout: float = 600.0,
-             poll: float = 0.1) -> dict:
-        """Poll until the job reaches a terminal state; returns it.
+    def wait(self, job_id: str, timeout: float = 600.0) -> dict:
+        """Long-poll until the job reaches a terminal state; returns it.
 
         Raises :class:`ServiceError` on timeout — but *not* on a
         quarantined job: the terminal record (with its error) is
@@ -138,13 +178,17 @@ class ServiceClient:
         """
         deadline = time.monotonic() + timeout
         while True:
-            job = self.job(job_id)
+            asked = time.monotonic()
+            hold = min(max(0.0, deadline - asked), MAX_JOB_WAIT)
+            job = self.job(job_id, wait=hold)
             if job["state"] in JobState.TERMINAL:
                 return job
-            if time.monotonic() >= deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise ServiceError(
                     f"job {job_id} still {job['state']} after {timeout}s")
-            time.sleep(poll)
+            if now - asked < hold:
+                time.sleep(min(RETRY_PAUSE, deadline - now))
 
     def result(self, key: str, decode: bool = True):
         """Fetch a stored result by spec key.
@@ -181,39 +225,67 @@ class ServiceClient:
 
     # -- plumbing ------------------------------------------------------
 
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, dropped first if the server has
+        closed it (an idle socket turns readable at the server's FIN)."""
+        thread = threading.current_thread()
+        connection = self._connections.get(thread)
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout)
+            with self._connections_lock:
+                for ended in [other for other in self._connections
+                              if not other.is_alive()]:
+                    self._connections.pop(ended).close()
+                self._connections[thread] = connection
+        elif connection.sock is not None and _readable(connection.sock):
+            connection.close()
+        return connection
+
     def _request(self, method: str, path: str, body: Optional[dict] = None,
                  raw: bool = False,
                  extra_headers: Optional[dict] = None,
+                 timeout: Optional[float] = None,
                  ) -> Tuple[int, dict, object]:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout)
-        try:
-            headers = {"X-Client-Id": self.client_id}
-            if extra_headers:
-                headers.update(extra_headers)
-            data = None
-            if body is not None:
-                data = json.dumps(body).encode("utf-8")
-                headers["Content-Type"] = "application/json"
+        headers = {"X-Client-Id": self.client_id}
+        if extra_headers:
+            headers.update(extra_headers)
+        data = None
+        if body is not None:
+            data = json.dumps(body).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        timeout = self.timeout if timeout is None else timeout
+        while True:
+            connection = self._connection()
+            reused = connection.sock is not None
+            if connection.timeout != timeout:
+                connection.timeout = timeout
+                if reused:
+                    connection.sock.settimeout(timeout)
             try:
                 connection.request(method, path, body=data, headers=headers)
                 response = connection.getresponse()
                 text = response.read().decode("utf-8")
+                break
             except (OSError, http.client.HTTPException) as exc:
+                connection.close()
+                # a reused socket the server closed under us: a GET is
+                # safe to send again, a submission may have been admitted
+                if reused and method == "GET" and \
+                        not isinstance(exc, socket.timeout):
+                    continue
                 raise ServiceError(
                     f"cannot reach service at "
                     f"http://{self.host}:{self.port}: {exc}") from None
-            response_headers = {k.lower(): v
-                                for k, v in response.getheaders()}
-            if raw:
-                return response.status, response_headers, text
-            try:
-                payload = json.loads(text) if text else {}
-            except json.JSONDecodeError:
-                payload = {"error": text.strip()}
-            return response.status, response_headers, payload
-        finally:
-            connection.close()
+        response_headers = {k.lower(): v
+                            for k, v in response.getheaders()}
+        if raw:
+            return response.status, response_headers, text
+        try:
+            payload = json.loads(text) if text else {}
+        except json.JSONDecodeError:
+            payload = {"error": text.strip()}
+        return response.status, response_headers, payload
 
     @staticmethod
     def _check(status: int, payload) -> None:

@@ -50,10 +50,10 @@ from ..core.store import ResultStore
 from ..errors import ConfigurationError, ServiceError
 from ..obs.telemetry import Telemetry, merge_snapshots, render_prometheus
 from ..obs.tracing import TRACEPARENT_HEADER, SpanContext
-from .httpcommon import HttpService, fetch
+from .httpcommon import HttpService, fetch, job_path, job_wait
 from .jobs import JobQueue, JobState
 from .ring import HashRing
-from .scheduler import LATENCY_BOUNDS
+from .scheduler import LATENCY_BOUNDS, JobWaiters
 from .server import client_key_of, parse_job_body
 
 __all__ = ["FleetServer", "WorkerHandle"]
@@ -252,6 +252,9 @@ class FleetServer(HttpService):
         self._mp = multiprocessing.get_context("spawn")
         self._failover_lock: Optional[asyncio.Lock] = None
         self._draining = False
+        # long-polls on parked records, released when the record is
+        # pinned or re-admitted
+        self._holds = JobWaiters()
 
     # -- worker lifecycle ----------------------------------------------
 
@@ -313,6 +316,7 @@ class FleetServer(HttpService):
 
     def _stop_admitting(self) -> None:
         self._draining = True
+        self._holds.release_all()
 
     async def _wind_down(self) -> None:
         """Stop health checks, then SIGTERM and join every worker."""
@@ -490,6 +494,7 @@ class FleetServer(HttpService):
                     route.snapshot = None
                     route.replays += 1
                 self.telemetry.counter("fleet.replayed").inc()
+                self._holds.release(job_id)
                 continue
             entry.attempts += 1
             if entry.attempts >= self.replay_retries:
@@ -587,6 +592,7 @@ class FleetServer(HttpService):
         self._routes.pop(job_id, None)
         self._pending_replays.pop(job_id, None)
         self._finals[job_id] = record
+        self._holds.release(job_id)
         self._finals.move_to_end(job_id)
         while len(self._finals) > self.FINALS_CAP:
             old_id, _record = self._finals.popitem(last=False)
@@ -636,7 +642,8 @@ class FleetServer(HttpService):
         if path == "/jobs" and method == "GET":
             return await self._list_jobs()
         if path.startswith("/jobs/") and method == "GET":
-            return await self._get_job(path[len("/jobs/"):])
+            return await self._get_job(path[len("/jobs/"):],
+                                       job_wait(query))
         return self._shared_route(method, path)
 
     # -- endpoints -----------------------------------------------------
@@ -698,19 +705,29 @@ class FleetServer(HttpService):
             extra["retry_after"] = 2
         return status, payload, extra
 
-    async def _get_job(self, job_id: str):
+    async def _get_job(self, job_id: str, wait: float = 0.0):
+        """``GET /jobs/<id>[?wait=S]``: a parked record is held here
+        until it is pinned or re-admitted, a routed one is long-polled
+        at its worker, both for at most S seconds in all."""
+        deadline = time.monotonic() + wait
         record = self._local_job(job_id)
+        while record is not None and not self._draining and \
+                record.get("state") not in JobState.TERMINAL and \
+                time.monotonic() < deadline:
+            await self._holds.wait(job_id, deadline - time.monotonic())
+            record = self._local_job(job_id)
         if record is not None:
             return 200, {"job": record}, {}
         route = self._routes.get(job_id)
         if route is None:
             # not fleet-admitted (or retired/pre-restart): ask every
             # worker — whichever ran it keeps the record
-            found = await self._ask_workers(f"/jobs/{job_id}")
+            hold = max(0.0, deadline - time.monotonic())
+            found = await self._ask_workers(job_path(job_id, hold), hold)
             if found:
                 return 200, next(iter(found.values())), {}
             return 404, {"error": "unknown job"}, {}
-        response = await self._poll_route(job_id, route)
+        response = await self._poll_route(job_id, route, deadline)
         if response is not None:
             return response
         # the owning worker died mid-poll: wait for the in-flight
@@ -722,22 +739,25 @@ class FleetServer(HttpService):
             return 200, {"job": record}, {}
         route = self._routes.get(job_id)
         if route is not None:
-            response = await self._poll_route(job_id, route)
+            response = await self._poll_route(job_id, route, deadline)
             if response is not None:
                 return response
         return 502, {"error": f"job {job_id} temporarily unroutable"}, {}
 
-    async def _poll_route(self, job_id: str, route: _Route):
-        """Proxy one job poll to its worker; ``None`` if it just died."""
+    async def _poll_route(self, job_id: str, route: _Route,
+                          deadline: float):
+        """Proxy one job poll, held until ``deadline`` at most, to its
+        worker; ``None`` if it just died."""
         if route.worker is None:
             return None  # parked mid-transition; caller re-checks
         worker = self.workers.get(route.worker)
         if worker is None or not worker.alive:
             return None
+        hold = max(0.0, deadline - time.monotonic())
         try:
             status, _h, payload = await fetch(
-                "127.0.0.1", worker.port, "GET", f"/jobs/{job_id}",
-                timeout=self.proxy_timeout)
+                "127.0.0.1", worker.port, "GET", job_path(job_id, hold),
+                timeout=self.proxy_timeout + hold)
         except ServiceError:
             await self._fail_worker(route.worker,
                                     "unreachable during poll")
@@ -749,16 +769,18 @@ class FleetServer(HttpService):
                 self._retire_route(job_id)
         return status, payload, {}
 
-    async def _ask_workers(self, path: str) -> Dict[str, dict]:
+    async def _ask_workers(self, path: str,
+                           hold: float = 0.0) -> Dict[str, dict]:
         """``GET path`` on every live worker at once: the JSON object
-        each one answered with ``200``, by worker name."""
+        each one answered with ``200``, by worker name.  ``hold`` is
+        how long a worker may keep the answer (a long-poll)."""
         names = self.live_workers
 
         async def ask(name: str) -> Optional[dict]:
             try:
                 status, _h, payload = await fetch(
                     "127.0.0.1", self.workers[name].port, "GET", path,
-                    timeout=self.proxy_timeout)
+                    timeout=self.proxy_timeout + hold)
             except ServiceError:
                 return None
             return payload if status == 200 and \

@@ -13,9 +13,20 @@ route table and its start, drain and teardown steps.
 The wire format is here too, so the two stay byte-compatible: request
 parsing (:func:`read_request`), response framing (:func:`respond`),
 and the asyncio client (:func:`fetch`) the front end and the load
-generator use to talk to workers.  Everything is ``Connection: close``
-HTTP/1.1 over asyncio streams — one request, one response, one socket,
-so a dead peer is a connection error, never a half-open stream.
+generator use to talk to workers.
+
+Connections are persistent HTTP/1.1: a server socket answers request
+after request until the client sends ``Connection: close`` (or speaks
+HTTP/1.0 without ``keep-alive``), :data:`KEEPALIVE_IDLE_SECONDS` pass
+without a request, or the service drains, shuts down or aborts.  A
+request the server cannot frame (``Transfer-Encoding``, an unparsable
+``Content-Length``, a line over 64 KiB) is a 400 and closes the socket, so stray body bytes
+are never read as the next request.  Idle sockets are closed at
+wind-down: ``asyncio.Server.wait_closed`` waits for every open
+connection on Python 3.12.1 and later.  :func:`fetch` stays one
+request per socket (``Connection: close``), so a dead peer is a
+connection error, never a half-open stream; the fleet's dead-worker
+detection relies on that.
 """
 
 from __future__ import annotations
@@ -24,11 +35,13 @@ import asyncio
 import concurrent.futures
 import inspect
 import json
+import math
 import signal
 import threading
 import time
 from pathlib import Path
 from typing import Optional, Tuple, Union
+from urllib.parse import parse_qs
 
 from ..errors import ServiceError
 from ..obs.slo import SloTracker
@@ -40,12 +53,25 @@ __all__ = [
     "STATUS_TEXT",
     "BadRequest",
     "HttpService",
+    "KEEPALIVE_IDLE_SECONDS",
+    "MAX_JOB_WAIT",
+    "RETRY_PAUSE",
+    "job_path",
+    "job_wait",
     "read_request",
     "respond",
     "fetch",
 ]
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
+KEEPALIVE_IDLE_SECONDS = 15.0
+"""Seconds a persistent connection may sit between requests."""
+MAX_JOB_WAIT = 30.0
+"""Cap on ``S`` in ``GET /jobs/<id>?wait=S``, seconds."""
+RETRY_PAUSE = 0.1
+"""Seconds a long-polling client pauses before asking again when a
+poll failed or came back before its hold with the job still running
+(a draining server), so it never spins on either."""
 STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
@@ -59,51 +85,101 @@ class BadRequest(ServiceError):
 
 
 async def read_request(reader: asyncio.StreamReader) -> Tuple[
-        str, str, str, dict, Optional[bytes]]:
-    """Parse one request: ``(method, path, query, headers, body)``.
+        str, str, str, dict, Optional[bytes], bool]:
+    """Parse one request: ``(method, path, query, headers, body,
+    keep_alive)``.
 
     Raises :class:`BadRequest` on malformed input and
     ``asyncio.IncompleteReadError`` on a closed/empty connection.
-    Header names are lower-cased; the body is read iff a valid
+    Header names are lower-cased; the body is read iff a
     ``Content-Length`` is present (bounded by :data:`MAX_BODY_BYTES`).
+    A ``Transfer-Encoding``, an unparsable ``Content-Length`` or a line
+    over the stream's limit is a :class:`BadRequest`: where the request
+    ends is then unknown, so the connection cannot carry another one.  ``keep_alive`` is what
+    the client asked for: HTTP/1.1 unless ``Connection: close``,
+    HTTP/1.0 only with ``Connection: keep-alive``.
     """
-    request_line = (await reader.readline()).decode("latin-1").strip()
+    request_line = await _read_line(reader)
     if not request_line:
         raise asyncio.IncompleteReadError(b"", None)
     parts = request_line.split()
     if len(parts) != 3:
         raise BadRequest(f"malformed request line {request_line!r}")
-    method, target, _version = parts
+    method, target, version = parts
     path, _, query = target.partition("?")
     headers = {}
     while True:
-        line = (await reader.readline()).decode("latin-1").strip()
+        line = await _read_line(reader)
         if not line:
             break
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        raise BadRequest("Transfer-Encoding is not supported; "
+                         "send a Content-Length")
     body = None
     length = headers.get("content-length")
     if length is not None:
-        try:
-            length = int(length)
-        except ValueError:
-            raise BadRequest("invalid Content-Length") from None
+        if not length.isdigit():
+            raise BadRequest("invalid Content-Length")
+        length = int(length)
         if length > MAX_BODY_BYTES:
             raise BadRequest("request body too large")
         body = await reader.readexactly(length)
-    return method.upper(), path, query, headers, body
+    tokens = {token.strip().lower()
+              for token in headers.get("connection", "").split(",")}
+    if version.upper() == "HTTP/1.1":
+        keep_alive = "close" not in tokens
+    else:
+        keep_alive = "keep-alive" in tokens
+    return method.upper(), path, query, headers, body, keep_alive
+
+
+async def _read_line(reader: asyncio.StreamReader) -> str:
+    try:
+        line = await reader.readline()
+    except ValueError:  # longer than the stream's limit (64 KiB)
+        raise BadRequest("request line or header too long") from None
+    return line.decode("latin-1").strip()
+
+
+def job_path(job_id: str, wait: float) -> str:
+    """The path of ``GET /jobs/<id>``, long-polled when ``wait`` > 0."""
+    if wait > 0:
+        return f"/jobs/{job_id}?wait={wait:.3f}"
+    return f"/jobs/{job_id}"
+
+
+def job_wait(query: str) -> float:
+    """Seconds ``GET /jobs/<id>?wait=S`` may hold its answer.
+
+    0 when ``wait`` is absent; capped at :data:`MAX_JOB_WAIT`.  A
+    value that is not a finite number >= 0 is a :class:`BadRequest`.
+    """
+    values = parse_qs(query, keep_blank_values=True).get("wait")
+    if values is None:
+        return 0.0
+    try:
+        wait = float(values[-1])
+    except ValueError:
+        wait = -1.0
+    if not math.isfinite(wait) or wait < 0:
+        raise BadRequest(f"wait must be a number of seconds >= 0, "
+                         f"got {values[-1]!r}")
+    return min(wait, MAX_JOB_WAIT)
 
 
 async def respond(writer: asyncio.StreamWriter, status: int, payload,
-                  extra: Optional[dict] = None) -> None:
+                  extra: Optional[dict] = None,
+                  keep_alive: bool = False) -> None:
     """Write one framed response and drain.
 
     ``payload`` may be ``bytes`` (sent as they are, e.g. a stored
     result's encoding), a ``str`` (sent as-is, e.g. Prometheus text) or
     any JSON-serializable object, sent as one line of JSON with the
     default ``", "``/``": "`` separators.  ``extra`` carries
-    ``content_type`` and ``retry_after`` overrides.
+    ``content_type`` and ``retry_after`` overrides; ``keep_alive``
+    tells the client whether the socket stays open.
     """
     extra = extra or {}
     content_type = extra.get("content_type", "application/json")
@@ -117,7 +193,7 @@ async def respond(writer: asyncio.StreamWriter, status: int, payload,
         f"HTTP/1.1 {status} {STATUS_TEXT.get(status, 'Unknown')}",
         f"Content-Type: {content_type}",
         f"Content-Length: {len(body)}",
-        "Connection: close",
+        "Connection: keep-alive" if keep_alive else "Connection: close",
     ]
     if "retry_after" in extra:
         head.append(f"Retry-After: {extra['retry_after']}")
@@ -229,6 +305,10 @@ class HttpService:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._start_time = time.monotonic()
+        # sockets waiting for their next request, closed at wind-down;
+        # once the listening socket closes no socket takes another one
+        self._idle: set = set()
+        self._closed = False
 
     # -- role steps ----------------------------------------------------
 
@@ -281,9 +361,17 @@ class HttpService:
         if self._server is None:
             await self.start()
         await self._stopping.wait()
+        self._stop_admitting()  # again after abort(): frees long-polls
+        self._close_idle()  # persistent connections end with the drain
         await self._wind_down()
         self._server.close()
+        self._closed = True
+        self._close_idle()  # sockets opened during the drain
         await self._server.wait_closed()
+
+    def _close_idle(self) -> None:
+        for writer in list(self._idle):
+            writer.close()
 
     def serve_forever(self) -> None:
         """Blocking entry point (``repro serve``/``repro fleet``)."""
@@ -366,43 +454,59 @@ class HttpService:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            try:
-                method, path, query, headers, body = \
-                    await read_request(reader)
-            except BadRequest as exc:
-                await respond(writer, 400, {"error": str(exc)})
-                return
-            except (asyncio.IncompleteReadError, ConnectionError,
-                    asyncio.LimitOverrunError):
-                return
-            except asyncio.CancelledError:
-                # loop teardown during drain cancels in-flight
-                # handlers; the connection is going away regardless
-                return
-            self.telemetry.counter(
-                f"{self.metric_prefix}.http_requests").inc()
-            route_start = time.monotonic()
-            try:
-                reply = self._route(method, path, query, headers, body,
-                                    writer)
-                if inspect.isawaitable(reply):
-                    reply = await reply
-                status, payload, extra = reply
-            except BadRequest as exc:
-                status, payload, extra = 400, {"error": str(exc)}, {}
-            except Exception as exc:  # never kill the accept loop
-                self.telemetry.counter(
-                    f"{self.metric_prefix}.http_errors").inc()
-                status, payload, extra = (
-                    500, {"error": f"internal error: {exc!r}"}, {})
-            self.slo.observe(time.monotonic() - route_start,
-                             error=status >= 500)
-            await respond(writer, status, payload, extra)
+            while not self._closed and await self._serve_one(reader, writer):
+                pass
+        except ConnectionError:
+            pass  # the client went away mid-response
         finally:
             try:
                 writer.close()
             except Exception:
                 pass
+
+    async def _serve_one(self, reader: asyncio.StreamReader,
+                         writer: asyncio.StreamWriter) -> bool:
+        """Read, route and answer one request; True keeps the socket."""
+        self._idle.add(writer)
+        idle_timer = self._loop.call_later(KEEPALIVE_IDLE_SECONDS,
+                                           writer.close)
+        try:
+            method, path, query, headers, body, keep_alive = \
+                await read_request(reader)
+        except BadRequest as exc:
+            await respond(writer, 400, {"error": str(exc)})
+            return False
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return False
+        except asyncio.CancelledError:
+            # loop teardown during drain cancels in-flight
+            # handlers; the connection is going away regardless
+            return False
+        finally:
+            idle_timer.cancel()
+            self._idle.discard(writer)
+        self.telemetry.counter(
+            f"{self.metric_prefix}.http_requests").inc()
+        route_start = time.monotonic()
+        try:
+            reply = self._route(method, path, query, headers, body,
+                                writer)
+            if inspect.isawaitable(reply):
+                reply = await reply
+            status, payload, extra = reply
+        except BadRequest as exc:
+            status, payload, extra = 400, {"error": str(exc)}, {}
+        except Exception as exc:  # never kill the accept loop
+            self.telemetry.counter(
+                f"{self.metric_prefix}.http_errors").inc()
+            status, payload, extra = (
+                500, {"error": f"internal error: {exc!r}"}, {})
+        if "wait=" not in query:  # a long-poll's hold is not route time
+            self.slo.observe(time.monotonic() - route_start,
+                             error=status >= 500)
+        keep_alive = keep_alive and not self._stopping.is_set()
+        await respond(writer, status, payload, extra, keep_alive)
+        return keep_alive
 
     def _shared_route(self, method: str, path: str):
         """``GET /results/<key>`` and the 405/404 fallbacks.

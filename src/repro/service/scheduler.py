@@ -29,6 +29,10 @@ backoff — ``backoff_base * 2**(attempt-1)`` seconds, capped — until
 ``max_attempts`` is spent, then quarantined as poison
 (``service.quarantined``).
 
+A ``GET /jobs/<id>?wait=S`` long-poll parks on :meth:`JobScheduler
+.wait_done` until the job is terminal, so clients learn of completion
+without polling.
+
 The scheduler also feeds two latency histograms the fleet front-end
 aggregates across workers: ``service.queue_wait_seconds`` (submission
 to claim) and ``service.job_seconds`` (submission to terminal state).
@@ -46,11 +50,42 @@ from ..errors import ConfigurationError
 from ..obs.tracing import SpanContext
 from .jobs import Job, JobQueue, JobState
 
-__all__ = ["JobScheduler", "LATENCY_BOUNDS"]
+__all__ = ["JobScheduler", "JobWaiters", "LATENCY_BOUNDS"]
 
 LATENCY_BOUNDS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
                   2.5, 5.0, 10.0, 30.0, 60.0, 120.0)
 """Histogram bucket bounds (seconds) for the service latency series."""
+
+
+class JobWaiters:
+    """Long-polls parked on job ids until released (loop context)."""
+
+    def __init__(self) -> None:
+        self._futures: Dict[str, List[asyncio.Future]] = {}
+
+    async def wait(self, job_id: str, timeout: float) -> None:
+        """Return once ``job_id`` is released or ``timeout`` s pass."""
+        future = asyncio.get_running_loop().create_future()
+        self._futures.setdefault(job_id, []).append(future)
+        try:
+            await asyncio.wait_for(future, timeout)
+        except asyncio.TimeoutError:
+            pass
+        finally:
+            held = self._futures.get(job_id)
+            if held is not None and future in held:
+                held.remove(future)
+                if not held:
+                    del self._futures[job_id]
+
+    def release(self, job_id: str) -> None:
+        for future in self._futures.pop(job_id, ()):
+            if not future.done():
+                future.set_result(None)
+
+    def release_all(self) -> None:
+        for job_id in list(self._futures):
+            self.release(job_id)
 
 
 class JobScheduler:
@@ -122,6 +157,7 @@ class JobScheduler:
         self._stopped = False
         self._draining = False
         self._running: Dict[str, asyncio.Task] = {}
+        self._waiters = JobWaiters()
         self.paused = False
         # on restart, recovered jobs are already in the heap; register
         # their identities so new submissions coalesce against them
@@ -183,6 +219,14 @@ class JobScheduler:
                 return None
         return keys
 
+    async def wait_done(self, job_id: str, timeout: float) -> None:
+        """Return once the job is terminal, ``timeout`` seconds pass or
+        a drain begins (loop context)."""
+        job = self.queue.get(job_id)
+        if job is None or job.done or self._draining:
+            return
+        await self._waiters.wait(job_id, timeout)
+
     # -- latency accounting --------------------------------------------
 
     def _observe_wait(self, job_id: str) -> None:
@@ -201,6 +245,9 @@ class JobScheduler:
                 attrs={"job_id": job_id})
 
     def _observe_done(self, job_id: str) -> None:
+        """Terminal bookkeeping of one job: answer its long-polls and
+        record its latency."""
+        self._waiters.release(job_id)
         submitted = self._submit_times.pop(job_id, None)
         if submitted is None:
             self._job_ctx.pop(job_id, None)
@@ -359,6 +406,7 @@ class JobScheduler:
         journaled for the next process."""
         self._draining = True
         self.paused = True
+        self._waiters.release_all()
         self._wake()
 
     def stop(self) -> None:

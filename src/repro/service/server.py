@@ -10,7 +10,9 @@ connection — in front of the :class:`~repro.service.scheduler
                       ``429`` + ``Retry-After`` under backpressure or
                       rate limiting, ``503`` while draining
 ``GET /jobs``         every known job (summaries)
-``GET /jobs/<id>``    one job's full record
+``GET /jobs/<id>``    one job's full record; ``?wait=S`` holds the
+                      answer until the job is terminal, S seconds
+                      pass (capped) or the server drains
 ``GET /results/<k>``  a stored result by spec key (``404`` on miss)
 ``GET /healthz``      liveness + queue depths
 ``GET /metrics``      telemetry snapshot (JSON; ``?format=prometheus``
@@ -42,7 +44,7 @@ from ..core.store import ResultStore
 from ..errors import ReproError
 from ..obs.telemetry import Telemetry, render_prometheus
 from ..obs.tracing import TRACEPARENT_HEADER, SpanContext
-from .httpcommon import BadRequest, HttpService
+from .httpcommon import BadRequest, HttpService, job_wait
 from .jobs import Job, JobQueue
 from .ratelimit import TokenBucket
 from .scheduler import JobScheduler
@@ -261,11 +263,20 @@ class ServiceServer(HttpService):
             return 200, {"jobs": [job.summary()
                                   for job in self.queue.jobs()]}, {}
         if path.startswith("/jobs/") and method == "GET":
+            wait = job_wait(query)
             job = self.queue.get(path[len("/jobs/"):])
             if job is None:
                 return 404, {"error": "unknown job"}, {}
+            if wait and not job.done:
+                return self._job_when_done(job, wait)
             return 200, {"job": job.to_dict()}, {}
         return self._shared_route(method, path)
+
+    async def _job_when_done(self, job: Job, wait: float):
+        """``GET /jobs/<id>?wait=S``: the record once the job is
+        terminal, S seconds pass or a drain begins."""
+        await self.scheduler.wait_done(job.job_id, wait)
+        return 200, {"job": job.to_dict()}, {}
 
     # -- endpoints -----------------------------------------------------
 

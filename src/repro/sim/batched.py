@@ -59,9 +59,10 @@ utility monitors work unchanged).
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from itertools import islice
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 
 import numpy as _np
 
@@ -70,6 +71,9 @@ from ..errors import SimulationError
 from ._batchfold import PrivateState, fold_private
 from .engine import EngineResult
 from .records import HitLevel
+
+if TYPE_CHECKING:
+    from ..machine.config import MachineConfig
 
 __all__ = ["BatchedEngine", "DEFAULT_EPOCH_REFS"]
 
@@ -84,6 +88,164 @@ _NEVER = _np.iinfo(_np.int64).max  # no quota / no candidate way
 
 def _level_counts(lv) -> List[int]:
     return _np.bincount(lv, minlength=_LEVELS).tolist()
+
+
+class LatencyTables(NamedTuple):
+    """Per-core zero-load latency/hop constants of one machine config.
+
+    ``lat``, ``ctrl_hops`` and ``data_hops`` hold one tuple per core,
+    indexed by :class:`~repro.sim.records.HitLevel`.
+    """
+
+    lat: Tuple[Tuple[float, ...], ...]
+    ctrl_hops: Tuple[Tuple[float, ...], ...]
+    data_hops: Tuple[Tuple[float, ...], ...]
+    upgrade_cost: Tuple[float, ...]
+    upgrade_hops: Tuple[float, ...]
+    num_links: int
+    mem_service: float
+    mem_controllers: int
+    l2_service: float
+    ctrl_flits: float
+    data_flits: float
+    hop_cycles: float
+
+
+@functools.lru_cache(maxsize=32)
+def latency_tables(config: "MachineConfig") -> LatencyTables:
+    """Per-core zero-load latency/hop constants for each hit level.
+
+    Mirrors the reference chip's message legs (see
+    :meth:`repro.machine.chip.Chip.access`), with block-dependent
+    tiles (directory home, memory controller, providing domain)
+    replaced by their uniform-striping expectations.  A pure function
+    of the config (the chip's mesh and placement are built from it),
+    so one build serves every cell on the same machine.
+    """
+    # imported here: the machine package imports this one
+    from ..interconnect.topology import MeshTopology
+    from ..machine.placement import DomainPlacement
+
+    ctrl = config.control_flits
+    data = config.data_flits
+    tiles = config.num_cores
+    mem_tiles = list(config.memory_tiles)
+    topo = MeshTopology(config.mesh_side, config.mesh_side)
+    placement = DomainPlacement(config, topo)
+    # one hop matrix (Manhattan distance between tile coordinates)
+    # gives every leg: a message to its own tile costs nothing, any
+    # other hops * hop_cycles + flits - 1 (the mesh's zero-load
+    # latency)
+    xy = _np.array([topo.coords(t) for t in range(tiles)])
+    hops = _np.abs(xy[:, None] - xy[None]).sum(2)
+    zl = {flits: _np.where(hops > 0, hops * config.hop_cycles + flits - 1, 0)
+          for flits in {ctrl, data}}
+    homes = list(placement.home_tile)
+    # other[d, t]: how often tile t is another domain's home, seen
+    # from domain d (a lone domain provides to itself)
+    other = _np.tile(_np.bincount(homes, minlength=tiles),
+                     (len(homes), 1))
+    other[_np.arange(len(homes)), homes] -= len(homes) > 1
+    providers = other.sum(1)
+    cores = _np.arange(tiles)
+    dom = _np.asarray(placement.domain_of)
+    home = _np.asarray(homes)[dom]
+
+    def legs(cost):
+        """Each core's legs over one (source x destination) cost
+        matrix; a mean is an integer sum over its pairs divided by
+        the pair count, so each float is the exact quotient."""
+        columns = {
+            "c2h": cost[cores, home],            # core -> its home
+            "h2c": cost[home, cores],            # home -> core
+            "h2dir": cost[home].sum(1) / tiles,  # home -> directories
+            "c2dir": cost.sum(1) / tiles,        # core -> directories
+            "dir2c": cost.sum(0) / tiles,        # directories -> core
+            "mem2c": cost[mem_tiles].sum(0) / len(mem_tiles),
+            "dir2prov": (other @ cost.sum(0))[dom] / (tiles * providers[dom]),
+            "prov2c": (other @ cost)[dom, cores] / providers[dom],
+        }
+        return [dict(zip(columns, row)) for row in
+                zip(*(col.tolist() for col in columns.values()))]
+
+    # block-independent: directory home -> memory controller leg
+    pairs = tiles * len(mem_tiles)
+    dir2mem_lat = float(zl[ctrl][:, mem_tiles].sum() / pairs)
+    dir2mem_hops = float(hops[:, mem_tiles].sum() / pairs)
+
+    lats, ctrl_rows, data_rows, upgrade_cost, upgrade_hops = \
+        [], [], [], [], []
+    l0 = config.l0_geometry.latency
+    l1 = config.l1_geometry.latency
+    l2 = config.l2_latency
+    for c, d, h in zip(legs(zl[ctrl]), legs(zl[data]), legs(hops)):
+        c2h, c2h_h = c["c2h"], h["c2h"]
+        h2c_lat, h2c_h = d["h2c"], h["h2c"]
+        h2dir_lat, h2dir_h = c["h2dir"], h["h2dir"]
+        mem2c_lat, mem2c_h = d["mem2c"], h["mem2c"]
+        dir2prov_lat, dir2prov_h = c["dir2prov"], h["dir2prov"]
+        prov2c_lat, prov2c_h = d["prov2c"], h["prov2c"]
+        c2dir_lat, c2dir_h = c["c2dir"], h["c2dir"]
+        dir2c_lat, dir2c_h = c["dir2c"], h["dir2c"]
+
+        lat = [0.0] * _LEVELS
+        ctrl_hops = [0.0] * _LEVELS
+        data_hops = [0.0] * _LEVELS
+        lat[HitLevel.L0] = float(l0)
+        lat[HitLevel.L1] = float(l0 + l1)
+        # L2 hit: request to the home tile, bank access, data back
+        lat[HitLevel.L2] = l0 + l1 + l2 + c2h + h2c_lat
+        ctrl_hops[HitLevel.L2] = c2h_h
+        data_hops[HitLevel.L2] = h2c_h
+        # peer-L1 transfer: L2 lookup missed, probe a sibling L1,
+        # forward the line through the home tile
+        lat[HitLevel.L2_PEER] = lat[HitLevel.L2] + l1 + c2h
+        ctrl_hops[HitLevel.L2_PEER] = 2 * c2h_h
+        data_hops[HitLevel.L2_PEER] = h2c_h
+        # C2C: local lookup missed, directory indirection, remote
+        # domain lookup, data from the provider's home tile
+        c2c = (
+            l0 + l1 + 2 * l2 + config.directory_latency
+            + c2h + h2dir_lat + dir2prov_lat + prov2c_lat
+        )
+        lat[HitLevel.C2C_CLEAN] = c2c
+        lat[HitLevel.C2C_DIRTY] = c2c + l1
+        ctrl_hops[HitLevel.C2C_CLEAN] = c2h_h + h2dir_h + dir2prov_h
+        ctrl_hops[HitLevel.C2C_DIRTY] = ctrl_hops[HitLevel.C2C_CLEAN]
+        data_hops[HitLevel.C2C_CLEAN] = prov2c_h
+        data_hops[HitLevel.C2C_DIRTY] = prov2c_h
+        # memory: directory indirection then the off-chip access
+        lat[HitLevel.MEMORY] = (
+            l0 + l1 + l2 + config.directory_latency
+            + config.memory_latency
+            + c2h + h2dir_lat + dir2mem_lat + mem2c_lat
+        )
+        ctrl_hops[HitLevel.MEMORY] = c2h_h + h2dir_h + dir2mem_hops
+        data_hops[HitLevel.MEMORY] = mem2c_h
+        lats.append(tuple(lat))
+        ctrl_rows.append(tuple(ctrl_hops))
+        data_rows.append(tuple(data_hops))
+        # write upgrade: control round trip through the directory
+        upgrade_cost.append(c2dir_lat + dir2c_lat + config.directory_latency)
+        upgrade_hops.append(c2dir_h + dir2c_h)
+
+    return LatencyTables(
+        lat=tuple(lats),
+        ctrl_hops=tuple(ctrl_rows),
+        data_hops=tuple(data_rows),
+        upgrade_cost=tuple(upgrade_cost),
+        upgrade_hops=tuple(upgrade_hops),
+        num_links=len(list(topo.links())),
+        mem_service=float(max(
+            config.memory_channel_occupancy,
+            config.memory_bank_occupancy / max(1, config.memory_banks),
+        )),
+        mem_controllers=len(mem_tiles),
+        l2_service=float(config.l2_service_time),
+        ctrl_flits=float(ctrl),
+        data_flits=float(data),
+        hop_cycles=float(config.hop_cycles),
+    )
 
 
 class BatchedEngine:
@@ -226,137 +388,22 @@ class BatchedEngine:
     # ------------------------------------------------------------------
 
     def _build_latency_tables(self) -> None:
-        """Per-core zero-load latency/hop constants for each hit level.
-
-        Mirrors the reference chip's message legs (see
-        :meth:`repro.machine.chip.Chip.access`), with block-dependent
-        tiles (directory home, memory controller, providing domain)
-        replaced by their uniform-striping expectations.
-        """
-        machine = self.machine
-        config = machine.config
-        mesh = machine.mesh
-        placement = machine.placement
-        topo = machine.topology
-        ctrl = config.control_flits
-        data = config.data_flits
-        tiles = config.num_cores
-        mem_tiles = list(config.memory_tiles)
-        # one hop matrix (Manhattan distance between tile coordinates)
-        # gives every leg: a message to its own tile costs nothing, any
-        # other hops * hop_cycles + flits - 1 (the mesh's zero-load
-        # latency)
-        xy = _np.array([topo.coords(t) for t in range(tiles)])
-        hops = _np.abs(xy[:, None] - xy[None]).sum(2)
-        zl = {flits: _np.where(hops > 0, hops * mesh.hop_cycles + flits - 1, 0)
-              for flits in {ctrl, data}}
-        homes = list(placement.home_tile)
-        # other[d, t]: how often tile t is another domain's home, seen
-        # from domain d (a lone domain provides to itself)
-        other = _np.tile(_np.bincount(homes, minlength=tiles),
-                         (len(homes), 1))
-        other[_np.arange(len(homes)), homes] -= len(homes) > 1
-        providers = other.sum(1)
-        cores = _np.arange(tiles)
-        dom = _np.asarray(placement.domain_of)
-        home = _np.asarray(homes)[dom]
-
-        def legs(cost):
-            """Each core's legs over one (source x destination) cost
-            matrix; a mean is an integer sum over its pairs divided by
-            the pair count, so each float is the exact quotient."""
-            columns = {
-                "c2h": cost[cores, home],            # core -> its home
-                "h2c": cost[home, cores],            # home -> core
-                "h2dir": cost[home].sum(1) / tiles,  # home -> directories
-                "c2dir": cost.sum(1) / tiles,        # core -> directories
-                "dir2c": cost.sum(0) / tiles,        # directories -> core
-                "mem2c": cost[mem_tiles].sum(0) / len(mem_tiles),
-                "dir2prov": (other @ cost.sum(0))[dom] / (tiles * providers[dom]),
-                "prov2c": (other @ cost)[dom, cores] / providers[dom],
-            }
-            return [dict(zip(columns, row)) for row in
-                    zip(*(col.tolist() for col in columns.values()))]
-
-        # block-independent: directory home -> memory controller leg
-        pairs = tiles * len(mem_tiles)
-        dir2mem_lat = float(zl[ctrl][:, mem_tiles].sum() / pairs)
-        dir2mem_hops = float(hops[:, mem_tiles].sum() / pairs)
-
-        self._lat: Dict[int, List[float]] = {}
-        self._ctrl_hops: Dict[int, List[float]] = {}
-        self._data_hops: Dict[int, List[float]] = {}
-        self._upgrade_cost: Dict[int, float] = {}
-        self._upgrade_hops: Dict[int, float] = {}
-        l0 = config.l0_geometry.latency
-        l1 = config.l1_geometry.latency
-        l2 = config.l2_latency
-        for core, (c, d, h) in enumerate(zip(legs(zl[ctrl]), legs(zl[data]),
-                                             legs(hops))):
-            c2h, c2h_h = c["c2h"], h["c2h"]
-            h2c_lat, h2c_h = d["h2c"], h["h2c"]
-            h2dir_lat, h2dir_h = c["h2dir"], h["h2dir"]
-            mem2c_lat, mem2c_h = d["mem2c"], h["mem2c"]
-            dir2prov_lat, dir2prov_h = c["dir2prov"], h["dir2prov"]
-            prov2c_lat, prov2c_h = d["prov2c"], h["prov2c"]
-            c2dir_lat, c2dir_h = c["c2dir"], h["c2dir"]
-            dir2c_lat, dir2c_h = c["dir2c"], h["dir2c"]
-
-            lat = [0.0] * _LEVELS
-            ctrl_hops = [0.0] * _LEVELS
-            data_hops = [0.0] * _LEVELS
-            lat[HitLevel.L0] = float(l0)
-            lat[HitLevel.L1] = float(l0 + l1)
-            # L2 hit: request to the home tile, bank access, data back
-            lat[HitLevel.L2] = l0 + l1 + l2 + c2h + h2c_lat
-            ctrl_hops[HitLevel.L2] = c2h_h
-            data_hops[HitLevel.L2] = h2c_h
-            # peer-L1 transfer: L2 lookup missed, probe a sibling L1,
-            # forward the line through the home tile
-            lat[HitLevel.L2_PEER] = lat[HitLevel.L2] + l1 + c2h
-            ctrl_hops[HitLevel.L2_PEER] = 2 * c2h_h
-            data_hops[HitLevel.L2_PEER] = h2c_h
-            # C2C: local lookup missed, directory indirection, remote
-            # domain lookup, data from the provider's home tile
-            c2c = (
-                l0 + l1 + 2 * l2 + config.directory_latency
-                + c2h + h2dir_lat + dir2prov_lat + prov2c_lat
-            )
-            lat[HitLevel.C2C_CLEAN] = c2c
-            lat[HitLevel.C2C_DIRTY] = c2c + l1
-            ctrl_hops[HitLevel.C2C_CLEAN] = c2h_h + h2dir_h + dir2prov_h
-            ctrl_hops[HitLevel.C2C_DIRTY] = ctrl_hops[HitLevel.C2C_CLEAN]
-            data_hops[HitLevel.C2C_CLEAN] = prov2c_h
-            data_hops[HitLevel.C2C_DIRTY] = prov2c_h
-            # memory: directory indirection then the off-chip access
-            lat[HitLevel.MEMORY] = (
-                l0 + l1 + l2 + config.directory_latency
-                + config.memory_latency
-                + c2h + h2dir_lat + dir2mem_lat + mem2c_lat
-            )
-            ctrl_hops[HitLevel.MEMORY] = c2h_h + h2dir_h + dir2mem_hops
-            data_hops[HitLevel.MEMORY] = mem2c_h
-            self._lat[core] = lat
-            self._ctrl_hops[core] = ctrl_hops
-            self._data_hops[core] = data_hops
-            # write upgrade: control round trip through the directory
-            self._upgrade_cost[core] = (
-                c2dir_lat + dir2c_lat + config.directory_latency
-            )
-            self._upgrade_hops[core] = c2dir_h + dir2c_h
-
-        self._num_links = len(list(topo.links()))
-        self._mem_service = float(
-            max(
-                config.memory_channel_occupancy,
-                config.memory_bank_occupancy / max(1, config.memory_banks),
-            )
-        )
-        self._mem_controllers = len(mem_tiles)
-        self._l2_service = float(config.l2_service_time)
-        self._ctrl_flits = float(ctrl)
-        self._data_flits = float(data)
-        self._hop_cycles = float(config.hop_cycles)
+        """Bind the chip's zero-load latency tables (see
+        :func:`latency_tables`); every engine on one config shares
+        them, so nothing here may write to them."""
+        tables = latency_tables(self.machine.config)
+        self._lat = tables.lat
+        self._ctrl_hops = tables.ctrl_hops
+        self._data_hops = tables.data_hops
+        self._upgrade_cost = tables.upgrade_cost
+        self._upgrade_hops = tables.upgrade_hops
+        self._num_links = tables.num_links
+        self._mem_service = tables.mem_service
+        self._mem_controllers = tables.mem_controllers
+        self._l2_service = tables.l2_service
+        self._ctrl_flits = tables.ctrl_flits
+        self._data_flits = tables.data_flits
+        self._hop_cycles = tables.hop_cycles
 
     # ------------------------------------------------------------------
     # per-epoch dynamic latencies

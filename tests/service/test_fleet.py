@@ -373,6 +373,37 @@ class TestFailoverInternals:
         counters = fleet.telemetry.snapshot()["counters"]
         assert counters["fleet.replay_failures"] == 1
 
+    def test_parked_record_long_poll_is_held_until_pinned(self, tmp_path):
+        fleet = offline_fleet(tmp_path)
+        job = parked_replay(fleet)
+
+        async def scenario():
+            held = asyncio.ensure_future(fleet._get_job(job.job_id, 0.2))
+            status, payload, _extra = await held
+            assert payload["job"]["state"] == "submitted"
+            held = asyncio.ensure_future(fleet._get_job(job.job_id, 30))
+            await asyncio.sleep(0.05)
+            assert not held.done()
+            fleet._pin_final(job.job_id, {"job_id": job.job_id,
+                                          "state": "done"})
+            status, payload, _extra = await asyncio.wait_for(held, 5)
+            assert status == 200 and payload["job"]["state"] == "done"
+
+        asyncio.run(scenario())
+
+    def test_drain_answers_a_held_parked_poll(self, tmp_path):
+        fleet = offline_fleet(tmp_path)
+        job = parked_replay(fleet)
+
+        async def scenario():
+            held = asyncio.ensure_future(fleet._get_job(job.job_id, 30))
+            await asyncio.sleep(0.05)
+            fleet._stop_admitting()
+            _status, payload, _extra = await asyncio.wait_for(held, 5)
+            assert payload["job"]["state"] == "submitted"
+
+        asyncio.run(scenario())
+
     def test_pinned_finals_are_bounded(self, tmp_path):
         fleet = offline_fleet(tmp_path)
         fleet.FINALS_CAP = 4

@@ -147,6 +147,32 @@ class TestValidation:
         status, _h, _text = raw_request(server.port, "POST", "/healthz")
         assert status == 405
 
+    @pytest.mark.parametrize("wait", ["abc", "-1", "nan", ""])
+    def test_malformed_wait_is_400(self, server, wait):
+        status, _h, text = raw_request(server.port, "GET",
+                                       f"/jobs/ghost?wait={wait}")
+        assert status == 400
+        assert "wait" in text
+
+    def test_wait_answers_with_the_terminal_job(self, server):
+        body = json.dumps({"specs": [dict(TINY, mix="iso-tpch",
+                                          seed=11)]}).encode()
+        status, _h, text = raw_request(server.port, "POST", "/jobs",
+                                       body=body)
+        assert status == 202
+        job_id = json.loads(text)["job"]["job_id"]
+        status, _h, text = raw_request(server.port, "GET",
+                                       f"/jobs/{job_id}?wait=30")
+        assert status == 200
+        assert json.loads(text)["job"]["state"] == "done"
+
+    def test_transfer_encoding_is_400(self, server):
+        status, headers, _text = raw_request(
+            server.port, "POST", "/jobs", body=b"",
+            headers={"Transfer-Encoding": "chunked"})
+        assert status == 400
+        assert headers["connection"] == "close"
+
     def test_protocol_errors_are_counted(self, server):
         name = f"{server.metric_prefix}.http_requests"
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.errors import SimulationError
+from repro.machine import SharingDegree
 from repro.sim import BatchedEngine, MemoryReference, ThreadContext
 from repro.sim._batchfold import PrivateState, fold_private
 from repro.workloads.generator import ThreadTrace
@@ -247,3 +248,40 @@ class TestBatchedRun:
         result = run_experiment(spec, use_cache=False)
         assert result.qos is not None
         assert result.qos["policy"] == "ucp"
+
+
+class TestLatencyTables:
+    """The zero-load tables are built once per machine config."""
+
+    CONFIGS = [
+        *(dict(sharing=degree.name.lower().replace("_", "-"))
+          for degree in SharingDegree),
+        dict(sharing="shared-4", core_speeds="1.0x8,0.5x8"),
+        dict(sharing="shared-8", l2_asym="16x1,8x1"),
+        dict(sharing="shared-4", core_speeds="2.0x4,1.0x12",
+             l2_asym="16x2,8x2"),
+    ]
+
+    @pytest.mark.parametrize("overrides", CONFIGS,
+                             ids=lambda overrides: ",".join(
+                                 f"{k}={v}" for k, v in overrides.items()))
+    def test_cached_tables_equal_a_fresh_build(self, overrides):
+        from repro.core.experiment import plan
+        from repro.sim.batched import latency_tables
+
+        config = plan(_spec(engine_mode="auto", **overrides)).config
+        cached = latency_tables(config)
+        assert latency_tables(config) is cached
+        assert repr(cached) == repr(latency_tables.__wrapped__(config))
+
+    def test_engines_share_the_tables_and_copy_them_per_epoch(self):
+        from repro.machine import Chip, MachineConfig
+
+        config = MachineConfig(num_cores=16).scaled(1 / 16)
+        threads = TestConstruction()._threads()
+        one = BatchedEngine(Chip(config), threads)
+        two = BatchedEngine(Chip(config), TestConstruction()._threads())
+        assert one._lat is two._lat
+        before = repr(one._lat)
+        one._epoch_latencies(0)[0] += 1.0
+        assert repr(one._lat) == before
