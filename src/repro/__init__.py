@@ -30,164 +30,100 @@ factory :func:`make_engine` / :class:`EngineRequest` (see
 changes bump the major version and go through a deprecation cycle.
 Anything importable only from a submodule is internal and may change
 without notice.
+
+Re-exported names resolve on first use: ``import repro`` (like every
+subpackage import) loads no submodule, and the first read of a name
+imports the module that defines it (:mod:`repro._lazy`).  The stable
+set, ``__all__`` and ``from repro import *`` are what eager imports
+gave; only the moment a module is loaded moved.
 """
 
-from .core import (
-    DEFAULT_SCALE,
-    CellOutcome,
-    ExperimentResult,
-    ExperimentSpec,
-    ExperimentSuite,
-    MIXES,
-    Mix,
-    ResultStore,
-    SuiteResult,
-    SuiteRunner,
-    SweepExecutor,
-    VMMetrics,
-    clear_result_cache,
-    get_default_store,
-    get_mix,
-    get_suite,
-    isolated_mix,
-    make_scheduler,
-    mixes_suite,
-    normalize_result,
-    normalized_miss_latency,
-    normalized_miss_rate,
-    normalized_runtime,
-    replicate,
-    resolve_defaults,
-    run_experiment,
-    run_isolated,
-    set_default_store,
-    sharing_policy_suite,
-    spec_key,
-    suite_names,
-    sweep,
-    sweep_mixes,
-    sweep_sharing_policy,
-)
-from .errors import (
-    CheckpointError,
-    CoherenceError,
-    ConfigurationError,
-    ReproError,
-    SchedulingError,
-    ServiceError,
-    SimulationError,
-    SweepError,
-    WorkloadError,
-)
-from .machine import Chip, MachineConfig, SharingDegree
-from .obs import (
-    EpochProbe,
-    NullTelemetry,
-    Telemetry,
-    TimeSeries,
-    Tracer,
-    export_chrome_trace,
-)
-from .qos import (
-    QosController,
-    QosHook,
-    QosReport,
-    controller_names,
-    make_controller,
-    qos_report,
-)
-from .service import (
-    Job,
-    JobQueue,
-    JobScheduler,
-    JobState,
-    ServiceClient,
-    ServiceServer,
-)
-from .sim import EngineRequest, engine_modes, make_engine, register_engine
-from .workloads import (
-    WORKLOADS,
-    WorkloadProfile,
-    get_profile,
-    measure_workload_statistics,
-    workload_names,
-)
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .core.experiment import (DEFAULT_SCALE, ExperimentResult,
+                                  ExperimentSpec, clear_result_cache,
+                                  resolve_defaults, run_experiment)
+    from .core.executor import CellOutcome, SweepExecutor
+    from .core.suite import (ExperimentSuite, SuiteResult, SuiteRunner,
+                             get_suite, mixes_suite, sharing_policy_suite,
+                             suite_names)
+    from .core.mixes import MIXES, Mix, get_mix, isolated_mix
+    from .core.store import (ResultStore, get_default_store, set_default_store,
+                             spec_key)
+    from .core.metrics import VMMetrics
+    from .core.scheduling import make_scheduler
+    from .core.isolation import (normalize_result, normalized_miss_latency,
+                                 normalized_miss_rate, normalized_runtime,
+                                 run_isolated)
+    from .core.variability import replicate
+    from .core.sweeps import sweep, sweep_mixes, sweep_sharing_policy
+    from .errors import (CheckpointError, CoherenceError, ConfigurationError,
+                         ReproError, SchedulingError, ServiceError,
+                         SimulationError, SweepError, WorkloadError)
+    from .machine.chip import Chip
+    from .machine.config import MachineConfig, SharingDegree
+    from .obs.probes import EpochProbe
+    from .obs.telemetry import NullTelemetry, Telemetry
+    from .obs.series import TimeSeries
+    from .obs.tracing import Tracer, export_chrome_trace
+    from .qos.controllers import (QosController, controller_names,
+                                  make_controller)
+    from .qos.hook import QosHook
+    from .qos.metrics import QosReport, qos_report
+    from .service.jobs import Job, JobQueue, JobState
+    from .service.scheduler import JobScheduler
+    from .service.client import ServiceClient
+    from .service.server import ServiceServer
+    from .sim.factory import (EngineRequest, engine_modes, make_engine,
+                              register_engine)
+    from .workloads.library import WORKLOADS, get_profile, workload_names
+    from .workloads.profile import WorkloadProfile
+    from .workloads.calibrate import measure_workload_statistics
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DEFAULT_SCALE",
-    "CellOutcome",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "ExperimentSuite",
-    "MIXES",
-    "Mix",
-    "ResultStore",
-    "SuiteResult",
-    "SuiteRunner",
-    "SweepExecutor",
-    "VMMetrics",
-    "clear_result_cache",
-    "get_default_store",
-    "get_mix",
-    "get_suite",
-    "isolated_mix",
-    "make_scheduler",
-    "mixes_suite",
-    "normalize_result",
-    "normalized_miss_latency",
-    "normalized_miss_rate",
-    "normalized_runtime",
-    "replicate",
-    "resolve_defaults",
-    "run_experiment",
-    "run_isolated",
-    "set_default_store",
-    "sharing_policy_suite",
-    "spec_key",
-    "suite_names",
-    "sweep",
-    "sweep_mixes",
-    "sweep_sharing_policy",
-    "EngineRequest",
-    "engine_modes",
-    "make_engine",
-    "register_engine",
-    "SweepError",
-    "CheckpointError",
-    "CoherenceError",
-    "ConfigurationError",
-    "ReproError",
-    "SchedulingError",
-    "SimulationError",
-    "WorkloadError",
-    "Chip",
-    "MachineConfig",
-    "SharingDegree",
-    "EpochProbe",
-    "NullTelemetry",
-    "Telemetry",
-    "TimeSeries",
-    "Tracer",
-    "export_chrome_trace",
-    "Job",
-    "JobQueue",
-    "JobScheduler",
-    "JobState",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceServer",
-    "QosController",
-    "QosHook",
-    "QosReport",
-    "controller_names",
-    "make_controller",
-    "qos_report",
-    "WORKLOADS",
-    "WorkloadProfile",
-    "get_profile",
-    "measure_workload_statistics",
-    "workload_names",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "core.experiment": ("DEFAULT_SCALE", "ExperimentResult", "ExperimentSpec",
+                        "clear_result_cache", "resolve_defaults",
+                        "run_experiment"),
+    "core.executor": ("CellOutcome", "SweepExecutor"),
+    "core.suite": ("ExperimentSuite", "SuiteResult", "SuiteRunner",
+                   "get_suite", "mixes_suite", "sharing_policy_suite",
+                   "suite_names"),
+    "core.mixes": ("MIXES", "Mix", "get_mix", "isolated_mix"),
+    "core.store": ("ResultStore", "get_default_store", "set_default_store",
+                   "spec_key"),
+    "core.metrics": ("VMMetrics",),
+    "core.scheduling": ("make_scheduler",),
+    "core.isolation": ("normalize_result", "normalized_miss_latency",
+                       "normalized_miss_rate", "normalized_runtime",
+                       "run_isolated"),
+    "core.variability": ("replicate",),
+    "core.sweeps": ("sweep", "sweep_mixes", "sweep_sharing_policy"),
+    "errors": ("CheckpointError", "CoherenceError", "ConfigurationError",
+               "ReproError", "SchedulingError", "ServiceError",
+               "SimulationError", "SweepError", "WorkloadError"),
+    "machine.chip": ("Chip",),
+    "machine.config": ("MachineConfig", "SharingDegree"),
+    "obs.probes": ("EpochProbe",),
+    "obs.telemetry": ("NullTelemetry", "Telemetry"),
+    "obs.series": ("TimeSeries",),
+    "obs.tracing": ("Tracer", "export_chrome_trace"),
+    "qos.controllers": ("QosController", "controller_names",
+                        "make_controller"),
+    "qos.hook": ("QosHook",),
+    "qos.metrics": ("QosReport", "qos_report"),
+    "service.jobs": ("Job", "JobQueue", "JobState"),
+    "service.scheduler": ("JobScheduler",),
+    "service.client": ("ServiceClient",),
+    "service.server": ("ServiceServer",),
+    "sim.factory": ("EngineRequest", "engine_modes", "make_engine",
+                    "register_engine"),
+    "workloads.library": ("WORKLOADS", "get_profile", "workload_names"),
+    "workloads.profile": ("WorkloadProfile",),
+    "workloads.calibrate": ("measure_workload_statistics",),
+})
+__all__.append("__version__")

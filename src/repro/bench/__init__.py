@@ -11,36 +11,22 @@ or fleet with open-loop Poisson arrivals and measures saturation
 throughput and exact tail latency.
 """
 
-from .basket import BenchContext, bench_names, run_basket
-from .loadgen import (
-    LoadgenConfig,
-    LoadgenReport,
-    percentile,
-    run_loadgen,
-    saturation_sweep,
-)
-from .records import (
-    BENCH_TARGETS,
-    SCHEMA_VERSION,
-    BenchRecord,
-    append_records,
-    load_bench_file,
-    validate_bench_payload,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BENCH_TARGETS",
-    "BenchContext",
-    "BenchRecord",
-    "LoadgenConfig",
-    "LoadgenReport",
-    "SCHEMA_VERSION",
-    "append_records",
-    "bench_names",
-    "load_bench_file",
-    "percentile",
-    "run_basket",
-    "run_loadgen",
-    "saturation_sweep",
-    "validate_bench_payload",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .basket import BenchContext, bench_names, run_basket
+    from .loadgen import (LoadgenConfig, LoadgenReport, percentile,
+                          run_loadgen, saturation_sweep)
+    from .records import (BENCH_TARGETS, SCHEMA_VERSION, BenchRecord,
+                          append_records, load_bench_file,
+                          validate_bench_payload)
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "basket": ("BenchContext", "bench_names", "run_basket"),
+    "loadgen": ("LoadgenConfig", "LoadgenReport", "percentile", "run_loadgen",
+                "saturation_sweep"),
+    "records": ("BENCH_TARGETS", "SCHEMA_VERSION", "BenchRecord",
+                "append_records", "load_bench_file", "validate_bench_payload"),
+})

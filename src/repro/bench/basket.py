@@ -2,9 +2,10 @@
 
 A small registry of the wall-clock measurements ``perfbench/`` does
 not take: the overhead of the cache-QoS control loop and of
-distributed tracing, sweep throughput at N worker processes, and the
-service's open-loop load response.  Cold cells, scorecards (with their
-control hooks) and closed-loop service latency are perfbench's.
+distributed tracing, the cold start of a fresh interpreter, sweep
+throughput at N worker processes, and the service's open-loop load
+response.  Cells in a warm interpreter, scorecards (with their control
+hooks) and closed-loop service latency are perfbench's.
 
 ``run_basket`` executes a selection and returns
 :class:`~repro.bench.records.BenchRecord` rows; the CLI appends them
@@ -16,6 +17,7 @@ simulation inputs — only the wall-clock readings vary between hosts.
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
@@ -210,6 +212,61 @@ def _bench_obs_tracing(ctx: BenchContext) -> List[BenchRecord]:
     )]
 
 
+def _bench_cold_start(ctx: BenchContext) -> List[BenchRecord]:
+    """Cold start: what every fresh ``repro`` process pays.
+
+    Times ``repeats`` fresh interpreters twice over: ``import repro``
+    once numpy is loaded (timed inside the child), and one cold
+    ``repro run`` cell in a fresh store (timed from outside, spawn to
+    exit).  Both import the ``repro`` this basket runs from; the record
+    carries medians and quartiles, that checkout's git revision and
+    the host's core count.
+    """
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    refs = ctx.cell_refs(full=4000, quick=300)
+    repeats = 3 if ctx.quick else 15
+    probe = ("import time, numpy; start = time.perf_counter(); "
+             "import repro; print(time.perf_counter() - start)")
+    cell = [sys.executable, "-m", "repro", "run", "--mix", "mix1",
+            "--refs", str(refs), "--seed", str(ctx.seed)]
+    imports, cells = [], []
+    for _ in range(repeats):
+        child = subprocess.run([sys.executable, "-c", probe], env=env,
+                               check=True, capture_output=True, text=True,
+                               timeout=120)
+        imports.append(1000.0 * float(child.stdout))
+        cells.append(_timed(lambda: subprocess.run(
+            cell, env=env, check=True, stdout=subprocess.DEVNULL,
+            timeout=300)))
+    try:
+        git = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             cwd=src, capture_output=True, text=True,
+                             timeout=30)
+        revision = git.stdout.strip() if git.returncode == 0 else "unknown"
+    except OSError:
+        revision = "unknown"
+    metrics = {}
+    for name, unit, values in (("import", "ms", imports),
+                               ("cell", "s", cells)):
+        q1, median, q3 = statistics.quantiles(values, n=4)
+        metrics.update({f"{name}_{unit}": median, f"{name}_q1_{unit}": q1,
+                        f"{name}_q3_{unit}": q3})
+    return [BenchRecord(
+        bench="cold-start", target="kernel", quick=ctx.quick,
+        params={"mix": "mix1", "measured_refs": refs, "seed": ctx.seed,
+                "repeats": repeats, "revision": revision,
+                "host_cores": os.cpu_count() or 1},
+        metrics=metrics,
+    )]
+
+
 # ----------------------------------------------------------------------
 # sweep / service basket
 # ----------------------------------------------------------------------
@@ -273,6 +330,7 @@ def _bench_service_loadgen(ctx: BenchContext) -> List[BenchRecord]:
 _BASKET: Dict[str, Callable[[BenchContext], List[BenchRecord]]] = {
     "qos-overhead": _bench_qos_overhead,
     "obs-tracing": _bench_obs_tracing,
+    "cold-start": _bench_cold_start,
     "sweep-throughput": _bench_sweep_throughput,
     "service-loadgen": _bench_service_loadgen,
 }

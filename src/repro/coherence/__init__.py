@@ -1,15 +1,18 @@
 """Directory coherence substrate (SGI-Origin-style, MOESI states)."""
 
-from .directory import Directory, DirectoryCache
-from .protocol import CoherenceController, CoherenceStats, DataSource, FetchOutcome
-from .states import DirState
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Directory",
-    "DirectoryCache",
-    "CoherenceController",
-    "CoherenceStats",
-    "DataSource",
-    "FetchOutcome",
-    "DirState",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .directory import Directory, DirectoryCache
+    from .protocol import (CoherenceController, CoherenceStats, DataSource,
+                           FetchOutcome)
+    from .states import DirState
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "directory": ("Directory", "DirectoryCache"),
+    "protocol": ("CoherenceController", "CoherenceStats", "DataSource",
+                 "FetchOutcome"),
+    "states": ("DirState",),
+})

@@ -17,9 +17,12 @@ over a ``multiprocessing`` pool and funnels results through a
   its :class:`CellOutcome` instead of aborting the rest of the grid.
 
 Workers are spawn-safe: the worker function is a module-level callable
-and its payload is a picklable :class:`ExperimentSpec`, so the executor
-works under the ``spawn`` start method (the default here, and the only
-safe choice on macOS/Windows or in threaded parents).
+and its payload is the cell's picklable :class:`RunPlan`, so the
+executor works under the ``spawn`` start method (the default here, and
+the only safe choice on macOS/Windows or in threaded parents).  The
+plan carries the resolved mix and scenario, so a mix or scenario
+registered at run time in the parent runs in a worker whose own
+registries never heard of it.
 """
 
 from __future__ import annotations
@@ -75,9 +78,9 @@ def _run_cell(payload: Tuple):
     back to the parent on ``result.series`` (plain JSON, picklable).
 
     The payload is ``(index, spec, epoch)`` or, when the parent traces,
-    ``(index, spec, epoch, trace)`` with ``spec`` an
-    :class:`ExperimentSpec` or, for a cell run inline, its
-    :class:`RunPlan`, and ``trace`` a plain dict
+    ``(index, spec, epoch, trace)`` with ``spec`` the cell's
+    :class:`RunPlan` (or, for a spec the parent could not plan, the
+    :class:`ExperimentSpec`, which fails here), and ``trace`` a plain dict
     (``traceparent``/``log_dir``/``service``) — strings survive the
     pickle boundary, so the worker joins the parent's trace and appends
     a ``cell.simulate`` span to its own per-process span log.
@@ -274,9 +277,10 @@ class SweepExecutor:
             # fan out over a pool *and* the tracer has a durable log,
             # context rides in the payload and each worker records its
             # own span (real pid lanes); otherwise the parent records
-            # the span from the measured wall time.  Pool workers
-            # receive the resolved spec, a plain, small, picklable
-            # value; an inline cell runs the parent's plan as it is.
+            # the span from the measured wall time.  Every cell runs
+            # the parent's plan as it is, in a pool worker too: the
+            # plan holds the resolved mix and scenario, which a spawned
+            # worker's registries may not know by name.
             pooled = self.jobs > 1 and len(groups) > 1
             trace_payload = None
             if grid_ctx is not None and pooled and tracer.log_dir is not None:
@@ -286,8 +290,7 @@ class SweepExecutor:
                     "service": f"{tracer.service}-sim",
                 }
             payloads = {
-                index: runs[index] if not pooled and runs[index] is not None
-                else specs[index]
+                index: specs[index] if runs[index] is None else runs[index]
                 for index in groups
             }
             jobs = [
@@ -350,7 +353,7 @@ class SweepExecutor:
             wall += retry_wall
         return result, error, wall, attempt
 
-    def _execute(self, jobs: List[Tuple[int, ExperimentSpec, int]]):
+    def _execute(self, jobs: List[tuple]):
         """Yield ``(index, result, error, wall_time)`` per cold cell."""
         if not jobs:
             return

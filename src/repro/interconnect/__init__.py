@@ -1,22 +1,20 @@
 """On-chip network substrate: mesh topology, flit-level and analytical models."""
 
-from .analytical import HOP_CYCLES, AnalyticalMesh
-from .network import FlitNetwork
-from .packet import FLIT_BYTES, Flit, MessageClass, Packet, flits_for
-from .router import PORTS, Port, Router
-from .topology import MeshTopology
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "HOP_CYCLES",
-    "AnalyticalMesh",
-    "FlitNetwork",
-    "FLIT_BYTES",
-    "Flit",
-    "MessageClass",
-    "Packet",
-    "flits_for",
-    "PORTS",
-    "Port",
-    "Router",
-    "MeshTopology",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .analytical import HOP_CYCLES, AnalyticalMesh
+    from .network import FlitNetwork
+    from .packet import FLIT_BYTES, Flit, MessageClass, Packet, flits_for
+    from .router import PORTS, Port, Router
+    from .topology import MeshTopology
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "analytical": ("HOP_CYCLES", "AnalyticalMesh"),
+    "network": ("FlitNetwork",),
+    "packet": ("FLIT_BYTES", "Flit", "MessageClass", "Packet", "flits_for"),
+    "router": ("PORTS", "Port", "Router"),
+    "topology": ("MeshTopology",),
+})

@@ -9,66 +9,33 @@ hub the engine samples epoch time-series into the hub's one trace ring
 Chrome-trace JSON (loadable in Perfetto).  See ``docs/observability.md``.
 """
 
-from .probes import EpochProbe, VmDelta, VmDeltaTracker
-from .series import TimeSeries, series_from_dict, series_to_dict
-from .slo import SloTracker
-from .telemetry import (
-    NULL_TELEMETRY,
-    Counter,
-    Gauge,
-    Histogram,
-    NullTelemetry,
-    Telemetry,
-    histogram_percentile,
-    merge_snapshots,
-    render_prometheus,
-)
-from .tracing import (
-    CATEGORY_LABELS,
-    TRACEPARENT_HEADER,
-    CriticalPath,
-    Span,
-    SpanContext,
-    Tracer,
-    align_clocks,
-    collect_spans,
-    critical_path,
-    export_chrome_trace,
-    process_tracer,
-    spans_to_chrome,
-    trace_for_job,
-    validate_trace,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CATEGORY_LABELS",
-    "TRACEPARENT_HEADER",
-    "CriticalPath",
-    "Span",
-    "SpanContext",
-    "SloTracker",
-    "Tracer",
-    "align_clocks",
-    "collect_spans",
-    "critical_path",
-    "export_chrome_trace",
-    "histogram_percentile",
-    "merge_snapshots",
-    "process_tracer",
-    "spans_to_chrome",
-    "trace_for_job",
-    "validate_trace",
-    "EpochProbe",
-    "VmDelta",
-    "VmDeltaTracker",
-    "TimeSeries",
-    "series_from_dict",
-    "series_to_dict",
-    "NULL_TELEMETRY",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "NullTelemetry",
-    "Telemetry",
-    "render_prometheus",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .probes import EpochProbe, VmDelta, VmDeltaTracker
+    from .series import TimeSeries, series_from_dict, series_to_dict
+    from .slo import SloTracker
+    from .telemetry import (NULL_TELEMETRY, Counter, Gauge, Histogram,
+                            NullTelemetry, Telemetry, histogram_percentile,
+                            merge_snapshots, render_prometheus)
+    from .tracing import (CATEGORY_LABELS, TRACEPARENT_HEADER, CriticalPath,
+                          Span, SpanContext, Tracer, align_clocks,
+                          collect_spans, critical_path, export_chrome_trace,
+                          process_tracer, spans_to_chrome, trace_for_job,
+                          validate_trace)
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "probes": ("EpochProbe", "VmDelta", "VmDeltaTracker"),
+    "series": ("TimeSeries", "series_from_dict", "series_to_dict"),
+    "slo": ("SloTracker",),
+    "telemetry": ("NULL_TELEMETRY", "Counter", "Gauge", "Histogram",
+                  "NullTelemetry", "Telemetry", "histogram_percentile",
+                  "merge_snapshots", "render_prometheus"),
+    "tracing": ("CATEGORY_LABELS", "TRACEPARENT_HEADER", "CriticalPath",
+                "Span", "SpanContext", "Tracer", "align_clocks",
+                "collect_spans", "critical_path", "export_chrome_trace",
+                "process_tracer", "spans_to_chrome", "trace_for_job",
+                "validate_trace"),
+})

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .series import TimeSeries, series_to_dict
-from .tracing import Tracer
 
 __all__ = [
     "Counter",
@@ -116,6 +115,8 @@ class Telemetry:
     counted) past this bound."""
 
     def __init__(self) -> None:
+        from .tracing import Tracer
+
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
@@ -377,7 +378,15 @@ class NullTelemetry:
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.series: Dict[str, TimeSeries] = {}
-        self.trace = Tracer("null", capacity=1)
+
+    @property
+    def trace(self):
+        """A fresh, empty :class:`~repro.obs.tracing.Tracer`: like
+        :meth:`series_for`, nothing recorded here lands anywhere, and a
+        run that never reads it never imports the tracing module."""
+        from .tracing import Tracer
+
+        return Tracer("null", capacity=1)
 
     def counter(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT

@@ -10,48 +10,27 @@ inside the engines (:mod:`~repro.qos.hook`), and QoS scorecards
 ``ExperimentSpec(qos_policy="ucp")`` or ``repro qos --policy ucp``.
 """
 
-from .controllers import (
-    CONTROLLERS,
-    MissRateProportional,
-    QosController,
-    QosDecision,
-    QosView,
-    StaticEqual,
-    TargetSlowdown,
-    UcpLookahead,
-    controller_names,
-    make_controller,
-    ucp_partition,
-)
-from .hook import QosHook
-from .metrics import (
-    QosReport,
-    harmonic_speedup,
-    per_vm_slowdowns,
-    qos_report,
-    weighted_speedup,
-)
-from .sensors import EpochSensor, QosWindow, UtilityMonitor
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CONTROLLERS",
-    "EpochSensor",
-    "QosReport",
-    "MissRateProportional",
-    "QosController",
-    "QosDecision",
-    "QosHook",
-    "QosView",
-    "QosWindow",
-    "StaticEqual",
-    "TargetSlowdown",
-    "UcpLookahead",
-    "UtilityMonitor",
-    "controller_names",
-    "harmonic_speedup",
-    "make_controller",
-    "per_vm_slowdowns",
-    "qos_report",
-    "ucp_partition",
-    "weighted_speedup",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .controllers import (CONTROLLERS, MissRateProportional, QosController,
+                              QosDecision, QosView, StaticEqual,
+                              TargetSlowdown, UcpLookahead, controller_names,
+                              make_controller, ucp_partition)
+    from .hook import QosHook
+    from .metrics import (QosReport, harmonic_speedup, per_vm_slowdowns,
+                          qos_report, weighted_speedup)
+    from .sensors import EpochSensor, QosWindow, UtilityMonitor
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "controllers": ("CONTROLLERS", "MissRateProportional", "QosController",
+                    "QosDecision", "QosView", "StaticEqual", "TargetSlowdown",
+                    "UcpLookahead", "controller_names", "make_controller",
+                    "ucp_partition"),
+    "hook": ("QosHook",),
+    "metrics": ("QosReport", "harmonic_speedup", "per_vm_slowdowns",
+                "qos_report", "weighted_speedup"),
+    "sensors": ("EpochSensor", "QosWindow", "UtilityMonitor"),
+})

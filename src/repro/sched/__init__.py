@@ -16,36 +16,25 @@ command backed by :mod:`repro.analysis.sched_report`.  See
 ``docs/scheduling.md`` for the model.
 """
 
-from .hook import CompositeControl, SchedHook
-from .policies import (
-    SCHED_POLICIES,
-    SCHED_POLICY_NAMES,
-    AdaptiveAllocation,
-    ContentionAwareMigration,
-    HeteroAware,
-    SchedDecision,
-    Scheduler,
-    SchedView,
-    StaticPlacement,
-    make_sched_policy,
-)
-from .signals import SchedSensor, SchedWindow, ThreadDelta, ThreadDeltaTracker
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CompositeControl",
-    "SchedHook",
-    "SCHED_POLICIES",
-    "SCHED_POLICY_NAMES",
-    "AdaptiveAllocation",
-    "ContentionAwareMigration",
-    "HeteroAware",
-    "SchedDecision",
-    "Scheduler",
-    "SchedView",
-    "StaticPlacement",
-    "make_sched_policy",
-    "SchedSensor",
-    "SchedWindow",
-    "ThreadDelta",
-    "ThreadDeltaTracker",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .hook import CompositeControl, SchedHook
+    from .policies import (SCHED_POLICIES, SCHED_POLICY_NAMES,
+                           AdaptiveAllocation, ContentionAwareMigration,
+                           HeteroAware, SchedDecision, Scheduler, SchedView,
+                           StaticPlacement, make_sched_policy)
+    from .signals import (SchedSensor, SchedWindow, ThreadDelta,
+                          ThreadDeltaTracker)
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "hook": ("CompositeControl", "SchedHook"),
+    "policies": ("SCHED_POLICIES", "SCHED_POLICY_NAMES", "AdaptiveAllocation",
+                 "ContentionAwareMigration", "HeteroAware", "SchedDecision",
+                 "Scheduler", "SchedView", "StaticPlacement",
+                 "make_sched_policy"),
+    "signals": ("SchedSensor", "SchedWindow", "ThreadDelta",
+                "ThreadDeltaTracker"),
+})

@@ -26,23 +26,25 @@ The pieces (see ``docs/service.md``):
   (it speaks to a single server and a fleet identically).
 """
 
-from .client import ServiceClient
-from .fleet import FleetServer
-from .jobs import Job, JobQueue, JobState, job_key_of
-from .ratelimit import TokenBucket
-from .ring import HashRing
-from .scheduler import JobScheduler
-from .server import ServiceServer
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "FleetServer",
-    "HashRing",
-    "Job",
-    "JobQueue",
-    "JobState",
-    "JobScheduler",
-    "ServiceClient",
-    "ServiceServer",
-    "TokenBucket",
-    "job_key_of",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .client import ServiceClient
+    from .fleet import FleetServer
+    from .jobs import Job, JobQueue, JobState, job_key_of
+    from .ratelimit import TokenBucket
+    from .ring import HashRing
+    from .scheduler import JobScheduler
+    from .server import ServiceServer
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "client": ("ServiceClient",),
+    "fleet": ("FleetServer",),
+    "jobs": ("Job", "JobQueue", "JobState", "job_key_of"),
+    "ratelimit": ("TokenBucket",),
+    "ring": ("HashRing",),
+    "scheduler": ("JobScheduler",),
+    "server": ("ServiceServer",),
+})

@@ -33,9 +33,7 @@ from ..control import (ASYM_L2, CORE_SPEEDS, EPOCH_PROBE, MIGRATE, REQUEUE,
                        RETIRE)
 from ..errors import ConfigurationError
 from .batched import DEFAULT_EPOCH_REFS, BatchedEngine
-from .dynamic import MigratingEngine
 from .engine import Engine
-from .overcommit import OvercommitEngine
 
 __all__ = [
     "EngineRequest",
@@ -136,18 +134,26 @@ def _construct(cls, request: EngineRequest, **kwargs):
 
 
 def _reference_class(slots_per_core: int, migrates: bool):
+    # the migrating and over-commit engines are imported only by the
+    # runs that use them
     if migrates:
+        from .dynamic import MigratingEngine
+
         return MigratingEngine
-    return OvercommitEngine if slots_per_core > 1 else Engine
+    if slots_per_core > 1:
+        from .overcommit import OvercommitEngine
+
+        return OvercommitEngine
+    return Engine
 
 
 def _build_reference(request: EngineRequest):
-    cls = _reference_class(request.slots_per_core,
-                           request.rebinder is not None)
-    if cls is MigratingEngine:
+    migrates = request.rebinder is not None
+    cls = _reference_class(request.slots_per_core, migrates)
+    if migrates:
         return _construct(cls, request, rebinder=request.rebinder,
                           interval=request.rebind_interval)
-    if cls is OvercommitEngine:
+    if request.slots_per_core > 1:
         return _construct(cls, request)
     return _construct(cls, request, probe=request.probe)
 

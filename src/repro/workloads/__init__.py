@@ -1,71 +1,34 @@
 """Synthetic commercial workload models (Tables I & II)."""
 
-from .calibrate import (
-    WorkloadStatistics,
-    calibration_table,
-    count_blocks_touched,
-    measure_workload_statistics,
-)
-from .checkpoint import (
-    checkpoint_from_json,
-    checkpoint_to_json,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .generator import ThreadTrace, WorkloadInstance
-from .library import (
-    BTREE,
-    GUPS,
-    PAPER_WORKLOADS,
-    SCENARIO_WORKLOADS,
-    SILO,
-    SPECJBB,
-    SPECWEB,
-    TPCH,
-    TPCW,
-    WORKLOADS,
-    XSBENCH,
-    get_profile,
-    workload_names,
-)
-from .phases import (
-    Phase,
-    get_phase_plan,
-    phase_plan_names,
-    register_phase_plan,
-)
-from .profile import WorkloadProfile
-from .sampling import PowerLawSampler, UniformSampler
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "WorkloadStatistics",
-    "calibration_table",
-    "count_blocks_touched",
-    "measure_workload_statistics",
-    "checkpoint_from_json",
-    "checkpoint_to_json",
-    "load_checkpoint",
-    "save_checkpoint",
-    "ThreadTrace",
-    "WorkloadInstance",
-    "BTREE",
-    "GUPS",
-    "SILO",
-    "SPECJBB",
-    "SPECWEB",
-    "TPCH",
-    "TPCW",
-    "XSBENCH",
-    "PAPER_WORKLOADS",
-    "SCENARIO_WORKLOADS",
-    "WORKLOADS",
-    "get_profile",
-    "workload_names",
-    "WorkloadProfile",
-    "PowerLawSampler",
-    "UniformSampler",
-    "Phase",
-    "get_phase_plan",
-    "phase_plan_names",
-    "register_phase_plan",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .calibrate import (WorkloadStatistics, calibration_table,
+                            count_blocks_touched, measure_workload_statistics)
+    from .checkpoint import (checkpoint_from_json, checkpoint_to_json,
+                             load_checkpoint, save_checkpoint)
+    from .generator import ThreadTrace, WorkloadInstance
+    from .library import (BTREE, GUPS, PAPER_WORKLOADS, SCENARIO_WORKLOADS,
+                          SILO, SPECJBB, SPECWEB, TPCH, TPCW, WORKLOADS,
+                          XSBENCH, get_profile, workload_names)
+    from .phases import (Phase, get_phase_plan, phase_plan_names,
+                         register_phase_plan)
+    from .profile import WorkloadProfile
+    from .sampling import PowerLawSampler, UniformSampler
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "calibrate": ("WorkloadStatistics", "calibration_table",
+                  "count_blocks_touched", "measure_workload_statistics"),
+    "checkpoint": ("checkpoint_from_json", "checkpoint_to_json",
+                   "load_checkpoint", "save_checkpoint"),
+    "generator": ("ThreadTrace", "WorkloadInstance"),
+    "library": ("BTREE", "GUPS", "PAPER_WORKLOADS", "SCENARIO_WORKLOADS",
+                "SILO", "SPECJBB", "SPECWEB", "TPCH", "TPCW", "WORKLOADS",
+                "XSBENCH", "get_profile", "workload_names"),
+    "phases": ("Phase", "get_phase_plan", "phase_plan_names",
+               "register_phase_plan"),
+    "profile": ("WorkloadProfile",),
+    "sampling": ("PowerLawSampler", "UniformSampler"),
+})

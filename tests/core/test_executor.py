@@ -137,6 +137,40 @@ class TestParallelExecution:
         assert "unknown mix" in by_key[("bad",)].error
         assert all(o.ok for key, o in by_key.items() if key != ("bad",))
 
+    def test_runtime_registered_mix_and_scenario_reach_workers(
+            self, monkeypatch, tmp_path):
+        """A spawned worker starts with empty registries: the mix and the
+        scenario must travel resolved, not by name."""
+        import json
+        from dataclasses import replace
+
+        from repro.core import mixes
+        from repro.core.mixes import Mix, register_mix
+        from repro.core.store import result_to_dict
+        from repro.scenarios import registry
+        from repro.scenarios.registry import (get_scenario,
+                                              load_scenario_file,
+                                              save_scenario_file)
+        from repro.scenarios.spec import scenario_spec
+
+        monkeypatch.setattr(mixes, "_CUSTOM_MIXES", {})
+        monkeypatch.setattr(registry, "_CUSTOM_SCENARIOS", {})
+        register_mix(Mix("mycustom", (("specweb", 1), ("gups", 1))))
+        path = tmp_path / "custom-churn.json"
+        save_scenario_file(
+            replace(get_scenario("churn-storm"), name="custom-churn"), path)
+        load_scenario_file(path)
+        cells = grid_cells(mix="mycustom") + [
+            (("scenario",), scenario_spec("custom-churn", **TINY))]
+
+        def serialized(jobs):
+            outcomes = SweepExecutor(jobs=jobs, store=ResultStore()).run(cells)
+            assert all(o.ok for o in outcomes), [o.error for o in outcomes]
+            return [json.dumps(result_to_dict(o.result), sort_keys=True)
+                    for o in outcomes]
+
+        assert serialized(2) == serialized(1)
+
 
 def _engine_bomb(*args, **kwargs):
     """Stands in for make_engine to prove the store made simulation
