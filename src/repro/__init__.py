@@ -24,7 +24,7 @@ Stability
 ---------
 The names re-exported here are the package's stable surface; the ones
 used in every study are :func:`run_experiment`,
-:class:`ExperimentSpec`, :func:`resolve_defaults`, and the engine
+:class:`ExperimentSpec`, :func:`plan`, and the engine
 factory :func:`make_engine` / :class:`EngineRequest` (see
 ``docs/engines.md``).  They follow the package version: breaking
 changes bump the major version and go through a deprecation cycle.
@@ -44,8 +44,8 @@ from ._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from .core.experiment import (DEFAULT_SCALE, ExperimentResult,
-                                  ExperimentSpec, clear_result_cache,
-                                  resolve_defaults, run_experiment)
+                                  ExperimentSpec, clear_result_cache, plan,
+                                  run_experiment)
     from .core.executor import CellOutcome, SweepExecutor
     from .core.suite import (ExperimentSuite, SuiteResult, SuiteRunner,
                              get_suite, mixes_suite, sharing_policy_suite,
@@ -59,10 +59,9 @@ if TYPE_CHECKING:
                                  normalized_miss_rate, normalized_runtime,
                                  run_isolated)
     from .core.variability import replicate
-    from .core.sweeps import sweep, sweep_mixes, sweep_sharing_policy
-    from .errors import (CheckpointError, CoherenceError, ConfigurationError,
-                         ReproError, SchedulingError, ServiceError,
-                         SimulationError, SweepError, WorkloadError)
+    from .errors import (CoherenceError, ConfigurationError, ReproError,
+                         SchedulingError, ServiceError, SimulationError,
+                         SweepError, WorkloadError)
     from .machine.chip import Chip
     from .machine.config import MachineConfig, SharingDegree
     from .obs.probes import EpochProbe
@@ -77,8 +76,7 @@ if TYPE_CHECKING:
     from .service.scheduler import JobScheduler
     from .service.client import ServiceClient
     from .service.server import ServiceServer
-    from .sim.factory import (EngineRequest, engine_modes, make_engine,
-                              register_engine)
+    from .sim.factory import EngineRequest, engine_modes, make_engine
     from .workloads.library import WORKLOADS, get_profile, workload_names
     from .workloads.profile import WorkloadProfile
     from .workloads.calibrate import measure_workload_statistics
@@ -87,8 +85,7 @@ __version__ = "1.0.0"
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "core.experiment": ("DEFAULT_SCALE", "ExperimentResult", "ExperimentSpec",
-                        "clear_result_cache", "resolve_defaults",
-                        "run_experiment"),
+                        "clear_result_cache", "plan", "run_experiment"),
     "core.executor": ("CellOutcome", "SweepExecutor"),
     "core.suite": ("ExperimentSuite", "SuiteResult", "SuiteRunner",
                    "get_suite", "mixes_suite", "sharing_policy_suite",
@@ -102,10 +99,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
                        "normalized_miss_rate", "normalized_runtime",
                        "run_isolated"),
     "core.variability": ("replicate",),
-    "core.sweeps": ("sweep", "sweep_mixes", "sweep_sharing_policy"),
-    "errors": ("CheckpointError", "CoherenceError", "ConfigurationError",
-               "ReproError", "SchedulingError", "ServiceError",
-               "SimulationError", "SweepError", "WorkloadError"),
+    "errors": ("CoherenceError", "ConfigurationError", "ReproError",
+               "SchedulingError", "ServiceError", "SimulationError",
+               "SweepError", "WorkloadError"),
     "machine.chip": ("Chip",),
     "machine.config": ("MachineConfig", "SharingDegree"),
     "obs.probes": ("EpochProbe",),
@@ -120,8 +116,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "service.scheduler": ("JobScheduler",),
     "service.client": ("ServiceClient",),
     "service.server": ("ServiceServer",),
-    "sim.factory": ("EngineRequest", "engine_modes", "make_engine",
-                    "register_engine"),
+    "sim.factory": ("EngineRequest", "engine_modes", "make_engine"),
     "workloads.library": ("WORKLOADS", "get_profile", "workload_names"),
     "workloads.profile": ("WorkloadProfile",),
     "workloads.calibrate": ("measure_workload_statistics",),

@@ -9,7 +9,6 @@ if TYPE_CHECKING:
     from .compare import ResultComparison, VMComparison, compare_results
     from .characterize import (ReuseProfile, miss_rate_at, reuse_distances,
                                reuse_profile, working_set_curve)
-    from .fairness import FairnessReport, fairness_report, jains_index
     from .occupancy import OccupancySnapshot, measure_occupancy
     from .persist import (load_result, result_from_dict, result_to_dict,
                           save_result)
@@ -25,7 +24,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "compare": ("ResultComparison", "VMComparison", "compare_results"),
     "characterize": ("ReuseProfile", "miss_rate_at", "reuse_distances",
                      "reuse_profile", "working_set_curve"),
-    "fairness": ("FairnessReport", "fairness_report", "jains_index"),
     "occupancy": ("OccupancySnapshot", "measure_occupancy"),
     "persist": ("load_result", "result_from_dict", "result_to_dict",
                 "save_result"),

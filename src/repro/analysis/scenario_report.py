@@ -14,18 +14,16 @@ against the load curve.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.experiment import ExperimentSpec, run_experiment
+from ..qos.metrics import QosReport, qos_report
 from .sched_report import (
     DEFAULT_PLACEMENTS,
     policy_cells,
     sched_table,
     sched_verdict,
 )
-
-if TYPE_CHECKING:  # lazy at runtime, matching sched_report
-    from ..qos.metrics import QosReport
 
 __all__ = [
     "DEFAULT_SCENARIO_POLICIES",
@@ -52,7 +50,7 @@ def compare_scenario_policies(
     placements: Sequence[str] = DEFAULT_PLACEMENTS,
     use_cache: bool = True,
     telemetry=None,
-) -> Dict[str, "QosReport"]:
+) -> Dict[str, QosReport]:
     """Score every policy on one scenario.
 
     Mirrors :func:`~repro.analysis.sched_report.compare_sched_policies`
@@ -60,7 +58,6 @@ def compare_scenario_policies(
     ``base`` carries machine shape, run length, seed and sharing; its
     ``mix``/``scenario`` fields are overwritten with the scenario's own.
     """
-    from ..qos.metrics import qos_report
     from ..scenarios.registry import get_scenario
 
     scn = get_scenario(scenario)

@@ -23,13 +23,10 @@ scorecard (:mod:`repro.analysis.scenario_report`) uses all four.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.experiment import ExperimentSpec, run_experiment
-
-if TYPE_CHECKING:  # lazy at runtime: repro.qos.metrics imports
-    # repro.analysis back for jains_index
-    from ..qos.metrics import QosReport
+from ..core.experiment import ALL_POLICIES, ExperimentSpec, run_experiment
+from ..qos.metrics import QosReport, qos_report
 
 __all__ = [
     "DEFAULT_SCHED_POLICIES",
@@ -43,7 +40,7 @@ __all__ = [
 DEFAULT_SCHED_POLICIES = ("static", "contention", "adaptive", "hetero")
 """Scheduling policies compared by default."""
 
-DEFAULT_PLACEMENTS = ("rr", "affinity", "rr-aff", "random")
+DEFAULT_PLACEMENTS = ALL_POLICIES
 """The paper's four static placement policies (Section III-D)."""
 
 
@@ -78,7 +75,7 @@ def compare_sched_policies(
     placements: Sequence[str] = DEFAULT_PLACEMENTS,
     use_cache: bool = True,
     telemetry=None,
-) -> Dict[str, "QosReport"]:
+) -> Dict[str, QosReport]:
     """Score every scheduling policy on one mix.
 
     Returns ``{label: QosReport}`` over the :func:`policy_cells` of
@@ -87,8 +84,6 @@ def compare_sched_policies(
     A live ``telemetry`` hub (passed through to every cell) accumulates
     the ``sched.*`` counters across the adaptive cells.
     """
-    from ..qos.metrics import qos_report
-
     template = replace(base or ExperimentSpec(mix=mix), mix=mix)
     return {
         label: qos_report(run_experiment(spec, use_cache=use_cache,
@@ -99,7 +94,7 @@ def compare_sched_policies(
 
 
 def sched_table(
-    reports: Dict[str, "QosReport"],
+    reports: Dict[str, QosReport],
 ) -> Tuple[List[str], List[list]]:
     """Fold a policy scorecard into (headers, rows).
 
@@ -134,7 +129,7 @@ def sched_table(
     return headers, rows
 
 
-def sched_verdict(reports: Dict[str, "QosReport"]) -> Dict[str, object]:
+def sched_verdict(reports: Dict[str, QosReport]) -> Dict[str, object]:
     """Best-static vs. best-adaptive comparison of one mix's cells.
 
     Static cells are those labelled ``static/...`` (or bare

@@ -94,7 +94,8 @@ import sys
 from typing import List, Optional
 
 from .analysis.report import format_kv, format_series, format_table
-from .core.experiment import DEFAULT_SCALE, ExperimentSpec, run_experiment
+from .core.experiment import (ALL_POLICIES, ALL_SHARINGS, DEFAULT_SCALE,
+                              ExperimentSpec, run_experiment)
 from .core.isolation import normalize_result
 from .core.mixes import MIXES
 from .errors import ReproError
@@ -103,9 +104,6 @@ from .workloads.library import WORKLOADS
 
 __all__ = ["main", "build_parser", "EXIT_OK", "EXIT_ERROR", "EXIT_IO",
            "EXIT_INTERRUPTED"]
-
-_SHARINGS = ("private", "shared-2", "shared-4", "shared-8", "shared")
-_POLICIES = ("rr", "affinity", "rr-aff", "random")
 
 EXIT_OK = 0
 EXIT_ERROR = 2
@@ -119,10 +117,10 @@ _SPEC_FLAGS = {
     "--mix": ("mix", dict(
         default="mix5", help="Table IV mix name or iso-<workload>")),
     "--sharing": ("sharing", dict(
-        default="shared-4", choices=_SHARINGS,
+        default="shared-4", choices=ALL_SHARINGS,
         help="L2 sharing degree (default: %(default)s)")),
     "--policy": ("policy", dict(
-        default="affinity", choices=_POLICIES,
+        default="affinity", choices=ALL_POLICIES,
         help="thread placement policy (default: %(default)s)")),
     "--refs": ("measured_refs", dict(
         type=int, default=None, help="measured references per thread")),
@@ -666,17 +664,16 @@ def _cmd_sweep(args) -> int:
     from .core.suite import SuiteRunner, sharing_policy_suite
 
     telemetry = _make_telemetry(args)
-    suite = sharing_policy_suite(args.mix, sharings=_SHARINGS,
-                                 policies=_POLICIES,
+    suite = sharing_policy_suite(args.mix, policies=ALL_POLICIES,
                                  base=_spec_from_args(args))
     outcome = SuiteRunner(_make_executor(args, telemetry)).run(suite)
     _raise_on_failures(outcome)
     series = {}
-    for sharing in _SHARINGS:
+    for sharing in ALL_SHARINGS:
         series[sharing] = {
             policy: _metric_row(outcome.result(sharing, policy).vm_metrics,
                                 args.metric)
-            for policy in _POLICIES
+            for policy in ALL_POLICIES
         }
     print(format_series(f"{args.mix}: {args.metric} sweep", series))
     if telemetry is not None:

@@ -5,9 +5,10 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from .experiment import (DEFAULT_SCALE, ChipSummary, ExperimentResult,
-                             ExperimentSpec, clear_result_cache,
-                             resolve_defaults, resolve_mix, run_experiment)
+    from .experiment import (ALL_POLICIES, ALL_SHARINGS, DEFAULT_SCALE,
+                             ChipSummary, ExperimentResult, ExperimentSpec,
+                             clear_result_cache, plan, resolve_mix,
+                             run_experiment)
     from .executor import CellOutcome, SweepExecutor
     from .store import (ResultStore, StoreStats, get_default_store,
                         result_from_dict, result_to_dict, set_default_store,
@@ -25,14 +26,13 @@ if TYPE_CHECKING:
                              RandomScheduler, RoundRobinScheduler,
                              RrAffinityScheduler, SchedulingPolicy,
                              make_scheduler)
-    from .sweeps import (ALL_POLICIES, ALL_SHARINGS, extract_grid, sweep,
-                         sweep_mixes, sweep_sharing_policy)
     from .variability import ReplicationSummary, replicate, seeds_for
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
-    "experiment": ("DEFAULT_SCALE", "ChipSummary", "ExperimentResult",
-                   "ExperimentSpec", "clear_result_cache", "resolve_defaults",
-                   "resolve_mix", "run_experiment"),
+    "experiment": ("ALL_POLICIES", "ALL_SHARINGS", "DEFAULT_SCALE",
+                   "ChipSummary", "ExperimentResult", "ExperimentSpec",
+                   "clear_result_cache", "plan", "resolve_mix",
+                   "run_experiment"),
     "executor": ("CellOutcome", "SweepExecutor"),
     "store": ("ResultStore", "StoreStats", "get_default_store",
               "result_from_dict", "result_to_dict", "set_default_store",
@@ -49,7 +49,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "scheduling": ("SCHEDULER_NAMES", "AffinityScheduler", "RandomScheduler",
                    "RoundRobinScheduler", "RrAffinityScheduler",
                    "SchedulingPolicy", "make_scheduler"),
-    "sweeps": ("ALL_POLICIES", "ALL_SHARINGS", "extract_grid", "sweep",
-               "sweep_mixes", "sweep_sharing_policy"),
     "variability": ("ReplicationSummary", "replicate", "seeds_for"),
 })

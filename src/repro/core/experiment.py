@@ -72,13 +72,14 @@ __all__ = [
     "DEFAULT_SCALE",
     "DEFAULT_MEASURED_REFS",
     "DEFAULT_SEED",
+    "ALL_SHARINGS",
+    "ALL_POLICIES",
     "ExperimentSpec",
     "spec_from_dict",
     "RunPlan",
     "plan",
     "ChipSummary",
     "ExperimentResult",
-    "resolve_defaults",
     "resolve_mix",
     "run_experiment",
     "clear_result_cache",
@@ -93,6 +94,15 @@ unset."""
 
 DEFAULT_SEED = 1
 """Built-in default experiment seed."""
+
+ALL_SHARINGS: Tuple[str, ...] = (
+    "private", "shared-2", "shared-4", "shared-8", "shared",
+)
+"""The paper's L2 sharing degrees (``ExperimentSpec.sharing``)."""
+
+ALL_POLICIES: Tuple[str, ...] = ("rr", "affinity", "rr-aff", "random")
+"""The paper's four thread placements (``ExperimentSpec.policy``,
+Section III-D)."""
 
 
 def _env_default(var: str, fallback: int, field_name: str) -> int:
@@ -238,11 +248,6 @@ class ExperimentSpec:
     scenario: str = ""
     engine_mode: str = "reference"
 
-    def normalized(self) -> "ExperimentSpec":
-        """Resolve every defaulted field to a concrete value
-        (see :func:`resolve_defaults`)."""
-        return resolve_defaults(self)
-
 
 #: retired spec fields: name -> (the default they held, what replaces them)
 _RETIRED_FIELDS = {
@@ -271,21 +276,6 @@ def spec_from_dict(fields: dict) -> ExperimentSpec:
     return ExperimentSpec(**fields)
 
 
-def resolve_defaults(spec: ExperimentSpec) -> ExperimentSpec:
-    """Resolve every defaulted field of ``spec`` to a concrete value:
-    ``plan(spec).spec`` (see :func:`plan`).
-
-    The removed ``REPRO_REFS`` / ``REPRO_SEED`` environment knobs are
-    rejected with a :class:`~repro.errors.ConfigurationError` naming
-    the explicit spec field to set instead (they only ever applied to
-    *defaulted* specs, so an explicitly-filled spec never consults the
-    environment).  ``engine_mode="auto"`` resolves to a concrete engine
-    for the run shape.  The returned spec is idempotent under
-    re-resolution and is what the result store hashes.
-    """
-    return plan(spec).spec
-
-
 SPEC_KEY_VERSION = 1
 """Version of the spec-key derivation; bump to invalidate all keys."""
 
@@ -299,7 +289,9 @@ class RunPlan:
     Attributes
     ----------
     spec:
-        The resolved spec (every default filled in, ``auto`` pinned).
+        The resolved spec (every default filled in, ``auto`` pinned);
+        planning it again returns it unchanged, and it is what the
+        result store hashes.
     config:
         The scaled machine the run builds its chip from.
     mix:
@@ -488,9 +480,7 @@ def plan(spec) -> RunPlan:
     # keeps the reference engine (and the store key) it always had
     mode = resolve_mode(spec.engine_mode,
                         (needs | {RETIRE}) if spec.vm_schedule else needs)
-    engine = engine_class(mode, spec.slots_per_core, migrates)
-    if engine is not None:
-        check_provides(engine, needs)
+    check_provides(engine_class(mode, spec.slots_per_core, migrates), needs)
     measured = spec.measured_refs or _env_default(
         "REPRO_REFS", DEFAULT_MEASURED_REFS, "measured_refs")
     resolved = replace(

@@ -30,7 +30,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from .executor import CellOutcome, ProgressCallback, SweepExecutor
-from .experiment import ExperimentResult, ExperimentSpec
+from .experiment import ALL_SHARINGS, ExperimentResult, ExperimentSpec
 
 __all__ = [
     "ExperimentSuite",
@@ -208,8 +208,6 @@ def sharing_policy_suite(
     base: Optional[ExperimentSpec] = None,
 ) -> ExperimentSuite:
     """The paper's canonical grid: L2 sharing degree x scheduler."""
-    from .sweeps import ALL_SHARINGS
-
     sharings = ALL_SHARINGS if sharings is None else sharings
     base = base or ExperimentSpec(mix=mix)
     base = replace(base, mix=mix)

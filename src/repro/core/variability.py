@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Sequence
 
 from ..errors import ConfigurationError
-from .experiment import ExperimentResult, ExperimentSpec, run_experiment
+from .experiment import ExperimentResult, ExperimentSpec, plan, run_experiment
 
 __all__ = ["ReplicationSummary", "replicate", "seeds_for"]
 
@@ -108,7 +108,7 @@ def replicate(
     seeds:
         Explicit seed list overriding ``n``.
     """
-    spec = spec.normalized()
+    spec = plan(spec).spec
     chosen = list(seeds) if seeds else seeds_for(spec.seed, n)
     samples = []
     for seed in chosen:

@@ -68,10 +68,6 @@ class WorkloadError(ReproError):
     """A workload profile or generator was misused or is inconsistent."""
 
 
-class CheckpointError(ReproError):
-    """A workload checkpoint could not be written or restored."""
-
-
 class SchedulingError(ReproError):
     """A thread-to-core assignment could not be produced.
 

@@ -20,8 +20,8 @@ if TYPE_CHECKING:
                               TargetSlowdown, UcpLookahead, controller_names,
                               make_controller, ucp_partition)
     from .hook import QosHook
-    from .metrics import (QosReport, harmonic_speedup, per_vm_slowdowns,
-                          qos_report, weighted_speedup)
+    from .metrics import (QosReport, harmonic_speedup, jains_index,
+                          per_vm_slowdowns, qos_report, weighted_speedup)
     from .sensors import EpochSensor, QosWindow, UtilityMonitor
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
@@ -30,7 +30,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
                     "UcpLookahead", "controller_names", "make_controller",
                     "ucp_partition"),
     "hook": ("QosHook",),
-    "metrics": ("QosReport", "harmonic_speedup", "per_vm_slowdowns",
-                "qos_report", "weighted_speedup"),
+    "metrics": ("QosReport", "harmonic_speedup", "jains_index",
+                "per_vm_slowdowns", "qos_report", "weighted_speedup"),
     "sensors": ("EpochSensor", "QosWindow", "UtilityMonitor"),
 })

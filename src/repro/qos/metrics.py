@@ -9,7 +9,7 @@ throughput *and* fairness numbers derived from per-VM slowdowns
 * **harmonic mean of speedups** ``N / sum(slowdown_i)`` — balances
   throughput against fairness (Luo et al.); dominated by the worst VM.
 * **Jain's fairness index** over slowdowns — 1.0 when the pain is
-  evenly spread (re-exported from :mod:`repro.analysis.fairness`).
+  evenly spread, approaching ``1/N`` as one VM absorbs all of it.
 
 :func:`qos_report` folds these plus the run's control account (from
 ``result.sched``/``result.qos``/``result.scenario``, filled by
@@ -19,9 +19,8 @@ throughput *and* fairness numbers derived from per-VM slowdowns
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-from ..analysis.fairness import jains_index
 from ..core.experiment import ExperimentResult
 from ..core.isolation import normalized_runtime
 from ..errors import ReproError
@@ -30,6 +29,7 @@ __all__ = [
     "per_vm_slowdowns",
     "weighted_speedup",
     "harmonic_speedup",
+    "jains_index",
     "QosReport",
     "qos_report",
 ]
@@ -37,7 +37,7 @@ __all__ = [
 
 def per_vm_slowdowns(result: ExperimentResult) -> Dict[int, float]:
     """``vm_id -> cycles / isolated cycles`` (baselines come memoized
-    from the result store, same as the fairness analysis)."""
+    from the result store)."""
     return {
         vm.vm_id: normalized_runtime(vm, result.spec)
         for vm in result.vm_metrics
@@ -57,6 +57,23 @@ def harmonic_speedup(slowdowns: Dict[int, float]) -> float:
         raise ReproError("harmonic_speedup needs at least one VM")
     total = sum(slowdowns.values())
     return len(slowdowns) / total if total else 0.0
+
+
+def jains_index(values: Sequence[float]) -> float:
+    """Jain's fairness index: ``(sum x)^2 / (n * sum x^2)``.
+
+    1.0 = perfectly equal; ``1/n`` = maximally concentrated.
+    """
+    values = list(values)
+    if not values:
+        raise ReproError("jains_index needs at least one value")
+    if any(v < 0 for v in values):
+        raise ReproError("jains_index is defined for non-negative values")
+    total = sum(values)
+    squares = sum(v * v for v in values)
+    if squares == 0:
+        return 1.0
+    return (total * total) / (len(values) * squares)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ if TYPE_CHECKING:
     from .engine import (Engine, EngineResult, MachineModel, ThreadContext,
                          ThreadStats)
     from .factory import (EngineRequest, engine_modes, make_engine,
-                          register_engine, resolve_mode)
+                          resolve_mode)
     from .overcommit import OvercommitEngine
     from .records import (BLOCK_BYTES, BLOCK_SHIFT, AccessResult, AccessType,
                           HitLevel, LatencyBreakdown, MemoryReference)
@@ -25,7 +25,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "engine": ("Engine", "EngineResult", "MachineModel", "ThreadContext",
                "ThreadStats"),
     "factory": ("EngineRequest", "engine_modes", "make_engine",
-                "register_engine", "resolve_mode"),
+                "resolve_mode"),
     "overcommit": ("OvercommitEngine",),
     "records": ("BLOCK_BYTES", "BLOCK_SHIFT", "AccessResult", "AccessType",
                 "HitLevel", "LatencyBreakdown", "MemoryReference"),

@@ -1,5 +1,5 @@
-"""Unified engine construction: one registry keyed by *engine mode*,
-one entry point:
+"""Unified engine construction: one entry point, keyed by *engine
+mode*:
 
 ``"reference"``
     The event-driven engines — byte-identical to the historical
@@ -9,25 +9,21 @@ one entry point:
     (single-slot, statically-bound runs only).
 ``"auto"``
     Resolves to ``"batched"`` when the batched engine provides every
-    capability the request needs *and* numpy is available, else
-    ``"reference"``.
+    capability the request needs, else ``"reference"``.
 
-Every built-in build ends in one check (see :mod:`repro.control`): an
+Every build ends in one check (see :mod:`repro.control`): an
 engine that does not provide a capability the request needs raises
 :class:`~repro.errors.ConfigurationError` instead of ignoring an input.
 
 Stability note: :func:`make_engine`, :class:`EngineRequest`, and the
 mode names above are public API — downstream code may rely on them;
-changes go through a deprecation cycle.  :func:`register_engine` is
-public but experimental: third-party engines must accept an
-:class:`EngineRequest` and return an object with ``run()`` and a
-settable ``probe`` attribute.
+changes go through a deprecation cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Dict, FrozenSet, Optional, Sequence
+from typing import AbstractSet, FrozenSet, Optional, Sequence
 
 from ..control import (ASYM_L2, CORE_SPEEDS, EPOCH_PROBE, MIGRATE, REQUEUE,
                        RETIRE)
@@ -38,7 +34,6 @@ from .engine import Engine
 __all__ = [
     "EngineRequest",
     "make_engine",
-    "register_engine",
     "resolve_mode",
     "request_needs",
     "run_needs",
@@ -163,27 +158,16 @@ def _build_batched(request: EngineRequest):
                       epoch_refs=request.epoch_refs)
 
 
-_REGISTRY: Dict[str, Callable[[EngineRequest], object]] = {
-    "reference": _build_reference,
-    "batched": _build_batched,
-}
-
-
-def register_engine(mode: str,
-                    builder: Callable[[EngineRequest], object]) -> None:
-    """Register (or override) an engine mode. Experimental API."""
-    if not mode or mode == "auto":
-        raise ConfigurationError(f"invalid engine mode name {mode!r}")
-    _REGISTRY[mode] = builder
+_MODES = ("auto", "batched", "reference")
 
 
 def engine_modes() -> list:
     """Selectable modes, ``"auto"`` first."""
-    return ["auto"] + sorted(_REGISTRY)
+    return list(_MODES)
 
 
 def resolve_mode(mode: str, needs: AbstractSet[str] = frozenset()) -> str:
-    """Resolve ``"auto"`` to a concrete registry mode for a run's needs.
+    """Resolve ``"auto"`` to a concrete mode for a run's needs.
 
     ``"auto"`` picks ``"batched"`` only when the batched engine
     provides every capability in ``needs`` (see :mod:`repro.control`:
@@ -194,31 +178,29 @@ def resolve_mode(mode: str, needs: AbstractSet[str] = frozenset()) -> str:
     mode = (mode or "auto").strip().lower()
     if mode == "auto":
         return "batched" if needs <= BatchedEngine.provides else "reference"
-    if mode not in _REGISTRY:
+    if mode not in _MODES:
         raise ConfigurationError(
             f"unknown engine mode {mode!r}; "
-            f"choose one of {', '.join(engine_modes())}"
+            f"choose one of {', '.join(_MODES)}"
         )
     return mode
 
 
 def engine_class(mode: str, slots_per_core: int = 1, migrates: bool = False):
-    """The built-in engine class a concrete ``mode`` builds for a run
-    shape, or ``None`` for an engine registered by third-party code."""
-    builder = _REGISTRY[mode]
-    if builder is _build_batched:
+    """The engine class a concrete ``mode`` builds for a run shape."""
+    if mode == "batched":
         return BatchedEngine
-    if builder is _build_reference:
-        return _reference_class(slots_per_core, migrates)
-    return None
+    return _reference_class(slots_per_core, migrates)
 
 
 def make_engine(request: EngineRequest, mode: str = "auto"):
     """Build an engine for ``request`` in the given mode.
 
     The single construction path for every simulation engine: the
-    experiment runner, tests, and benches all come through here.  A
-    built-in engine that lacks a capability the request needs raises
+    experiment runner, tests, and benches all come through here.  An
+    engine that lacks a capability the request needs raises
     :class:`~repro.errors.ConfigurationError` naming it.
     """
-    return _REGISTRY[resolve_mode(mode, request_needs(request))](request)
+    if resolve_mode(mode, request_needs(request)) == "batched":
+        return _build_batched(request)
+    return _build_reference(request)

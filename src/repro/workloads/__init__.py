@@ -7,8 +7,6 @@ from .._lazy import lazy_exports
 if TYPE_CHECKING:
     from .calibrate import (WorkloadStatistics, calibration_table,
                             count_blocks_touched, measure_workload_statistics)
-    from .checkpoint import (checkpoint_from_json, checkpoint_to_json,
-                             load_checkpoint, save_checkpoint)
     from .generator import ThreadTrace, WorkloadInstance
     from .library import (BTREE, GUPS, PAPER_WORKLOADS, SCENARIO_WORKLOADS,
                           SILO, SPECJBB, SPECWEB, TPCH, TPCW, WORKLOADS,
@@ -21,8 +19,6 @@ if TYPE_CHECKING:
 __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "calibrate": ("WorkloadStatistics", "calibration_table",
                   "count_blocks_touched", "measure_workload_statistics"),
-    "checkpoint": ("checkpoint_from_json", "checkpoint_to_json",
-                   "load_checkpoint", "save_checkpoint"),
     "generator": ("ThreadTrace", "WorkloadInstance"),
     "library": ("BTREE", "GUPS", "PAPER_WORKLOADS", "SCENARIO_WORKLOADS",
                 "SILO", "SPECJBB", "SPECWEB", "TPCH", "TPCW", "WORKLOADS",

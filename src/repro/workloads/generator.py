@@ -249,7 +249,7 @@ class ThreadTrace:
         far as they are consumed.  The think-time draw comes last in a
         refill, so it alone is deferred: ``_fill`` makes it in chunks,
         and the buffer is filled to its end before anything else draws
-        from the stream (the next refill, a retarget, ``state()``).
+        from the stream (the next refill or a retarget).
         """
         profile, phase_left = self._current_phase()
         n = min(self.batch_size, phase_left)
@@ -321,44 +321,6 @@ class ThreadTrace:
         else:
             thinks[:] = 0
 
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-
-    def state(self) -> dict:
-        """Serializable generator state (see :mod:`.checkpoint`);
-        ``pending`` lists the unconsumed buffer in pop order."""
-        pending = list(self._pending) or self._pop_order()  # fills it
-        return {
-            "thread_index": self.thread_index,
-            "base_block": self.base_block,
-            "batch_size": self.batch_size,
-            "count": self._count,
-            "pending": pending,
-            "rng_state": self._rng.bit_generator.state,
-            "load_scale": self._load_scale,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Restore state captured by :meth:`state`."""
-        if state["thread_index"] != self.thread_index:
-            raise WorkloadError(
-                f"checkpoint is for thread {state['thread_index']}, "
-                f"not {self.thread_index}"
-            )
-        if state["base_block"] != self.base_block:
-            raise WorkloadError(
-                "checkpoint base_block does not match this placement "
-                f"({state['base_block']} != {self.base_block})"
-            )
-        self.batch_size = state["batch_size"]
-        self._count = state["count"]
-        rows = np.array(state["pending"], dtype=np.int64).reshape(-1, 3)
-        self._set_buffer(tuple(
-            np.ascontiguousarray(rows[::-1, k]) for k in range(3)))
-        self._rng.bit_generator.state = state["rng_state"]
-        self._load_scale = float(state.get("load_scale", 1.0))
-
 
 class WorkloadInstance:
     """One running copy of a workload: all of its thread traces.
@@ -407,22 +369,3 @@ class WorkloadInstance:
 
     def trace(self, thread_index: int) -> ThreadTrace:
         return self.traces[thread_index]
-
-    def state(self) -> dict:
-        return {
-            "profile": self.profile.name,
-            "instance_id": self.instance_id,
-            "base_block": self.base_block,
-            "threads": [trace.state() for trace in self.traces],
-        }
-
-    def restore(self, state: dict) -> None:
-        if state["profile"] != self.profile.name:
-            raise WorkloadError(
-                f"checkpoint is for workload {state['profile']!r}, "
-                f"not {self.profile.name!r}"
-            )
-        if len(state["threads"]) != len(self.traces):
-            raise WorkloadError("checkpoint thread count mismatch")
-        for trace, thread_state in zip(self.traces, state["threads"]):
-            trace.restore(thread_state)

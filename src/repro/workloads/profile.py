@@ -224,6 +224,13 @@ class WorkloadProfile:
         if factor == 1.0:
             return self
         footprint = max(self.threads * 4, int(self.footprint_blocks * factor))
+        # grow a tiny footprint until each thread keeps a private block,
+        # so the pools still fit inside it (never past the unscaled size)
+        while (footprint < self.footprint_blocks
+               and footprint - int(footprint * self.frac_shared_read)
+               - max(1, int(footprint * self.frac_migratory))
+               < self.threads):
+            footprint += 1
         window = max(16, int(self.scan_window * factor))
         shared = int(footprint * self.frac_shared_read)
         if shared:

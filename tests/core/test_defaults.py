@@ -1,5 +1,5 @@
-"""Tests for resolve_defaults, the retired environment knobs and the
-retired spec fields."""
+"""Tests for default resolution (``plan(spec).spec``), the retired
+environment knobs and the retired spec fields."""
 
 import dataclasses
 import warnings
@@ -12,7 +12,6 @@ from repro.core.experiment import (
     DEFAULT_SEED,
     ExperimentSpec,
     plan,
-    resolve_defaults,
     spec_from_dict,
 )
 from repro.errors import ConfigurationError
@@ -28,7 +27,7 @@ class TestResolution:
     def test_builtin_defaults_without_env(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no warning expected
-            resolved = resolve_defaults(ExperimentSpec(mix="mixA"))
+            resolved = plan(ExperimentSpec(mix="mixA")).spec
         assert resolved.measured_refs == DEFAULT_MEASURED_REFS
         assert resolved.warmup_refs == DEFAULT_MEASURED_REFS // 2
         assert resolved.seed == DEFAULT_SEED
@@ -42,29 +41,25 @@ class TestResolution:
                               warmup_refs=200, seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            resolved = resolve_defaults(spec)
+            resolved = plan(spec).spec
         assert resolved.measured_refs == 1000
         assert resolved.warmup_refs == 200
         assert resolved.seed == 3
 
     def test_idempotent(self):
-        resolved = resolve_defaults(ExperimentSpec(mix="mixA"))
-        assert resolve_defaults(resolved) == resolved
+        resolved = plan(ExperimentSpec(mix="mixA")).spec
+        assert plan(resolved).spec == resolved
 
     def test_sharing_canonicalized(self):
-        resolved = resolve_defaults(
+        resolved = plan(
             ExperimentSpec(mix="mixA", sharing="fully-shared", seed=1,
-                           measured_refs=100))
+                           measured_refs=100)).spec
         assert resolved.sharing == "shared"
 
-    def test_normalized_delegates(self):
-        spec = ExperimentSpec(mix="mixA", measured_refs=500, seed=2)
-        assert spec.normalized() == resolve_defaults(spec)
-
     def test_engine_mode_resolves_to_concrete(self):
-        resolved = resolve_defaults(
+        resolved = plan(
             ExperimentSpec(mix="mixA", measured_refs=100, seed=1,
-                           engine_mode="auto"))
+                           engine_mode="auto")).spec
         assert resolved.engine_mode in ("reference", "batched")
 
     @pytest.mark.parametrize("fields", [
@@ -75,7 +70,7 @@ class TestResolution:
         # only None means "default": a zero or negative size is refused
         # instead of silently running the built-in size
         with pytest.raises(ConfigurationError, match="_refs must be"):
-            resolve_defaults(ExperimentSpec(mix="mixA", seed=1, **fields))
+            plan(ExperimentSpec(mix="mixA", seed=1, **fields))
 
     @pytest.mark.parametrize("fields, message", [
         (dict(l2_replacement="bogus"), "unknown replacement policy"),
@@ -103,8 +98,7 @@ class TestResolution:
         # what the run would refuse before simulating is refused here
         fields = {"mix": "mixA", **fields}
         with pytest.raises(ConfigurationError, match=message):
-            resolve_defaults(ExperimentSpec(measured_refs=100, seed=1,
-                                            **fields))
+            plan(ExperimentSpec(measured_refs=100, seed=1, **fields))
 
     def test_arrival_only_schedule_runs_on_explicit_batched(self):
         # batched honours start times (a 5000-cycle arrival adds exactly
@@ -114,7 +108,7 @@ class TestResolution:
         base = ExperimentSpec(mix="mix4", engine_mode="batched",
                               measured_refs=300, seed=1)
         late = replace(base, vm_schedule="0,5000,0,0")
-        assert resolve_defaults(late).engine_mode == "batched"
+        assert plan(late).spec.engine_mode == "batched"
         steady, arrived = (
             [vm.cycles for vm in run_experiment(spec, use_cache=False)
              .vm_metrics] for spec in (base, late))
@@ -122,9 +116,9 @@ class TestResolution:
                            for vm, c in enumerate(steady)]
 
     def test_reference_mode_preserved(self):
-        resolved = resolve_defaults(
+        resolved = plan(
             ExperimentSpec(mix="mixA", measured_refs=100, seed=1,
-                           engine_mode="reference"))
+                           engine_mode="reference")).spec
         assert resolved.engine_mode == "reference"
 
 
@@ -136,18 +130,18 @@ class TestRetiredEnvKnobs:
     def test_repro_refs_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_REFS", "4321")
         with pytest.raises(ConfigurationError, match="REPRO_REFS"):
-            resolve_defaults(ExperimentSpec(mix="mixA", seed=1))
+            plan(ExperimentSpec(mix="mixA", seed=1))
 
     def test_repro_seed_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_SEED", "17")
         with pytest.raises(ConfigurationError, match="REPRO_SEED"):
-            resolve_defaults(ExperimentSpec(mix="mixA", measured_refs=100))
+            plan(ExperimentSpec(mix="mixA", measured_refs=100))
 
     def test_error_names_the_spec_field(self, monkeypatch):
         monkeypatch.setenv("REPRO_REFS", "100")
         with pytest.raises(ConfigurationError,
                            match="ExperimentSpec.measured_refs"):
-            resolve_defaults(ExperimentSpec(mix="mixA", seed=1))
+            plan(ExperimentSpec(mix="mixA", seed=1))
 
 
 class TestRetiredFields:

@@ -10,9 +10,9 @@ import pytest
 from repro.core.executor import CellOutcome, SweepExecutor
 from repro.core.experiment import ExperimentSpec
 from repro.core.store import ResultStore, set_default_store
-from repro.core.suite import ExperimentSuite, SuiteRunner
-from repro.core.sweeps import sweep, sweep_sharing_policy
-from repro.errors import ConfigurationError, SweepError
+from repro.core.suite import (ExperimentSuite, SuiteRunner, mixes_suite,
+                              sharing_policy_suite)
+from repro.errors import ConfigurationError
 
 TINY = dict(measured_refs=300, warmup_refs=100, seed=1)
 
@@ -93,12 +93,14 @@ class TestFailureIsolation:
         assert "unknown mix" in bad.error
         assert bad.wall_time >= 0
 
-    def test_sweep_raises_sweep_error_after_full_grid(self):
+    def test_suite_reports_failures_after_full_grid(self):
         base = ExperimentSpec(mix="iso-tpch", **TINY)
-        with pytest.raises(SweepError) as excinfo:
-            sweep(base, store=ResultStore(), mix=["iso-tpch", "mix99"])
-        assert ("mix99",) in excinfo.value.failures
-        assert "unknown mix" in excinfo.value.failures[("mix99",)]
+        suite = mixes_suite(["mix99", "iso-tpch"], base=base)
+        outcome = SuiteRunner(store=ResultStore()).run(suite)
+        # the failing first cell does not stop the rest of the grid
+        assert list(outcome.results) == [("iso-tpch",)]
+        assert list(outcome.failures) == [("mix99",)]
+        assert "unknown mix" in outcome.failures[("mix99",)]
 
 
 class TestParallelExecution:
@@ -179,22 +181,22 @@ def _engine_bomb(*args, **kwargs):
 
 
 class TestWarmStoreSkipsSimulation:
-    def test_repeat_sweep_sharing_policy_never_resimulates(
+    def test_repeat_sharing_policy_suite_never_resimulates(
             self, tmp_path, monkeypatch):
-        base = ExperimentSpec(mix="mix5", **TINY)
-        first = sweep_sharing_policy(
+        suite = sharing_policy_suite(
             "mix5", sharings=("private", "shared-4"), policies=("affinity",),
-            base=base, store=ResultStore(tmp_path))
+            base=ExperimentSpec(mix="mix5", **TINY))
+        first = SuiteRunner(store=ResultStore(tmp_path)).run(suite)
         # Fresh store instance on the same directory: only the disk tier
         # can satisfy it.  The engine must not be constructed at all.
         monkeypatch.setattr("repro.core.experiment.make_engine", _engine_bomb)
-        second = sweep_sharing_policy(
-            "mix5", sharings=("private", "shared-4"), policies=("affinity",),
-            base=base, store=ResultStore(tmp_path))
-        assert set(first) == set(second)
-        for key in first:
-            assert [vm.cycles for vm in first[key].vm_metrics] == [
-                vm.cycles for vm in second[key].vm_metrics]
+        second = SuiteRunner(store=ResultStore(tmp_path)).run(suite)
+        assert not first.failures and not second.failures
+        assert second.cached_cells == 2
+        assert set(first.results) == set(second.results)
+        for key, result in first.results.items():
+            assert [vm.cycles for vm in result.vm_metrics] == [
+                vm.cycles for vm in second.results[key].vm_metrics]
 
 
 class TestProgressCallback:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.experiment import (
     ExperimentSpec,
     clear_result_cache,
+    plan,
     resolve_mix,
     run_experiment,
 )
@@ -22,18 +23,18 @@ def fresh_cache():
 
 class TestSpec:
     def test_normalized_fills_defaults(self):
-        spec = ExperimentSpec(mix="mixA").normalized()
+        spec = plan(ExperimentSpec(mix="mixA")).spec
         assert spec.measured_refs > 0
         assert spec.warmup_refs == spec.measured_refs // 2
         assert spec.seed != 0
 
     def test_sharing_canonicalized(self):
-        spec = ExperimentSpec(mix="mixA", sharing="fully-shared").normalized()
+        spec = plan(ExperimentSpec(mix="mixA", sharing="fully-shared")).spec
         assert spec.sharing == "shared"
 
     def test_bad_sharing_rejected(self):
         with pytest.raises(ConfigurationError):
-            ExperimentSpec(mix="mixA", sharing="shared-5").normalized()
+            plan(ExperimentSpec(mix="mixA", sharing="shared-5"))
 
     def test_resolve_mix_iso(self):
         assert resolve_mix("iso-tpch").name == "iso-tpch"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.experiment import ExperimentSpec
+from repro.core.experiment import ALL_POLICIES, ALL_SHARINGS, ExperimentSpec
 from repro.core.store import ResultStore, set_default_store
 from repro.core.suite import (
     SUITES,
@@ -109,6 +109,15 @@ class TestCannedSuites:
         assert len(suite) == 2
         assert all(spec.mix == "mix5" for _key, spec in suite.cells())
 
+    def test_sharing_policy_suite_defaults_to_the_paper_sharings(self):
+        suite = sharing_policy_suite("mix5", base=BASE)
+        assert ALL_SHARINGS == ("private", "shared-2", "shared-4",
+                                "shared-8", "shared")
+        assert ALL_POLICIES == ("rr", "affinity", "rr-aff", "random")
+        assert [key for key, _spec in suite.cells()] == [
+            (sharing, policy) for sharing in ALL_SHARINGS
+            for policy in ("rr", "affinity")]
+
     def test_mixes_suite_shape(self):
         suite = mixes_suite(["mix1", "mix2"], base=BASE)
         assert suite.axis_names == ("mix",)
@@ -137,9 +146,8 @@ class TestPackageExports:
         for name in ("ExperimentSuite", "SuiteRunner", "SuiteResult",
                      "SweepExecutor", "CellOutcome", "ResultStore",
                      "spec_key", "get_default_store", "set_default_store",
-                     "resolve_defaults", "sharing_policy_suite",
+                     "plan", "sharing_policy_suite",
                      "mixes_suite", "get_suite", "suite_names",
-                     "sweep", "sweep_mixes", "sweep_sharing_policy",
                      "SweepError"):
             assert hasattr(repro, name), name
             assert name in repro.__all__, name

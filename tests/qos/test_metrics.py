@@ -11,6 +11,7 @@ from repro.errors import ReproError
 from repro.qos.metrics import (
     QosReport,
     harmonic_speedup,
+    jains_index,
     qos_report,
     weighted_speedup,
 )
@@ -32,6 +33,28 @@ class TestSpeedups:
             weighted_speedup({})
         with pytest.raises(ReproError):
             harmonic_speedup({})
+
+
+class TestJainsIndex:
+    def test_equal_values_are_perfectly_fair(self):
+        assert jains_index([2.0, 2.0, 2.0, 2.0]) == pytest.approx(1.0)
+
+    def test_concentration_lowers_index(self):
+        assert jains_index([1.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25)
+
+    def test_bounds(self):
+        values = [1.3, 2.1, 0.4, 1.0]
+        index = jains_index(values)
+        assert 1 / len(values) <= index <= 1.0
+
+    def test_zero_vector_is_fair(self):
+        assert jains_index([0.0, 0.0]) == 1.0
+
+    def test_validation(self):
+        with pytest.raises(ReproError):
+            jains_index([])
+        with pytest.raises(ReproError):
+            jains_index([1.0, -1.0])
 
 
 class TestQosReport:

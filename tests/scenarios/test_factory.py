@@ -14,7 +14,7 @@ from itertools import count as _count
 import pytest
 
 from repro.control import LOAD_SCALE, RETARGET
-from repro.core.experiment import ExperimentSpec, resolve_defaults
+from repro.core.experiment import ExperimentSpec, plan
 from repro.errors import ConfigurationError
 from repro.scenarios.hook import ScenarioHook
 from repro.sim import Engine, EngineRequest, make_engine, resolve_mode
@@ -89,11 +89,11 @@ class TestSpecResolution:
     def test_scenario_spec_resolves_auto_to_reference(self):
         spec = ExperimentSpec(mix="scn-diurnal-web", scenario="diurnal-web",
                               engine_mode="auto")
-        assert resolve_defaults(spec).engine_mode == "reference"
+        assert plan(spec).spec.engine_mode == "reference"
 
     def test_plain_spec_still_batches(self):
         spec = ExperimentSpec(mix="mix4", engine_mode="auto")
-        assert resolve_defaults(spec).engine_mode == "batched"
+        assert plan(spec).spec.engine_mode == "batched"
 
     def test_explicit_batched_scenario_spec_raises_at_run(self):
         from repro.core.experiment import run_experiment

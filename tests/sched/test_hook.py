@@ -4,7 +4,7 @@ composition with the QoS hook, and fixed-seed reproducibility."""
 import pytest
 
 from repro.control import ASYM_L2, CORE_SPEEDS, MIGRATE, QUOTA, RETIRE
-from repro.core.experiment import ExperimentSpec, run_experiment
+from repro.core.experiment import ExperimentSpec, plan, run_experiment
 from repro.errors import ConfigurationError
 from repro.sched import CompositeControl, SchedHook, StaticPlacement
 from repro.sim.factory import EngineRequest, make_engine, resolve_mode
@@ -20,11 +20,11 @@ def test_auto_mode_never_resolves_sched_spec_to_batched():
     under ``auto`` — the batched kernel cannot re-home threads."""
     spec = ExperimentSpec(mix="mix1", sched_policy="contention",
                           engine_mode="auto", **_FAST)
-    assert spec.normalized().engine_mode == "reference"
+    assert plan(spec).spec.engine_mode == "reference"
     # the plain spec still picks batched, so the gate above is the
     # scheduler, not a global fallback
     plain = ExperimentSpec(mix="mix1", engine_mode="auto", **_FAST)
-    assert plain.normalized().engine_mode == "batched"
+    assert plan(plain).spec.engine_mode == "batched"
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -6,7 +6,7 @@ import numpy as _np
 import pytest
 
 from repro.control import CAPABILITIES, MIGRATE, REQUEUE
-from repro.core.experiment import ExperimentSpec, resolve_defaults
+from repro.core.experiment import ExperimentSpec, plan
 from repro.core.store import result_from_dict, result_to_dict
 from repro.errors import ConfigurationError
 from repro.sim import (
@@ -18,10 +18,8 @@ from repro.sim import (
     RandomRebinder,
     engine_modes,
     make_engine,
-    register_engine,
     resolve_mode,
 )
-from repro.sim.factory import _REGISTRY
 
 
 class _FakeMachine:
@@ -72,9 +70,7 @@ class TestResolveMode:
         assert resolve_mode("batched") == "batched"
 
     def test_modes_listing_leads_with_auto(self):
-        modes = engine_modes()
-        assert modes[0] == "auto"
-        assert "reference" in modes and "batched" in modes
+        assert engine_modes() == ["auto", "batched", "reference"]
 
 
 class TestMakeEngine:
@@ -120,28 +116,6 @@ class TestMakeEngine:
         assert isinstance(engine, OvercommitEngine)
 
 
-class TestRegisterEngine:
-    def test_custom_mode_round_trips(self):
-        sentinel = object()
-        register_engine("custom-test", lambda request: sentinel)
-        try:
-            engine = make_engine(
-                EngineRequest(machine=_FakeMachine(), threads=_threads()),
-                mode="custom-test")
-            assert engine is sentinel
-            assert "custom-test" in engine_modes()
-        finally:
-            _REGISTRY.pop("custom-test", None)
-
-    def test_auto_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_engine("auto", lambda request: None)
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_engine("", lambda request: None)
-
-
 class TestSpecRoundTrip:
     def test_engine_mode_survives_store_codec(self):
         spec = ExperimentSpec(mix="mixA", measured_refs=200, seed=1,
@@ -151,13 +125,13 @@ class TestSpecRoundTrip:
         result = run_experiment(spec, use_cache=False)
         revived = result_from_dict(result_to_dict(result))
         assert revived.spec.engine_mode == "batched"
-        assert revived.spec == resolve_defaults(spec)
+        assert revived.spec == plan(spec).spec
 
     def test_auto_resolves_before_hashing(self):
         # the store must never key on the ambiguous "auto"
-        resolved = resolve_defaults(
+        resolved = plan(
             ExperimentSpec(mix="mixA", measured_refs=200, seed=1,
-                           engine_mode="auto"))
+                           engine_mode="auto")).spec
         assert resolved.engine_mode != "auto"
 
 
@@ -302,5 +276,5 @@ class TestAutoAgreesWithFactory:
         # always had; the request level sees no stop time
         spec = ExperimentSpec(mix="mix4", vm_schedule="0,1000,0,0",
                               engine_mode="auto")
-        assert resolve_defaults(spec).engine_mode == "reference"
+        assert plan(spec).spec.engine_mode == "reference"
         assert resolve_mode("auto", set()) == "batched"

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import (
-    CheckpointError,
     CoherenceError,
     ConfigurationError,
     ReproError,
@@ -16,7 +15,7 @@ from repro.errors import (
 class TestHierarchy:
     def test_all_derive_from_repro_error(self):
         for exc in (ConfigurationError, SimulationError, CoherenceError,
-                    WorkloadError, CheckpointError, SchedulingError):
+                    WorkloadError, SchedulingError):
             assert issubclass(exc, ReproError)
 
     def test_coherence_is_simulation_error(self):
@@ -27,7 +26,7 @@ class TestHierarchy:
         with pytest.raises(ReproError):
             raise SchedulingError("no cores")
         with pytest.raises(ReproError):
-            raise CheckpointError("bad file")
+            raise WorkloadError("bad profile")
 
     def test_programming_errors_not_swallowed(self):
         """TypeError and friends must not be part of the hierarchy."""

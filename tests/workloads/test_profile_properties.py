@@ -1,6 +1,6 @@
 """Property-based tests on profile layout invariants."""
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.workloads.profile import WorkloadProfile
 
@@ -55,6 +55,13 @@ class TestLayoutInvariants:
         assert profile.p_private >= 0.0
 
     @given(profiles(), st.sampled_from([1 / 4, 1 / 16, 1 / 64]))
+    @example(  # the 4-blocks-per-thread floor left no private pool
+        WorkloadProfile(name="prop", footprint_blocks=2000, threads=8,
+                        frac_shared_read=0.6875, frac_migratory=0.125,
+                        p_hot=0.0, hot_blocks_per_thread=8,
+                        p_shared_read=0.0, p_migratory=0.0,
+                        scan_window=16, scan_lag=0, scan_slide=0.0),
+        1 / 64)
     @settings(max_examples=60)
     def test_scaling_preserves_structure(self, profile, factor):
         scaled = profile.scaled(factor)
