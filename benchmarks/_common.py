@@ -90,7 +90,8 @@ def run_grid(cells: List[tuple]) -> Dict[tuple, ExperimentResult]:
     """
     from repro.errors import SweepError
 
-    outcomes = SweepExecutor(jobs=BENCH_JOBS).run(cells)
+    with SweepExecutor(jobs=BENCH_JOBS) as executor:
+        outcomes = executor.run(cells)
     failures = {o.key: o.error for o in outcomes if not o.ok}
     if failures:
         raise SweepError(failures)

@@ -1,11 +1,10 @@
 """``repro top`` — a live plain-text dashboard over ``/metrics``.
 
-Renders one frame of fleet (or single-service) state from a metrics
-payload: job throughput with per-interval rates, latency percentiles
-from the cumulative histograms, rolling SLO gauges, and per-worker
-queue depth.  The CLI polls ``/metrics`` and redraws the frame in
-place; this module is pure formatting so tests can drive it with
-canned snapshots.
+Renders one frame of service state from a metrics payload: job
+throughput with per-interval rates, latency percentiles from the
+cumulative histograms, and rolling SLO gauges.  The CLI polls
+``/metrics`` and redraws the frame in place; this module is pure
+formatting so tests can drive it with canned snapshots.
 """
 
 from __future__ import annotations
@@ -24,36 +23,17 @@ _JOB_COUNTERS = [
     ("service.coalesced", "coalesced"),
     ("service.retries", "retries"),
     ("service.quarantined", "quarantined"),
-    ("fleet.replayed", "replayed"),
-    ("fleet.worker_deaths", "worker deaths"),
 ]
 
 _LATENCY_HISTS = [
-    ("fleet.submit_seconds", "submit (front end)"),
     ("service.queue_wait_seconds", "queue wait"),
     ("service.job_seconds", "job end-to-end"),
 ]
 
-_SLO_PREFIXES = [("fleet.slo", "fleet front end"),
-                 ("service.slo", "service")]
 
-
-def _normalize(payload: Mapping) -> tuple:
-    """Split a ``/metrics`` payload into (aggregate, workers, fleet?).
-
-    A fleet front end answers ``{"fleet", "workers", "aggregate"}``;
-    a single service answers a bare telemetry snapshot.
-    """
-    if "aggregate" in payload:
-        return (payload.get("aggregate") or {},
-                payload.get("workers") or {},
-                payload.get("fleet") or {})
-    return payload, {}, None
-
-
-def _counter_rows(aggregate: Mapping, previous: Optional[Mapping],
+def _counter_rows(snapshot: Mapping, previous: Optional[Mapping],
                   interval: Optional[float]):
-    counters = aggregate.get("counters", {})
+    counters = snapshot.get("counters", {})
     prev_counters = ((previous or {}).get("counters", {})
                      if previous is not None else None)
     rows = []
@@ -69,8 +49,8 @@ def _counter_rows(aggregate: Mapping, previous: Optional[Mapping],
     return rows
 
 
-def _latency_rows(aggregate: Mapping):
-    histograms = aggregate.get("histograms", {})
+def _latency_rows(snapshot: Mapping):
+    histograms = snapshot.get("histograms", {})
     rows = []
     for name, label in _LATENCY_HISTS:
         hist = histograms.get(name)
@@ -86,39 +66,17 @@ def _latency_rows(aggregate: Mapping):
     return rows
 
 
-def _slo_rows(aggregate: Mapping):
-    gauges = aggregate.get("gauges", {})
-    rows = []
-    for prefix, label in _SLO_PREFIXES:
-        requests = gauges.get(f"{prefix}.window_requests")
-        if not requests:
-            continue
-        p99 = gauges.get(f"{prefix}.p99_seconds", 0.0)
-        error_rate = gauges.get(f"{prefix}.error_rate", 0.0)
-        burn = gauges.get(f"{prefix}.burn_rate", 0.0)
-        alarm = "BURNING" if burn > 1.0 else "ok"
-        rows.append([label, int(requests), f"{1e3 * p99:.1f}ms",
-                     f"{100 * error_rate:.2f}%", f"{burn:.2f}x", alarm])
-    return rows
-
-
-def _worker_rows(workers: Mapping, fleet_own: Optional[Mapping]):
-    rows = []
-    depths = ((fleet_own or {}).get("gauges", {})
-              if fleet_own is not None else {})
-    for name in sorted(workers):
-        snap = workers[name]
-        gauges = snap.get("gauges", {})
-        counters = snap.get("counters", {})
-        depth = gauges.get("service.queue_depth",
-                           depths.get(f"fleet.worker_depth.{name}", 0))
-        rows.append([
-            name, depth,
-            counters.get("service.submitted", 0),
-            counters.get("service.completed", 0),
-            counters.get("service.quarantined", 0),
-        ])
-    return rows
+def _slo_rows(snapshot: Mapping):
+    gauges = snapshot.get("gauges", {})
+    requests = gauges.get("service.slo.window_requests")
+    if not requests:
+        return []
+    p99 = gauges.get("service.slo.p99_seconds", 0.0)
+    error_rate = gauges.get("service.slo.error_rate", 0.0)
+    burn = gauges.get("service.slo.burn_rate", 0.0)
+    alarm = "BURNING" if burn > 1.0 else "ok"
+    return [["service", int(requests), f"{1e3 * p99:.1f}ms",
+             f"{100 * error_rate:.2f}%", f"{burn:.2f}x", alarm]]
 
 
 def render_dashboard(payload: Mapping, healthz: Optional[Mapping] = None,
@@ -126,48 +84,40 @@ def render_dashboard(payload: Mapping, healthz: Optional[Mapping] = None,
                      interval: Optional[float] = None) -> str:
     """One dashboard frame, as a printable string.
 
-    ``payload`` is the JSON body of ``/metrics`` (fleet or single
-    service); ``previous`` is the prior frame's *aggregate* snapshot,
-    used with ``interval`` (seconds) to print per-interval rates.
+    ``payload`` is the JSON body of ``/metrics``; ``previous`` is the
+    prior frame's payload, used with ``interval`` (seconds) to print
+    per-interval rates.
     """
-    aggregate, workers, fleet_own = _normalize(payload)
     sections = []
 
     headline = []
     if healthz:
         status = healthz.get("status", "?")
-        role = healthz.get("role", "service")
         uptime = healthz.get("uptime_s")
-        headline.append(f"{role}: {status}"
+        headline.append(f"service: {status}"
                         + (f", up {uptime:.0f}s" if uptime else ""))
-        if "live_workers" in healthz:
-            headline.append(f"{healthz['live_workers']} live worker(s)")
-    depth = aggregate.get("gauges", {}).get("service.queue_depth")
+        if "jobs" in healthz:
+            headline.append(f"jobs {healthz['jobs']}")
+    depth = payload.get("gauges", {}).get("service.queue_depth")
     if depth is not None:
         headline.append(f"queue depth {int(depth)}")
     if headline:
         sections.append("  |  ".join(headline))
 
-    rows = _counter_rows(aggregate, previous, interval)
+    rows = _counter_rows(payload, previous, interval)
     if rows:
         sections.append(format_table(["Jobs", "Total", "Rate"], rows))
 
-    rows = _latency_rows(aggregate)
+    rows = _latency_rows(payload)
     if rows:
         sections.append(format_table(
             ["Latency", "Obs", "p50", "p95", "p99"], rows))
 
-    rows = _slo_rows(aggregate)
+    rows = _slo_rows(payload)
     if rows:
         sections.append(format_table(
             ["SLO (rolling window)", "Req", "p99", "Errors", "Burn",
              "State"], rows))
-
-    rows = _worker_rows(workers, fleet_own)
-    if rows:
-        sections.append(format_table(
-            ["Worker", "Depth", "Submitted", "Completed", "Quarantined"],
-            rows))
 
     if not sections:
         sections.append("(no metrics yet)")

@@ -7,8 +7,8 @@ load) and appends the results to ``BENCH_kernel.json`` /
 the repo's performance trajectory, versioned with the code.
 
 ``repro loadgen`` (:mod:`repro.bench.loadgen`) drives a live service
-or fleet with open-loop Poisson arrivals and measures saturation
-throughput and exact tail latency.
+with open-loop Poisson arrivals and measures saturation throughput and
+exact tail latency.
 """
 
 from typing import TYPE_CHECKING

@@ -285,9 +285,9 @@ def _bench_sweep_throughput(ctx: BenchContext) -> List[BenchRecord]:
         for sharing in sharings for policy in policies
     ]
     jobs = 1 if ctx.quick else ctx.jobs
-    executor = SweepExecutor(jobs=jobs, store=ResultStore())
     cells = [((spec.sharing, spec.policy), spec) for spec in specs]
-    elapsed = _timed(lambda: executor.run(cells))
+    with SweepExecutor(jobs=jobs, store=ResultStore()) as executor:
+        elapsed = _timed(lambda: executor.run(cells))
     return [BenchRecord(
         bench="sweep-throughput", target="sweep", quick=ctx.quick,
         params={"mix": "mix1", "measured_refs": refs, "jobs": jobs,
@@ -300,7 +300,7 @@ def _bench_sweep_throughput(ctx: BenchContext) -> List[BenchRecord]:
 
 
 def _bench_service_loadgen(ctx: BenchContext) -> List[BenchRecord]:
-    """Open-loop Poisson load against a single in-process worker."""
+    """Open-loop Poisson load against an in-process server."""
     from ..service import ServiceServer
     from .loadgen import LoadgenConfig, run_loadgen
 
@@ -319,8 +319,7 @@ def _bench_service_loadgen(ctx: BenchContext) -> List[BenchRecord]:
         report = run_loadgen(config)
     finally:
         server.shutdown()
-    return [report.to_record(quick=ctx.quick,
-                             extra_params={"workers": 1})]
+    return [report.to_record(quick=ctx.quick)]
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Open-loop Poisson load generator for the service tier.
 
 Measures what the closed-loop basket benchmarks cannot: how the
-service (single worker or fleet) behaves under *offered* load.  A
-closed-loop client waits for each response before sending the next
-request, so it can never observe queueing collapse — its arrival rate
-falls as the system slows.  This generator is open-loop: arrivals are
+service behaves under *offered* load.  A closed-loop client waits for
+each response before sending the next request, so it can never
+observe queueing collapse — its arrival rate falls as the system
+slows.  This generator is open-loop: arrivals are
 a Poisson process at a configured target rate regardless of how the
 service is doing, which is how saturation, queue growth and tail
 latency actually present in production (Schroeder et al., "Open
@@ -20,7 +20,8 @@ rounded up to a poll interval), fetches its stored results (``GET
 submit to the last result in hand — and achieved throughput.
 :func:`saturation_sweep` steps the offered rate upward and flags the last rate the service
 *sustained* (achieved within 10% of offered), which is the capacity
-number the fleet acceptance criteria compare across worker counts.
+number to compare across pool sizes (each record carries the server's
+``jobs``, read from ``GET /healthz``).
 
 Everything is seeded (:class:`random.Random`) so two runs against
 equally-warm services offer byte-identical workloads.
@@ -135,6 +136,7 @@ class LoadgenReport:
     latencies: List[float] = field(default_factory=list)
     warm_latencies: List[float] = field(default_factory=list)
     cold_latencies: List[float] = field(default_factory=list)
+    jobs: Optional[int] = None  # the server's pool size, from /healthz
 
     @property
     def achieved_rate(self) -> float:
@@ -175,10 +177,12 @@ class LoadgenReport:
             "pool": self.config.pool,
             "measured_refs": self.config.refs,
             "seed": self.config.seed,
-            # simulation is CPU-bound: worker scaling is only visible
+            # simulation is CPU-bound: pool scaling is only visible
             # when the host has cores to back the extra processes
             "host_cores": os.cpu_count() or 1,
         }
+        if self.jobs is not None:
+            params["jobs"] = self.jobs
         params.update(extra_params or {})
         return BenchRecord(bench=bench, target="service", quick=quick,
                            params=params, metrics=self.metrics())
@@ -278,8 +282,19 @@ async def _prime(host: str, port: int, config: LoadgenConfig) -> None:
             f"loadgen warm-pool priming failed: {outcome.status}")
 
 
+async def _server_jobs(host: str, port: int,
+                       config: LoadgenConfig) -> Optional[int]:
+    """The pool size the server reports on ``GET /healthz``."""
+    status, _h, payload = await fetch(host, port, "GET", "/healthz",
+                                      timeout=config.timeout)
+    if status != 200 or not isinstance(payload, dict):
+        return None
+    return payload.get("jobs")
+
+
 async def _run_async(config: LoadgenConfig) -> LoadgenReport:
     host, port = _host_port(config.url)
+    jobs = await _server_jobs(host, port, config)
     if config.prime:
         await _prime(host, port, config)
     rng = random.Random(config.seed)
@@ -307,7 +322,8 @@ async def _run_async(config: LoadgenConfig) -> LoadgenReport:
         sequence += 1
         next_arrival += rng.expovariate(config.rate)
     outcomes = await asyncio.gather(*tasks)
-    report = LoadgenReport(config=config, submitted=len(outcomes))
+    report = LoadgenReport(config=config, submitted=len(outcomes),
+                           jobs=jobs)
     last_finish = start
     for outcome in outcomes:
         last_finish = max(last_finish, outcome.finished_at)

@@ -3,7 +3,7 @@
 Benchmark results are appended to JSON files at the repository root
 (``BENCH_kernel.json`` for single-cell kernel latencies,
 ``BENCH_sweep.json`` for batch sweep throughput, and
-``BENCH_service.json`` for the HTTP service/fleet tier — round-trip
+``BENCH_service.json`` for the HTTP service tier — round-trip
 latency and load-generator saturation sweeps) so the performance
 trajectory of the simulator is versioned alongside its code.  Each
 file is a single JSON object::

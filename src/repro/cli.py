@@ -40,22 +40,19 @@
 ``serve``
     Run the long-lived simulation service: an HTTP job API over a
     shared result store with a durable job journal (see
-    ``docs/service.md``); ``--concurrency N`` runs N jobs at once.
-``fleet``
-    Run N worker services behind a consistent-hash routing front end
-    with health checks, journal-replay failover and aggregated
-    ``/metrics`` (see ``docs/service.md``).
+    ``docs/service.md``); ``--jobs N`` runs every job's cells in one
+    pool of N processes, and ``--concurrency`` (default N) jobs at once.
 ``submit``
     Submit an experiment grid to a running service (and optionally
     wait for the results).
 ``jobs``
     List a running service's jobs, or show one job's record.
 ``top``
-    Live dashboard over a running service or fleet's ``/metrics``.
+    Live dashboard over a running service's ``/metrics``.
 ``loadgen``
-    Open-loop Poisson load generation against a running service or
-    fleet: offered-rate sweep, exact p50/p95/p99 latency, records
-    appended to ``BENCH_service.json``.
+    Open-loop Poisson load generation against a running service:
+    offered-rate sweep, exact p50/p95/p99 latency, records appended
+    to ``BENCH_service.json``.
 ``bench``
     Run the fixed benchmark basket and append machine-readable
     records to ``BENCH_kernel.json`` / ``BENCH_sweep.json`` /
@@ -324,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="the job whose trace to collect")
     trace_p.add_argument("--trace-dir", required=True, metavar="DIR",
                          help="span-log directory written by a traced "
-                              "serve/fleet")
+                              "serve")
     trace_p.add_argument("--out", default="trace.json", metavar="PATH",
                          help="Chrome-trace JSON output path")
 
@@ -353,25 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="durable job journal; jobs survive "
                               "restarts and crashes")
 
-    fleet_p = sub.add_parser(
-        "fleet", help="run N workers behind a consistent-hash routing "
-                      "front end (see docs/service.md)")
-    _add_service_flags(fleet_p)
-    fleet_p.add_argument("--workers", type=int, default=2,
-                         help="worker process count")
-    fleet_p.add_argument("--journal-dir", default=None, metavar="DIR",
-                         help="per-worker journal directory; reuse it "
-                              "across restarts to replay pending jobs")
-    fleet_p.add_argument("--replicas", type=int, default=64,
-                         help="virtual ring points per worker")
-    fleet_p.add_argument("--health-interval", type=float, default=0.25,
-                         help="seconds between worker health probes")
-
     top_p = sub.add_parser(
-        "top", help="live dashboard over a running service or fleet's "
-                    "/metrics (htop-style, refreshes in place)")
+        "top", help="live dashboard over a running service's /metrics "
+                    "(htop-style, refreshes in place)")
     top_p.add_argument("--url", default="http://127.0.0.1:8765",
-                       help="service or fleet base URL")
+                       help="service base URL")
     top_p.add_argument("--interval", type=float, default=2.0,
                        help="seconds between refreshes")
     top_p.add_argument("--count", type=int, default=0,
@@ -413,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     loadgen_p = sub.add_parser(
         "loadgen", help="open-loop Poisson load against a running "
-                        "service or fleet; appends BENCH_service.json")
+                        "service; appends BENCH_service.json")
     loadgen_p.add_argument("--url", default="http://127.0.0.1:8765",
-                           help="service or fleet base URL")
+                           help="service base URL")
     loadgen_p.add_argument("--rate", type=float, default=20.0,
                            help="offered arrivals/second (single run)")
     loadgen_p.add_argument("--rates", default=None, metavar="R1,R2,...",
@@ -432,9 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen_p.add_argument("--seed", type=int, default=1)
     loadgen_p.add_argument("--timeout", type=float, default=120.0,
                            help="per-job completion timeout, seconds")
-    loadgen_p.add_argument("--workers", type=int, default=None,
-                           help="annotate records with the serving "
-                                "fleet's worker count")
     loadgen_p.add_argument("--out-dir", default=".", metavar="DIR",
                            help="where BENCH_service.json lives "
                                 "(default: cwd)")
@@ -488,19 +468,18 @@ def _add_executor_flags(parser) -> None:
 
 
 def _add_service_flags(parser) -> None:
-    """Flags of ``serve`` and ``fleet``; a fleet applies the scheduler
-    and admission knobs to each worker."""
+    """Flags of ``serve``."""
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8765,
                         help="bind port (0 picks a free one)")
     parser.add_argument("--store", default=None, metavar="PATH",
-                        help="persistent result-store directory, shared "
-                             "by a fleet's workers (default: memory-only "
-                             "for serve, a temporary directory for fleet)")
+                        help="persistent result-store directory "
+                             "(default: memory-only)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="executor worker processes per job")
-    parser.add_argument("--concurrency", type=int, default=1,
-                        help="jobs executed at once by the scheduler")
+                        help="simulation processes shared by every job "
+                             "(1 = cells run in the server process)")
+    parser.add_argument("--concurrency", type=int, default=None,
+                        help="jobs executed at once (default: --jobs)")
     parser.add_argument("--queue-limit", type=int, default=64,
                         help="pending jobs admitted before 429 "
                              "backpressure")
@@ -666,7 +645,8 @@ def _cmd_sweep(args) -> int:
     telemetry = _make_telemetry(args)
     suite = sharing_policy_suite(args.mix, policies=ALL_POLICIES,
                                  base=_spec_from_args(args))
-    outcome = SuiteRunner(_make_executor(args, telemetry)).run(suite)
+    with _make_executor(args, telemetry) as executor:
+        outcome = SuiteRunner(executor).run(suite)
     _raise_on_failures(outcome)
     series = {}
     for sharing in ALL_SHARINGS:
@@ -960,7 +940,8 @@ def _cmd_profile(args) -> int:
 
     telemetry = Telemetry()
     suite = _suite_from_args(args)
-    outcome = SuiteRunner(_make_executor(args, telemetry)).run(suite)
+    with _make_executor(args, telemetry) as executor:
+        outcome = SuiteRunner(executor).run(suite)
     _raise_on_failures(outcome)
     rows = [
         [" / ".join(str(v) for v in key),
@@ -1020,7 +1001,8 @@ def _cmd_suite(args) -> int:
         return 0
 
     suite = _suite_from_args(args)
-    outcome = SuiteRunner(_make_executor(args)).run(suite)
+    with _make_executor(args) as executor:
+        outcome = SuiteRunner(executor).run(suite)
     _raise_on_failures(outcome)
     rows = [
         [" / ".join(str(v) for v in key),
@@ -1037,23 +1019,18 @@ def _cmd_suite(args) -> int:
     return 0
 
 
-def _service_kwargs(args) -> dict:
-    """Server keywords from the flags of :func:`_add_service_flags`."""
-    return dict(
-        store=args.store, host=args.host, port=args.port,
-        queue_limit=args.queue_limit, rate=args.rate, burst=args.burst,
-        trust_proxy_headers=args.behind_proxy,
-        executor_jobs=args.jobs, concurrency=args.concurrency,
-        max_attempts=args.max_attempts, backoff_base=args.backoff,
-        trace_dir=args.trace_dir)
-
-
 def _cmd_serve(args) -> int:
     import asyncio
 
     from .service import ServiceServer
 
-    server = ServiceServer(journal=args.journal, **_service_kwargs(args))
+    server = ServiceServer(
+        store=args.store, journal=args.journal, host=args.host,
+        port=args.port, queue_limit=args.queue_limit, rate=args.rate,
+        burst=args.burst, trust_proxy_headers=args.behind_proxy,
+        executor_jobs=args.jobs, concurrency=args.concurrency,
+        max_attempts=args.max_attempts, backoff_base=args.backoff,
+        trace_dir=args.trace_dir)
 
     async def _serve() -> None:
         await server.start()
@@ -1067,32 +1044,6 @@ def _cmd_serve(args) -> int:
                   file=sys.stderr)
         await server.serve()
         print("drained; bye", file=sys.stderr)
-
-    asyncio.run(_serve())
-    return EXIT_OK
-
-
-def _cmd_fleet(args) -> int:
-    import asyncio
-
-    from .service.fleet import FleetServer
-
-    fleet = FleetServer(
-        workers=args.workers, journal_dir=args.journal_dir,
-        replicas=args.replicas, health_interval=args.health_interval,
-        **_service_kwargs(args))
-
-    async def _serve() -> None:
-        await fleet.start()
-        print(f"repro fleet front end on "
-              f"http://{fleet.host}:{fleet.port}", file=sys.stderr)
-        for name, worker in fleet.workers.items():
-            print(f"  worker {name}: 127.0.0.1:{worker.port} "
-                  f"(pid {worker.process.pid})", file=sys.stderr)
-        print(f"store: {fleet.store_path}; "
-              f"journals: {fleet.journal_dir}", file=sys.stderr)
-        await fleet.serve()
-        print("fleet drained; bye", file=sys.stderr)
 
     asyncio.run(_serve())
     return EXIT_OK
@@ -1113,7 +1064,6 @@ def _cmd_top(args) -> int:
                 healthz = client.healthz()
             except Exception:
                 healthz = None
-            aggregate = payload.get("aggregate", payload)
             text = render_dashboard(
                 payload, healthz=healthz, previous=previous,
                 interval=args.interval if previous is not None else None)
@@ -1124,7 +1074,7 @@ def _cmd_top(args) -> int:
                   f"(refresh {args.interval:g}s)")
             print()
             print(text, flush=True)
-            previous = aggregate
+            previous = payload
             frame += 1
             if args.count and frame >= args.count:
                 return EXIT_OK
@@ -1174,10 +1124,8 @@ def _cmd_loadgen(args) -> int:
     if args.dry_run:
         print("dry run: no records written")
         return EXIT_OK
-    extra = {"url": args.url}
-    if args.workers is not None:
-        extra["workers"] = args.workers
-    records = [r.to_record(extra_params=extra) for r in reports]
+    records = [r.to_record(extra_params={"url": args.url})
+               for r in reports]
     for path in append_records(args.out_dir, records):
         print(f"appended to {path}")
     return EXIT_OK
@@ -1346,7 +1294,6 @@ _COMMANDS = {
     "trace": _cmd_trace,
     "profile": _cmd_profile,
     "serve": _cmd_serve,
-    "fleet": _cmd_fleet,
     "submit": _cmd_submit,
     "jobs": _cmd_jobs,
     "top": _cmd_top,

@@ -4,7 +4,7 @@ A grid of experiments (the cartesian cells of a sweep or an
 :class:`~repro.core.suite.ExperimentSuite`) is embarrassingly parallel:
 every cell is an independent :func:`~repro.core.experiment.run_experiment`
 call with a fully-resolved spec.  :class:`SweepExecutor` fans cells out
-over a ``multiprocessing`` pool and funnels results through a
+over one long-lived process pool and funnels results through a
 :class:`~repro.core.store.ResultStore`, so that
 
 * a cell already present in the store is never re-simulated — not in
@@ -14,26 +14,37 @@ over a ``multiprocessing`` pool and funnels results through a
   before dispatch, so every worker sees the same explicit seed, and
   :class:`~repro.sim.rng.RngFactory` streams depend only on the spec;
 * a refused or failing cell reports its exception (with traceback) in
-  its :class:`CellOutcome` instead of aborting the rest of the grid.
+  its :class:`CellOutcome` instead of aborting the rest of the grid;
+  so does a cell whose pool process died (an OOM kill, say): the pool
+  is replaced on the next run and ``retries`` re-run the cell in the
+  parent.
 
-Workers are spawn-safe: the worker function is a module-level callable
-and its payload is the cell's picklable :class:`RunPlan`, so the
-executor works under the ``spawn`` start method (the default here, and
-the only safe choice on macOS/Windows or in threaded parents).  The
-plan carries the resolved mix and scenario, so a mix or scenario
+The pool is created on the first run with more than one cold cell (or
+by :meth:`SweepExecutor.start`) and reused by later runs, so its
+processes keep their imports and per-process caches warm; ``close()``
+or leaving a ``with`` block shuts it down.  Workers are spawned: the
+worker function is a module-level callable and its payload is the
+cell's picklable :class:`RunPlan` (``spawn`` is the only safe start
+method on macOS/Windows or in threaded parents such as the service).
+The plan carries the resolved mix and scenario, so a mix or scenario
 registered at run time in the parent runs in a worker whose own
 registries never heard of it.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..errors import ConfigurationError, ReproError
 from .experiment import ExperimentResult, ExperimentSpec, RunPlan, plan
+
+if TYPE_CHECKING:  # imported with the first pool: jobs=1 never loads them
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["CellOutcome", "ProgressCallback", "RetryCallback",
            "SweepExecutor"]
@@ -115,6 +126,11 @@ def _run_cell(payload: Tuple):
         return index, None, traceback.format_exc(), time.perf_counter() - start
 
 
+def _start_worker() -> None:
+    """The task that starts a pool process: unpickling it imports this
+    module, and with it the whole cell path (``core.experiment``)."""
+
+
 class SweepExecutor:
     """Run a list of ``(key, spec)`` cells, optionally in parallel.
 
@@ -131,9 +147,6 @@ class SweepExecutor:
     progress:
         Optional ``progress(done, total, outcome)`` callback, invoked in
         the parent as each cell completes (cache hits first).
-    mp_context:
-        ``multiprocessing`` start method for ``jobs > 1`` (default
-        ``"spawn"``).
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` hub whose
         ``executor.*`` counters and cell-time histogram account the
@@ -148,8 +161,8 @@ class SweepExecutor:
         a failed cell up to ``retries`` more times *in the parent*,
         sleeping ``retry_backoff * 2**(attempt-1)`` seconds first; the
         recovery is recorded on :attr:`CellOutcome.retried` and in the
-        ``executor.retries`` telemetry counter.  This is what makes a
-        sweep resumable past a crashed worker process.
+        ``executor.retries`` telemetry counter.  This is what carries
+        a run past a crashed pool process.
     retry_backoff:
         Base backoff delay in seconds (0 retries instantly — tests).
     on_retry:
@@ -162,6 +175,9 @@ class SweepExecutor:
         cell and one ``store.put`` per stored result.  ``repro
         profile`` passes its hub's ring and exports it as a Chrome
         trace.
+
+    Runs may overlap on several threads (the service runs one job per
+    thread); they share the one pool.
     """
 
     def __init__(
@@ -169,7 +185,6 @@ class SweepExecutor:
         jobs: int = 1,
         store=None,
         progress: Optional[ProgressCallback] = None,
-        mp_context: str = "spawn",
         telemetry=None,
         epoch: int = 0,
         retries: int = 0,
@@ -193,13 +208,73 @@ class SweepExecutor:
         self.jobs = jobs
         self.store = store
         self.progress = progress
-        self.mp_context = mp_context
         self.telemetry = telemetry
         self.epoch = epoch
         self.retries = retries
         self.retry_backoff = retry_backoff
         self.on_retry = on_retry
         self.tracer = tracer
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_lock = threading.Lock()
+        self._eager = False  # started: every cold cell runs in the pool
+        self._closed = False
+
+    # -- the pool ------------------------------------------------------
+
+    def start(self) -> None:
+        """Start the pool's processes now rather than at the first
+        pooled run; from then on every cold cell runs in the pool, a
+        lone one too.  Returns at once (the processes import in the
+        background); a no-op for ``jobs == 1``."""
+        if self.jobs == 1:
+            return
+        self._eager = True
+        pool = self._pool_for(self.jobs)
+        if pool is not None:
+            # the results are nothing; a process lost while starting
+            # breaks the pool, which the next run's cells then report
+            for _ in range(self.jobs):
+                pool.submit(_start_worker)
+
+    def close(self) -> None:
+        """Shut the pool down and wait for its processes to exit; later
+        runs run inline.  Idempotent."""
+        with self._pool_lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def __enter__(self) -> "SweepExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _pool_for(self, cells: int) -> Optional[ProcessPoolExecutor]:
+        """The pool to run ``cells`` cold cells in, or ``None`` to run
+        them inline: ``jobs == 1``, a closed executor, or a lone cell
+        before the pool was started."""
+        if self.jobs == 1 or (cells < 2 and not self._eager):
+            return None
+        with self._pool_lock:
+            if self._closed:
+                return None
+            if self._pool is None:
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
+
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.jobs,
+                    mp_context=multiprocessing.get_context("spawn"))
+            return self._pool
+
+    def _discard(self, pool: ProcessPoolExecutor) -> None:
+        """Drop a broken pool; the next pooled run builds a fresh one."""
+        with self._pool_lock:
+            if self._pool is pool:
+                self._pool = None
+        pool.shutdown(wait=False, cancel_futures=True)
 
     def run(
         self, cells: Sequence[Tuple[tuple, Union[ExperimentSpec, RunPlan]]],
@@ -274,16 +349,17 @@ class SweepExecutor:
             groups = {indices[0]: indices for indices in pending.values()}
 
             # tier 2: simulate the distinct cold specs.  When the cells
-            # fan out over a pool *and* the tracer has a durable log,
+            # run in the pool *and* the tracer has a durable log,
             # context rides in the payload and each worker records its
             # own span (real pid lanes); otherwise the parent records
             # the span from the measured wall time.  Every cell runs
             # the parent's plan as it is, in a pool worker too: the
             # plan holds the resolved mix and scenario, which a spawned
             # worker's registries may not know by name.
-            pooled = self.jobs > 1 and len(groups) > 1
+            pool = self._pool_for(len(groups)) if groups else None
             trace_payload = None
-            if grid_ctx is not None and pooled and tracer.log_dir is not None:
+            if grid_ctx is not None and pool is not None \
+                    and tracer.log_dir is not None:
                 trace_payload = {
                     "traceparent": grid_ctx.to_traceparent(),
                     "log_dir": str(tracer.log_dir),
@@ -298,7 +374,7 @@ class SweepExecutor:
                 else (index, payloads[index], self.epoch, trace_payload)
                 for index in groups
             ]
-            for index, result, error, wall in self._execute(jobs):
+            for index, result, error, wall in self._execute(pool, jobs):
                 key, spec, run = cells[index][0], specs[index], runs[index]
                 result, error, wall, retried = self._maybe_retry(
                     index, payloads[index], spec, key, result, error, wall)
@@ -353,18 +429,36 @@ class SweepExecutor:
             wall += retry_wall
         return result, error, wall, attempt
 
-    def _execute(self, jobs: List[tuple]):
-        """Yield ``(index, result, error, wall_time)`` per cold cell."""
-        if not jobs:
-            return
-        if self.jobs == 1 or len(jobs) == 1:
+    def _execute(self, pool: Optional[ProcessPoolExecutor],
+                 jobs: List[tuple]):
+        """Yield ``(index, result, error, wall_time)`` per cold cell,
+        inline when ``pool`` is ``None``.
+
+        A cell the pool lost (its process died, or the pool was shut
+        down under it) yields the pool's error, which the caller's
+        retries re-run in the parent; a broken pool is discarded.
+        """
+        if pool is None:
             for payload in jobs:
                 yield _run_cell(payload)
             return
-        import multiprocessing
+        from concurrent.futures import Future, as_completed
+        from concurrent.futures.process import BrokenProcessPool
 
-        context = multiprocessing.get_context(self.mp_context)
-        workers = min(self.jobs, len(jobs))
-        with context.Pool(processes=workers) as pool:
-            for completed in pool.imap_unordered(_run_cell, jobs):
-                yield completed
+        futures = {}
+        for payload in jobs:
+            try:
+                future = pool.submit(_run_cell, payload)
+            except (BrokenProcessPool, RuntimeError) as exc:  # shut down
+                future = Future()
+                future.set_exception(exc)
+            futures[future] = payload[0]
+        for future in as_completed(futures):
+            try:
+                completed = future.result()
+            except Exception as exc:  # the pool's, never the cell's own
+                if isinstance(exc, BrokenProcessPool):
+                    self._discard(pool)
+                completed = (futures[future], None,
+                             f"{type(exc).__name__}: {exc}", 0.0)
+            yield completed

@@ -19,7 +19,7 @@ if TYPE_CHECKING:
     from .slo import SloTracker
     from .telemetry import (NULL_TELEMETRY, Counter, Gauge, Histogram,
                             NullTelemetry, Telemetry, histogram_percentile,
-                            merge_snapshots, render_prometheus)
+                            render_prometheus)
     from .tracing import (CATEGORY_LABELS, TRACEPARENT_HEADER, CriticalPath,
                           Span, SpanContext, Tracer, align_clocks,
                           collect_spans, critical_path, export_chrome_trace,
@@ -32,7 +32,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "slo": ("SloTracker",),
     "telemetry": ("NULL_TELEMETRY", "Counter", "Gauge", "Histogram",
                   "NullTelemetry", "Telemetry", "histogram_percentile",
-                  "merge_snapshots", "render_prometheus"),
+                  "render_prometheus"),
     "tracing": ("CATEGORY_LABELS", "TRACEPARENT_HEADER", "CriticalPath",
                 "Span", "SpanContext", "Tracer", "align_clocks",
                 "collect_spans", "critical_path", "export_chrome_trace",

@@ -39,7 +39,6 @@ __all__ = [
     "NULL_TELEMETRY",
     "render_prometheus",
     "histogram_percentile",
-    "merge_snapshots",
 ]
 
 
@@ -224,22 +223,9 @@ def render_prometheus(snapshot: dict) -> str:
             lines.append(f'{metric}_bucket{{le="{bound}"}} {cumulative}')
         cumulative += hist["counts"][-1]
         lines.append(f'{metric}_bucket{{le="+Inf"}} {cumulative}')
-        lines.append(f"{metric}_sum {_hist_total(hist)}")
+        lines.append(f"{metric}_sum {hist['total']}")
         lines.append(f"{metric}_count {hist['observations']}")
     return "\n".join(lines) + "\n"
-
-
-def _hist_total(hist: dict) -> float:
-    """Exact sum of a snapshot histogram's observations.
-
-    Prefers the exact ``total`` field (added in the tracing PR); falls
-    back to ``mean * observations`` for snapshots from older emitters,
-    which round-trips the same value modulo float re-division.
-    """
-    total = hist.get("total")
-    if total is not None:
-        return float(total)
-    return hist.get("mean", 0.0) * hist.get("observations", 0)
 
 
 def histogram_percentile(hist: dict, q: float) -> float:
@@ -274,69 +260,6 @@ def histogram_percentile(hist: dict, q: float) -> float:
                 return high
             return low + (high - low) * (rank - previous) / count
     return float(bounds[-1]) if bounds else 0.0
-
-
-def merge_snapshots(snapshots: Sequence[dict]) -> dict:
-    """Combine :meth:`Telemetry.snapshot` dicts from several hubs.
-
-    Built for the fleet front-end: each worker process owns a private
-    hub, and the aggregate over the fleet is well-defined
-    instrument-by-instrument — counters and gauges sum (every gauge
-    the service tier exports is a queue depth or worker count, where
-    the fleet-wide value *is* the sum), and histograms with identical
-    bounds merge bucket-wise, which preserves every percentile
-    estimate exactly as if all observations had hit one hub.  A
-    histogram whose bounds disagree with the first sighting of that
-    name is skipped rather than silently mis-merged.  Series and trace
-    data stay per-worker (they are ring buffers, not mergeable
-    aggregates); only their event counts are summed.
-    """
-    counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
-    histograms: Dict[str, dict] = {}
-    trace_events = 0
-    trace_dropped = 0
-    for snap in snapshots:
-        for name, value in snap.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-        for name, value in snap.get("gauges", {}).items():
-            gauges[name] = gauges.get(name, 0) + value
-        for name, hist in snap.get("histograms", {}).items():
-            merged = histograms.get(name)
-            if merged is None:
-                histograms[name] = {
-                    "bounds": list(hist["bounds"]),
-                    "counts": list(hist["counts"]),
-                    "total": _hist_total(hist),
-                    "observations": hist["observations"],
-                }
-                continue
-            if list(hist["bounds"]) != merged["bounds"]:
-                continue  # incompatible buckets: refuse to mis-merge
-            merged["counts"] = [a + b for a, b in
-                                zip(merged["counts"], hist["counts"])]
-            merged["observations"] += hist["observations"]
-            merged["total"] += _hist_total(hist)
-        trace_events += snap.get("trace_events", 0)
-        trace_dropped += snap.get("trace_dropped", 0)
-    return {
-        "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(gauges.items())),
-        "histograms": {
-            name: {
-                "bounds": h["bounds"],
-                "counts": h["counts"],
-                "mean": (h["total"] / h["observations"]
-                         if h["observations"] else 0.0),
-                "total": h["total"],
-                "observations": h["observations"],
-            }
-            for name, h in sorted(histograms.items())
-        },
-        "series": {},
-        "trace_events": trace_events,
-        "trace_dropped": trace_dropped,
-    }
 
 
 class _NullInstrument:

@@ -14,9 +14,9 @@ clocks:
   counters (``"C"``): epoch samples, VM completions, migrations.  They
   join no distributed trace.
 
-A job crosses many processes — client, fleet front end, worker HTTP
-server, scheduler, executor subprocesses — so the wall clock also
-carries the cross-process layer:
+A job crosses several processes — client, HTTP server and scheduler,
+executor pool processes — so the wall clock also carries the
+cross-process layer:
 
 * :class:`SpanContext` — a ``(trace_id, span_id)`` pair serialised in
   the W3C ``traceparent`` header format
@@ -37,7 +37,7 @@ carries the cross-process layer:
   wall spans on real OS pid lanes, sim events on one cycle lane.
 * :func:`critical_path` — a deepest-covering-span sweep that attributes
   every microsecond of a job's makespan to exactly one category
-  (route, queue wait, replay, simulation, store I/O, …), so the
+  (route, queue wait, simulation, store I/O, …), so the
   segment sum always equals the end-to-end span by construction.
 """
 
@@ -87,7 +87,6 @@ _TRACEPARENT_RE = re.compile(r"^00-([0-9a-f]{32})-([0-9a-f]{16})-([0-9a-f]{2})$"
 CATEGORY_LABELS = {
     "route": "route",
     "queue": "queue wait",
-    "replay": "replay",
     "sim": "simulation",
     "store": "store I/O",
     "run": "dispatch",

@@ -12,18 +12,13 @@ The pieces (see ``docs/service.md``):
   crash-safe JSONL journal;
 * :mod:`repro.service.scheduler` — the async :class:`JobScheduler`
   with store dedup, in-flight coalescing, bounded job concurrency,
-  exponential-backoff retries and poison-job quarantine;
+  one process pool shared by every job's cells, exponential-backoff
+  retries and poison-job quarantine;
 * :mod:`repro.service.server` — the stdlib-asyncio HTTP API
   (:class:`ServiceServer`) with bounded-queue backpressure, per-client
   rate limiting, ``/metrics`` telemetry export, and graceful drain;
-* :mod:`repro.service.ring` — the consistent-hash :class:`HashRing`
-  the fleet routes job identities over;
-* :mod:`repro.service.fleet` — N worker processes behind one routing
-  front end (:class:`FleetServer`) with health-checked journal-replay
-  failover and aggregated metrics;
 * :mod:`repro.service.client` — the synchronous
-  :class:`ServiceClient` behind ``repro submit`` / ``repro jobs``
-  (it speaks to a single server and a fleet identically).
+  :class:`ServiceClient` behind ``repro submit`` / ``repro jobs``.
 """
 
 from typing import TYPE_CHECKING
@@ -32,19 +27,15 @@ from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from .client import ServiceClient
-    from .fleet import FleetServer
     from .jobs import Job, JobQueue, JobState, job_key_of
     from .ratelimit import TokenBucket
-    from .ring import HashRing
     from .scheduler import JobScheduler
     from .server import ServiceServer
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "client": ("ServiceClient",),
-    "fleet": ("FleetServer",),
     "jobs": ("Job", "JobQueue", "JobState", "job_key_of"),
     "ratelimit": ("TokenBucket",),
-    "ring": ("HashRing",),
     "scheduler": ("JobScheduler",),
     "server": ("ServiceServer",),
 })

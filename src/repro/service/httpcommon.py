@@ -1,19 +1,17 @@
-"""The HTTP service shell under ``repro serve`` and ``repro fleet``.
+"""The HTTP service shell under ``repro serve``.
 
-:class:`HttpService` is the base of the single-node
-:class:`~repro.service.server.ServiceServer` and the fleet front end
-:class:`~repro.service.fleet.FleetServer`.  It owns their lifecycle
+:class:`HttpService` is the base of
+:class:`~repro.service.server.ServiceServer`.  It owns the lifecycle
 (bind, one background task, SIGTERM/SIGINT drain, ``start_in_thread``,
 ``shutdown``, ``abort``), the request loop (400 on malformed requests,
 500 on handler crashes, the ``<prefix>.http_requests`` counter and the
-SLO observation) and the routes both answer alike: ``GET
-/results/<key>`` and the 405/404 fallbacks.  Each subclass brings its
-route table and its start, drain and teardown steps.
+SLO observation) and the shared routes: ``GET /results/<key>`` and the
+405/404 fallbacks.  The subclass brings its route table and its start,
+drain and teardown steps.
 
-The wire format is here too, so the two stay byte-compatible: request
-parsing (:func:`read_request`), response framing (:func:`respond`),
-and the asyncio client (:func:`fetch`) the front end and the load
-generator use to talk to workers.
+The wire format is here too: request parsing (:func:`read_request`),
+response framing (:func:`respond`), and the asyncio client
+(:func:`fetch`) the load generator uses.
 
 Connections are persistent HTTP/1.1: a server socket answers request
 after request until the client sends ``Connection: close`` (or speaks
@@ -25,8 +23,7 @@ are never read as the next request.  Idle sockets are closed at
 wind-down: ``asyncio.Server.wait_closed`` waits for every open
 connection on Python 3.12.1 and later.  :func:`fetch` stays one
 request per socket (``Connection: close``), so a dead peer is a
-connection error, never a half-open stream; the fleet's dead-worker
-detection relies on that.
+connection error, never a half-open stream.
 """
 
 from __future__ import annotations
@@ -209,8 +206,7 @@ async def fetch(host: str, port: int, method: str, path: str,
     """One asyncio HTTP round-trip: ``(status, headers, payload)``.
 
     The JSON-decoded body is returned when it parses, else the raw
-    text.  Connection-level failures raise :class:`ServiceError` — the
-    caller decides whether that means "worker is dead".
+    text.  Connection-level failures raise :class:`ServiceError`.
     """
     data = b""
     if body is not None:
@@ -283,7 +279,7 @@ class HttpService:
     """
 
     metric_prefix: str
-    """Prefix of the request counters (``service`` or ``fleet``)."""
+    """Prefix of the request counters (``service``)."""
     START_TIMEOUT = 10.0
     """Seconds :meth:`start_in_thread` waits for the socket."""
     DRAIN_TIMEOUT = 30.0
@@ -374,7 +370,7 @@ class HttpService:
             writer.close()
 
     def serve_forever(self) -> None:
-        """Blocking entry point (``repro serve``/``repro fleet``)."""
+        """Blocking entry point (``repro serve``)."""
         asyncio.run(self.serve())
 
     def start_in_thread(self):

@@ -17,15 +17,18 @@ coalescing (in flight)
     result keys.  Counted in ``service.coalesced``.
 
 Everything else is pulled off the :class:`~repro.service.jobs.JobQueue`
-in priority order by the run loop and executed through a
-:class:`~repro.core.executor.SweepExecutor` on a worker thread (the
-executor may itself fan cells out over processes and retries transient
-cell failures once in place).  Up to ``concurrency`` jobs run at once:
-each claimed job becomes its own task, so a short warm job is never
-stuck behind a long cold one (admission backpressure is unchanged —
-``queue_limit`` still bounds *pending* jobs at the server).  A job
-that still has failing cells afterwards is retried with exponential
-backoff — ``backoff_base * 2**(attempt-1)`` seconds, capped — until
+in priority order by the run loop and executed on a worker thread
+through the scheduler's one :class:`~repro.core.executor.SweepExecutor`
+(which retries transient cell failures once in place).  With
+``executor_jobs > 1`` that executor owns a process pool for the
+scheduler's lifetime: every cold cell of every job runs in it, a
+one-cell job's too, so its processes stay warm and the jobs share the
+cores.  Up to ``concurrency`` jobs run at once: each claimed job
+becomes its own task, so a short warm job is never stuck behind a long
+cold one (admission backpressure is unchanged — ``queue_limit`` still
+bounds *pending* jobs at the server).  A job that still has failing
+cells afterwards is retried with exponential backoff —
+``backoff_base * 2**(attempt-1)`` seconds, capped — until
 ``max_attempts`` is spent, then quarantined as poison
 (``service.quarantined``).
 
@@ -33,9 +36,9 @@ A ``GET /jobs/<id>?wait=S`` long-poll parks on :meth:`JobScheduler
 .wait_done` until the job is terminal, so clients learn of completion
 without polling.
 
-The scheduler also feeds two latency histograms the fleet front-end
-aggregates across workers: ``service.queue_wait_seconds`` (submission
-to claim) and ``service.job_seconds`` (submission to terminal state).
+The scheduler also feeds two latency histograms:
+``service.queue_wait_seconds`` (submission to claim) and
+``service.job_seconds`` (submission to terminal state).
 """
 
 from __future__ import annotations
@@ -96,12 +99,14 @@ class JobScheduler:
     queue, store:
         The durable queue and the (shared, warm) result store.
     executor_jobs:
-        Worker processes per job's :class:`SweepExecutor` (1 = in
-        process, serial — the safe default under asyncio).
+        Processes of :attr:`executor`'s pool, shared by every job (1 =
+        no pool: cells run in this process).  The owner starts and
+        closes the pool (``executor.start()``/``executor.close()``).
     concurrency:
-        Jobs executed at once by this scheduler (1 = the strict
-        serial behaviour of earlier versions).  Each running job owns
-        a worker thread, so warm/short jobs interleave with long ones.
+        Jobs executed at once by this scheduler (default
+        ``executor_jobs``, so one-cell jobs can fill the pool).  Each
+        running job owns a worker thread, so warm/short jobs
+        interleave with long ones.
     max_attempts:
         Execution attempts per job before quarantine.
     backoff_base, backoff_cap:
@@ -117,7 +122,7 @@ class JobScheduler:
         queue: JobQueue,
         store: ResultStore,
         executor_jobs: int = 1,
-        concurrency: int = 1,
+        concurrency: Optional[int] = None,
         max_attempts: int = 3,
         backoff_base: float = 0.5,
         backoff_cap: float = 30.0,
@@ -129,19 +134,26 @@ class JobScheduler:
             from ..obs.telemetry import NULL_TELEMETRY
 
             telemetry = NULL_TELEMETRY
+        if concurrency is None:
+            concurrency = executor_jobs
         if concurrency < 1:
             raise ConfigurationError(
                 f"scheduler concurrency must be >= 1, got {concurrency}")
         self.queue = queue
         self.store = store
-        self.executor_jobs = executor_jobs
         self.concurrency = int(concurrency)
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.executor_retries = executor_retries
         self.telemetry = telemetry
         self.tracer = tracer
+        self.executor = SweepExecutor(
+            jobs=executor_jobs,
+            store=store,
+            telemetry=telemetry,
+            retries=executor_retries,
+            tracer=tracer,
+        )
         self._inflight: Dict[str, str] = {}  # job_key -> primary job_id
         self._followers: Dict[str, List[str]] = {}
         self._submit_times: Dict[str, float] = {}
@@ -363,15 +375,8 @@ class JobScheduler:
 
     def _run_cells(self, job: Job):
         """Worker-thread body: one executor run over the job's cells."""
-        run_ctx = self._run_ctx.get(job.job_id)
-        executor = SweepExecutor(
-            jobs=self.executor_jobs,
-            store=self.store,
-            telemetry=self.telemetry,
-            retries=self.executor_retries,
-            tracer=self.tracer,
-        )
-        return executor.run(job.planned_cells(), trace_parent=run_ctx)
+        return self.executor.run(job.planned_cells(),
+                                 trace_parent=self._run_ctx.get(job.job_id))
 
     def _requeue(self, job_id: str) -> None:
         job = self.queue.get(job_id)

@@ -14,7 +14,7 @@ connection — in front of the :class:`~repro.service.scheduler
                       answer until the job is terminal, S seconds
                       pass (capped) or the server drains
 ``GET /results/<k>``  a stored result by spec key (``404`` on miss)
-``GET /healthz``      liveness + queue depths
+``GET /healthz``      liveness, queue depths and pool size (``jobs``)
 ``GET /metrics``      telemetry snapshot (JSON; ``?format=prometheus``
                       for text exposition)
 ====================  =================================================
@@ -25,9 +25,9 @@ instead of buffering unboundedly — callers are expected to back off
 (the bundled :class:`~repro.service.client.ServiceClient` does).
 
 On ``SIGTERM`` (and ``SIGINT``) the server *drains*: it stops
-admitting jobs (``503``), lets the running job finish its cells, and
-exits; everything still pending is in the journal and replays on the
-next start.
+admitting jobs (``503``), lets the running jobs finish their cells,
+shuts its process pool down, and exits; everything still pending is in
+the journal and replays on the next start.
 """
 
 from __future__ import annotations
@@ -60,11 +60,10 @@ def client_key_of(headers: dict, writer,
     chose to send, so a direct client could mint a fresh identity per
     request and sail past any per-client token bucket.  They are
     therefore honoured only with ``trust_headers=True`` — the peer is
-    a vouched-for proxy (a fleet worker hearing from its front end,
-    or a server run with ``--behind-proxy``).  Then ``X-Client-Id``
-    wins and the first (leftmost) ``X-Forwarded-For`` hop — the
-    originating client — is next, so clients sharing the proxy hop
-    don't share one bucket.  Untrusted (the default), the socket peer
+    a vouched-for proxy (a server run with ``--behind-proxy``).  Then
+    ``X-Client-Id`` wins and the first (leftmost) ``X-Forwarded-For``
+    hop — the originating client — is next, so clients sharing the
+    proxy hop don't share one bucket.  Untrusted (the default), the socket peer
     address is the identity.
     """
     if trust_headers:
@@ -109,10 +108,8 @@ def _check_spec_types(index: int, entry: dict) -> None:
 def parse_job_body(body: Optional[bytes], client: str) -> Job:
     """Decode a ``POST /jobs`` body into a :class:`Job`.
 
-    Shared by the single-node server and the fleet front-end so both
-    validate (and hash, for ring routing) identically.  An optional
-    ``"job_id"`` lets a proxy pin the id it already promised its
-    client (failover replay depends on this staying stable).
+    An optional ``"job_id"`` lets a client (or a proxy) pin the id it
+    already promised its own caller.
     """
     if not body:
         raise BadRequest("POST /jobs needs a JSON body")
@@ -174,13 +171,15 @@ class ServiceServer(HttpService):
     trust_proxy_headers:
         Key rate-limit buckets on ``X-Client-Id``/``X-Forwarded-For``
         instead of the socket peer.  Only enable when every direct
-        peer is a trusted proxy (the fleet front end sets this for
-        its workers; standalone, use ``repro serve --behind-proxy``)
-        — the headers are client-controlled and spoofable otherwise.
+        peer is a trusted proxy (``repro serve --behind-proxy``) — the
+        headers are client-controlled and spoofable otherwise.
     executor_jobs, concurrency, max_attempts, backoff_base,
     backoff_cap, executor_retries:
-        Forwarded to the :class:`JobScheduler` (``concurrency`` is the
-        number of jobs one worker interleaves at once).
+        Forwarded to the :class:`JobScheduler`: ``executor_jobs`` is
+        the size of the process pool that starts and stops with the
+        server (1 = cells run in the server process) and
+        ``concurrency`` (default ``executor_jobs``) the number of jobs
+        run at once.
     trace_dir, trace_service:
         When ``trace_dir`` is set the server joins distributed traces:
         incoming ``traceparent`` headers parent a ``service.submit``
@@ -203,7 +202,7 @@ class ServiceServer(HttpService):
         burst: int = 20,
         trust_proxy_headers: bool = False,
         executor_jobs: int = 1,
-        concurrency: int = 1,
+        concurrency: Optional[int] = None,
         max_attempts: int = 3,
         backoff_base: float = 0.5,
         backoff_cap: float = 30.0,
@@ -235,6 +234,9 @@ class ServiceServer(HttpService):
 
     # -- role steps ----------------------------------------------------
 
+    async def _before_bind(self) -> None:
+        self.scheduler.executor.start()
+
     def _background(self):
         return self.scheduler.run()
 
@@ -249,6 +251,8 @@ class ServiceServer(HttpService):
             except asyncio.CancelledError:
                 pass
         self.queue.close()
+        # joins the pool's processes: off the loop, which still answers
+        await asyncio.to_thread(self.scheduler.executor.close)
 
     # -- request handling ----------------------------------------------
 
@@ -288,6 +292,7 @@ class ServiceServer(HttpService):
             "running": self.queue.running_count,
             "queue_limit": self.queue_limit,
             "concurrency": self.scheduler.concurrency,
+            "jobs": self.scheduler.executor.jobs,
             "store": repr(self.store),
         }
 

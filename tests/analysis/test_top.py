@@ -19,18 +19,6 @@ def service_snapshot(completed=5, depth=2, waits=(0.05, 0.2)):
     return hub.snapshot()
 
 
-def fleet_payload():
-    front = Telemetry()
-    front.counter("fleet.replayed").inc(1)
-    front.gauge("fleet.worker_depth.w0").set(3)
-    w0 = service_snapshot(completed=4, depth=3)
-    w1 = service_snapshot(completed=2, depth=0)
-    from repro.obs import merge_snapshots
-    own = front.snapshot()
-    return {"fleet": own, "workers": {"w0": w0, "w1": w1},
-            "aggregate": merge_snapshots([own, w0, w1])}
-
-
 class TestRenderDashboard:
     def test_plain_service_snapshot(self):
         text = render_dashboard(service_snapshot())
@@ -50,11 +38,6 @@ class TestRenderDashboard:
         assert "BURNING" in line
         assert "2.00x" in line
 
-    def test_fleet_payload_lists_workers(self):
-        text = render_dashboard(fleet_payload())
-        assert "w0" in text and "w1" in text
-        assert "replayed" in text
-
     def test_rates_from_previous_frame(self):
         now = service_snapshot(completed=10)
         prev = service_snapshot(completed=4)
@@ -65,10 +48,9 @@ class TestRenderDashboard:
     def test_healthz_headline(self):
         text = render_dashboard(
             service_snapshot(),
-            healthz={"status": "draining", "role": "fleet-front-end",
-                     "uptime_s": 12.0, "live_workers": 2})
-        assert "fleet-front-end: draining" in text
-        assert "2 live worker(s)" in text
+            healthz={"status": "draining", "uptime_s": 12.0, "jobs": 2})
+        assert "service: draining, up 12s" in text
+        assert "jobs 2" in text
 
     def test_empty_payload(self):
         assert "(no metrics yet)" in render_dashboard({})

@@ -5,6 +5,8 @@ a tiny reference budget) so the multiprocessing path is exercised on
 every ``pytest -x -q`` run.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.core.executor import CellOutcome, SweepExecutor
@@ -172,6 +174,85 @@ class TestParallelExecution:
                     for o in outcomes]
 
         assert serialized(2) == serialized(1)
+
+
+def pool_processes(before=()):
+    """This process's live multiprocessing children not in ``before``."""
+    return [p for p in multiprocessing.active_children() if p not in before]
+
+
+class TestPersistentPool:
+    def test_runs_share_one_pool_until_close(self):
+        before = pool_processes()
+        with SweepExecutor(jobs=2, store=ResultStore()) as executor:
+            first = executor.run(grid_cells())
+            pool = pool_processes(before)
+            assert len(pool) == 2
+            second = executor.run(grid_cells(mix="mix1"))
+            assert pool_processes(before) == pool
+        assert all(o.ok for o in first + second)
+        assert not any(p.is_alive() for p in pool)
+        # a closed executor runs what it is given inline
+        assert executor.run(grid_cells(mix="mix5"))[0].ok
+        assert pool_processes(before) == []
+
+    def test_lone_cell_runs_inline_until_started(self):
+        before = pool_processes()
+        with SweepExecutor(jobs=2, store=ResultStore()) as executor:
+            executor.run(grid_cells(sharings=("private",), policies=("rr",)))
+            assert pool_processes(before) == []
+            executor.start()
+            assert pool_processes(before)
+            outcome, = executor.run(
+                grid_cells(mix="mix1", sharings=("private",),
+                           policies=("rr",)))
+            assert outcome.ok
+        SweepExecutor(jobs=1).start()  # no pool to start
+        assert pool_processes(before) == []
+
+    def test_concurrent_runs_build_one_pool(self):
+        import sys
+        import threading
+
+        before = pool_processes()
+        outcomes = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SweepExecutor(jobs=2, store=ResultStore()) as executor:
+                threads = [threading.Thread(
+                    target=lambda mix=mix: outcomes.extend(executor.run(
+                        grid_cells(mix=mix, policies=("rr",)))))
+                    for mix in ("iso-tpch", "mix1", "mix5", "mix7", "mix2",
+                                "mix3")]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(pool_processes(before)) == 2
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(outcomes) == 12 and all(o.ok for o in outcomes)
+
+    def test_dead_pool_process_fails_over_to_a_retry_and_a_fresh_pool(self):
+        import os
+        import signal
+
+        before = pool_processes()
+        with SweepExecutor(jobs=2, store=ResultStore(), retries=1,
+                           retry_backoff=0.0) as executor:
+            executor.start()
+            victim = pool_processes(before)[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            assert not victim.is_alive()
+            outcomes = executor.run(grid_cells())
+            assert all(o.ok for o in outcomes), [o.error for o in outcomes]
+            assert any(o.retried for o in outcomes)
+            outcomes = executor.run(grid_cells(mix="mix1"))
+            assert all(o.ok and not o.retried for o in outcomes)
+            assert victim not in pool_processes(before)
 
 
 def _engine_bomb(*args, **kwargs):

@@ -1,5 +1,5 @@
-"""Tests for snapshot merging and histogram percentile estimation —
-the fleet's ``/metrics`` aggregation primitives."""
+"""Tests for histogram percentile estimation and the exact histogram
+sums of the ``/metrics`` exposition."""
 
 import pytest
 
@@ -7,21 +7,8 @@ from repro.obs.telemetry import (
     Histogram,
     Telemetry,
     histogram_percentile,
-    merge_snapshots,
     render_prometheus,
 )
-
-
-def hub_with(counter=0, gauge=0.0, observations=()):
-    hub = Telemetry()
-    if counter:
-        hub.counter("service.completed").inc(counter)
-    if gauge:
-        hub.gauge("service.queue_depth").set(gauge)
-    for value in observations:
-        hub.histogram("service.job_seconds",
-                      bounds=(0.1, 1.0, 10.0)).observe(value)
-    return hub
 
 
 class TestHistogramPercentile:
@@ -60,82 +47,6 @@ class TestHistogramPercentile:
             histogram_percentile({"bounds": [], "counts": [0]}, 0)
 
 
-class TestMergeSnapshots:
-    def test_counters_and_gauges_sum(self):
-        merged = merge_snapshots([
-            hub_with(counter=3, gauge=2.0).snapshot(),
-            hub_with(counter=4, gauge=5.0).snapshot(),
-        ])
-        assert merged["counters"]["service.completed"] == 7
-        assert merged["gauges"]["service.queue_depth"] == 7.0
-
-    def test_histograms_merge_preserves_percentiles(self):
-        left = hub_with(observations=[0.05] * 50)
-        right = hub_with(observations=[5.0] * 50)
-        merged = merge_snapshots([left.snapshot(), right.snapshot()])
-        hist = merged["histograms"]["service.job_seconds"]
-        assert hist["observations"] == 100
-        combined = Histogram("all", bounds=(0.1, 1.0, 10.0))
-        for value in [0.05] * 50 + [5.0] * 50:
-            combined.observe(value)
-        assert hist["counts"] == list(combined.counts)
-        assert histogram_percentile(hist, 99) == \
-            pytest.approx(combined.percentile(99))
-        assert hist["mean"] == pytest.approx(combined.mean)
-
-    def test_mismatched_bounds_are_skipped_not_mangled(self):
-        left = Telemetry()
-        left.histogram("h", bounds=(1.0, 2.0)).observe(0.5)
-        right = Telemetry()
-        right.histogram("h", bounds=(5.0, 6.0)).observe(5.5)
-        merged = merge_snapshots([left.snapshot(), right.snapshot()])
-        hist = merged["histograms"]["h"]
-        assert hist["bounds"] == [1.0, 2.0]
-        assert hist["observations"] == 1
-
-    def test_disjoint_instruments_union(self):
-        left = Telemetry()
-        left.counter("only.left").inc()
-        right = Telemetry()
-        right.counter("only.right").inc(2)
-        merged = merge_snapshots([left.snapshot(), right.snapshot()])
-        assert merged["counters"] == {"only.left": 1, "only.right": 2}
-
-    def test_empty_input_yields_empty_snapshot(self):
-        merged = merge_snapshots([])
-        assert merged["counters"] == {} and merged["histograms"] == {}
-
-    def test_merged_snapshot_renders_as_prometheus(self):
-        merged = merge_snapshots([
-            hub_with(counter=1, observations=[0.5]).snapshot(),
-            hub_with(counter=2, observations=[2.0]).snapshot(),
-        ])
-        text = render_prometheus(merged)
-        assert "repro_service_completed_total 3" in text
-        assert "repro_service_job_seconds_count 2" in text
-
-    def test_merge_is_associative(self):
-        a = hub_with(counter=1, gauge=1.0,
-                     observations=[0.05, 0.5]).snapshot()
-        b = hub_with(counter=2, observations=[5.0]).snapshot()
-        c = hub_with(gauge=3.0, observations=[0.2, 20.0]).snapshot()
-        left_first = merge_snapshots([merge_snapshots([a, b]), c])
-        right_first = merge_snapshots([a, merge_snapshots([b, c])])
-        flat = merge_snapshots([a, b, c])
-        for merged in (left_first, right_first):
-            assert merged["counters"] == flat["counters"]
-            assert merged["gauges"] == flat["gauges"]
-            assert merged["histograms"] == flat["histograms"]
-
-    def test_merge_single_snapshot_is_identity(self):
-        snap = hub_with(counter=3, gauge=2.0,
-                        observations=[0.05, 5.0]).snapshot()
-        merged = merge_snapshots([snap])
-        assert merged["counters"] == snap["counters"]
-        assert merged["histograms"]["service.job_seconds"]["counts"] == \
-            snap["histograms"]["service.job_seconds"]["counts"]
-
-
 class TestExactSums:
     def test_single_bucket_histogram_percentiles(self):
         hist = Histogram("h", bounds=(1.0,))
@@ -152,21 +63,3 @@ class TestExactSums:
             hist.observe(value)
         text = render_prometheus(hub.snapshot())
         assert "repro_x_seconds_sum 2.55" in text
-
-    def test_merged_sum_is_exact(self):
-        left = hub_with(observations=[0.125, 0.25])
-        right = hub_with(observations=[0.5])
-        merged = merge_snapshots([left.snapshot(), right.snapshot()])
-        assert merged["histograms"]["service.job_seconds"]["total"] == \
-            pytest.approx(0.875)
-        text = render_prometheus(merged)
-        assert "repro_service_job_seconds_sum 0.875" in text
-
-    def test_merge_tolerates_snapshots_without_total(self):
-        # pre-upgrade snapshots (e.g. from an old worker) carry only
-        # mean/observations; the merge falls back to mean * count
-        snap = hub_with(observations=[0.2, 0.4]).snapshot()
-        del snap["histograms"]["service.job_seconds"]["total"]
-        merged = merge_snapshots([snap])
-        assert merged["histograms"]["service.job_seconds"]["total"] == \
-            pytest.approx(0.6)

@@ -65,10 +65,13 @@ class TestConfig:
         assert metrics["achieved_jobs_per_sec"] == pytest.approx(9.0)
         assert metrics["sustained"] == 1.0
         assert metrics["p99_ms"] == pytest.approx(10.0)
-        record = report.to_record(extra_params={"workers": 3})
+        record = report.to_record(extra_params={"url": "http://h:1"})
         assert record.target == "service"
-        assert record.params["workers"] == 3
+        assert record.params["url"] == "http://h:1"
+        assert "jobs" not in record.params  # no server said how many
         assert record.metrics["shed"] == 1.0
+        report.jobs = 2
+        assert report.to_record().params["jobs"] == 2
 
     def test_not_sustained_below_ninety_percent(self):
         config = LoadgenConfig(url="http://h:1", rate=10.0, duration=1.0)
@@ -97,6 +100,7 @@ class TestLiveRuns:
         assert report.warm_latencies and not report.cold_latencies
         metrics = report.metrics()
         assert 0 < metrics["p50_ms"] <= metrics["p99_ms"]
+        assert report.jobs == 1  # the server's pool size, from /healthz
 
         # the record validates against the bench schema on disk
         from repro.bench.records import append_records
@@ -104,6 +108,7 @@ class TestLiveRuns:
         payload = load_bench_file(path)
         assert path.name == "BENCH_service.json"
         assert payload["records"][0]["bench"] == "service-loadgen"
+        assert payload["records"][0]["params"]["jobs"] == 1
 
     def test_mixed_run_simulates_cold_cells(self, server):
         config = LoadgenConfig(

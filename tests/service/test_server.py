@@ -2,13 +2,14 @@
 
 import http.client
 import json
+import multiprocessing
 import socket
 import time
 
 import pytest
 
 from repro.errors import ServiceError
-from repro.service import FleetServer, ServiceClient, ServiceServer
+from repro.service import ServiceClient, ServiceServer
 
 from .conftest import TINY, tiny_spec
 
@@ -128,6 +129,20 @@ class TestValidation:
         assert status == 400
         assert "priority" in text
 
+    def test_pinned_job_id_is_kept_and_not_reused(self, server):
+        server.scheduler.paused = True  # the jobs only need admitting
+        statuses = []
+        for seed in (1, 2):
+            body = json.dumps({"specs": [{"mix": "mix1", **TINY,
+                                          "seed": seed}],
+                               "job_id": "pinned-1"}).encode()
+            status, _h, text = raw_request(server.port, "POST", "/jobs",
+                                           body=body)
+            statuses.append(status)
+        assert statuses == [202, 400]
+        assert "duplicate job id" in text
+        assert server.queue.get("pinned-1") is not None
+
     def test_unknown_route_is_404(self, server):
         status, _h, _text = raw_request(server.port, "GET", "/nope")
         assert status == 404
@@ -187,18 +202,6 @@ class TestValidation:
         assert requests() - before == 3
 
 
-class TestFleetValidation(TestValidation):
-    """The same protocol cases against a one-worker fleet front end."""
-
-    @pytest.fixture(scope="class")
-    def server(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("fleet")
-        fleet = FleetServer(workers=1, store=root / "store",
-                            journal_dir=root / "journals").start_in_thread()
-        yield fleet
-        fleet.shutdown()
-
-
 def test_service_starts_past_a_retired_spec_field_in_its_journal(
         make_server, tmp_path):
     from repro.service.jobs import Job, JobQueue
@@ -218,27 +221,21 @@ def test_service_starts_past_a_retired_spec_field_in_its_journal(
     assert server.queue.jobs() == []
 
 
-@pytest.mark.parametrize("kind", ["service", "fleet"])
-def test_start_on_a_taken_port_fails_fast(kind, tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2], ids=["service", "pool"])
+def test_start_on_a_taken_port_fails_fast(jobs):
     with socket.socket() as taken:
         taken.bind(("127.0.0.1", 0))
         taken.listen()
         port = taken.getsockname()[1]
-        if kind == "service":
-            server = ServiceServer(port=port)
-        else:
-            server = FleetServer(workers=1, port=port,
-                                 store=tmp_path / "store",
-                                 journal_dir=tmp_path / "journals")
+        server = ServiceServer(port=port, executor_jobs=jobs)
+        before = set(multiprocessing.active_children())
         start = time.monotonic()
         with pytest.raises(ServiceError) as excinfo:
             server.start_in_thread()
         assert time.monotonic() - start < 5
     assert isinstance(excinfo.value.__cause__, OSError)
-    # a fleet that failed to bind leaves no worker process behind
-    workers = getattr(server, "workers", {})
-    assert len(workers) == (1 if kind == "fleet" else 0)
-    assert not any(w.process.is_alive() for w in workers.values())
+    # a server that failed to bind leaves no pool process behind
+    assert set(multiprocessing.active_children()) <= before
 
 
 class TestBackpressure:

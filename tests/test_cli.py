@@ -702,20 +702,9 @@ class TestServiceParsers:
         assert args.queue_limit == 64
         assert args.rate == 0.0
         assert args.journal is None
-        # serve and fleet declare the shared service flags once
-        shared = ("host", "port", "store", "jobs", "concurrency",
-                  "queue_limit", "rate", "burst", "behind_proxy",
-                  "max_attempts", "backoff", "trace_dir")
-        explicit = ["--host", "0.0.0.0", "--port", "9", "--store", "s",
-                    "--jobs", "2", "--concurrency", "3",
-                    "--queue-limit", "4", "--rate", "1.5", "--burst", "5",
-                    "--behind-proxy", "--max-attempts", "6",
-                    "--backoff", "0.25", "--trace-dir", "t"]
-        for argv in ([], explicit):
-            serve = build_parser().parse_args(["serve", *argv])
-            fleet = build_parser().parse_args(["fleet", *argv])
-            assert {name: getattr(serve, name) for name in shared} == \
-                {name: getattr(fleet, name) for name in shared}
+        # one process and no pool; the scheduler sizes --concurrency
+        assert args.jobs == 1
+        assert args.concurrency is None
 
     def test_submit_defaults(self):
         args = build_parser().parse_args(["submit"])
@@ -730,6 +719,16 @@ class TestServiceParsers:
         assert args.job_id == "abc123"
         args = build_parser().parse_args(["jobs"])
         assert args.job_id is None
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet"], ["serve", "--workers", "2"],
+        ["serve", "--journal-dir", "j"], ["serve", "--replicas", "8"],
+        ["serve", "--health-interval", "1"], ["loadgen", "--workers", "2"],
+    ])
+    def test_retired_fleet_command_and_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
 
 class TestServiceCommands:

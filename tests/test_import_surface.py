@@ -21,7 +21,7 @@ import repro
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
-# layers and libraries a cell never uses: the service and fleet, QoS,
+# layers and libraries a cell never uses: the service, QoS,
 # scheduling, scenarios, analysis beyond table formatting, the bench
 # basket, the flit-level network, and the service's network stack
 FORBIDDEN_PREFIXES = ("repro.service", "repro.qos", "repro.sched",
