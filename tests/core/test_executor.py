@@ -238,6 +238,8 @@ class TestPersistentPool:
     def test_dead_pool_process_fails_over_to_a_retry_and_a_fresh_pool(self):
         import os
         import signal
+        import time
+        from multiprocessing.connection import wait
 
         before = pool_processes()
         with SweepExecutor(jobs=2, store=ResultStore(), retries=1,
@@ -245,8 +247,10 @@ class TestPersistentPool:
             executor.start()
             victim = pool_processes(before)[0]
             os.kill(victim.pid, signal.SIGKILL)
-            victim.join(timeout=10)
-            assert not victim.is_alive()
+            # the pool reaps its own processes: wait on the death, not
+            # on a join that would race the pool for the exit status
+            assert wait([victim.sentinel], timeout=10)
+            time.sleep(0.2)  # the pool's manager thread sees it break
             outcomes = executor.run(grid_cells())
             assert all(o.ok for o in outcomes), [o.error for o in outcomes]
             assert any(o.retried for o in outcomes)
