@@ -14,10 +14,15 @@ the adaptive scheduler, a heterogeneous-core cell, and one cell each
 for the non-promoting L2 replacement policies (FIFO and random), a
 static way-quota cell (the ``static-equal`` QoS controller), a live
 UCP cache-QoS cell, a cell with 64-entry directory caches and an
-asymmetric-L2 cell.  The two quota cells place
+asymmetric-L2 cell.  The quota cells place
 threads round robin, so every shared domain holds several VMs and gets
 quotas; mix3 fills L2 sets within 600 refs, so its quota cell also
 runs the quota victim selector.
+
+Four more cells pin the consumers of the epoch sensing window: the
+``target-slowdown`` and ``missrate-prop`` QoS controllers and the
+``contention`` and ``hetero`` schedulers.  Each of them must still act
+(adjust a quota or migrate a thread), so its pin cannot go vacuous.
 
 A deliberate model change updates the digests below; regenerate them
 with ``PYTHONPATH=src python tests/sim/test_reference_digests.py``.
@@ -54,6 +59,14 @@ _CELLS = {
     "mix5/ucp": "eb32cdb9322b750efcb6a9b40c7fe298cd8fe3e0e64ec248a11d6181341e7356",
     "mix1/dircache": "8cf5ede12365827f2220aca98137ea8644fe2e79e67d563d4463f7a44be7e890",
     "mix1/asym": "d9d1d05f6ce5e9d434896e86f9f6b6a555f94284b9ecab09c3dcdc3fc2e7bee3",
+    "mix1/target-slowdown":
+        "8779ef94d615a992d0e8315e2ae0ba1447df863a9ce371a22bd10c17907dbbcf",
+    "mix3/missrate-prop":
+        "e84c1b107cf369cc32363ae6249c6905dd6795f4a743a45fcd8560b9d217e9a8",
+    "mix2/contention":
+        "c06ee84264762f5d685575c4ea5d6d1364c83dbd16adec92371cddc6d62ff917",
+    "mix5/hetero":
+        "4dfc292290a3f03f6eee71355056e78eee1658f6f601053d7f9fef989b12dd56",
 }
 
 _BASE = dict(measured_refs=600, warmup_refs=200, seed=7,
@@ -81,24 +94,56 @@ def _spec(cell):
         params.update(dir_cache_entries=64)
     elif variant == "asym":
         params.update(l2_asym="16x2,8x2")
+    elif variant == "target-slowdown":
+        params.update(policy="rr", slots_per_core=2,
+                      qos_policy="target-slowdown", qos_target=1.05)
+    elif variant == "missrate-prop":
+        params.update(policy="rr", qos_policy="missrate-prop")
+    elif variant == "contention":
+        params.update(policy="rr", sched_policy="contention",
+                      sched_epoch=5000)
+    elif variant == "hetero":
+        params.update(core_speeds="1.0x8,0.5x8", sched_policy="hetero",
+                      sched_epoch=5000)
     return ExperimentSpec(**params)
 
 
-def _digest(cell):
-    result = run_experiment(_spec(cell), use_cache=False)
+def _run(cell):
+    return run_experiment(_spec(cell), use_cache=False)
+
+
+def _digest_of(result):
     payload = json.dumps(result_to_dict(result), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _digest(cell):
+    return _digest_of(_run(cell))
+
+
+#: cell -> (result attribute, summary count that shows the hook acted)
+_ACTING = {
+    "mix1/target-slowdown": ("qos", "quota_adjustments"),
+    "mix3/missrate-prop": ("qos", "quota_adjustments"),
+    "mix2/contention": ("sched", "migrations"),
+    "mix5/hetero": ("sched", "migrations"),
+}
+
+
 @pytest.mark.parametrize("cell", sorted(_CELLS))
 def test_reference_result_digest_is_pinned(cell):
-    assert _digest(cell) == _CELLS[cell]
+    result = _run(cell)
+    assert _digest_of(result) == _CELLS[cell]
+    if cell in _ACTING:
+        attribute, count = _ACTING[cell]
+        assert getattr(result, attribute)[count] > 0
 
 
 if __name__ == "__main__":  # pragma: no cover - digest regeneration
     mixes = [f"mix{i}" for i in range(1, 10)] + ["mixA", "mixB", "mixC", "mixD"]
     variants = ["mix1/overcommit", "diurnal-web/adaptive", "mix5/speeds",
                 "mix2/fifo", "mix2/random", "mix3/quota", "mix5/ucp",
-                "mix1/dircache", "mix1/asym"]
+                "mix1/dircache", "mix1/asym", "mix1/target-slowdown",
+                "mix3/missrate-prop", "mix2/contention", "mix5/hetero"]
     for cell in mixes + variants:
         print(f'    "{cell}": "{_digest(cell)}",')
