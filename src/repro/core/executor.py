@@ -369,15 +369,17 @@ class SweepExecutor:
                 index: specs[index] if runs[index] is None else runs[index]
                 for index in groups
             }
-            jobs = [
-                (index, payloads[index], self.epoch) if trace_payload is None
+            jobs = {
+                index: (index, payloads[index], self.epoch)
+                if trace_payload is None
                 else (index, payloads[index], self.epoch, trace_payload)
                 for index in groups
-            ]
-            for index, result, error, wall in self._execute(pool, jobs):
+            }
+            for index, result, error, wall in self._execute(
+                    pool, list(jobs.values())):
                 key, spec, run = cells[index][0], specs[index], runs[index]
                 result, error, wall, retried = self._maybe_retry(
-                    index, payloads[index], spec, key, result, error, wall)
+                    jobs[index], spec, key, result, error, wall)
                 telemetry.counter("executor.simulated").inc()
                 telemetry.histogram(
                     "executor.cell_seconds",
@@ -407,14 +409,16 @@ class SweepExecutor:
                     ))
         return outcomes  # type: ignore[return-value]
 
-    def _maybe_retry(self, index: int, payload, spec: ExperimentSpec,
+    def _maybe_retry(self, job: tuple, spec: ExperimentSpec,
                      key: tuple, result, error, wall: float):
-        """Re-run a failed cold cell (``payload``, its spec or plan) up
-        to ``self.retries`` times.
+        """Re-run a failed cold cell (``job``, its :func:`_run_cell`
+        payload) up to ``self.retries`` times.
 
         Retries run serially in the parent — by then the original
         worker (possibly a crashed process) is gone, and a transient
-        failure is exactly one that a clean re-run survives.
+        failure is exactly one that a clean re-run survives.  The job
+        keeps its trace context, so a re-run records its own
+        ``cell.simulate`` span where the worker would have.
         """
         attempt = 0
         while error is not None and attempt < self.retries:
@@ -424,8 +428,7 @@ class SweepExecutor:
                 self.on_retry(key, spec, attempt, error)
             if self.retry_backoff > 0:
                 time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
-            _index, result, error, retry_wall = _run_cell(
-                (index, payload, self.epoch))
+            _index, result, error, retry_wall = _run_cell(job)
             wall += retry_wall
         return result, error, wall, attempt
 

@@ -258,6 +258,34 @@ class TestPersistentPool:
             assert all(o.ok and not o.retried for o in outcomes)
             assert victim not in pool_processes(before)
 
+    def test_cells_retried_after_a_pool_death_keep_their_spans(
+            self, tmp_path):
+        import os
+        import signal
+        import time
+        from multiprocessing.connection import wait
+
+        from repro.obs.tracing import Tracer, collect_spans
+
+        before = pool_processes()
+        tracer = Tracer("grid", log_dir=tmp_path)
+        cells = grid_cells()
+        with SweepExecutor(jobs=2, store=ResultStore(), retries=1,
+                           retry_backoff=0.0, tracer=tracer) as executor:
+            executor.start()
+            victim = pool_processes(before)[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            assert wait([victim.sentinel], timeout=10)
+            time.sleep(0.2)  # the pool's manager thread sees it break
+            outcomes = executor.run(cells)
+        assert all(o.ok for o in outcomes), [o.error for o in outcomes]
+        assert any(o.retried for o in outcomes)
+        spans, _torn = collect_spans(tmp_path)
+        grid, = [s for s in spans if s.name == "executor.grid"]
+        simulated = [s for s in spans if s.name == "cell.simulate"
+                     and s.parent_id == grid.span_id]
+        assert len(simulated) == len(cells)
+
 
 def _engine_bomb(*args, **kwargs):
     """Stands in for make_engine to prove the store made simulation
