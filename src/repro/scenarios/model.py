@@ -22,7 +22,7 @@ byte-identity determinism guard possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -285,9 +285,6 @@ class Scenario:
         churn) — the shape the byte-identity determinism guard pins."""
         return (self.curve.is_flat and not self.has_switches
                 and not self.has_churn)
-
-    def with_epoch(self, epoch: int) -> "Scenario":
-        return replace(self, epoch=epoch)
 
 
 # ----------------------------------------------------------------------

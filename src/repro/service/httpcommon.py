@@ -73,7 +73,7 @@ STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
     429: "Too Many Requests", 500: "Internal Server Error",
-    502: "Bad Gateway", 503: "Service Unavailable",
+    503: "Service Unavailable",
 }
 
 
@@ -368,10 +368,6 @@ class HttpService:
     def _close_idle(self) -> None:
         for writer in list(self._idle):
             writer.close()
-
-    def serve_forever(self) -> None:
-        """Blocking entry point (``repro serve``)."""
-        asyncio.run(self.serve())
 
     def start_in_thread(self):
         """Run the server on a daemon thread; returns once bound.

@@ -192,14 +192,6 @@ class ThreadContext:
         self.stats = ThreadStats()
         self.completion_time: Optional[int] = None
 
-    @property
-    def measured_done(self) -> bool:
-        return self.issued >= self.warmup_refs + self.measured_refs
-
-    @property
-    def in_warmup(self) -> bool:
-        return self.issued < self.warmup_refs
-
 
 @dataclass
 class EngineResult:
