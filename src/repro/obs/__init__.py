@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from .probes import EpochProbe, VmDelta, VmDeltaTracker
+    from .probes import Delta, EpochProbe, SensingWindow, Sensor
     from .series import TimeSeries, series_from_dict, series_to_dict
     from .slo import SloTracker
     from .telemetry import (NULL_TELEMETRY, Counter, Gauge, Histogram,
@@ -27,7 +27,7 @@ if TYPE_CHECKING:
                           validate_trace)
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
-    "probes": ("EpochProbe", "VmDelta", "VmDeltaTracker"),
+    "probes": ("Delta", "EpochProbe", "SensingWindow", "Sensor"),
     "series": ("TimeSeries", "series_from_dict", "series_to_dict"),
     "slo": ("SloTracker",),
     "telemetry": ("NULL_TELEMETRY", "Counter", "Gauge", "Histogram",

@@ -22,7 +22,7 @@ if TYPE_CHECKING:
     from .hook import QosHook
     from .metrics import (QosReport, harmonic_speedup, jains_index,
                           per_vm_slowdowns, qos_report, weighted_speedup)
-    from .sensors import EpochSensor, QosWindow, UtilityMonitor
+    from .sensors import UtilityMonitor
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "controllers": ("CONTROLLERS", "MissRateProportional", "QosController",
@@ -32,5 +32,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "hook": ("QosHook",),
     "metrics": ("QosReport", "harmonic_speedup", "jains_index",
                 "per_vm_slowdowns", "qos_report", "weighted_speedup"),
-    "sensors": ("EpochSensor", "QosWindow", "UtilityMonitor"),
+    "sensors": ("UtilityMonitor",),
 })

@@ -42,7 +42,8 @@ from typing import Dict, List, Optional
 
 from ..caches.partitioning import equal_quotas
 from ..errors import ConfigurationError
-from .sensors import QosWindow, UtilityMonitor
+from ..obs.probes import SensingWindow
+from .sensors import UtilityMonitor
 
 __all__ = [
     "QosView",
@@ -106,7 +107,7 @@ class QosController:
         """Per-domain utility monitors (tap-wanting controllers only)."""
         return {}
 
-    def decide(self, window: QosWindow) -> QosDecision:
+    def decide(self, window: SensingWindow) -> QosDecision:
         raise NotImplementedError
 
 
@@ -115,7 +116,7 @@ class StaticEqual(QosController):
 
     name = "static-equal"
 
-    def decide(self, window: QosWindow) -> QosDecision:
+    def decide(self, window: SensingWindow) -> QosDecision:
         return QosDecision()
 
 
@@ -154,12 +155,12 @@ class MissRateProportional(QosController):
 
     name = "missrate-prop"
 
-    def decide(self, window: QosWindow) -> QosDecision:
+    def decide(self, window: SensingWindow) -> QosDecision:
         decision = QosDecision()
         for domain_id, vms in self.view.domain_vms.items():
             weights = {
-                vm: float(window.deltas[vm].l2_misses)
-                for vm in vms if vm in window.deltas
+                vm: float(window.vms[vm].l2_misses)
+                for vm in vms if vm in window.vms
             }
             if len(weights) < 2 or sum(weights.values()) == 0:
                 continue  # nothing measured this epoch: hold quotas
@@ -233,7 +234,7 @@ class UcpLookahead(QosController):
     def monitors(self) -> Dict[int, UtilityMonitor]:
         return self._monitors
 
-    def decide(self, window: QosWindow) -> QosDecision:
+    def decide(self, window: SensingWindow) -> QosDecision:
         decision = QosDecision()
         for domain_id, vms in self.view.domain_vms.items():
             monitor = self._monitors.get(domain_id)
@@ -274,8 +275,6 @@ class TargetSlowdown(QosController):
         self.violations = 0
         #: current quota shadow; seeded on attach, tracks our own moves
         self._ways: Dict[int, Dict[int, int]] = {}
-        #: thread -> vm map the hook fills in before the run
-        self._thread_vms: Dict[int, int] = {}
 
     def attach(self, view: QosView) -> None:
         super().attach(view)
@@ -296,16 +295,16 @@ class TargetSlowdown(QosController):
         self.slowdowns = {}
         self.violations = 0
 
-    def estimate_slowdowns(self, window: QosWindow) -> Dict[int, float]:
+    def estimate_slowdowns(self, window: SensingWindow) -> Dict[int, float]:
         out: Dict[int, float] = {}
         for vm, baseline in self.view.baseline_cpr.items():
-            delta = window.deltas.get(vm)
+            delta = window.vms.get(vm)
             if delta is None or delta.issued <= 0 or baseline <= 0:
                 continue
             out[vm] = (window.now / delta.issued) / baseline
         return out
 
-    def decide(self, window: QosWindow) -> QosDecision:
+    def decide(self, window: SensingWindow) -> QosDecision:
         view = self.view
         slowdowns = self.estimate_slowdowns(window)
         self.slowdowns = slowdowns
@@ -341,15 +340,16 @@ class TargetSlowdown(QosController):
                 worst_excess = excess
                 worst_vm = victim
         if window.queues and worst_vm is not None:
-            move = self._plan_rebind(window.queues, worst_vm)
+            move = self._plan_rebind(window, worst_vm)
             if move is not None:
                 decision.rebinds[move[0]] = move[1]
         return decision
 
-    def _plan_rebind(self, queues: Dict[int, List[int]],
+    @staticmethod
+    def _plan_rebind(window: SensingWindow,
                      victim_vm: int) -> Optional[tuple]:
         """Move one *waiting* victim thread to the shortest queue."""
-        vm_of = self._thread_vms
+        queues, threads = window.queues, window.threads
         shortest = min(sorted(queues), key=lambda core: len(queues[core]))
         for core in sorted(queues):
             queue = queues[core]
@@ -357,12 +357,9 @@ class TargetSlowdown(QosController):
                 continue
             # head of the queue is the active thread: never move it
             for tid in queue[1:]:
-                if vm_of.get(tid) == victim_vm:
+                if threads[tid].vm_id == victim_vm:
                     return (tid, shortest)
         return None
-
-    def set_thread_vms(self, thread_vms: Dict[int, int]) -> None:
-        self._thread_vms = dict(thread_vms)
 
 
 CONTROLLERS = {

@@ -27,8 +27,8 @@ from typing import Dict, Optional
 
 from ..caches.partitioning import WayQuota, equal_quotas
 from ..control import QUOTA, REQUEUE, requeue
-from .controllers import QosController, QosView, TargetSlowdown
-from .sensors import EpochSensor
+from ..obs.probes import Sensor
+from .controllers import QosController, QosView
 
 __all__ = ["QosHook"]
 
@@ -112,10 +112,6 @@ class QosHook:
             target=target,
         )
         controller.attach(view)
-        if isinstance(controller, TargetSlowdown):
-            controller.set_thread_vms(
-                {t.thread_id: t.vm_id for t in self.threads}
-            )
         if controller.wants_l2_tap:
             monitors = controller.build_monitors(chip)
 
@@ -125,7 +121,7 @@ class QosHook:
                     monitor.observe(vm_id, block)
 
             chip.set_l2_tap(tap)
-        self.sensor = EpochSensor(chip, self.threads)
+        self.sensor = Sensor(chip, self.threads)
 
     # -- wiring ---------------------------------------------------------
 

@@ -1,32 +1,27 @@
-"""QoS sensors: utility monitors and epoch-delta adapters.
+"""QoS sensors: the UMON-style utility monitor.
 
-Two kinds of sensor feed the controllers in
-:mod:`repro.qos.controllers`:
+:class:`UtilityMonitor` is a shadow-tag sampler (Qureshi & Patt, MICRO
+2006) attached to one shared L2 domain.  It maintains, for a sampled
+subset of sets, a per-VM LRU stack of recently-accessed tags and a
+histogram of stack-distance hits.  The cumulative histogram is the
+VM's *utility curve*: how many of its L2 accesses would have hit had it
+owned 1, 2, ... ``assoc`` ways exclusively — exactly the
+marginal-utility signal UCP repartitioning needs.  The monitor observes
+the access stream through the chip's read-only
+:meth:`~repro.machine.chip.Chip.set_l2_tap` hook, so it can never
+perturb simulation state.
 
-* :class:`UtilityMonitor` — a UMON-style shadow-tag sampler (Qureshi &
-  Patt, MICRO 2006) attached to one shared L2 domain.  It maintains,
-  for a sampled subset of sets, a per-VM LRU stack of recently-accessed
-  tags and a histogram of stack-distance hits.  The cumulative
-  histogram is the VM's *utility curve*: how many of its L2 accesses
-  would have hit had it owned 1, 2, ... ``assoc`` ways exclusively —
-  exactly the marginal-utility signal UCP repartitioning needs.  The
-  monitor observes the access stream through the chip's read-only
-  :meth:`~repro.machine.chip.Chip.set_l2_tap` hook, so it can never
-  perturb simulation state.
-* :class:`EpochSensor` — an adapter over the observability layer's
-  :class:`~repro.obs.probes.VmDeltaTracker` (the same delta bookkeeping
-  the :class:`~repro.obs.probes.EpochProbe` samples from), handing
-  controllers per-VM miss rate / miss latency / progress deltas for the
-  closing control epoch plus the chip's current L2 occupancy shares.
+The per-VM epoch deltas every controller reads come from the
+observability layer's :class:`~repro.obs.probes.Sensor`, the same
+:class:`~repro.obs.probes.SensingWindow` the scheduling policies and
+the epoch probe read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..obs.probes import VmDelta, VmDeltaTracker
-
-__all__ = ["UtilityMonitor", "QosWindow", "EpochSensor"]
+__all__ = ["UtilityMonitor"]
 
 
 class UtilityMonitor:
@@ -120,63 +115,3 @@ class UtilityMonitor:
                 hits[index] = 0
         for vm in self.misses:
             self.misses[vm] = 0
-
-
-class QosWindow:
-    """Everything a controller may read at one control epoch boundary.
-
-    ``l2_shares`` may be handed in as a zero-argument callable: chip
-    occupancy is a full L2 scan, so it is only computed if a controller
-    actually reads it (none of the shipped policies do — the scan would
-    otherwise dominate the control loop's cost).
-    """
-
-    __slots__ = ("now", "deltas", "queues", "_l2_shares")
-
-    def __init__(self, now: int, deltas: Dict[int, VmDelta],
-                 l2_shares=None,
-                 queues: Optional[Dict[int, List[int]]] = None):
-        self.now = now
-        self.deltas = deltas
-        #: dict, or a thunk resolved on first access
-        self._l2_shares = l2_shares
-        #: over-commit only: core -> run-queue thread ids (head active)
-        self.queues = queues
-
-    @property
-    def l2_shares(self) -> Dict[int, float]:
-        if callable(self._l2_shares):
-            self._l2_shares = self._l2_shares()
-        return self._l2_shares if self._l2_shares is not None else {}
-
-
-class EpochSensor:
-    """Per-epoch sensing over the engine's thread stats and the chip.
-
-    Wraps a :class:`~repro.obs.probes.VmDeltaTracker` plus the chip's
-    read-only ``l2_occupancy_share`` inspection method; every call to
-    :meth:`window` closes the current epoch and returns its
-    :class:`QosWindow`.
-    """
-
-    def __init__(self, machine, threads):
-        self.tracker = VmDeltaTracker(threads)
-        self._l2_share = getattr(machine, "l2_occupancy_share", None)
-
-    @property
-    def vm_ids(self) -> List[int]:
-        return self.tracker.vm_ids
-
-    def window(self, now: int,
-               queues: Optional[Dict[int, List[int]]] = None) -> QosWindow:
-        def shares() -> Dict[int, float]:
-            raw = self._l2_share() if self._l2_share is not None else {}
-            return {vm: float(raw.get(vm, 0.0))
-                    for vm in self.tracker.vm_ids}
-
-        return QosWindow(
-            now=now,
-            deltas=self.tracker.snapshot(),
-            l2_shares=shares,
-            queues=queues,
-        )

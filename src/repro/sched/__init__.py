@@ -2,10 +2,11 @@
 
 The paper fixes thread placement at launch (its four static policies)
 and measures the consolidation interference that results.  This
-package closes the loop: per-epoch contention sensing
-(:mod:`repro.sched.signals`), a registry of scheduling policies from
-the do-nothing static baseline to contention-aware migration,
-adaptive over-commit allocation, and heterogeneity-aware placement
+package closes the loop: a registry of scheduling policies that read
+the observability layer's per-epoch sensing window
+(:class:`repro.obs.probes.SensingWindow`), from the do-nothing static
+baseline to contention-aware migration, adaptive over-commit
+allocation, and heterogeneity-aware placement
 (:mod:`repro.sched.policies`), and the engine-side actuation hook
 that applies migrations with an explicit cost charge
 (:mod:`repro.sched.hook`).
@@ -26,15 +27,11 @@ if TYPE_CHECKING:
                            AdaptiveAllocation, ContentionAwareMigration,
                            HeteroAware, SchedDecision, Scheduler, SchedView,
                            StaticPlacement, make_sched_policy)
-    from .signals import (SchedSensor, SchedWindow, ThreadDelta,
-                          ThreadDeltaTracker)
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "hook": ("CompositeControl", "SchedHook"),
     "policies": ("SCHED_POLICIES", "SCHED_POLICY_NAMES", "AdaptiveAllocation",
                  "ContentionAwareMigration", "HeteroAware", "SchedDecision",
                  "Scheduler", "SchedView", "StaticPlacement",
-                 "make_sched_policy"),
-    "signals": ("SchedSensor", "SchedWindow", "ThreadDelta",
-                "ThreadDeltaTracker"),
+                 "make_sched_policy")
 })

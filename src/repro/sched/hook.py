@@ -4,7 +4,7 @@ A :class:`SchedHook` drives one :class:`~repro.sched.policies.Scheduler`
 with the engines' epoch-gated control cadence (the same ``next_due`` /
 ``on_step`` protocol as :class:`~repro.qos.hook.QosHook`): every
 ``epoch`` simulated cycles it closes a sensing window through its
-:class:`~repro.sched.signals.SchedSensor`, asks the policy for a
+:class:`~repro.obs.probes.Sensor`, asks the policy for a
 :class:`~repro.sched.policies.SchedDecision`, and actuates it:
 
 * on the single-slot reference engine, through
@@ -39,8 +39,8 @@ from typing import Dict, Tuple
 
 from ..control import MIGRATE, REQUEUE, CompositeControl, requeue
 from ..errors import ConfigurationError
+from ..obs.probes import Sensor
 from .policies import Scheduler, SchedView
-from .signals import SchedSensor
 
 __all__ = ["SchedHook", "CompositeControl"]
 
@@ -106,16 +106,13 @@ class SchedHook:
         self.refused = 0
         self._actuator = None
 
-        self.sensor = SchedSensor(chip, self.threads)
-        config = getattr(chip, "config", None)
-        num_cores = (config.num_cores if config is not None
-                     else 1 + max(t.core_id for t in self.threads))
-        inverse = getattr(chip, "inverse_core_speeds", None)
+        self.sensor = sensor = Sensor(chip, self.threads)
         policy.attach(SchedView(
-            num_cores=num_cores,
+            num_cores=(sensor.num_cores if sensor.num_cores is not None
+                       else 1 + max(t.core_id for t in self.threads)),
             slots_per_core=slots_per_core,
-            domain_of_core=self.sensor.domain_of_core,
-            inverse_speeds=inverse,
+            domain_of_core=sensor.domain_of_core,
+            inverse_speeds=sensor.inverse_speeds,
             rng=rng,
         ))
 

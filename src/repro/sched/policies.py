@@ -3,7 +3,7 @@
 The paper evaluates four *static* thread-to-core assignment policies
 (Section V); this module adds the dynamic layer its Section VII
 interference findings motivate.  A :class:`Scheduler` is consulted at
-every control epoch with a :class:`~repro.sched.signals.SchedWindow`
+every control epoch with a :class:`~repro.obs.probes.SensingWindow`
 and answers with a :class:`SchedDecision` — a (possibly empty) set of
 thread migrations.  Policies only *propose*; the
 :class:`~repro.sched.hook.SchedHook` validates and actuates through
@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from .signals import SchedWindow, ThreadDelta
+from ..obs.probes import Delta, SensingWindow
 
 __all__ = [
     "SchedDecision",
@@ -104,7 +104,7 @@ class Scheduler:
     def attach(self, view: SchedView) -> None:
         self.view = view
 
-    def decide(self, window: SchedWindow) -> SchedDecision:
+    def decide(self, window: SensingWindow) -> SchedDecision:
         raise NotImplementedError
 
 
@@ -113,11 +113,11 @@ class StaticPlacement(Scheduler):
 
     name = "static"
 
-    def decide(self, window: SchedWindow) -> SchedDecision:
+    def decide(self, window: SensingWindow) -> SchedDecision:
         return SchedDecision()
 
 
-def _occupied_cores(window: SchedWindow) -> Dict[int, List[int]]:
+def _occupied_cores(window: SensingWindow) -> Dict[int, List[int]]:
     """Core -> resident thread ids, preferring the live run queues."""
     if window.queues is not None:
         return {core: list(q) for core, q in window.queues.items() if q}
@@ -131,7 +131,7 @@ class ContentionAwareMigration(Scheduler):
     """Migrate the most cache-starved thread off the hottest L2 domain.
 
     Each epoch the policy ranks domains by
-    :meth:`~repro.sched.signals.SchedWindow.domain_pressure` and, when
+    :meth:`~repro.obs.probes.SensingWindow.domain_pressure` and, when
     the hottest exceeds the coolest by the ``hysteresis`` margin,
     moves the hottest domain's most cache-starved thread (highest L2
     miss rate in the window) toward the coolest domain: onto an idle
@@ -158,7 +158,7 @@ class ContentionAwareMigration(Scheduler):
         last = self._last_moved.get(tid)
         return last is None or self._epoch - last > self.cooldown
 
-    def decide(self, window: SchedWindow) -> SchedDecision:
+    def decide(self, window: SensingWindow) -> SchedDecision:
         self._epoch += 1
         mapping = window.domain_of_core
         if mapping is None:
@@ -250,7 +250,7 @@ class AdaptiveAllocation(Scheduler):
         self.imbalance = imbalance
         self.max_moves = max_moves
 
-    def decide(self, window: SchedWindow) -> SchedDecision:
+    def decide(self, window: SensingWindow) -> SchedDecision:
         if window.queues is None or self.view is None:
             return SchedDecision()
         load: Dict[int, List[int]] = {
@@ -310,10 +310,10 @@ class HeteroAware(Scheduler):
         return last is None or self._epoch - last > self.cooldown
 
     @staticmethod
-    def _cost(delta: ThreadDelta) -> float:
+    def _cost(delta: Delta) -> float:
         return delta.stall_per_ref + delta.think_per_ref
 
-    def decide(self, window: SchedWindow) -> SchedDecision:
+    def decide(self, window: SensingWindow) -> SchedDecision:
         self._epoch += 1
         view = self.view
         if view is None or view.inverse_speeds is None:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.probes import VmDelta
+from repro.obs.probes import Delta, SensingWindow
 from repro.qos.controllers import (
     CONTROLLERS,
     MissRateProportional,
@@ -17,17 +17,19 @@ from repro.qos.controllers import (
     make_controller,
     ucp_partition,
 )
-from repro.qos.sensors import QosWindow
 
 
-def delta(l2_misses=0, issued=0.0, l1_misses=0, refs=0):
-    return VmDelta(l1_misses=l1_misses, l2_misses=l2_misses, refs=refs,
-                   miss_latency_cycles=0, issued=issued)
+def delta(l2_misses=0, issued=0.0, l1_misses=0, refs=0, vm=0):
+    return Delta(vm, l1_misses=l1_misses, l2_misses=l2_misses, refs=refs,
+                 issued=issued)
 
 
-def window(now=10_000, deltas=None, queues=None):
-    return QosWindow(now=now, deltas=deltas or {}, l2_shares={},
-                     queues=queues)
+def window(now=10_000, vms=None, queues=None, thread_vms=None):
+    """A window; ``thread_vms`` (thread id -> VM id) fills ``threads``."""
+    threads = {tid: Delta(vm, thread_id=tid)
+               for tid, vm in sorted((thread_vms or {}).items())}
+    return SensingWindow(now, threads=threads, vms=vms or {},
+                         queues=queues)
 
 
 def view(assoc=16, domain_vms=None, **extra):
@@ -105,21 +107,21 @@ class TestMissRateProportional:
     def test_ways_follow_miss_shares(self):
         controller = MissRateProportional()
         controller.attach(view(assoc=16))
-        decision = controller.decide(window(deltas={
+        decision = controller.decide(window(vms={
             0: delta(l2_misses=30), 1: delta(l2_misses=10)}))
         assert decision.quotas == {0: {0: 12, 1: 4}}
 
     def test_quiet_epoch_holds_quotas(self):
         controller = MissRateProportional()
         controller.attach(view())
-        decision = controller.decide(window(deltas={
+        decision = controller.decide(window(vms={
             0: delta(l2_misses=0), 1: delta(l2_misses=0)}))
         assert decision.empty
 
     def test_single_measured_vm_holds_quotas(self):
         controller = MissRateProportional()
         controller.attach(view())
-        decision = controller.decide(window(deltas={0: delta(l2_misses=9)}))
+        decision = controller.decide(window(vms={0: delta(l2_misses=9)}))
         assert decision.empty
 
 
@@ -200,7 +202,7 @@ class TestTargetSlowdownDecide:
     def test_moves_one_way_from_donor_to_victim(self):
         controller = self.attached()
         # vm0 at slowdown 2.0 (victim), vm1 at 1.0 (donor with slack)
-        decision = controller.decide(window(now=1000, deltas={
+        decision = controller.decide(window(now=1000, vms={
             0: delta(issued=50.0), 1: delta(issued=100.0)}))
         assert decision.quotas == {0: {0: 5, 1: 3}}
         assert controller.violations == 1
@@ -208,16 +210,16 @@ class TestTargetSlowdownDecide:
 
     def test_moves_accumulate_across_epochs(self):
         controller = self.attached()
-        deltas = {0: delta(issued=50.0), 1: delta(issued=100.0)}
-        controller.decide(window(now=1000, deltas=deltas))
-        decision = controller.decide(window(now=1000, deltas=deltas))
+        vms = {0: delta(issued=50.0), 1: delta(issued=100.0)}
+        controller.decide(window(now=1000, vms=vms))
+        decision = controller.decide(window(now=1000, vms=vms))
         assert decision.quotas == {0: {0: 6, 1: 2}}
 
     def test_donor_never_drops_below_one_way(self):
         controller = self.attached()
-        deltas = {0: delta(issued=50.0), 1: delta(issued=100.0)}
+        vms = {0: delta(issued=50.0), 1: delta(issued=100.0)}
         for _ in range(10):
-            decision = controller.decide(window(now=1000, deltas=deltas))
+            decision = controller.decide(window(now=1000, vms=vms))
         assert decision.empty  # donor exhausted at 1 way, nothing moves
         assert controller._ways[0] == {0: 7, 1: 1}
 
@@ -225,7 +227,7 @@ class TestTargetSlowdownDecide:
         # both VMs inside [low band, target]: nobody moves
         controller = self.attached(target=1.2)
         # cpr 11.9 vs baseline 10: slowdown 1.19, inside [1.176, 1.2]
-        decision = controller.decide(window(now=11900, deltas={
+        decision = controller.decide(window(now=11900, vms={
             0: delta(issued=1000.0), 1: delta(issued=1000.0)}))
         assert decision.empty
         assert controller.violations == 0
@@ -233,18 +235,18 @@ class TestTargetSlowdownDecide:
     def test_no_donor_means_no_move(self):
         # everyone over target: violation recorded but no way moves
         controller = self.attached()
-        decision = controller.decide(window(now=2000, deltas={
+        decision = controller.decide(window(now=2000, vms={
             0: delta(issued=100.0), 1: delta(issued=100.0)}))
         assert decision.quotas == {}
         assert controller.violations == 1
 
     def test_rebind_targets_a_waiting_victim_thread(self):
         controller = self.attached()
-        controller.set_thread_vms({5: 1, 1: 0, 2: 0, 9: 1})
         decision = controller.decide(window(
             now=1000,
-            deltas={0: delta(issued=50.0), 1: delta(issued=100.0)},
+            vms={0: delta(issued=50.0), 1: delta(issued=100.0)},
             queues={0: [5, 1, 2], 1: [9]},
+            thread_vms={5: 1, 1: 0, 2: 0, 9: 1},
         ))
         # vm0 is the victim; its waiting thread 1 moves to the shortest
         # queue.  The head thread (5) is never touched.
@@ -252,11 +254,11 @@ class TestTargetSlowdownDecide:
 
     def test_rebind_skips_balanced_queues(self):
         controller = self.attached()
-        controller.set_thread_vms({5: 0, 1: 0, 9: 1, 2: 1})
         decision = controller.decide(window(
             now=1000,
-            deltas={0: delta(issued=50.0), 1: delta(issued=100.0)},
+            vms={0: delta(issued=50.0), 1: delta(issued=100.0)},
             queues={0: [5, 1], 1: [9, 2]},
+            thread_vms={5: 0, 1: 0, 9: 1, 2: 1},
         ))
         assert decision.rebinds == {}
 

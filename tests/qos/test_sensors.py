@@ -1,8 +1,8 @@
-"""Tests for the QoS sensors: utility monitors and epoch windows."""
+"""Tests for the QoS utility monitor."""
 
 import pytest
 
-from repro.qos.sensors import EpochSensor, QosWindow, UtilityMonitor
+from repro.qos.sensors import UtilityMonitor
 
 
 class TestUtilityMonitorValidation:
@@ -90,59 +90,3 @@ class TestUtilityMonitor:
         # the shadow tag survives the reset: next touch is still a hit
         mon.observe(0, block=8)
         assert mon.utility_curve(0)[0] == 1
-
-
-class FakeStats:
-    def __init__(self, l1_misses=0, l2_misses=0, refs=0,
-                 miss_latency_cycles=0):
-        self.l1_misses = l1_misses
-        self.l2_misses = l2_misses
-        self.refs = refs
-        self.miss_latency_cycles = miss_latency_cycles
-
-
-class FakeThread:
-    def __init__(self, vm_id, stats, issued=0):
-        self.vm_id = vm_id
-        self.stats = stats
-        self.issued = issued
-
-
-class FakeMachine:
-    def __init__(self, shares=None):
-        self.shares = shares or {}
-
-    def l2_occupancy_share(self):
-        return self.shares
-
-
-class TestEpochSensor:
-    def test_window_reports_deltas_not_totals(self):
-        stats = FakeStats(l1_misses=10, l2_misses=4, refs=100)
-        sensor = EpochSensor(FakeMachine(), [FakeThread(0, stats)])
-        first = sensor.window(1000)
-        assert first.deltas[0].l2_misses == 4
-        stats.l2_misses = 7
-        second = sensor.window(2000)
-        assert second.deltas[0].l2_misses == 3
-
-    def test_window_carries_shares_and_queues(self):
-        machine = FakeMachine(shares={0: 0.75})
-        sensor = EpochSensor(machine, [FakeThread(0, FakeStats())])
-        queues = {0: [3, 1]}
-        window = sensor.window(500, queues=queues)
-        assert isinstance(window, QosWindow)
-        assert window.now == 500
-        assert window.l2_shares == {0: 0.75}
-        assert window.queues == queues
-
-    def test_machine_without_occupancy_is_fine(self):
-        sensor = EpochSensor(object(), [FakeThread(2, FakeStats())])
-        window = sensor.window(100)
-        assert window.l2_shares == {2: 0.0}
-
-    def test_issued_is_per_thread_mean(self):
-        threads = [FakeThread(0, FakeStats(), issued=100),
-                   FakeThread(0, FakeStats(), issued=50)]
-        sensor = EpochSensor(FakeMachine(), threads)
-        assert sensor.window(10).deltas[0].issued == 75

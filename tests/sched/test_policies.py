@@ -9,6 +9,7 @@ from repro.machine.config import (
     parse_core_speeds,
     parse_domain_assoc,
 )
+from repro.obs.probes import Delta, SensingWindow
 from repro.sched import (
     SCHED_POLICY_NAMES,
     AdaptiveAllocation,
@@ -18,23 +19,19 @@ from repro.sched import (
     StaticPlacement,
     make_sched_policy,
 )
-from repro.sched.signals import SchedWindow, ThreadDelta
 
 
 def _delta(tid, core, vm=0, refs=100, l1=20, l2=10, lat=4000, think=100):
-    return ThreadDelta(
-        thread_id=tid, vm_id=vm, core_id=core, refs=refs,
-        l1_misses=l1, l2_misses=l2, miss_latency_cycles=lat,
-        think_cycles=think, issued=refs,
+    return Delta(
+        vm, refs=refs, l1_misses=l1, l2_misses=l2, miss_latency_cycles=lat,
+        think_cycles=think, issued=refs, thread_id=tid, core_id=core,
     )
 
 
 def _window(threads, queues=None, domain_of_core=None, now=10_000):
     deltas = {t.thread_id: t for t in threads}
-    return SchedWindow(
-        now=now, threads=deltas, vms={},
-        domain_queues=None, queues=queues,
-        domain_of_core=domain_of_core,
+    return SensingWindow(
+        now, threads=deltas, queues=queues, domain_of_core=domain_of_core,
     )
 
 
