@@ -1,55 +1,34 @@
-"""The HTTP service shell under ``repro serve``.
+"""The HTTP wire format of ``repro serve`` and its clients.
 
-:class:`HttpService` is the base of
-:class:`~repro.service.server.ServiceServer`.  It owns the lifecycle
-(bind, one background task, SIGTERM/SIGINT drain, ``start_in_thread``,
-``shutdown``, ``abort``), the request loop (400 on malformed requests,
-500 on handler crashes, the ``<prefix>.http_requests`` counter and the
-SLO observation) and the shared routes: ``GET /results/<key>`` and the
-405/404 fallbacks.  The subclass brings its route table and its start,
-drain and teardown steps.
+Request parsing (:func:`read_request`), response framing
+(:func:`respond`), the ``GET /jobs/<id>?wait=S`` path and query
+(:func:`job_path`, :func:`job_wait`), and the asyncio client
+(:func:`fetch`) the load generator uses.  The server itself is
+:class:`~repro.service.server.ServiceServer`.
 
-The wire format is here too: request parsing (:func:`read_request`),
-response framing (:func:`respond`), and the asyncio client
-(:func:`fetch`) the load generator uses.
-
-Connections are persistent HTTP/1.1: a server socket answers request
-after request until the client sends ``Connection: close`` (or speaks
-HTTP/1.0 without ``keep-alive``), :data:`KEEPALIVE_IDLE_SECONDS` pass
-without a request, or the service drains, shuts down or aborts.  A
-request the server cannot frame (``Transfer-Encoding``, an unparsable
-``Content-Length``, a line over 64 KiB) is a 400 and closes the socket, so stray body bytes
-are never read as the next request.  Idle sockets are closed at
-wind-down: ``asyncio.Server.wait_closed`` waits for every open
-connection on Python 3.12.1 and later.  :func:`fetch` stays one
-request per socket (``Connection: close``), so a dead peer is a
-connection error, never a half-open stream.
+A request the server cannot frame (``Transfer-Encoding``, an
+unparsable ``Content-Length``, a line over 64 KiB) is a
+:class:`BadRequest`: where the request ends is then unknown, so the
+server answers 400 and closes the socket, and stray body bytes are
+never read as the next request.  :func:`fetch` stays one request per
+socket (``Connection: close``), so a dead peer is a connection error,
+never a half-open stream.
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
-import inspect
 import json
 import math
-import signal
-import threading
-import time
-from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 from urllib.parse import parse_qs
 
 from ..errors import ServiceError
-from ..obs.slo import SloTracker
-from ..obs.telemetry import Telemetry
-from ..obs.tracing import Tracer
 
 __all__ = [
     "MAX_BODY_BYTES",
     "STATUS_TEXT",
     "BadRequest",
-    "HttpService",
     "KEEPALIVE_IDLE_SECONDS",
     "MAX_JOB_WAIT",
     "RETRY_PAUSE",
@@ -71,9 +50,8 @@ poll failed or came back before its hold with the job still running
 (a draining server), so it never spins on either."""
 STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable",
+    405: "Method Not Allowed", 429: "Too Many Requests",
+    500: "Internal Server Error", 503: "Service Unavailable",
 }
 
 
@@ -268,253 +246,3 @@ async def fetch(host: str, port: int, method: str, path: str,
             f"timeout after {timeout}s on "
             f"http://{host}:{port}{path}") from None
 
-
-class HttpService:
-    """Lifecycle, request loop and shared routes of one HTTP server.
-
-    Subclasses set :attr:`metric_prefix` (and the timeouts), build
-    their state after ``super().__init__``, and supply ``_route`` (a
-    plain or a coroutine function returning ``(status, payload,
-    extra)``) plus the role steps below.
-    """
-
-    metric_prefix: str
-    """Prefix of the request counters (``service``)."""
-    START_TIMEOUT = 10.0
-    """Seconds :meth:`start_in_thread` waits for the socket."""
-    DRAIN_TIMEOUT = 30.0
-    """Seconds :meth:`shutdown` waits for the drain to finish."""
-
-    def __init__(self, host: str, port: int,
-                 telemetry: Optional[Telemetry],
-                 trace_dir: Optional[Union[str, Path]],
-                 trace_service: str):
-        self.host = host
-        self.port = port
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.tracer = (Tracer(trace_service, log_dir=trace_dir)
-                       if trace_dir is not None else None)
-        self.slo = SloTracker()
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._task: Optional[asyncio.Task] = None
-        self._stopping: Optional[asyncio.Event] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._start_time = time.monotonic()
-        # sockets waiting for their next request, closed at wind-down;
-        # once the listening socket closes no socket takes another one
-        self._idle: set = set()
-        self._closed = False
-
-    # -- role steps ----------------------------------------------------
-
-    async def _before_bind(self) -> None:
-        """Work that must be done before the socket accepts."""
-
-    def _background(self):
-        """The coroutine run as the server's one background task."""
-        raise NotImplementedError
-
-    def _stop_admitting(self) -> None:
-        """Refuse new work from now on (loop context)."""
-        raise NotImplementedError
-
-    async def _wind_down(self) -> None:
-        """Finish or stop the background work and close what the role
-        owns; runs before the socket closes, and undoes
-        :meth:`_before_bind` when :meth:`start` fails."""
-        raise NotImplementedError
-
-    # -- lifecycle -----------------------------------------------------
-
-    async def start(self) -> None:
-        """Bind the socket and start the background task (loop context).
-
-        A failure undoes the role's start steps and re-raises.
-        """
-        self._loop = asyncio.get_running_loop()
-        self._stopping = asyncio.Event()
-        try:
-            await self._before_bind()
-            self._server = await asyncio.start_server(
-                self._handle, self.host, self.port)
-        except BaseException:
-            await self._wind_down()
-            raise
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._task = asyncio.create_task(self._background())
-        try:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                self._loop.add_signal_handler(signum, self.begin_drain)
-        except (NotImplementedError, RuntimeError, ValueError):
-            # non-main thread or platform without signal support; the
-            # embedding code owns shutdown instead
-            pass
-        self._start_time = time.monotonic()
-
-    async def serve(self) -> None:
-        """Run until a drain (SIGTERM) or :meth:`shutdown` completes."""
-        if self._server is None:
-            await self.start()
-        await self._stopping.wait()
-        self._stop_admitting()  # again after abort(): frees long-polls
-        self._close_idle()  # persistent connections end with the drain
-        await self._wind_down()
-        self._server.close()
-        self._closed = True
-        self._close_idle()  # sockets opened during the drain
-        await self._server.wait_closed()
-
-    def _close_idle(self) -> None:
-        for writer in list(self._idle):
-            writer.close()
-
-    def start_in_thread(self):
-        """Run the server on a daemon thread; returns once bound.
-
-        The test-and-embedding path: the caller keeps its thread, talks
-        to :attr:`port` over HTTP, and ends with :meth:`shutdown` (or
-        :meth:`abort` to simulate a crash).  A failed start raises
-        :class:`ServiceError` at once, chained from its cause.
-        """
-        started: concurrent.futures.Future = concurrent.futures.Future()
-
-        async def main() -> None:
-            try:
-                await self.start()
-            except Exception as exc:
-                started.set_exception(exc)
-                return
-            started.set_result(None)
-            await self.serve()
-
-        self._thread = threading.Thread(target=asyncio.run, args=(main(),),
-                                        daemon=True)
-        self._thread.start()
-        try:
-            started.result(timeout=self.START_TIMEOUT)
-        except concurrent.futures.TimeoutError:
-            raise ServiceError(f"{self.metric_prefix} server did not "
-                               f"start within {self.START_TIMEOUT}s") from None
-        except Exception as exc:
-            raise ServiceError(f"{self.metric_prefix} server failed to "
-                               f"start: {exc}") from exc
-        return self
-
-    def begin_drain(self) -> None:
-        """Stop admitting work, finish the running work, then exit."""
-        self._stop_admitting()
-        if self._stopping is not None:
-            self._stopping.set()
-
-    def shutdown(self) -> None:
-        """Graceful stop from any thread (drains first); idempotent."""
-        if self._loop is None:
-            return
-        try:
-            self._loop.call_soon_threadsafe(self.begin_drain)
-        except RuntimeError:
-            return  # loop already closed: nothing left to stop
-        if self._thread is not None:
-            self._thread.join(timeout=self.DRAIN_TIMEOUT)
-
-    def abort(self) -> None:
-        """Ungraceful stop: kill the loop without draining.
-
-        Simulates a crash (``kill -9``) for recovery tests — journals
-        keep whatever was admitted.
-        """
-        if self._loop is None:
-            return
-
-        def _die() -> None:
-            if self._task is not None:
-                self._task.cancel()
-            if self._server is not None:
-                self._server.close()
-            self._stopping.set()
-
-        try:
-            self._loop.call_soon_threadsafe(_die)
-        except RuntimeError:
-            return  # loop already closed: nothing left to stop
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-
-    # -- request handling ----------------------------------------------
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            while not self._closed and await self._serve_one(reader, writer):
-                pass
-        except ConnectionError:
-            pass  # the client went away mid-response
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    async def _serve_one(self, reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> bool:
-        """Read, route and answer one request; True keeps the socket."""
-        self._idle.add(writer)
-        idle_timer = self._loop.call_later(KEEPALIVE_IDLE_SECONDS,
-                                           writer.close)
-        try:
-            method, path, query, headers, body, keep_alive = \
-                await read_request(reader)
-        except BadRequest as exc:
-            await respond(writer, 400, {"error": str(exc)})
-            return False
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return False
-        except asyncio.CancelledError:
-            # loop teardown during drain cancels in-flight
-            # handlers; the connection is going away regardless
-            return False
-        finally:
-            idle_timer.cancel()
-            self._idle.discard(writer)
-        self.telemetry.counter(
-            f"{self.metric_prefix}.http_requests").inc()
-        route_start = time.monotonic()
-        try:
-            reply = self._route(method, path, query, headers, body,
-                                writer)
-            if inspect.isawaitable(reply):
-                reply = await reply
-            status, payload, extra = reply
-        except BadRequest as exc:
-            status, payload, extra = 400, {"error": str(exc)}, {}
-        except Exception as exc:  # never kill the accept loop
-            self.telemetry.counter(
-                f"{self.metric_prefix}.http_errors").inc()
-            status, payload, extra = (
-                500, {"error": f"internal error: {exc!r}"}, {})
-        if "wait=" not in query:  # a long-poll's hold is not route time
-            self.slo.observe(time.monotonic() - route_start,
-                             error=status >= 500)
-        keep_alive = keep_alive and not self._stopping.is_set()
-        await respond(writer, status, payload, extra, keep_alive)
-        return keep_alive
-
-    def _shared_route(self, method: str, path: str):
-        """``GET /results/<key>`` and the 405/404 fallbacks.
-
-        A result's body splices the store's encoding of it
-        (:meth:`~repro.core.store.ResultStore.encoded_by_key`), built
-        once per stored result, into ``{"spec_key", "result"}``.
-        """
-        if path.startswith("/results/") and method == "GET":
-            key = path[len("/results/"):]
-            encoded = self.store.encoded_by_key(key)
-            if encoded is None:
-                return 404, {"error": "unknown result key"}, {}
-            head = f'{{"spec_key": {json.dumps(key)}, "result": '
-            return 200, head.encode("utf-8") + encoded + b"}\n", {}
-        if path in ("/healthz", "/metrics", "/jobs") or \
-                path.startswith(("/jobs/", "/results/")):
-            return 405, {"error": f"{method} not allowed on {path}"}, {}
-        return 404, {"error": f"no route for {path}"}, {}

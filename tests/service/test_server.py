@@ -92,6 +92,7 @@ class TestValidation:
         ({"l2_vm_quota": True},
          "field 'l2_vm_quota' has been retired (got True); use "
          "qos_policy='static-equal'"),
+        ({"key": "a"}, "spec #0: 'key' must be a list"),
     ], ids=["unknown-field", "bad-sharing", "bad-engine", "negative-refs",
             "string-refs", "string-seed", "string-cores", "string-scale",
             "float-refs", "bool-refs", "int-flag", "qos-and-vm-quota",
@@ -102,7 +103,7 @@ class TestValidation:
             "negative-scale", "zero-slots", "bad-dir-cache-size",
             "zero-rebind-interval", "target-slowdown-without-target",
             "negative-stagger", "infinite-scale", "batched-over-commit",
-            "retired-stagger", "retired-quota"])
+            "retired-stagger", "retired-quota", "non-list-key"])
     def test_unknown_spec_field_is_400(self, server, fields, message):
         # a spec the library refuses is the client's error, not a 500
         body = json.dumps({"specs": [{"mix": "mix5", **fields}]}).encode()
@@ -121,27 +122,25 @@ class TestValidation:
         assert status == 202, text
         assert json.loads(text)["job"]["job_id"]
 
-    def test_non_integer_priority_is_400(self, server):
+    @pytest.mark.parametrize("priority", ["high", True],
+                             ids=["string", "bool"])
+    def test_non_integer_priority_is_400(self, server, priority):
         body = json.dumps({"specs": [{"mix": "mix5"}],
-                           "priority": "high"}).encode()
+                           "priority": priority}).encode()
         status, _h, text = raw_request(server.port, "POST", "/jobs",
                                        body=body)
         assert status == 400
         assert "priority" in text
 
-    def test_pinned_job_id_is_kept_and_not_reused(self, server):
-        server.scheduler.paused = True  # the jobs only need admitting
-        statuses = []
-        for seed in (1, 2):
-            body = json.dumps({"specs": [{"mix": "mix1", **TINY,
-                                          "seed": seed}],
-                               "job_id": "pinned-1"}).encode()
-            status, _h, text = raw_request(server.port, "POST", "/jobs",
-                                           body=body)
-            statuses.append(status)
-        assert statuses == [202, 400]
-        assert "duplicate job id" in text
-        assert server.queue.get("pinned-1") is not None
+    @pytest.mark.parametrize("field", ["job_id", "prioirty"])
+    def test_unknown_job_field_is_400(self, server, field):
+        body = json.dumps({"specs": [{"mix": "mix1", **TINY}],
+                           field: "abc"}).encode()
+        status, _h, text = raw_request(server.port, "POST", "/jobs",
+                                       body=body)
+        assert status == 400
+        assert repr(field) in json.loads(text)["error"]
+        assert server.queue.jobs() == []
 
     def test_unknown_route_is_404(self, server):
         status, _h, _text = raw_request(server.port, "GET", "/nope")
@@ -189,10 +188,9 @@ class TestValidation:
         assert headers["connection"] == "close"
 
     def test_protocol_errors_are_counted(self, server):
-        name = f"{server.metric_prefix}.http_requests"
-
         def requests():
-            return server.telemetry.snapshot()["counters"].get(name, 0)
+            return server.telemetry.snapshot()["counters"].get(
+                "service.http_requests", 0)
 
         before = requests()
         raw_request(server.port, "POST", "/jobs", body=b"{not json",
@@ -350,7 +348,7 @@ class TestResultBodies:
 
     def test_repeat_gets_send_one_encoding(self, stored, monkeypatch):
         import repro.core.store as store_mod
-        import repro.service.httpcommon as httpcommon
+        import repro.service.server as server_mod
         from repro.core.store import result_from_dict, result_to_dict
 
         server, key, result = stored
@@ -362,7 +360,7 @@ class TestResultBodies:
 
         # count the codec wherever the serve path reaches it
         monkeypatch.setattr(store_mod, "result_to_dict", counted)
-        monkeypatch.setattr(httpcommon, "result_to_dict", counted,
+        monkeypatch.setattr(server_mod, "result_to_dict", counted,
                             raising=False)
         status, headers, first = raw_request(server.port, "GET",
                                              f"/results/{key}")
